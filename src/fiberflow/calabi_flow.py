@@ -28,7 +28,8 @@ used as the oracle for everything downstream of the PDE.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,6 +75,17 @@ class WrongRegime(FlowError):
 # parameters and run records
 
 
+def _require_finite(record, error: type[FlowError]) -> None:
+    """Raise `error` naming the first numeric field that is NaN or infinite.
+
+    Comparisons with NaN are all False, so range checks alone let it
+    through; a NaN dt then never advances the flow."""
+    for fld in fields(record):
+        value = getattr(record, fld.name)
+        if value is not None and not math.isfinite(value):
+            raise error(f"{fld.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class HirzebruchParams:
     """Twisted-bundle collapse scenario over a Kahler-Einstein surface.
@@ -95,6 +107,7 @@ class HirzebruchParams:
         return float(self.n * (self.n + 1)) if self.R_h is None else self.R_h
 
     def validate(self) -> None:
+        _require_finite(self, BadProfile)
         if not (0.0 < self.a0 < self.b0):
             raise BadProfile("need 0 < a0 < b0")
         if self.k < 1 or self.n < 1:
@@ -118,6 +131,7 @@ class ProductParams:
         return float(self.n * (self.n + 1)) if self.R_h is None else self.R_h
 
     def validate(self) -> None:
+        _require_finite(self, BadProfile)
         if self.f0 <= 0.0 or self.c0 <= 0.0:
             raise BadProfile("need positive f0 and c0")
 
@@ -136,6 +150,7 @@ class RunSettings:
     dt_fixed: float | None = None
 
     def validate(self) -> None:
+        _require_finite(self, ConfigError)
         if self.dt_max <= 0.0 or not (0.0 < self.time_frac <= 1.0):
             raise ConfigError("need dt_max > 0 and 0 < time_frac <= 1")
         if self.stop_margin <= 0.0 or self.v_floor < 0.0:
@@ -867,12 +882,15 @@ def _run_hirzebruch(params: HirzebruchParams, settings: RunSettings,
             dt = min(settings.dt_max,
                      settings.time_frac * (t_pred - state.t), remaining)
         try:
-            state = step_flow(problem, state, dt)
+            new_state = step_flow(problem, state, dt)
         except (StepRejected, MonotonicityLost) as exc:
             stop_reason = ("step_rejected" if isinstance(exc, StepRejected)
                            else "monotonicity_lost")
             log.warning("run stopped early at t=%.6f: %s", state.t, exc)
             break
+        if not new_state.t > state.t:
+            raise FlowError(f"step of dt={dt!r} did not advance t={state.t!r}")
+        state = new_state
         step_count += 1
         if step_count % settings.record_stride == 0:
             states.append(state)

@@ -19,8 +19,13 @@ from .chart_geometry import (
     ChartError,
     ChartMetricBlocks,
     ChartSampler,
+    _memo,
+    _mixed_derivative,
+    _second_derivative,
+    christoffel_fd,
     complex_structure,
     real_metric,
+    real_metric_from_hermitian,
     real_partials,
     riemann_fd,
     riem4,
@@ -246,7 +251,6 @@ def base_sectional_fd(fp: FramePoint, x: np.ndarray, y: np.ndarray,
 
     def base_fn(pb: np.ndarray) -> np.ndarray:
         full = np.concatenate([pb, fiber_tail])
-        from .chart_geometry import real_metric_from_hermitian
         return real_metric_from_hermitian(samp.evaluate(full).base.h)
 
     h_real = base_fn(fp.point[:2 * n])
@@ -261,43 +265,47 @@ def vertical_sectional(blocks: ChartMetricBlocks) -> float:
     return float(-dd_ln_g / g)
 
 
-def hessian_ln_f_fd(fp: FramePoint, u: np.ndarray, w: np.ndarray,
-                    step: float = 1e-3) -> float:
-    """Covariant Hessian of ln f on (u, w) via metric-only stencils."""
+def _hessian_ln_f(fp: FramePoint, step: float) -> np.ndarray:
+    """Covariant Hessian matrix of ln f at the frame point via metric-only
+    stencils.  One memoised sampler evaluation per stencil point feeds both
+    the ln f stencil and the Christoffel stencil."""
     if fp.sampler is None:
         raise ChartError("hessian stencil needs a sampler")
-    samp = fp.sampler
+    evaluate = _memo(fp.sampler.evaluate)
 
     def lnf(p: np.ndarray) -> float:
-        return float(np.log(samp.evaluate(p).f))
+        return float(np.log(evaluate(p).f))
 
     p = fp.point
     d = p.size
-    hess = np.zeros((d, d))
     f0 = lnf(p)
-    for a in range(d):
-        ea = np.zeros(d)
-        ea[a] = step
-        hess[a, a] = (lnf(p + ea) - 2.0 * f0 + lnf(p - ea)) / step ** 2
-    for a in range(d):
-        for b in range(a + 1, d):
-            ea = np.zeros(d)
-            eb = np.zeros(d)
-            ea[a] = step
-            eb[b] = step
-            val = (lnf(p + ea + eb) - lnf(p + ea - eb)
-                   - lnf(p - ea + eb) + lnf(p - ea - eb)) / (4.0 * step ** 2)
-            hess[a, b] = val
-            hess[b, a] = val
-    from .chart_geometry import christoffel_fd
-    gamma = christoffel_fd(samp.metric_fn(), p, step)
+    hess = np.zeros((d, d))
     grad1 = np.zeros(d)
     for a in range(d):
         ea = np.zeros(d)
         ea[a] = step
+        hess[a, a] = _second_derivative(lnf, p, a, step, f0)
         grad1[a] = (lnf(p + ea) - lnf(p - ea)) / (2.0 * step)
-    cov = hess - np.einsum('cab,c->ab', gamma, grad1)
-    return float(u @ cov @ w)
+        for b in range(a + 1, d):
+            hess[a, b] = hess[b, a] = _mixed_derivative(lnf, p, a, b, step)
+    gamma = christoffel_fd(lambda q: real_metric(evaluate(q)), p, step)
+    return hess - np.einsum('cab,c->ab', gamma, grad1)
+
+
+def hessian_ln_f_fd(fp: FramePoint, u: np.ndarray, w: np.ndarray,
+                    step: float = 1e-3) -> float:
+    """Covariant Hessian of ln f on (u, w) via metric-only stencils."""
+    return float(u @ _hessian_ln_f(fp, step) @ w)
+
+
+def _mixed_sectional(fp: FramePoint, u: np.ndarray, x: np.ndarray,
+                     hess_ln_f: np.ndarray) -> float:
+    """Closed form of `mixed_sectional_closed` from a ready Hessian matrix."""
+    v = grad_ln_f(fp)
+    du = inner(fp, v, u)
+    au = a_tensor_mixed(fp, x, u)
+    hess = float(u @ hess_ln_f @ u)
+    return -0.5 * (hess + du * du) + inner(fp, au, au)
 
 
 def mixed_sectional_closed(fp: FramePoint, u: np.ndarray, x: np.ndarray,
@@ -307,11 +315,7 @@ def mixed_sectional_closed(fp: FramePoint, u: np.ndarray, x: np.ndarray,
     Closed form -1/2 (Hess ln f (u, u) + (d ln f (u))^2) + |A_x u|^2; the
     Hessian piece is stenciled, the rest is frame algebra.
     """
-    v = grad_ln_f(fp)
-    du = inner(fp, v, u)
-    au = a_tensor_mixed(fp, x, u)
-    hess = hessian_ln_f_fd(fp, u, u, step)
-    return -0.5 * (hess + du * du) + inner(fp, au, au)
+    return _mixed_sectional(fp, u, x, _hessian_ln_f(fp, step))
 
 
 def mixed_sectional_fd(fp: FramePoint, u: np.ndarray, x: np.ndarray,
@@ -331,10 +335,11 @@ def vertical_horizontal_curvature(fp: FramePoint,
     Each entry stays bounded while the fiber collapses, which is what
     makes the vertical sectional term dominate the curvature blowup.
     """
+    hess = _hessian_ln_f(fp, step)
     out = np.zeros((2, 2 * fp.n))
     for i, u in enumerate(fp.vertical):
         for jdx, x in enumerate(fp.horizontal):
-            out[i, jdx] = mixed_sectional_closed(fp, u, x, step)
+            out[i, jdx] = _mixed_sectional(fp, u, x, hess)
     return out
 
 
@@ -352,18 +357,13 @@ def mixed_curvature_residuals(fp: FramePoint, step: float = 1e-3,
         if fp.sampler is None:
             raise ChartError("curvature stencil needs a sampler")
         rlow = riemann_fd(fp.sampler.metric_fn(), fp.point, step)
-    hhv = 0.0
-    for x in fp.horizontal:
-        for y in fp.horizontal:
-            for z in fp.horizontal:
-                for u in fp.vertical:
-                    hhv = max(hhv, abs(riem4(rlow, x, y, z, u)))
-    vvh = 0.0
-    u0, u1 = fp.vertical
-    for z in fp.vertical:
-        for x in fp.horizontal:
-            vvh = max(vvh, abs(riem4(rlow, u0, u1, z, x)))
-    return hhv, vvh
+    # riem4(rlow, x, y, z, w) contracts rlow's slots with (w, z, x, y)
+    hor, ver = fp.horizontal, fp.vertical
+    hhv = np.einsum('abcd,ua,zb,xc,yd->xyzu', rlow, ver, hor, hor, hor,
+                    optimize=True)
+    vvh = np.einsum('abcd,xa,zb,c,d->zx', rlow, hor, ver, ver[0], ver[1],
+                    optimize=True)
+    return float(np.max(np.abs(hhv))), float(np.max(np.abs(vvh)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fiberflow import calabi_flow
 from fiberflow.calabi_flow import (
     BadProfile,
     CohomologyClass,
@@ -190,6 +191,29 @@ def test_run_settings_validation():
         run_flow(HirzebruchParams(), RunSettings(stop_margin=0.0))
     with pytest.raises(ConfigError):
         run_flow(HirzebruchParams(), RunSettings(time_frac=1.5))
+
+
+def test_non_finite_settings_rejected():
+    with pytest.raises(ConfigError, match="dt_max"):
+        RunSettings(dt_max=float("nan")).validate()
+    with pytest.raises(BadProfile, match="f0"):
+        ProductParams(f0=float("inf")).validate()
+    with pytest.raises(BadProfile, match="b0"):
+        HirzebruchParams(b0=float("inf")).validate()
+
+
+def test_run_loop_raises_when_a_step_does_not_advance(monkeypatch):
+    calls = []
+
+    def stalled(problem, state, dt):
+        calls.append(dt)
+        if len(calls) == 3:
+            raise AssertionError("run loop kept stepping a stalled state")
+        return state
+
+    monkeypatch.setattr(calabi_flow, "step_flow", stalled)
+    with pytest.raises(FlowError, match="did not advance"):
+        run_flow(HirzebruchParams(grid_points=64))
 
 
 # ---------------------------------------------------------------------------

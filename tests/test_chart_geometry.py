@@ -142,34 +142,59 @@ def test_fubini_study_point_values():
 
 
 def test_fubini_study_derivatives_match_fd():
-    z0 = np.array([0.21 - 0.13j, -0.07 + 0.29j])
-    bm = cg.fubini_study_base(z0)
     step = 1e-4
 
     def h_at(z):
         return cg.fubini_study_base(z).h
 
     def dbar(fn, z, l):
-        el = np.zeros(2, complex)
+        el = np.zeros(z.size, complex)
         el[l] = 1.0
         dx = (fn(z + el * step) - fn(z - el * step)) / (2 * step)
         dy = (fn(z + 1j * el * step) - fn(z - 1j * el * step)) / (2 * step)
         return 0.5 * (dx + 1j * dy)
 
     def dhol(fn, z, k):
-        ek = np.zeros(2, complex)
+        ek = np.zeros(z.size, complex)
         ek[k] = 1.0
         dx = (fn(z + ek * step) - fn(z - ek * step)) / (2 * step)
         dy = (fn(z + 1j * ek * step) - fn(z - 1j * ek * step)) / (2 * step)
         return 0.5 * (dx - 1j * dy)
 
-    for k in range(2):
-        fd = dhol(h_at, z0, k)
-        assert np.max(np.abs(fd - bm.dh[k])) <= 1e-6
-    for k in range(2):
-        for l in range(2):
-            fd = dhol(lambda z, l=l: dbar(h_at, z, l), z0, k)
-            assert np.max(np.abs(fd - bm.d2h[k, l])) <= 1e-6
+    for n in (1, 2, 3):
+        z0 = np.array([0.21 - 0.13j, -0.07 + 0.29j, 0.16 + 0.04j])[:n]
+        bm = cg.fubini_study_base(z0)
+        for k in range(n):
+            fd = dhol(h_at, z0, k)
+            assert np.max(np.abs(fd - bm.dh[k])) <= 1e-6, (n, k)
+        for k in range(n):
+            for l in range(n):
+                fd = dhol(lambda z, l=l: dbar(h_at, z, l), z0, k)
+                assert np.max(np.abs(fd - bm.d2h[k, l])) <= 1e-6, (n, k, l)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fubini_study_derivatives_match_entrywise_formulas(n):
+    """The broadcast derivatives against the formulas written out entry by
+    entry, to rounding."""
+    z = np.array([0.31 + 0.12j, -0.18 + 0.07j, 0.05 - 0.22j])[:n]
+    bm = cg.fubini_study_base(z)
+    a = 1.0 / (1.0 + np.vdot(z, z).real)
+    zb = z.conj()
+    dl = np.eye(n)
+    dh = np.zeros((n, n, n), complex)
+    d2h = np.zeros((n, n, n, n), complex)
+    for k, l, i, j in np.ndindex(n, n, n, n):
+        dh[k, i, j] = (-a ** 2 * (dl[i, j] * zb[k] + dl[j, k] * zb[i])
+                       + 2 * a ** 3 * zb[i] * z[j] * zb[k])
+        d2h[k, l, i, j] = (
+            -a ** 2 * (dl[i, j] * dl[k, l] + dl[i, l] * dl[k, j])
+            + 2 * a ** 3 * (dl[i, j] * zb[k] * z[l] + zb[i] * dl[k, j] * z[l]
+                            + dl[i, l] * z[j] * zb[k]
+                            + dl[k, l] * zb[i] * z[j])
+            - 6 * a ** 4 * zb[i] * z[j] * zb[k] * z[l])
+    assert np.max(np.abs(bm.dh - dh)) <= 1e-12 * np.max(np.abs(dh))
+    assert np.max(np.abs(bm.d2h - d2h)) <= 1e-12 * np.max(np.abs(d2h))
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,14 @@ def test_main_config_error_exit(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
 
 
+def test_non_finite_values_are_config_errors(tmp_path):
+    with pytest.raises(ValidationError, match="dt_max"):
+        parse_config(HZ_CFG.replace("[flow]\n", "[flow]\ndt_max = nan\n"))
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(PRODUCT_CFG.replace("f0 = 3.0", "f0 = inf"))
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+
+
 def test_main_check_missing_dir_is_runtime_error(tmp_path):
     assert main(["check", str(tmp_path / "nope")]) == 3
 

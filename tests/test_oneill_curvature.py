@@ -186,6 +186,36 @@ def test_vertical_horizontal_closed_vs_fd():
             assert closed == pytest.approx(fd, abs=1e-3)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_oracle_evaluations_per_call(n, monkeypatch):
+    """Overlapping stencils share chart evaluations: riemann_fd evaluates
+    each distinct stencil point once, and the covariant Hessian behind
+    vertical_horizontal_curvature is stenciled once per frame point."""
+    calls = []
+    real = cg.fubini_study_base
+
+    def counted(z):
+        calls.append(1)
+        return real(z)
+
+    monkeypatch.setattr(cg, "fubini_study_base", counted)
+    fp = twisted_frame(n=n, seed=5)
+    d = fp.dim
+    calls.clear()
+    cg.riemann_fd(fp.sampler.metric_fn(), fp.point, 1e-3)
+    assert len(calls) == 2 * d * d + 2 * d + 1
+    calls.clear()
+    oc.vertical_horizontal_curvature(fp)
+    assert len(calls) <= 2 * d * d + 1
+
+
+def test_vertical_horizontal_equals_per_pair_closed_form():
+    fp = twisted_frame(n=2, seed=11)
+    stacked = np.array([[oc.mixed_sectional_closed(fp, u, x)
+                         for x in fp.horizontal] for u in fp.vertical])
+    assert np.array_equal(oc.vertical_horizontal_curvature(fp), stacked)
+
+
 def test_vertical_horizontal_zero_for_product():
     samp = cg.product_sampler(base_size=2.0, fiber_size=1.0)
     fp = oc.frame_point(samp, np.array([0.1, -0.2, 0.3, 0.1]))
@@ -203,6 +233,24 @@ def test_mixed_curvature_residuals_structured():
     fp = oc.frame_point(tw, np.array([0.12, -0.06, 1.05, 0.11]))
     hhv, vvh = oc.mixed_curvature_residuals(fp)
     assert hhv <= 1e-3 and vvh <= 1e-3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mixed_curvature_residuals_match_frame_loop(n):
+    """The stacked contractions against riem4 taken frame vector by frame
+    vector, on a random (non-symmetric) tensor so no term can hide."""
+    fp = twisted_frame(n=n, seed=2)
+    rlow = np.random.default_rng(n).normal(size=(fp.dim,) * 4)
+    hhv = max(abs(cg.riem4(rlow, x, y, z, u)) for x in fp.horizontal
+              for y in fp.horizontal for z in fp.horizontal
+              for u in fp.vertical)
+    u0, u1 = fp.vertical
+    vvh = max(abs(cg.riem4(rlow, u0, u1, z, x)) for z in fp.vertical
+              for x in fp.horizontal)
+    got = oc.mixed_curvature_residuals(fp, rlow=rlow)
+    tol = 1e-12 * np.max(np.abs(rlow))
+    assert got[0] == pytest.approx(hhv, abs=tol)
+    assert got[1] == pytest.approx(vvh, abs=tol)
 
 
 def test_mixed_curvature_detector_fires():
