@@ -386,7 +386,16 @@ def init_hirzebruch_profile(params: HirzebruchParams,
 def _reconstruct(f0: float, inc: np.ndarray) -> np.ndarray:
     out = np.empty(inc.size + 1)
     out[0] = f0
-    out[1:] = f0 + np.cumsum(inc)
+    np.add.accumulate(inc, out=out[1:])
+    out[1:] += f0
+    return out
+
+
+def _to_increments(z: np.ndarray) -> np.ndarray:
+    """Inverse of `_reconstruct`: (z[0], diff(z))."""
+    out = np.empty_like(z)
+    out[0] = z[0]
+    np.subtract(z[1:], z[:-1], out=out[1:])
     return out
 
 
@@ -401,6 +410,9 @@ class FlowProblem:
     change of variables is triangular (cumsum), so the Newton systems
     still reduce to one banded solve:  with T = cumsum and D = diff its
     inverse, I - c D J T = D (I - c J) T.
+
+    `step_once` keeps the last converged step to reuse its rate, so one
+    FlowProblem must not step from several threads at once.
     """
 
     def __init__(self, params: HirzebruchParams,
@@ -412,8 +424,6 @@ class FlowProblem:
         self.rho = np.linspace(-params.L, params.L, params.grid_points)
         self.drho = float(self.rho[1] - self.rho[0])
         rh = params.base_scalar
-        self.rate_lower = params.k - rh / params.n
-        self.rate_upper = -params.k - rh / params.n
         self.sink = rh / params.n
         # Endpoint rows advance at the speed of the *discrete* exponential
         # tail: for f - endpoint ~ q^j the stencil ratio s2f/s1f is the
@@ -426,89 +436,77 @@ class FlowProblem:
         r_disc = 2.0 * (np.cosh(h) - 1.0) / (h * np.sinh(h))
         self.rate_lower_disc = params.k * r_disc - self.sink
         self.rate_upper_disc = -params.k * r_disc - self.sink
+        self._two_h = 2.0 * h
+        self._h_sq = h ** 2
+        # u and phi(u) at the last converged step: the next step starts
+        # from that u, so its explicit trapezoid rate is already known.
+        # Fixed buffers rather than fresh arrays, so the memo does not
+        # interleave with the recorded states on the heap; the NaN start
+        # matches no u.
+        self._last_u = np.full(params.grid_points, np.nan)
+        self._last_phi = np.empty(params.grid_points)
 
-    # -- right-hand side ----------------------------------------------------
+    # -- the Newton kernel, in increment space --------------------------------
+    #
+    # One iterate costs one stencil pass: `_rates` gives the nodal rates
+    # and the interior stencils, and the Jacobian is built from the same
+    # stencils only when the iterate has not converged.
 
-    def _derivs_from_increments(self, inc: np.ndarray
-                                ) -> tuple[np.ndarray, np.ndarray]:
-        d = self.drho
-        n_pts = inc.size + 1
-        s1f = np.empty(n_pts)
-        s2f = np.empty(n_pts)
-        s1f[1:-1] = (inc[1:] + inc[:-1]) / (2.0 * d)
-        s2f[1:-1] = (inc[1:] - inc[:-1]) / d ** 2
-        s1f[0] = s1f[-1] = 1.0  # placeholder, boundary rows are rates
-        s2f[0] = s2f[-1] = 0.0
-        return s1f, s2f
-
-    def _rhs_nodal(self, f: np.ndarray, inc: np.ndarray) -> np.ndarray:
-        k, n = self.params.k, self.params.n
-        s1f, s2f = self._derivs_from_increments(inc)
-        out = k * (s2f / s1f + n * s1f / f) - self.sink
-        out[0] = self.rate_lower_disc
-        out[-1] = self.rate_upper_disc
-        return out
-
-    def rhs(self, f: np.ndarray) -> np.ndarray:
-        return self._rhs_nodal(f, np.diff(f))
-
-    def jacobian_bands(self, f: np.ndarray, inc: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Tridiagonal d(rhs)/d(nodal f) as (sub, diag, super) arrays;
-        boundary rows are zero (their rates are constants)."""
-        k, n = self.params.k, self.params.n
-        h = self.drho
-        s1f, s2f = self._derivs_from_increments(inc)
-        lo = np.zeros_like(f)
-        di = np.zeros_like(f)
-        up = np.zeros_like(f)
-        inv_s1 = 1.0 / s1f[1:-1]
-        ratio = s2f[1:-1] * inv_s1 ** 2
-        fi = f[1:-1]
-        up[1:-1] = k * (inv_s1 / h ** 2 - ratio / (2.0 * h)
-                        + n / (2.0 * h * fi))
-        lo[1:-1] = k * (inv_s1 / h ** 2 + ratio / (2.0 * h)
-                        - n / (2.0 * h * fi))
-        di[1:-1] = k * (-2.0 * inv_s1 / h ** 2 - n * s1f[1:-1] / fi ** 2)
-        return lo, di, up
-
-    # -- implicit stages in increment space ----------------------------------
+    def _rates(self, f: np.ndarray, inc: np.ndarray
+               ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Nodal rates F at (f, increments of f) and the interior stencils
+        (s1 = f_rho, n s1, s2 = f_rhorho) they were built from.  Boundary
+        rows are the endpoint rates."""
+        s1 = (inc[1:] + inc[:-1]) / self._two_h
+        s2 = (inc[1:] - inc[:-1]) / self._h_sq
+        ns1 = self.params.n * s1
+        rates = np.empty(f.size)
+        rates[0] = self.rate_lower_disc
+        rates[1:-1] = self.params.k * (s2 / s1 + ns1 / f[1:-1]) - self.sink
+        rates[-1] = self.rate_upper_disc
+        return rates, (s1, ns1, s2)
 
     def _phi(self, u: np.ndarray) -> np.ndarray:
         """Rates of (f[0], increments): (F[0], diff(F))."""
-        f = _reconstruct(u[0], u[1:])
-        rates = self._rhs_nodal(f, u[1:])
-        out = np.empty_like(u)
-        out[0] = rates[0]
-        out[1:] = np.diff(rates)
-        return out
+        return _to_increments(
+            self._rates(_reconstruct(u[0], u[1:]), u[1:])[0])
 
-    def _solve_newton_system(self, coeff: float, f: np.ndarray,
-                             inc: np.ndarray,
-                             resid: np.ndarray) -> np.ndarray:
-        """x with (I - coeff * D J T) x = resid, via the banded f-space
-        system (I - coeff * J) z = T resid and x = D z."""
-        lo, di, up = self.jacobian_bands(f, inc)
-        n_pts = f.size
-        ab = np.zeros((3, n_pts))
-        ab[0, 1:] = -coeff * up[:-1]
-        ab[1, :] = 1.0 - coeff * di
-        ab[2, :-1] = -coeff * lo[1:]
-        z = solve_banded((1, 1), ab, _reconstruct(resid[0], resid[1:]))
-        x = np.empty_like(resid)
-        x[0] = z[0]
-        x[1:] = np.diff(z)
-        return x
+    def _newton_matrix(self, coeff: float, f: np.ndarray,
+                       stencils: tuple[np.ndarray, ...]) -> np.ndarray:
+        """I - coeff * J in `solve_banded` (1, 1) storage, where J is the
+        tridiagonal d(rates)/d(nodal f); its boundary rows are zero (the
+        endpoint rates are constants)."""
+        k = self.params.k
+        s1, ns1, s2 = stencils
+        fi = f[1:-1]
+        inv_s1 = 1.0 / s1
+        ratio = s2 * inv_s1 ** 2
+        curv = inv_s1 / self._h_sq
+        adv = ratio / self._two_h
+        geo = self.params.n / (self._two_h * fi)
+        ab = np.empty((3, f.size))
+        # ab[0, 0] and ab[2, -1] lie outside the matrix; the signed zeros
+        # are what -coeff times a zero boundary row of J gives.
+        ab[0, 0] = ab[2, -1] = 0.0
+        ab[0, 1] = ab[2, -2] = -coeff * 0.0
+        ab[1, 0] = ab[1, -1] = 1.0
+        np.multiply(-coeff, k * (curv - adv + geo), out=ab[0, 2:])
+        # -2.0 * curv equals (-2.0 * inv_s1) / h^2 bit for bit: scaling by
+        # a power of two commutes with rounding.
+        np.subtract(1.0, coeff * (k * (-2.0 * curv - ns1 / fi ** 2)),
+                    out=ab[1, 1:-1])
+        np.multiply(-coeff, k * (curv + adv - geo), out=ab[2, :-2])
+        return ab
 
     def _valid(self, u: np.ndarray) -> bool:
-        return bool(np.all(np.isfinite(u)) and u[0] > 0.0
-                    and np.all(u[1:] > 0.0))
+        return bool(u.min() > 0.0 and u.max() < np.inf)
 
     def _newton(self, coeff: float, rhs_const: np.ndarray,
-                guess: np.ndarray) -> np.ndarray:
-        """Solve u - coeff * phi(u) = rhs_const; raises StepRejected on
-        non-convergence.  Steps are halved while they would leave the
-        monotone cone (phi is not defined outside it)."""
+                guess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solve u - coeff * phi(u) = rhs_const and return u with phi(u);
+        raises StepRejected on non-convergence.  Steps are halved while
+        they would leave the monotone cone (phi is not defined outside
+        it)."""
         u = guess.copy()
         if not self._valid(u):
             u = rhs_const.copy()
@@ -516,12 +514,18 @@ class FlowProblem:
             raise StepRejected("no valid starting iterate")
         scale = 1.0 + abs(rhs_const[0]) + float(np.sum(np.abs(rhs_const[1:])))
         for _ in range(self.settings.newton_max_iter):
-            resid = u - coeff * self._phi(u) - rhs_const
+            f = _reconstruct(u[0], u[1:])
+            rates, stencils = self._rates(f, u[1:])
+            phi = _to_increments(rates)
+            resid = u - coeff * phi - rhs_const
             err = abs(resid[0]) + float(np.sum(np.abs(resid[1:])))
             if err <= self.settings.newton_tol * scale:
-                return u
-            f = _reconstruct(u[0], u[1:])
-            x = self._solve_newton_system(coeff, f, u[1:], resid)
+                return u, phi
+            # (I - coeff D J T) x = resid is solved as the banded f-space
+            # system (I - coeff J) z = T resid, then x = D z.
+            z = solve_banded((1, 1), self._newton_matrix(coeff, f, stencils),
+                             _reconstruct(resid[0], resid[1:]))
+            x = _to_increments(z)
             for _ in range(6):
                 candidate = u - x
                 if self._valid(candidate):
@@ -535,14 +539,20 @@ class FlowProblem:
     def step_once(self, u: np.ndarray, dt: float) -> np.ndarray:
         """One TR-BDF2 step (trapezoid to t + gamma dt, then BDF2)."""
         g = GAMMA
-        p0 = self._phi(u)
+        if np.array_equal(u, self._last_u):
+            p0 = self._last_phi
+        else:
+            p0 = self._phi(u)
         c1 = 0.5 * g * dt
-        u1 = self._newton(c1, u + c1 * p0, u + g * dt * p0)
+        u1, _ = self._newton(c1, u + c1 * p0, u + g * dt * p0)
         c2 = (1.0 - g) / (2.0 - g) * dt
         rhs_const = (u1 / (g * (2.0 - g))
                      - ((1.0 - g) ** 2 / (g * (2.0 - g))) * u)
         guess = u1 / g - (1.0 - g) / g * u
-        return self._newton(c2, rhs_const, guess)
+        u2, p2 = self._newton(c2, rhs_const, guess)
+        self._last_u[:] = u2
+        self._last_phi[:] = p2
+        return u2
 
 
 def step_flow(problem: FlowProblem, state: FlowState, dt: float) -> FlowState:
@@ -579,15 +589,6 @@ def step_flow(problem: FlowProblem, state: FlowState, dt: float) -> FlowState:
     f = _reconstruct(u[0], u[1:])
     return FlowState(t=t, rho=state.rho, f=f, lower=float(f[0]),
                      upper=float(f[-1]), df=u[1:].copy())
-
-
-def flow_rhs_periodic(f: np.ndarray, drho: float, k: int, n: int,
-                      sink: float) -> np.ndarray:
-    """Right-hand side with periodic padding; only used to exhibit the
-    translation equivariance of the interior scheme exactly."""
-    s1f = (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * drho)
-    s2f = (np.roll(f, -1) - 2.0 * f + np.roll(f, 1)) / drho ** 2
-    return k * (s2f / s1f + n * s1f / f) - sink
 
 
 # ---------------------------------------------------------------------------

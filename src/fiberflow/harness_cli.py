@@ -41,6 +41,8 @@ from .calabi_flow import (
     HirzebruchParams,
     ProductParams,
     RunSettings,
+    hirzebruch_class,
+    predict_max_time,
     product_closed_form,
     run_flow,
     sampler_from_state,
@@ -94,6 +96,10 @@ class ValidationError(HarnessError):
     def __init__(self, key: str, msg: str):
         super().__init__(f"{key}: {msg}")
         self.key = key
+
+
+class RunDirError(Exception):
+    """A stored run file is missing, empty, cut short or malformed."""
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +289,20 @@ def parse_config(text: str) -> RunConfig:
         settings.validate()
     except (ConfigError, FlowError) as exc:
         raise ValidationError("params", str(exc)) from exc
+    tracked = rec_kv.get("tracked_nodes", ())
+    if scenario == "hirzebruch":
+        # the profile diagnostics are implemented over surface bases only
+        if params.n != 1:
+            raise ValidationError("n", "the hirzebruch scenario needs n = 1")
+        try:
+            predict_max_time(hirzebruch_class(params))
+        except FlowError as exc:
+            raise ValidationError("params", str(exc)) from exc
+        outside = [i for i in tracked if not 0 <= i < params.grid_points]
+        if outside:
+            raise ValidationError(
+                "tracked_nodes", f"nodes {outside} outside the grid "
+                                 f"0..{params.grid_points - 1}")
 
     if "checks" not in ana_kv:
         ana_kv["checks"] = DEFAULT_CHECKS[scenario]
@@ -305,7 +325,7 @@ def parse_config(text: str) -> RunConfig:
             for name, kv in sections.items()}
     return RunConfig(
         scenario=scenario, params=params, settings=settings, shape=shape,
-        tracked_nodes=rec_kv.get("tracked_nodes", ()),
+        tracked_nodes=tracked,
         analysis=analysis, output_dir=run_kv.get("output_dir"), echo=echo)
 
 
@@ -336,12 +356,41 @@ def _write_csv(path: Path, schema: str, columns: Sequence[str],
     path.write_text("\n".join(lines) + "\n")
 
 
-def _read_csv(path: Path) -> dict[str, np.ndarray]:
-    lines = path.read_text().splitlines()
-    columns = lines[1].split(",")
-    data = np.array([[float(v) for v in line.split(",")]
-                     for line in lines[2:]])
+def _read_csv(path: Path, columns: Sequence[str]) -> dict[str, np.ndarray]:
+    """The columns of a CSV written by `_write_csv`; RunDirError naming the
+    file if it is unreadable, has another header or a short or bad row."""
+    try:
+        lines = path.read_text().splitlines()
+    except OSError as exc:
+        raise RunDirError(f"{path}: {exc.strerror or exc}") from exc
+    if len(lines) < 2 or lines[1].split(",") != list(columns):
+        raise RunDirError(f"{path}: missing or unexpected column header")
+    if len(lines) < 3:
+        raise RunDirError(f"{path}: no data rows")
+    rows = []
+    for lineno, line in enumerate(lines[2:], start=3):
+        fields = line.split(",")
+        if len(fields) != len(columns):
+            raise RunDirError(f"{path}: line {lineno} has {len(fields)} "
+                              f"fields, expected {len(columns)}")
+        try:
+            rows.append([float(v) for v in fields])
+        except ValueError as exc:
+            raise RunDirError(f"{path}: line {lineno}: {exc}") from exc
+    data = np.array(rows)
     return {name: data[:, i] for i, name in enumerate(columns)}
+
+
+def _read_json(path: Path) -> dict:
+    try:
+        payload = json.loads(path.read_text())
+    except OSError as exc:
+        raise RunDirError(f"{path}: {exc.strerror or exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise RunDirError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise RunDirError(f"{path}: expected a JSON object")
+    return payload
 
 
 def _atomic_json(path: Path, payload: dict) -> None:
@@ -535,19 +584,49 @@ def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
 
     Checks that need live states (chart residuals) carry the stored
     verdict forward; everything else is recomputed from the files.
+    Raises RunDirError naming the file when a stored file is missing,
+    empty, cut short or malformed.
     """
     run_dir = Path(run_dir)
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    diag = _read_csv(run_dir / "diagnostics.csv")
+    manifest_path = run_dir / "manifest.json"
+    diag_path = run_dir / "diagnostics.csv"
+    manifest = _read_json(manifest_path)
+    diag = _read_csv(diag_path, DIAG_COLUMNS)
+    recorded = manifest.get("steps_recorded")
+    if recorded is not None and recorded != diag["t"].size:
+        raise RunDirError(f"{diag_path}: {diag['t'].size} rows, the "
+                          f"manifest records {recorded}")
+    try:
+        results = _recheck(manifest, diag, run_dir)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise RunDirError(f"{manifest_path}: missing or malformed entry "
+                          f"({type(exc).__name__}: {exc})") from exc
+    summary = {
+        "run_dir": str(run_dir),
+        "recheck": results,
+        "stored": manifest.get("acceptance", {}),
+        "consistent": results == {k: bool(v) for k, v in
+                                  manifest.get("acceptance", {}).items()},
+        "passed": all(results.values()),
+    }
+    return summary, 0 if summary["passed"] and summary["consistent"] else 1
+
+
+def _recheck(manifest: dict, diag: dict[str, np.ndarray],
+             run_dir: Path) -> dict[str, bool]:
     results: dict[str, bool] = {}
     ana = manifest.get("config", {}).get("analysis", {})
     for name, stored in manifest.get("acceptance", {}).items():
         if name == "classification":
-            rep = classify_sup_series(
-                diag["t"], diag["rm_sup"], manifest["T_observed"],
-                slope_bounded=float(ana.get("slope_bounded", 0.05)),
-                slope_diverging=float(ana.get("slope_diverging", 0.10)),
-                burst_cap=float(ana.get("burst_cap", 1.5)))
+            try:
+                rep = classify_sup_series(
+                    diag["t"], diag["rm_sup"], manifest["T_observed"],
+                    slope_bounded=float(ana.get("slope_bounded", 0.05)),
+                    slope_diverging=float(ana.get("slope_diverging", 0.10)),
+                    burst_cap=float(ana.get("burst_cap", 1.5)))
+            except AnalysisError as exc:
+                raise RunDirError(
+                    f"{run_dir / 'diagnostics.csv'}: {exc}") from exc
             ok = (rep.classification == "TypeI"
                   and rep.classification == manifest["classification"])
         elif name == "time_ratio":
@@ -563,10 +642,10 @@ def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
                 and np.all(diag["grad_bound_ok"] > 0.5)
                 and np.min(diag["min_f"]) > 0.0)
         elif name == "splitting":
-            report = json.loads((run_dir / "report.json").read_text())
+            report = _read_json(run_dir / "report.json")
             ok = bool(report.get("splitting", {}).get("splits", False))
         elif name == "closed_form":
-            flow = _read_csv(run_dir / "flow.csv")
+            flow = _read_csv(run_dir / "flow.csv", ("t", "f", "c"))
             p = manifest["config"].get("params", {})
             f0 = float(p.get("f0", 3.0))
             c0 = float(p.get("c0", 1.0))
@@ -581,15 +660,7 @@ def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
         else:
             ok = bool(stored)
         results[name] = ok
-    summary = {
-        "run_dir": str(run_dir),
-        "recheck": results,
-        "stored": manifest.get("acceptance", {}),
-        "consistent": results == {k: bool(v) for k, v in
-                                  manifest.get("acceptance", {}).items()},
-        "passed": all(results.values()),
-    }
-    return summary, 0 if summary["passed"] and summary["consistent"] else 1
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -741,6 +812,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except HarnessError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except RunDirError as exc:
+        print(f"run directory error: {exc}", file=sys.stderr)
+        return 3
     except (OSError, json.JSONDecodeError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3

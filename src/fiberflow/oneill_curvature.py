@@ -292,12 +292,6 @@ def _hessian_ln_f(fp: FramePoint, step: float) -> np.ndarray:
     return hess - np.einsum('cab,c->ab', gamma, grad1)
 
 
-def hessian_ln_f_fd(fp: FramePoint, u: np.ndarray, w: np.ndarray,
-                    step: float = 1e-3) -> float:
-    """Covariant Hessian of ln f on (u, w) via metric-only stencils."""
-    return float(u @ _hessian_ln_f(fp, step) @ w)
-
-
 def _mixed_sectional(fp: FramePoint, u: np.ndarray, x: np.ndarray,
                      hess_ln_f: np.ndarray) -> float:
     """Closed form of `mixed_sectional_closed` from a ready Hessian matrix."""

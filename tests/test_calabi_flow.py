@@ -17,7 +17,6 @@ from fiberflow.calabi_flow import (
     RunSettings,
     StepRejected,
     WrongRegime,
-    flow_rhs_periodic,
     heat_residual_order,
     hirzebruch_class,
     init_hirzebruch_profile,
@@ -143,11 +142,94 @@ def test_interior_rhs_translation_equivariance():
     n_pts = 64
     j = np.arange(n_pts)
     f = np.exp(0.3 * np.sin(2.0 * np.pi * j / n_pts + 0.37))
-    drho = 0.17
     assert np.all(np.abs(np.roll(f, -1) - np.roll(f, 1)) > 0.0)
-    shifted_then_rhs = flow_rhs_periodic(np.roll(f, 5), drho, 1, 1, 2.0)
-    rhs_then_shifted = np.roll(flow_rhs_periodic(f, drho, 1, 1, 2.0), 5)
+    # drho = 0.17, k = n = 1, sink R_h / n = 2
+    problem = FlowProblem(HirzebruchParams(L=0.17 * (n_pts + 1) / 2.0,
+                                           grid_points=n_pts + 2),
+                          RunSettings())
+    wrap = np.arange(-1, n_pts + 1) % n_pts
+
+    def interior_rates(g):
+        # periodic padding by one node each side; the kernel is fed the
+        # nodal values and the increments directly
+        padded = g[wrap]
+        return problem._rates(padded, padded[1:] - padded[:-1])[0][1:-1]
+
+    shifted_then_rhs = interior_rates(np.roll(f, 5))
+    rhs_then_shifted = np.roll(interior_rates(f), 5)
     assert np.array_equal(shifted_then_rhs, rhs_then_shifted)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n", [1, 2])
+def test_newton_jacobian_matches_central_differences(k, n):
+    problem = FlowProblem(HirzebruchParams(k=k, n=n, L=4.0, grid_points=64),
+                          RunSettings())
+    f = k * (1.0 + 1.0 / (1.0 + np.exp(-problem.rho)))
+
+    def rates(g):
+        return problem._rates(g, np.diff(g))[0]
+
+    coeff = 0.25
+    _, stencils = problem._rates(f, np.diff(f))
+    ab = problem._newton_matrix(coeff, f, stencils)
+    newton = (np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1))
+    jac = (np.eye(f.size) - newton) / coeff
+
+    eps = 1e-6
+    jac_fd = np.empty_like(jac)
+    for col in range(f.size):
+        e = np.zeros_like(f)
+        e[col] = eps
+        jac_fd[:, col] = (rates(f + e) - rates(f - e)) / (2.0 * eps)
+
+    assert np.all(jac_fd[[0, -1]] == 0.0)
+    assert np.all(jac[[0, -1]] == 0.0)
+    interior = slice(1, -1)
+    err = np.max(np.abs(jac[interior] - jac_fd[interior]))
+    assert err <= 1e-6 * np.max(np.abs(jac_fd[interior]))
+
+
+def _increment_vector(state):
+    return np.concatenate(([state.f[0]], state.df))
+
+
+def test_step_reusing_converged_phi_matches_fresh_problem(monkeypatch):
+    params = HirzebruchParams(grid_points=128)
+    # three Newton iterations are too few for dt = 0.2 from this state,
+    # so step_flow halves once before it succeeds
+    settings = RunSettings(newton_max_iter=3)
+    start = init_hirzebruch_profile(params, "tanh")
+
+    warm = FlowProblem(params, settings)
+    state = step_flow(warm, start, 0.005)
+    u = _increment_vector(state)
+    phi_calls = []
+    real_phi = warm._phi
+    monkeypatch.setattr(warm, "_phi",
+                        lambda v: phi_calls.append(1) or real_phi(v))
+
+    with pytest.raises(StepRejected):
+        warm.step_once(u, 0.2)
+    retry = warm.step_once(u, 0.1)
+    assert phi_calls == []  # both attempts reused phi from the last step
+    fresh = FlowProblem(params, settings)
+    assert np.array_equal(retry, fresh.step_once(u, 0.1))
+
+    warm = FlowProblem(params, settings)
+    state = step_flow(warm, start, 0.005)
+    fresh = FlowProblem(params, settings)
+    a = step_flow(warm, state, 0.2)
+    b = step_flow(fresh, state, 0.2)
+    assert a.t == b.t
+    assert np.array_equal(a.f, b.f) and np.array_equal(a.df, b.df)
+
+    # an input that differs from the last converged u is not served from
+    # it, even when it is the returned array changed in place
+    v = warm.step_once(_increment_vector(a), 0.01)
+    v[0] *= 1.001
+    assert np.array_equal(warm.step_once(v, 0.01),
+                          FlowProblem(params, settings).step_once(v, 0.01))
 
 
 def test_v_evolution_consistency(default_run):

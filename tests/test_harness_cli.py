@@ -7,6 +7,7 @@ import pytest
 
 from fiberflow.harness_cli import (
     ParseError,
+    RunDirError,
     ValidationError,
     check_run_dir,
     execute,
@@ -260,6 +261,67 @@ def test_check_detects_tampering(hz_dir, tmp_path):
     assert not summary["recheck"]["time_ratio"]
 
 
+def _clone(src, dst):
+    dst.mkdir()
+    for f in src.iterdir():
+        (dst / f.name).write_bytes(f.read_bytes())
+    return dst
+
+
+def _damage(path, how):
+    data = path.read_bytes()
+    if how == "missing":
+        path.unlink()
+    elif how == "empty":
+        path.write_bytes(b"")
+    elif how == "truncated":  # cut inside a line
+        path.write_bytes(data[:len(data) // 2 + 3])
+    elif how == "short":  # cut at a line boundary
+        lines = data.splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:len(lines) // 2]))
+
+
+@pytest.mark.parametrize("name,how", [
+    ("diagnostics.csv", "truncated"),
+    ("diagnostics.csv", "empty"),
+    ("diagnostics.csv", "missing"),
+    ("diagnostics.csv", "short"),
+    ("manifest.json", "truncated"),
+    ("manifest.json", "empty"),
+    ("manifest.json", "missing"),
+    ("report.json", "truncated"),
+])
+def test_check_damaged_run_dir_exits_3_naming_the_file(hz_dir, tmp_path,
+                                                        capsys, name, how):
+    out, _, _ = hz_dir
+    clone = _clone(out, tmp_path / "clone")
+    _damage(clone / name, how)
+    assert main(["check", str(clone)]) == 3
+    captured = capsys.readouterr()
+    assert name in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_check_damaged_product_flow_exits_3(product_dir, tmp_path, capsys):
+    out, _, _ = product_dir
+    clone = _clone(out, tmp_path / "clone")
+    _damage(clone / "flow.csv", "truncated")
+    assert main(["check", str(clone)]) == 3
+    assert "flow.csv" in capsys.readouterr().err
+
+
+def test_check_manifest_missing_entry_exits_3(hz_dir, tmp_path, capsys):
+    out, _, _ = hz_dir
+    clone = _clone(out, tmp_path / "clone")
+    manifest = json.loads((clone / "manifest.json").read_text())
+    del manifest["T_observed"]
+    (clone / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(RunDirError, match="T_observed"):
+        check_run_dir(clone)
+    assert main(["check", str(clone)]) == 3
+    assert "manifest.json" in capsys.readouterr().err
+
+
 def test_check_product_closed_form(product_dir):
     out, _, _ = product_dir
     summary, code = check_run_dir(out)
@@ -327,6 +389,23 @@ def test_non_finite_values_are_config_errors(tmp_path):
     cfg = tmp_path / "inf.cfg"
     cfg.write_text(PRODUCT_CFG.replace("f0 = 3.0", "f0 = inf"))
     assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("edit,key", [
+    (("[params]\n", "[params]\nn = 2\n"), "n"),
+    (("[params]\n", "[params]\nb0 = 3.5\n"), "params"),
+    (("[analysis]\n", "[recording]\ntracked_nodes = 0, 256\n\n[analysis]\n"),
+     "tracked_nodes"),
+])
+def test_run_time_config_errors_found_at_parse(tmp_path, capsys, edit, key):
+    text = HZ_CFG.replace(*edit)
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    assert err.value.key == key
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_check_missing_dir_is_runtime_error(tmp_path):
