@@ -5,6 +5,7 @@ import pytest
 
 from fiberflow import calabi_flow
 from fiberflow.calabi_flow import (
+    PROFILE_SHAPES,
     BadProfile,
     CohomologyClass,
     ConfigError,
@@ -17,6 +18,8 @@ from fiberflow.calabi_flow import (
     RunSettings,
     StepRejected,
     WrongRegime,
+    build_monitors,
+    curvature_profiles,
     heat_residual_order,
     hirzebruch_class,
     init_hirzebruch_profile,
@@ -35,7 +38,14 @@ from fiberflow.chart_geometry import (
     check_totally_geodesic,
     fd_ricci_oracle,
 )
-from fiberflow.oneill_curvature import frame_point, vertical_horizontal_curvature
+from fiberflow.oneill_curvature import (
+    a_norm_sq,
+    frame_point,
+    grad_f_norm_sq,
+    grad_ln_f_norm_sq,
+    vertical_horizontal_curvature,
+    vertical_sectional,
+)
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +89,7 @@ def test_init_profile_endpoint_closure():
 def test_init_profile_strictly_monotone():
     st = init_hirzebruch_profile(HirzebruchParams(), "tanh")
     assert np.all(st.increments() > 0.0)
-    assert np.all(st.v_profile() > 0.0)
+    assert np.all(st.v_profile(1) > 0.0)
 
 
 def test_init_profile_unknown_shape():
@@ -236,7 +246,7 @@ def test_v_evolution_consistency(default_run):
     params = default_run.params
     a, b = default_run.states[30], default_run.states[31]
     dt = b.t - a.t
-    va, vb = a.v_profile(), b.v_profile()
+    va, vb = a.v_profile(params.k), b.v_profile(params.k)
     vdot = (vb - va) / dt
     d = a.rho[1] - a.rho[0]
     mids = []
@@ -372,6 +382,22 @@ def test_v_floor_stop_reason():
     assert run.states[-1].t < run.T_predicted - 0.05
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_collapse_proxy_is_the_f_range_for_each_twist(k):
+    # 4 k max v = 4 max f_rho, the f-range k (b - a) of a logistic
+    # profile; the v_floor stop compares that same proxy
+    params = HirzebruchParams(k=k, grid_points=513)
+    st = init_hirzebruch_profile(params, "tanh")
+    proxy = 4.0 * k * float(np.max(st.v_profile(k)))
+    assert proxy == pytest.approx(st.upper - st.lower, rel=1e-3)
+    run = run_flow(HirzebruchParams(k=k, grid_points=256),
+                   RunSettings(v_floor=0.3 * k))
+    last = run.states[-1]
+    assert run.stop_reason == "fiber_collapsed"
+    assert last.upper - last.lower == pytest.approx(0.3 * k, rel=0.02)
+    assert last.t == pytest.approx(0.35, abs=0.01)
+
+
 # ---------------------------------------------------------------------------
 # profile diagnostics
 
@@ -428,6 +454,60 @@ def test_vhc_profile_forms_match_chart_curvature():
     got = np.sort(vhc_chart[:, 0])
     want = np.sort(np.array([vhc_r, vhc_t]))
     assert np.max(np.abs(got - want)) <= 1e-4
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_profile_curvature_matches_chart_for_each_twist(k):
+    # profile-level arrays and the monitors' |grad f|^2 against the frame
+    # computations on the chart of the same analytic profile; the fine
+    # grid keeps the profile stencils' O(h^2) error near 3e-5
+    params = HirzebruchParams(k=k, grid_points=4001)
+    st = init_hirzebruch_profile(params, "skew")
+    prof = curvature_profiles(st, params)
+    samp = calabi_sampler(
+        PROFILE_SHAPES["skew"](st.lower, st.upper - st.lower), n=1, k=k)
+
+    def chart_frame(j):
+        return frame_point(samp, np.array([0.0, 0.0,
+                                           np.exp(st.rho[j] / 2.0), 0.0]))
+
+    for j in (1800, 2040, 2300):
+        fp = chart_frame(j)
+        assert prof.k_v[j] == pytest.approx(vertical_sectional(fp.blocks),
+                                            rel=1e-4)
+        assert prof.grad_ln_sq[j] == pytest.approx(grad_ln_f_norm_sq(fp),
+                                                   rel=1e-4)
+        assert prof.a_sq[j] == pytest.approx(a_norm_sq(fp), rel=1e-4)
+        got = np.sort([prof.vhc_r[j], prof.vhc_t[j]])
+        want = np.sort(vertical_horizontal_curvature(fp)[:, 0])
+        assert np.max(np.abs(got - want)) <= 1e-4
+    grad_sup = build_monitors([st], params)[0].grad_f_sq_sup
+    assert grad_sup == pytest.approx(
+        grad_f_norm_sq(chart_frame(int(np.argmax(prof.v)))), rel=1e-4)
+
+
+@pytest.mark.parametrize("k, b0", [(1, 2.0), (2, 2.0), (3, 4.0)])
+def test_fiber_gauss_bonnet_for_each_twist(k, b0):
+    # The integral of K_v over the fiber sphere is 4 pi for any profile.
+    # With dA = v drho dtheta, v = f_rho / k and K_v = -(ln v)''/v it
+    # telescopes to 2 pi times the difference of (ln v)' at the two ends,
+    # which is +-1 in the exponential tails.  The two nodes at each end
+    # carry one-sided stencils and are left out.
+    params = HirzebruchParams(k=k, b0=b0)
+    run = run_flow(params, RunSettings(), "skew")
+    for st in (run.states[0], run.states[len(run.states) // 2],
+               run.states[-1]):
+        prof = curvature_profiles(st, params, support_threshold=0.0)
+        h = st.rho[1] - st.rho[0]
+        density = np.gradient(st.f, st.rho) / k
+        assert 2.0 * np.pi * h * np.sum(density) == pytest.approx(
+            prof.area, rel=1e-6)
+        total = 2.0 * np.pi * h * np.sum((prof.k_v * density)[2:-2])
+        assert total == pytest.approx(4.0 * np.pi, rel=1e-6)
+    # the logistic profile is the round sphere: area * K_v = 4 pi
+    tanh = init_hirzebruch_profile(params, "tanh")
+    assert profile_diagnostics(tanh, params).roundness == pytest.approx(
+        1.0, abs=0.005)
 
 
 def test_s_constancy_on_reconstructed_charts(default_run):
