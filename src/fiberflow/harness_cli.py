@@ -42,6 +42,7 @@ from .calabi_flow import (
     ProductParams,
     RunSettings,
     hirzebruch_class,
+    loglog_slope,
     predict_max_time,
     product_closed_form,
     run_flow,
@@ -341,18 +342,17 @@ def load_config(path: str | Path) -> RunConfig:
 # deterministic file emission
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool) or isinstance(v, np.bool_):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
+# Columns written as integers (bools as 1/0); every other column is a
+# float written with 17 significant digits, which round-trips float64.
+INT_COLUMNS = frozenset({"node", "grad_bound_ok"})
 
 
 def _write_csv(path: Path, schema: str, columns: Sequence[str],
-               rows: Sequence[Sequence]) -> None:
+               rows: Sequence[tuple]) -> None:
+    row_fmt = ",".join("%d" if c in INT_COLUMNS else "%.17g"
+                       for c in columns)
     lines = [f"# {schema} columns: {','.join(columns)}", ",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(row_fmt % row for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -706,7 +706,7 @@ def run_sweep(configs: Sequence[tuple[str, RunConfig]], base_dir: str | Path,
            if m.get("drho") and m.get("heat_residual_max")]
     if len({d for d, _ in pts}) >= 2:
         d, r = np.array(sorted(pts)).T
-        order = float(np.polyfit(np.log(d), np.log(r), 1)[0])
+        order = loglog_slope(d, r)
 
     summary = {
         "schema": SWEEP_SCHEMA,

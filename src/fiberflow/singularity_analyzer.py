@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calabi_flow import FlowRun, curvature_profiles
+from .calabi_flow import FlowRun, curvature_profiles, loglog_slope
 
 log = logging.getLogger(__name__)
 
@@ -181,7 +181,8 @@ def _rm_profile(run: FlowRun, idx: int) -> tuple[np.ndarray, np.ndarray]:
     if run.scenario == "product":
         # spatially uniform: a single representative node
         return np.array([0]), np.array([run.diagnostics[idx].rm_sup])
-    prof = curvature_profiles(run.states[idx], run.params)
+    prof = curvature_profiles(run.states[idx], run.params,
+                              run.support_threshold)
     return np.arange(prof.rm.size), prof.rm
 
 
@@ -392,10 +393,6 @@ def synthetic_power_series(alpha: float, T: float = 0.5,
 # splitting report
 
 
-def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
-
-
 def splitting_report(rs: RescaledSeries, run: FlowRun,
                      a_exponent_tol: float = 0.25,
                      horiz_tol: float = 0.05,
@@ -423,9 +420,9 @@ def splitting_report(rs: RescaledSeries, run: FlowRun,
     if a_zero:
         a_exp = float("nan")
     else:
-        a_exp = _loglog_slope(ks, a_norm0)
+        a_exp = loglog_slope(ks, a_norm0)
 
-    horiz_exp = _loglog_slope(ks, horiz0) if np.all(horiz0 > 0.0) else 0.0
+    horiz_exp = loglog_slope(ks, horiz0) if np.all(horiz0 > 0.0) else 0.0
     horiz_final = float(horiz0[-1])
     fiber_final = float(fiber[-1])
 

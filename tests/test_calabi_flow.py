@@ -88,7 +88,7 @@ def test_init_profile_endpoint_closure():
 
 def test_init_profile_strictly_monotone():
     st = init_hirzebruch_profile(HirzebruchParams(), "tanh")
-    assert np.all(st.increments() > 0.0)
+    assert np.all(st.df > 0.0)
     assert np.all(st.v_profile(1) > 0.0)
 
 
@@ -101,7 +101,7 @@ def test_skew_profile_runs_and_is_asymmetric():
     params = HirzebruchParams(grid_points=501)
     st = init_hirzebruch_profile(params, "skew")
     mid = np.argmin(np.abs(st.rho))
-    assert np.all(st.increments() > 0.0)
+    assert np.all(st.df > 0.0)
     assert abs(st.f[0] - 1.0) <= 1e-6 and abs(st.f[-1] - 2.0) <= 1e-6
     assert abs(st.f[mid] - 1.5) > 1e-3
 
@@ -283,6 +283,13 @@ def test_run_settings_validation():
         run_flow(HirzebruchParams(), RunSettings(stop_margin=0.0))
     with pytest.raises(ConfigError):
         run_flow(HirzebruchParams(), RunSettings(time_frac=1.5))
+
+
+def test_support_threshold_above_one_rejected():
+    # the support mask v >= threshold * max v would be empty
+    with pytest.raises(ConfigError, match="support_threshold"):
+        RunSettings(support_threshold=1.5).validate()
+    RunSettings(support_threshold=1.0).validate()
 
 
 def test_non_finite_settings_rejected():
@@ -481,7 +488,8 @@ def test_profile_curvature_matches_chart_for_each_twist(k):
         got = np.sort([prof.vhc_r[j], prof.vhc_t[j]])
         want = np.sort(vertical_horizontal_curvature(fp)[:, 0])
         assert np.max(np.abs(got - want)) <= 1e-4
-    grad_sup = build_monitors([st], params)[0].grad_f_sq_sup
+    grad_sup = build_monitors([st], params,
+                              [np.max(prof.v)])[0].grad_f_sq_sup
     assert grad_sup == pytest.approx(
         grad_f_norm_sq(chart_frame(int(np.argmax(prof.v)))), rel=1e-4)
 

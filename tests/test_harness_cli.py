@@ -9,6 +9,7 @@ from fiberflow.harness_cli import (
     ParseError,
     RunDirError,
     ValidationError,
+    _write_csv,
     check_run_dir,
     execute,
     load_config,
@@ -206,6 +207,34 @@ def test_csv_headers_versioned(hz_dir):
     assert diag_lines[0].startswith("# fiberflow.diagnostics/1")
     assert len(diag_lines) - 2 == json.loads(
         (out / "manifest.json").read_text())["steps_recorded"]
+
+
+def _per_value_field(v) -> str:
+    """The per-value CSV formatting the row format string replaced."""
+    if isinstance(v, bool) or isinstance(v, np.bool_):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return format(float(v), ".17g")
+
+
+def test_csv_row_format_matches_per_value_formatting(tmp_path):
+    floats = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
+              -5e-324, 1e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0,
+              np.float64(2.5e-17), np.float64("nan"), 7, np.int64(-3), True]
+    ints = [0, 194, -1, np.int64(2047), np.int32(5), np.uint16(9), True,
+            np.True_, np.False_, 2 ** 62, np.int64(-2 ** 62), 3, 4, 5, 6,
+            7]
+    oks = [True, False, np.True_, np.False_, 1, 0, np.int8(1), True, False,
+           True, False, True, False, True, False, True]
+    columns = ("t", "node", "grad_bound_ok", "rm_sup")
+    rows = [(x, n, ok, -x) for x, n, ok in zip(floats, ints, oks)]
+    path = tmp_path / "rows.csv"
+    _write_csv(path, "test/1", columns, rows)
+    want = ["# test/1 columns: t,node,grad_bound_ok,rm_sup",
+            "t,node,grad_bound_ok,rm_sup"]
+    want += [",".join(_per_value_field(v) for v in row) for row in rows]
+    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
 
 
 def test_product_flow_columns(product_dir):

@@ -93,6 +93,19 @@ def test_typeII_picks_satisfy_normalization(hrun):
         assert prof.rm[p.node] == p.curvature
 
 
+@pytest.mark.parametrize("mode", ["typeI_max_curvature", "typeII_supremum"])
+def test_picks_use_the_run_support_threshold(mode):
+    # each pick reads the support mask of the recorded diagnostics row at
+    # its time, so its node and curvature are that row's argmax and max
+    run = run_flow(HirzebruchParams(), RunSettings(support_threshold=0.05))
+    rows = {d.t: d for d in run.diagnostics}
+    seq = pick_blowup_sequence(run, mode)
+    for p in seq.picks:
+        assert (p.node, p.curvature) == (rows[p.t].node, rows[p.t].rm_sup)
+    for rp in rescale_series(run, seq).picks:
+        assert rp.norm_at_zero == 1.0
+
+
 def test_product_picks_match_closed_form(prun):
     seq = pick_blowup_sequence(prun)
     for p in seq.picks:
