@@ -890,8 +890,9 @@ def run_flow(params: HirzebruchParams | ProductParams,
 
 
 def _run_product(params: ProductParams, settings: RunSettings) -> FlowRun:
-    """Stepped integration of the constant-rate system; the scheme is exact
-    for linear-in-time solutions, so this reproduces the closed form."""
+    """Oracle fixture: the product scenario's states are the closed form
+    evaluated on the stepper's time grid, not an integration, so its
+    `closed_form` check compares the formula with itself."""
     params.validate()
     t_pred, _ = predict_max_time(product_class(params))
     rh = params.base_scalar
@@ -903,7 +904,7 @@ def _run_product(params: ProductParams, settings: RunSettings) -> FlowRun:
         if remaining <= 0.0:
             break
         dt = min(settings.dt_max, settings.time_frac * (t_pred - t), remaining)
-        # trapezoid step, exact for constant rates
+        # the closed form at the new time (no integration)
         t = t + dt
         st = ProductState(t=t, f=params.f0 - (rh / params.n) * t,
                           c=params.c0 - 2.0 * t)

@@ -22,12 +22,13 @@ import argparse
 import difflib
 import glob
 import json
+import math
 import os
 import sys
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -292,6 +293,11 @@ def parse_config(text: str) -> RunConfig:
         raise ValidationError("params", str(exc)) from exc
     tracked = rec_kv.get("tracked_nodes", ())
     if scenario == "hirzebruch":
+        if "grid_points" not in param_kv:
+            # the heat residual is O(k h^2): scale the default grid so that
+            # k h^2 stays at its k = 1 value and one heat_tol fits every k
+            params = replace(params, grid_points=1 + math.ceil(
+                (HirzebruchParams.grid_points - 1) * math.sqrt(params.k)))
         # the profile diagnostics are implemented over surface bases only
         if params.n != 1:
             raise ValidationError("n", "the hirzebruch scenario needs n = 1")
@@ -377,7 +383,14 @@ def _read_csv(path: Path, columns: Sequence[str]) -> dict[str, np.ndarray]:
             rows.append([float(v) for v in fields])
         except ValueError as exc:
             raise RunDirError(f"{path}: line {lineno}: {exc}") from exc
-    data = np.array(rows)
+    return _table(columns, rows)
+
+
+def _table(columns: Sequence[str], rows: Sequence) -> dict[str, np.ndarray]:
+    """Float column arrays of the rows.  `_write_csv` writes floats with
+    `%.17g`, which round-trips float64, so the columns of rows about to be
+    written equal those `_read_csv` gets back from the file."""
+    data = np.array(rows, dtype=float)
     return {name: data[:, i] for i, name in enumerate(columns)}
 
 
@@ -406,16 +419,18 @@ def _atomic_json(path: Path, payload: dict) -> None:
         raise
 
 
-def _flow_rows(run: FlowRun, tracked: tuple[int, ...]):
+def _flow_columns(config: RunConfig) -> list[str]:
+    if config.scenario == "product":
+        return ["t", "f", "c"]
+    return ["t", "lower", "upper", "width",
+            *(f"f_node{i}" for i in config.tracked_nodes)]
+
+
+def _flow_rows(run: FlowRun, tracked: tuple[int, ...]) -> list[tuple]:
     if run.scenario == "product":
-        cols = ["t", "f", "c"]
-        rows = [(s.t, s.f, s.c) for s in run.states]
-        return cols, rows
-    cols = ["t", "lower", "upper", "width"]
-    cols += [f"f_node{i}" for i in tracked]
-    rows = [(s.t, s.lower, s.upper, s.upper - s.lower,
+        return [(s.t, s.f, s.c) for s in run.states]
+    return [(s.t, s.lower, s.upper, s.upper - s.lower,
              *(float(s.f[i]) for i in tracked)) for s in run.states]
-    return cols, rows
 
 
 DIAG_COLUMNS = ("t", "node", "k_v_max", "a_sq_sup", "grad_ln_sq_sup",
@@ -439,29 +454,53 @@ def _diag_rows(run: FlowRun):
 # acceptance checks
 
 
-def _check_monitors(run: FlowRun, heat_tol: float) -> bool:
-    resids = [m.heat_residual for m in run.monitors]
-    if np.all(np.isnan(resids)):
-        return False
-    heat = np.nanmax(resids)
-    slack = max(m.max_f_slack for m in run.monitors)
-    grad_ok = all(m.grad_bound_ok for m in run.monitors)
-    min_f = min(m.min_f for m in run.monitors)
-    return bool(heat <= heat_tol and slack <= SLACK_TOL
-                and grad_ok and min_f > 0.0)
+def _heat_max(resid: np.ndarray) -> float:
+    """Largest heat residual; NaN when no row has one."""
+    return (float("nan") if np.all(np.isnan(resid))
+            else float(np.nanmax(resid)))
 
 
-def _check_time_ratio(t_obs: float, t_pred: float) -> bool:
-    return abs(t_obs / t_pred - 1.0) <= TIME_RATIO_BAND
+def _acceptance(config: RunConfig, manifest: dict,
+                diag: dict[str, np.ndarray], flow: dict[str, np.ndarray],
+                report: dict, stored: dict) -> dict[str, bool]:
+    """The verdict of every check the config enables, shared by `execute`
+    and `check_run_dir`.
 
-
-def _check_closed_form(run: FlowRun) -> bool:
-    p = run.params
-    worst = 0.0
-    for s in run.states:
-        f, c, _ = product_closed_form(p.f0, p.c0, p.base_scalar, p.n, s.t)
-        worst = max(worst, abs(s.f - f), abs(s.c - c))
-    return worst <= CLOSED_FORM_TOL
+    Verdicts come from the diagnostics and flow column tables, the
+    manifest's times and classification, and the analysis report.
+    `chart_residuals` needs a live profile, so its verdict is read from
+    `stored`.  A NaN in a column that `monitors` or `closed_form` reads
+    fails that check.
+    """
+    ana = config.analysis
+    checks: dict[str, bool] = {}
+    for name in ana.checks:
+        if name == "monitors":
+            ok = (_heat_max(diag["heat_residual"]) <= ana.heat_tol
+                  and np.max(diag["max_f_slack"]) <= SLACK_TOL
+                  and np.all(diag["grad_bound_ok"] > 0.5)
+                  and np.min(diag["min_f"]) > 0.0)
+        elif name == "time_ratio":
+            ratio = manifest["T_observed"] / manifest["T_predicted"]
+            ok = abs(ratio - 1.0) <= TIME_RATIO_BAND
+        elif name == "classification":
+            rep = classify_sup_series(
+                diag["t"], diag["rm_sup"], manifest["T_observed"],
+                slope_bounded=ana.slope_bounded,
+                slope_diverging=ana.slope_diverging, burst_cap=ana.burst_cap)
+            ok = rep.classification == "TypeI" == manifest["classification"]
+        elif name == "splitting":
+            ok = report.get("splitting", {}).get("splits", False)
+        elif name == "closed_form":
+            p = config.params
+            exact = [product_closed_form(p.f0, p.c0, p.base_scalar, p.n,
+                                         float(t))[:2] for t in flow["t"]]
+            got = np.column_stack((flow["f"], flow["c"]))
+            ok = np.max(np.abs(got - exact)) <= CLOSED_FORM_TOL
+        else:
+            ok = stored[name]
+        checks[name] = bool(ok)
+    return checks
 
 
 def _check_chart_residuals(run: FlowRun, seed: int) -> bool:
@@ -511,15 +550,16 @@ def execute(config: RunConfig, out_dir: str | Path,
         manifest["T_observed"] = run.T_observed
         manifest["time_ratio"] = run.T_observed / run.T_predicted
         manifest["steps_recorded"] = len(run.states)
-        resids = [m.heat_residual for m in run.monitors]
-        manifest["heat_residual_max"] = (
-            float(np.nanmax(resids)) if not np.all(np.isnan(resids))
-            else float("nan"))
+        flow_cols = _flow_columns(config)
+        flow_rows = _flow_rows(run, config.tracked_nodes)
+        diag_rows = _diag_rows(run)
+        flow = _table(flow_cols, flow_rows)
+        diag = _table(DIAG_COLUMNS, diag_rows)
+        manifest["heat_residual_max"] = _heat_max(diag["heat_residual"])
 
-        cols, rows = _flow_rows(run, config.tracked_nodes)
-        _write_csv(out / "flow.csv", FLOW_CSV_SCHEMA, cols, rows)
+        _write_csv(out / "flow.csv", FLOW_CSV_SCHEMA, flow_cols, flow_rows)
         _write_csv(out / "diagnostics.csv", DIAG_CSV_SCHEMA, DIAG_COLUMNS,
-                   _diag_rows(run))
+                   diag_rows)
 
         ana = config.analysis
         type_report = classify_type(
@@ -548,23 +588,11 @@ def execute(config: RunConfig, out_dir: str | Path,
         (out / "report.json").write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n")
 
-        checks: dict[str, bool] = {}
-        for name in ana.checks:
-            if name == "monitors":
-                checks[name] = _check_monitors(run, ana.heat_tol)
-            elif name == "time_ratio":
-                checks[name] = _check_time_ratio(run.T_observed,
-                                                 run.T_predicted)
-            elif name == "classification":
-                checks[name] = type_report.classification == "TypeI"
-            elif name == "splitting":
-                checks[name] = split is not None and split.splits
-            elif name == "closed_form":
-                checks[name] = _check_closed_form(run)
-            elif name == "chart_residuals":
-                checks[name] = _check_chart_residuals(run, seed)
-        manifest["acceptance"] = checks
-        manifest["passed"] = all(checks.values())
+        live = ({"chart_residuals": _check_chart_residuals(run, seed)}
+                if "chart_residuals" in ana.checks else {})
+        manifest["acceptance"] = _acceptance(config, manifest, diag, flow,
+                                             report, live)
+        manifest["passed"] = all(manifest["acceptance"].values())
         code = 0 if manifest["passed"] else 1
     except Exception as exc:  # recorded, not swallowed silently
         manifest["error"] = {"type": type(exc).__name__, "message": str(exc)}
@@ -580,87 +608,55 @@ def execute(config: RunConfig, out_dir: str | Path,
 
 
 def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
-    """Re-evaluate the acceptance map from the stored CSVs.
+    """Re-evaluate the acceptance map from the stored files.
 
-    Checks that need live states (chart residuals) carry the stored
-    verdict forward; everything else is recomputed from the files.
-    Raises RunDirError naming the file when a stored file is missing,
+    The config is parsed again from the manifest's echo, and the verdicts
+    come from `_acceptance` as in `execute`: all are recomputed from the
+    CSVs, the manifest and report.json, except `chart_residuals`, whose
+    stored verdict is carried forward.  Raises RunDirError naming the file
+    when the recorded run ended in error, or a stored file is missing,
     empty, cut short or malformed.
     """
     run_dir = Path(run_dir)
     manifest_path = run_dir / "manifest.json"
     diag_path = run_dir / "diagnostics.csv"
     manifest = _read_json(manifest_path)
-    diag = _read_csv(diag_path, DIAG_COLUMNS)
-    recorded = manifest.get("steps_recorded")
-    if recorded is not None and recorded != diag["t"].size:
-        raise RunDirError(f"{diag_path}: {diag['t'].size} rows, the "
-                          f"manifest records {recorded}")
     try:
-        results = _recheck(manifest, diag, run_dir)
-    except (KeyError, TypeError, AttributeError) as exc:
+        error = manifest["error"]
+        if error is not None:
+            raise RunDirError(f"{manifest_path}: the run ended in error "
+                              f"({error['type']}: {error['message']})")
+        for key in ("T_predicted", "T_observed"):
+            if not 0.0 < float(manifest[key]) < math.inf:
+                raise RunDirError(f"{manifest_path}: {key} is not finite "
+                                  f"and positive")
+        stored = {k: bool(v) for k, v in manifest["acceptance"].items()}
+        config = parse_config("".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+            for name, kv in manifest["config"].items()))
+        diag = _read_csv(diag_path, DIAG_COLUMNS)
+        recorded = manifest.get("steps_recorded")
+        if recorded is not None and recorded != diag["t"].size:
+            raise RunDirError(f"{diag_path}: {diag['t'].size} rows, the "
+                              f"manifest records {recorded}")
+        flow = _read_csv(run_dir / "flow.csv", _flow_columns(config))
+        report = _read_json(run_dir / "report.json")
+        results = _acceptance(config, manifest, diag, flow, report, stored)
+    except HarnessError as exc:
+        raise RunDirError(f"{manifest_path}: config echo: {exc}") from exc
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise RunDirError(f"{manifest_path}: missing or malformed entry "
                           f"({type(exc).__name__}: {exc})") from exc
+    except (AnalysisError, FlowError) as exc:
+        raise RunDirError(f"{run_dir}: {exc}") from exc
     summary = {
         "run_dir": str(run_dir),
         "recheck": results,
-        "stored": manifest.get("acceptance", {}),
-        "consistent": results == {k: bool(v) for k, v in
-                                  manifest.get("acceptance", {}).items()},
+        "stored": stored,
+        "consistent": results == stored,
         "passed": all(results.values()),
     }
     return summary, 0 if summary["passed"] and summary["consistent"] else 1
-
-
-def _recheck(manifest: dict, diag: dict[str, np.ndarray],
-             run_dir: Path) -> dict[str, bool]:
-    results: dict[str, bool] = {}
-    ana = manifest.get("config", {}).get("analysis", {})
-    for name, stored in manifest.get("acceptance", {}).items():
-        if name == "classification":
-            try:
-                rep = classify_sup_series(
-                    diag["t"], diag["rm_sup"], manifest["T_observed"],
-                    slope_bounded=float(ana.get("slope_bounded", 0.05)),
-                    slope_diverging=float(ana.get("slope_diverging", 0.10)),
-                    burst_cap=float(ana.get("burst_cap", 1.5)))
-            except AnalysisError as exc:
-                raise RunDirError(
-                    f"{run_dir / 'diagnostics.csv'}: {exc}") from exc
-            ok = (rep.classification == "TypeI"
-                  and rep.classification == manifest["classification"])
-        elif name == "time_ratio":
-            ok = _check_time_ratio(manifest["T_observed"],
-                                   manifest["T_predicted"])
-        elif name == "monitors":
-            heat_tol = float(ana.get("heat_tol", HEAT_RESIDUAL_TOL))
-            resid = diag["heat_residual"]
-            ok = bool(
-                not np.all(np.isnan(resid))
-                and np.nanmax(resid) <= heat_tol
-                and np.max(diag["max_f_slack"]) <= SLACK_TOL
-                and np.all(diag["grad_bound_ok"] > 0.5)
-                and np.min(diag["min_f"]) > 0.0)
-        elif name == "splitting":
-            report = _read_json(run_dir / "report.json")
-            ok = bool(report.get("splitting", {}).get("splits", False))
-        elif name == "closed_form":
-            flow = _read_csv(run_dir / "flow.csv", ("t", "f", "c"))
-            p = manifest["config"].get("params", {})
-            f0 = float(p.get("f0", 3.0))
-            c0 = float(p.get("c0", 1.0))
-            n = int(p.get("n", 1))
-            rh_raw = p.get("R_h", "")
-            rh = float(rh_raw) if rh_raw not in ("", None) else n * (n + 1)
-            worst = 0.0
-            for t, f, c in zip(flow["t"], flow["f"], flow["c"]):
-                fe, ce, _ = product_closed_form(f0, c0, rh, n, float(t))
-                worst = max(worst, abs(f - fe), abs(c - ce))
-            ok = worst <= CLOSED_FORM_TOL
-        else:
-            ok = bool(stored)
-        results[name] = ok
-    return results
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from fiberflow import (
     RunSettings,
     a_norm_sq,
     calabi_sampler,
-    check_base_einstein,
     check_kahler_compatibility,
     check_totally_geodesic,
     classify_type,
@@ -30,7 +29,7 @@ from fiberflow import (
     run_flow,
     splitting_report,
 )
-from fiberflow.chart_geometry import perturbed_fs_base
+from fiberflow.chart_geometry import check_base_einstein, perturbed_fs_base
 
 from conftest import make_logistic
 

@@ -1,6 +1,7 @@
 """Harness: config dialect, emission, exit codes, sweeps, re-checking."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from fiberflow.harness_cli import (
     parse_config,
     run_sweep,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 PRODUCT_CFG = """\
 [run]
@@ -349,6 +352,103 @@ def test_check_manifest_missing_entry_exits_3(hz_dir, tmp_path, capsys):
         check_run_dir(clone)
     assert main(["check", str(clone)]) == 3
     assert "manifest.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fixture,edit", [
+    ("hz_dir", lambda m: m.pop("acceptance")),
+    ("product_dir", lambda m: m["config"]["params"].update(R_h="abc")),
+    ("hz_dir", lambda m: m["config"].setdefault("analysis", {}).update(
+        slope_bounded="x")),
+    ("hz_dir", lambda m: m.update(T_predicted=0)),
+    ("hz_dir", lambda m: m.update(T_observed=float("nan"))),
+], ids=["no-acceptance", "R_h", "slope_bounded", "T_predicted-zero",
+        "T_observed-nan"])
+def test_check_malformed_manifest_value_exits_3(request, tmp_path, capsys,
+                                                fixture, edit):
+    out, _, _ = request.getfixturevalue(fixture)
+    clone = _clone(out, tmp_path / "clone")
+    manifest = json.loads((clone / "manifest.json").read_text())
+    edit(manifest)
+    (clone / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(RunDirError, match="manifest.json"):
+        check_run_dir(clone)
+    assert main(["check", str(clone)]) == 3
+    err = capsys.readouterr().err
+    assert "run directory error:" in err and "manifest.json" in err
+    assert "Traceback" not in err
+
+
+def test_check_crashed_run_exits_3_naming_the_error(tmp_path, capsys):
+    text = PRODUCT_CFG + "dt_max = 1.0\ntime_frac = 1.0\n"
+    manifest, code = execute(parse_config(text), tmp_path)
+    assert code == 3 and manifest["acceptance"] == {}
+    assert (tmp_path / "diagnostics.csv").exists()
+    assert main(["check", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and "TooFewSamples" in err
+
+
+@pytest.mark.parametrize("fixture,name,column,value,check", [
+    ("hz_dir", "diagnostics.csv", "heat_residual",
+     repr(2.0 * parse_config(HZ_CFG).analysis.heat_tol), "monitors"),
+    ("product_dir", "flow.csv", "f", "nan", "closed_form"),
+], ids=["heat_residual-above-heat_tol", "flow-f-nan"])
+def test_check_tampered_value_fails_its_check(request, tmp_path, fixture,
+                                              name, column, value, check):
+    out, manifest, _ = request.getfixturevalue(fixture)
+    clone = _clone(out, tmp_path / "clone")
+    lines = (clone / name).read_text().splitlines()
+    col = lines[1].split(",").index(column)
+    row = len(lines) // 2
+    fields = lines[row].split(",")
+    fields[col] = value
+    lines[row] = ",".join(fields)
+    (clone / name).write_text("\n".join(lines) + "\n")
+    summary, code = check_run_dir(clone)
+    assert manifest["acceptance"][check] is True
+    assert summary["recheck"][check] is False
+    assert summary["consistent"] is False
+    assert code == 1
+
+
+def _hz(params: str) -> str:
+    return f"[run]\nscenario = hirzebruch\n\n[params]\n{params}\n"
+
+
+@pytest.mark.parametrize("k,grid", [(1, 512), (2, 724), (3, 887)])
+def test_default_grid_keeps_k_h2_of_k1(k, grid):
+    assert parse_config(_hz(f"k = {k}")).params.grid_points == grid
+    explicit = parse_config(_hz(f"k = {k}\ngrid_points = 300"))
+    assert explicit.params.grid_points == 300
+
+
+# (config text, expected exit code); the grid_points = 128 runs are under-
+# resolved and must still fail the monitors gate for every twist k
+RUN_THEN_CHECK = {
+    "bundled-hirzebruch": ((CONFIGS / "hirzebruch.cfg").read_text(), 0),
+    "bundled-product": ((CONFIGS / "product.cfg").read_text(), 0),
+    "product-R_h": (PRODUCT_CFG.replace("c0 = 1.0", "c0 = 1.5\nR_h = 3.0"),
+                    0),
+    "k2-default-grid": (_hz("k = 2"), 0),
+    "k3-b0-4-default-grid": (_hz("k = 3\nb0 = 4.0"), 0),
+    "k1-grid-128": (_hz("grid_points = 128"), 1),
+    "k2-grid-128": (_hz("k = 2\ngrid_points = 128"), 1),
+    "k3-grid-128": (_hz("k = 3\ngrid_points = 128"), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_THEN_CHECK))
+def test_run_then_check_agree(tmp_path, name):
+    text, want = RUN_THEN_CHECK[name]
+    manifest, code = execute(parse_config(text), tmp_path, seed=4)
+    summary, check_code = check_run_dir(tmp_path)
+    assert code == want and check_code == code
+    assert summary["recheck"] == manifest["acceptance"]
+    assert summary["consistent"] is True
+    if want == 1:
+        assert manifest["acceptance"]["monitors"] is False
+    else:
+        assert all(manifest["acceptance"].values())
 
 
 def test_check_product_closed_form(product_dir):
