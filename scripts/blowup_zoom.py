@@ -7,18 +7,9 @@ drains relative to the fiber direction as the singular time approaches.
 """
 
 import argparse
-import json
 
-from fiberflow import (
-    HirzebruchParams,
-    RunSettings,
-    analysis_report,
-    classify_type,
-    pick_blowup_sequence,
-    rescale_series,
-    run_flow,
-    splitting_report,
-)
+from fiberflow import HirzebruchParams, RunSettings, run_flow
+from fiberflow.harness_cli import AnalysisConfig, analyze, diagnostics_table
 
 
 def main(argv=None) -> int:
@@ -32,20 +23,22 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     run = run_flow(HirzebruchParams(grid_points=args.grid), RunSettings())
-    seq = pick_blowup_sequence(run, mode=args.mode, max_picks=args.picks)
-    rs = rescale_series(run, seq)
-    types = classify_type(run)
-    split = splitting_report(rs, run)
+    result = analyze(diagnostics_table(run), run.T_observed,
+                     AnalysisConfig(mode=args.mode, max_picks=args.picks))
+    split = result.splitting
+    if split is None:
+        raise SystemExit(f"no qualifying picks: {result.note}")
 
     if args.json:
-        print(json.dumps(analysis_report(types, split), indent=2))
+        print(result.report_text(), end="")
         return 0
 
     print(f"T_predicted {run.T_predicted:.6f}  T_observed "
-          f"{run.T_observed:.6f}  class {types.classification}")
+          f"{run.T_observed:.6f}  class {result.type_report.classification}")
     print(f"{'t':>10} {'K':>12} {'a_norm':>10} {'horiz':>10} {'fiber/4pi':>10}")
-    for pick, a_n, hz, fib in zip(seq.picks, split.rescaled_a_norm,
-                                  split.rescaled_horiz, split.fiber_products):
+    for rp, a_n, hz, fib in zip(result.rescaled.picks, split.rescaled_a_norm,
+                                split.rescaled_horiz, split.fiber_products):
+        pick = rp.pick
         print(f"{pick.t:10.6f} {pick.curvature:12.3f} {a_n:10.5f} "
               f"{hz:10.5f} {fib / split.fiber_target:10.5f}")
     print(f"A-norm exponent {split.a_decay_exponent:+.4f}   horizontal "

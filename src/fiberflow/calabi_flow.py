@@ -240,7 +240,6 @@ class FlowRun:
     T_predicted: float
     T_observed: float
     stop_reason: str
-    support_threshold: float
 
 
 # ---------------------------------------------------------------------------
@@ -923,8 +922,7 @@ def _run_product(params: ProductParams, settings: RunSettings) -> FlowRun:
     return FlowRun(scenario="product", params=params, states=states,
                    monitors=monitors, diagnostics=diags,
                    T_predicted=t_pred, T_observed=t_obs,
-                   stop_reason=stop_reason,
-                   support_threshold=settings.support_threshold)
+                   stop_reason=stop_reason)
 
 
 def _run_hirzebruch(params: HirzebruchParams, settings: RunSettings,
@@ -973,8 +971,7 @@ def _run_hirzebruch(params: HirzebruchParams, settings: RunSettings,
     return FlowRun(scenario="hirzebruch", params=params, states=states,
                    monitors=monitors, diagnostics=diags,
                    T_predicted=t_pred, T_observed=t_obs,
-                   stop_reason=stop_reason,
-                   support_threshold=settings.support_threshold)
+                   stop_reason=stop_reason)
 
 
 def heat_residual_order(params: HirzebruchParams,

@@ -57,8 +57,11 @@ from .singularity_analyzer import (
     PICK_MODES,
     RESCALED_COLUMNS,
     AnalysisError,
+    RescaledSeries,
+    SplittingReport,
+    TypeReport,
     analysis_report,
-    classify_sup_series,
+    classify_sup_series,  # no caller here; perfbench/tracing.py wraps it
     classify_type,
     pick_blowup_sequence,
     rescale_series,
@@ -354,11 +357,11 @@ INT_COLUMNS = frozenset({"node", "grad_bound_ok"})
 
 
 def _write_csv(path: Path, schema: str, columns: Sequence[str],
-               rows: Sequence[tuple]) -> None:
+               rows: Sequence[Sequence]) -> None:
     row_fmt = ",".join("%d" if c in INT_COLUMNS else "%.17g"
                        for c in columns)
     lines = [f"# {schema} columns: {','.join(columns)}", ",".join(columns)]
-    lines.extend(row_fmt % row for row in rows)
+    lines.extend(row_fmt % tuple(row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -394,16 +397,18 @@ def _table(columns: Sequence[str], rows: Sequence) -> dict[str, np.ndarray]:
     return {name: data[:, i] for i, name in enumerate(columns)}
 
 
-def _read_json(path: Path) -> dict:
+def _read_json(path: Path) -> tuple[dict, str]:
+    """The JSON object stored at path and the text it was parsed from."""
     try:
-        payload = json.loads(path.read_text())
+        text = path.read_text()
+        payload = json.loads(text)
     except OSError as exc:
         raise RunDirError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise RunDirError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise RunDirError(f"{path}: expected a JSON object")
-    return payload
+    return payload, text
 
 
 def _atomic_json(path: Path, payload: dict) -> None:
@@ -439,19 +444,52 @@ DIAG_COLUMNS = ("t", "node", "k_v_max", "a_sq_sup", "grad_ln_sq_sup",
                 "max_f", "max_f_slack", "grad_f_sq_sup", "grad_bound_ok")
 
 
-def _diag_rows(run: FlowRun):
-    rows = []
-    for d, m in zip(run.diagnostics, run.monitors):
-        rows.append((d.t, d.node, d.k_v_max, d.a_sq_sup, d.grad_ln_sq_sup,
-                     d.horiz_sup, d.mixed_sup, d.rm_sup, d.fiber_area,
-                     d.roundness, d.width, d.max_v, m.heat_residual,
-                     m.min_f, m.max_f, m.max_f_slack, m.grad_f_sq_sup,
-                     m.grad_bound_ok))
-    return rows
+def diagnostics_table(run: FlowRun) -> dict[str, np.ndarray]:
+    """The `DIAG_COLUMNS` of a run, one row per recorded state: the table
+    that `diagnostics.csv` stores and the analysis reads."""
+    return _table(DIAG_COLUMNS, [
+        (d.t, d.node, d.k_v_max, d.a_sq_sup, d.grad_ln_sq_sup, d.horiz_sup,
+         d.mixed_sup, d.rm_sup, d.fiber_area, d.roundness, d.width, d.max_v,
+         m.heat_residual, m.min_f, m.max_f, m.max_f_slack, m.grad_f_sq_sup,
+         m.grad_bound_ok) for d, m in zip(run.diagnostics, run.monitors)])
 
 
 # ---------------------------------------------------------------------------
-# acceptance checks
+# analysis and acceptance checks
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """Classification, and the rescaled series and splitting report when
+    the picks qualify; otherwise `note` says why they do not."""
+
+    type_report: TypeReport
+    rescaled: RescaledSeries | None
+    splitting: SplittingReport | None
+    note: str | None
+
+    def report_text(self) -> str:
+        """The `report.json` text of this analysis."""
+        report = analysis_report(self.type_report, self.splitting)
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def analyze(diag: dict[str, np.ndarray], T_observed: float,
+            ana: AnalysisConfig) -> Analysis:
+    """Classify, pick, rescale and split one diagnostics table; the one
+    analysis behind `execute` and `check_run_dir`."""
+    type_report = classify_type(
+        diag, T_observed, slope_bounded=ana.slope_bounded,
+        slope_diverging=ana.slope_diverging, burst_cap=ana.burst_cap)
+    try:
+        seq = pick_blowup_sequence(diag, T_observed, ana.mode,
+                                   max_picks=ana.max_picks,
+                                   span_decades=ana.span_decades)
+        rs = rescale_series(diag, T_observed, seq,
+                            window_cap=ana.window_cap)
+    except AnalysisError as exc:
+        return Analysis(type_report, None, None, str(exc))
+    return Analysis(type_report, rs, splitting_report(rs), None)
 
 
 def _heat_max(resid: np.ndarray) -> float:
@@ -462,15 +500,15 @@ def _heat_max(resid: np.ndarray) -> float:
 
 def _acceptance(config: RunConfig, manifest: dict,
                 diag: dict[str, np.ndarray], flow: dict[str, np.ndarray],
-                report: dict, stored: dict) -> dict[str, bool]:
+                analysis: Analysis, stored: dict) -> dict[str, bool]:
     """The verdict of every check the config enables, shared by `execute`
     and `check_run_dir`.
 
     Verdicts come from the diagnostics and flow column tables, the
-    manifest's times and classification, and the analysis report.
-    `chart_residuals` needs a live profile, so its verdict is read from
-    `stored`.  A NaN in a column that `monitors` or `closed_form` reads
-    fails that check.
+    manifest's times and classification, and the analysis of the
+    diagnostics table.  `chart_residuals` needs a live profile, so its
+    verdict is read from `stored`.  A NaN in a column that `monitors` or
+    `closed_form` reads fails that check.
     """
     ana = config.analysis
     checks: dict[str, bool] = {}
@@ -484,13 +522,10 @@ def _acceptance(config: RunConfig, manifest: dict,
             ratio = manifest["T_observed"] / manifest["T_predicted"]
             ok = abs(ratio - 1.0) <= TIME_RATIO_BAND
         elif name == "classification":
-            rep = classify_sup_series(
-                diag["t"], diag["rm_sup"], manifest["T_observed"],
-                slope_bounded=ana.slope_bounded,
-                slope_diverging=ana.slope_diverging, burst_cap=ana.burst_cap)
-            ok = rep.classification == "TypeI" == manifest["classification"]
+            ok = (analysis.type_report.classification == "TypeI"
+                  == manifest["classification"])
         elif name == "splitting":
-            ok = report.get("splitting", {}).get("splits", False)
+            ok = analysis.splitting is not None and analysis.splitting.splits
         elif name == "closed_form":
             p = config.params
             exact = [product_closed_form(p.f0, p.c0, p.base_scalar, p.n,
@@ -552,46 +587,31 @@ def execute(config: RunConfig, out_dir: str | Path,
         manifest["steps_recorded"] = len(run.states)
         flow_cols = _flow_columns(config)
         flow_rows = _flow_rows(run, config.tracked_nodes)
-        diag_rows = _diag_rows(run)
         flow = _table(flow_cols, flow_rows)
-        diag = _table(DIAG_COLUMNS, diag_rows)
+        diag = diagnostics_table(run)
         manifest["heat_residual_max"] = _heat_max(diag["heat_residual"])
 
         _write_csv(out / "flow.csv", FLOW_CSV_SCHEMA, flow_cols, flow_rows)
         _write_csv(out / "diagnostics.csv", DIAG_CSV_SCHEMA, DIAG_COLUMNS,
-                   diag_rows)
+                   np.column_stack(list(diag.values())).tolist())
 
-        ana = config.analysis
-        type_report = classify_type(
-            run, slope_bounded=ana.slope_bounded,
-            slope_diverging=ana.slope_diverging, burst_cap=ana.burst_cap)
-        manifest["classification"] = type_report.classification
-        manifest["plateau_value"] = type_report.plateau_value
-
-        split = None
-        try:
-            seq = pick_blowup_sequence(run, ana.mode,
-                                       max_picks=ana.max_picks,
-                                       span_decades=ana.span_decades)
-            rs = rescale_series(run, seq, window_cap=ana.window_cap)
-            split = splitting_report(rs, run)
-            manifest["a_decay_exponent"] = (
-                None if np.isnan(split.a_decay_exponent)
-                else split.a_decay_exponent)
-            for i, rp in enumerate(rs.picks):
+        analysis = analyze(diag, run.T_observed, config.analysis)
+        manifest["classification"] = analysis.type_report.classification
+        manifest["plateau_value"] = analysis.type_report.plateau_value
+        if analysis.splitting is None:
+            manifest["analysis_note"] = analysis.note
+        else:
+            a_exp = analysis.splitting.a_decay_exponent
+            manifest["a_decay_exponent"] = None if np.isnan(a_exp) else a_exp
+            for i, rp in enumerate(analysis.rescaled.picks):
                 _write_csv(out / f"rescaled_{i}.csv", RESCALED_CSV_SCHEMA,
                            RESCALED_COLUMNS, rescaled_csv_rows(rp))
-        except AnalysisError as exc:
-            manifest["analysis_note"] = str(exc)
-
-        report = analysis_report(type_report, split)
-        (out / "report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n")
+        (out / "report.json").write_text(analysis.report_text())
 
         live = ({"chart_residuals": _check_chart_residuals(run, seed)}
-                if "chart_residuals" in ana.checks else {})
+                if "chart_residuals" in config.analysis.checks else {})
         manifest["acceptance"] = _acceptance(config, manifest, diag, flow,
-                                             report, live)
+                                             analysis, live)
         manifest["passed"] = all(manifest["acceptance"].values())
         code = 0 if manifest["passed"] else 1
     except Exception as exc:  # recorded, not swallowed silently
@@ -608,19 +628,20 @@ def execute(config: RunConfig, out_dir: str | Path,
 
 
 def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
-    """Re-evaluate the acceptance map from the stored files.
+    """Re-evaluate the acceptance map and the report from the stored files.
 
-    The config is parsed again from the manifest's echo, and the verdicts
-    come from `_acceptance` as in `execute`: all are recomputed from the
-    CSVs, the manifest and report.json, except `chart_residuals`, whose
-    stored verdict is carried forward.  Raises RunDirError naming the file
+    The config is parsed again from the manifest's echo, and `analyze` and
+    `_acceptance` run as in `execute`: every verdict is recomputed from
+    the CSVs and the manifest, except `chart_residuals`, whose stored
+    verdict is carried forward, and the recomputed report must equal the
+    stored report.json byte for byte.  Raises RunDirError naming the file
     when the recorded run ended in error, or a stored file is missing,
     empty, cut short or malformed.
     """
     run_dir = Path(run_dir)
     manifest_path = run_dir / "manifest.json"
     diag_path = run_dir / "diagnostics.csv"
-    manifest = _read_json(manifest_path)
+    manifest, _ = _read_json(manifest_path)
     try:
         error = manifest["error"]
         if error is not None:
@@ -640,20 +661,29 @@ def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
             raise RunDirError(f"{diag_path}: {diag['t'].size} rows, the "
                               f"manifest records {recorded}")
         flow = _read_csv(run_dir / "flow.csv", _flow_columns(config))
-        report = _read_json(run_dir / "report.json")
-        results = _acceptance(config, manifest, diag, flow, report, stored)
+        _, report_text = _read_json(run_dir / "report.json")
+        T_observed = manifest["T_observed"]
+        try:
+            analysis = analyze(diag, T_observed, config.analysis)
+        except (AnalysisError, ArithmeticError, ValueError) as exc:
+            raise RunDirError(
+                f"{diag_path}: no analysis with T_observed = {T_observed} "
+                f"({type(exc).__name__}: {exc})") from exc
+        results = _acceptance(config, manifest, diag, flow, analysis, stored)
     except HarnessError as exc:
         raise RunDirError(f"{manifest_path}: config echo: {exc}") from exc
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise RunDirError(f"{manifest_path}: missing or malformed entry "
                           f"({type(exc).__name__}: {exc})") from exc
-    except (AnalysisError, FlowError) as exc:
+    except FlowError as exc:
         raise RunDirError(f"{run_dir}: {exc}") from exc
+    report_matches = report_text == analysis.report_text()
     summary = {
         "run_dir": str(run_dir),
         "recheck": results,
         "stored": stored,
-        "consistent": results == stored,
+        "report_matches": report_matches,
+        "consistent": results == stored and report_matches,
         "passed": all(results.values()),
     }
     return summary, 0 if summary["passed"] and summary["consistent"] else 1
@@ -770,6 +800,9 @@ def _cmd_check(args) -> int:
     summary, code = check_run_dir(args.run_dir)
     for name, ok in summary["recheck"].items():
         print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
+    if not summary["report_matches"]:
+        print("  report.json differs from the report recomputed from "
+              "diagnostics.csv")
     print(f"{args.run_dir}: "
           f"{'pass' if code == 0 else 'FAIL'}"
           f" (consistent={summary['consistent']})")

@@ -1,4 +1,4 @@
-"""Blow-up analysis over recorded flow runs.
+"""Blow-up analysis over the diagnostics table of a recorded flow run.
 
 Post-processing only: point picking at high-curvature space-time nodes,
 parabolic rescaling of the recorded diagnostic series, bounded-tail
@@ -6,23 +6,25 @@ type classification, and the splitting report that certifies the
 collapsed-fiber limit (A-tensor decay, horizontal flatness, round-fiber
 area-curvature product).
 
-Everything here is pure algebra over an immutable FlowRun; nothing is
-re-simulated.  The continuum supremum behind the picking is evaluated
-over recorded grid nodes and recorded steps, so recording density is
-part of the measurement contract.
+The input is the run's diagnostics table, the columns of
+`diagnostics.csv` as float arrays keyed by column name, with the run's
+observed stop time T_observed.  `fiberflow run` builds the table from
+the rows it writes and `fiberflow check` reads it back from the file, so
+both analyse the same numbers.  Nothing is re-simulated and no profile
+is re-evaluated: each row's `node` and `rm_sup` are the spatial argmax
+and max of |Rm| over the supported grid nodes, so the continuum
+supremum behind the picking is taken over recorded nodes and recorded
+steps, and recording density is part of the measurement contract.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .calabi_flow import FlowRun, curvature_profiles, loglog_slope
-
-log = logging.getLogger(__name__)
+# curvature_profiles has no caller here; perfbench/tracing.py counts calls
+from .calabi_flow import curvature_profiles, loglog_slope
 
 FIBER_LIMIT_TARGET = 4.0 * np.pi
 
@@ -92,7 +94,6 @@ class RescaledPick:
     fiber_area: np.ndarray
     roundness: np.ndarray
     zero_index: int
-    norm_at_zero: float
 
 
 @dataclass(frozen=True)
@@ -172,20 +173,6 @@ class SplittingReport:
 # point picking
 
 
-def _recorded_times(run: FlowRun) -> np.ndarray:
-    return np.array([d.t for d in run.diagnostics])
-
-
-def _rm_profile(run: FlowRun, idx: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node curvature magnitude at recorded index idx."""
-    if run.scenario == "product":
-        # spatially uniform: a single representative node
-        return np.array([0]), np.array([run.diagnostics[idx].rm_sup])
-    prof = curvature_profiles(run.states[idx], run.params,
-                              run.support_threshold)
-    return np.arange(prof.rm.size), prof.rm
-
-
 def _horizon_ladder(rem: np.ndarray, max_picks: int,
                     span_decades: float) -> list[int]:
     """Recorded indices whose remaining time descends a log ladder.
@@ -203,10 +190,14 @@ def _horizon_ladder(rem: np.ndarray, max_picks: int,
     return idxs
 
 
-def pick_blowup_sequence(run: FlowRun, mode: str = "typeI_max_curvature",
+def pick_blowup_sequence(diag: dict[str, np.ndarray], T_observed: float,
+                         mode: str = "typeI_max_curvature",
                          max_picks: int = 8,
                          span_decades: float = 1.0) -> BlowupSequence:
     """High-curvature picks (x_i, t_i, K_i) with strictly increasing K_i.
+
+    Each pick is a diagnostics row: x_i, t_i and K_i are its `node`, `t`
+    and `rm_sup`.
 
     typeI_max_curvature: K_i is the spatial curvature max at ladder
     times approaching the stop time.
@@ -222,37 +213,24 @@ def pick_blowup_sequence(run: FlowRun, mode: str = "typeI_max_curvature",
     """
     if mode not in PICK_MODES:
         raise AnalysisError(f"unknown pick mode {mode!r}")
-    ts = _recorded_times(run)
-    rem = run.T_observed - ts
-    if np.any(rem <= 0.0):
-        keep = rem > 0.0
-        ts, rem = ts[keep], rem[keep]
+    keep = diag["t"] < T_observed
+    ts, nodes, rm = diag["t"][keep], diag["node"][keep], diag["rm_sup"][keep]
+    rem = T_observed - ts
     if ts.size < 3:
         raise TooFewSamples("run recorded fewer than 3 usable samples")
 
+    def row(j: int) -> BlowupPick:
+        return BlowupPick(node=int(nodes[j]), t=float(ts[j]),
+                          curvature=float(rm[j]))
+
     if mode == "typeI_max_curvature":
-        idxs = _horizon_ladder(rem, max_picks, span_decades)
-        raw = []
-        for j in idxs:
-            nodes, rm = _rm_profile(run, j)
-            x = int(np.argmax(rm))
-            raw.append(BlowupPick(node=int(nodes[x]), t=float(ts[j]),
-                                  curvature=float(rm[x])))
+        raw = [row(j) for j in _horizon_ladder(rem, max_picks, span_decades)]
     else:
         horizons = _horizon_ladder(rem, max_picks + 1, span_decades)
-        raw = []
-        for lo, hi in zip(horizons, horizons[1:]):
-            best, best_val = None, -np.inf
-            for j in range(lo + 1, hi + 1):
-                nodes, rm = _rm_profile(run, j)
-                x = int(np.argmax(rm))
-                val = (ts[hi] - ts[j]) * float(rm[x])
-                if val > best_val:
-                    best_val = val
-                    best = BlowupPick(node=int(nodes[x]), t=float(ts[j]),
-                                      curvature=float(rm[x]))
-            if best is not None:
-                raw.append(best)
+        # the first maximizer of (T_i - t) * K over each window
+        raw = [row(lo + 1 + int(np.argmax((ts[hi] - ts[lo + 1:hi + 1])
+                                          * rm[lo + 1:hi + 1])))
+               for lo, hi in zip(horizons, horizons[1:])]
 
     picks: list[BlowupPick] = []
     for p in raw:
@@ -271,7 +249,8 @@ def pick_blowup_sequence(run: FlowRun, mode: str = "typeI_max_curvature",
 # parabolic rescaling
 
 
-def rescale_series(run: FlowRun, seq: BlowupSequence,
+def rescale_series(diag: dict[str, np.ndarray], T_observed: float,
+                   seq: BlowupSequence,
                    window_cap: float = 50.0) -> RescaledSeries:
     """Recorded diagnostics under the dilated metrics g_i.
 
@@ -282,48 +261,36 @@ def rescale_series(run: FlowRun, seq: BlowupSequence,
     are not recorded times or whose window leaves the run.
     """
     seq.validate()
-    ts = _recorded_times(run)
-    diags = run.diagnostics
+    ts = diag["t"]
     out: list[RescaledPick] = []
     for p in seq.picks:
         kk = p.curvature
-        if kk <= 0.0 or p.t >= run.T_observed:
+        if kk <= 0.0 or p.t >= T_observed:
             raise WindowOutOfRange(
                 f"pick at t={p.t} does not precede the singular time")
-        j = int(np.searchsorted(ts, p.t))
-        if j >= ts.size or ts[j] != p.t:
+        if p.t not in ts:
             raise WindowOutOfRange(f"pick time {p.t} is not a recorded time")
         beta = min(p.t * kk, window_cap)
-        alpha = min((run.T_observed - p.t) * kk * 0.9, window_cap)
+        alpha = min((T_observed - p.t) * kk * 0.9, window_cap)
         lo, hi = p.t - beta / kk, p.t + alpha / kk
-        if lo < ts[0] - 1e-12 or hi > run.T_observed + 1e-12:
+        if lo < ts[0] - 1e-12 or hi > T_observed + 1e-12:
             raise WindowOutOfRange(
                 f"window [{lo}, {hi}] leaves the recorded run")
         sel = np.flatnonzero((ts >= lo - 1e-15) & (ts <= hi + 1e-15))
-        zero = int(np.flatnonzero(ts[sel] == p.t)[0])
-
-        nodes, rm_prof = _rm_profile(run, j)
-        where = np.flatnonzero(nodes == p.node)
-        if where.size == 0:
-            raise WindowOutOfRange(f"pick node {p.node} not on the grid")
-        norm_at_zero = float(rm_prof[where[0]]) / kk
-
-        rows = [diags[i] for i in sel]
         out.append(RescaledPick(
             pick=p, alpha=float(alpha), beta=float(beta),
             s=(ts[sel] - p.t) * kk,
-            rm=np.array([d.rm_sup for d in rows]) / kk,
-            k_v=np.array([d.k_v_max for d in rows]) / kk,
-            a_sq=np.array([d.a_sq_sup for d in rows]) / kk,
-            grad_ln_sq=np.array([d.grad_ln_sq_sup for d in rows]),
-            horiz=np.array([d.horiz_sup for d in rows]) / kk,
-            mixed=np.array([d.mixed_sup for d in rows]) / kk,
-            fiber_area=np.array([d.fiber_area for d in rows]) * kk,
-            roundness=np.array([d.roundness for d in rows]),
-            zero_index=zero,
-            norm_at_zero=norm_at_zero,
+            rm=diag["rm_sup"][sel] / kk,
+            k_v=diag["k_v_max"][sel] / kk,
+            a_sq=diag["a_sq_sup"][sel] / kk,
+            grad_ln_sq=diag["grad_ln_sq_sup"][sel],
+            horiz=diag["horiz_sup"][sel] / kk,
+            mixed=diag["mixed_sup"][sel] / kk,
+            fiber_area=diag["fiber_area"][sel] * kk,
+            roundness=diag["roundness"][sel],
+            zero_index=int(np.flatnonzero(ts[sel] == p.t)[0]),
         ))
-    return RescaledSeries(mode=seq.mode, T_observed=run.T_observed, picks=out)
+    return RescaledSeries(mode=seq.mode, T_observed=T_observed, picks=out)
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +341,10 @@ def classify_sup_series(times: np.ndarray, rm_sup: np.ndarray,
         slope_diverging=slope_diverging, burst_cap=burst_cap)
 
 
-def classify_type(run: FlowRun, **thresholds) -> TypeReport:
-    ts = _recorded_times(run)
-    rm = np.array([d.rm_sup for d in run.diagnostics])
-    return classify_sup_series(ts, rm, run.T_observed, **thresholds)
+def classify_type(diag: dict[str, np.ndarray], T_observed: float,
+                  **thresholds) -> TypeReport:
+    return classify_sup_series(diag["t"], diag["rm_sup"], T_observed,
+                               **thresholds)
 
 
 def synthetic_power_series(alpha: float, T: float = 0.5,
@@ -393,8 +360,7 @@ def synthetic_power_series(alpha: float, T: float = 0.5,
 # splitting report
 
 
-def splitting_report(rs: RescaledSeries, run: FlowRun,
-                     a_exponent_tol: float = 0.25,
+def splitting_report(rs: RescaledSeries, a_exponent_tol: float = 0.25,
                      horiz_tol: float = 0.05,
                      fiber_tol: float = 0.05) -> SplittingReport:
     """Certify the measurable precursors of the collapsed-fiber limit.
@@ -406,8 +372,6 @@ def splitting_report(rs: RescaledSeries, run: FlowRun,
     fiber curvature-area product holds the round value 4*pi, so the
     fiber factor is the round sphere.
     """
-    if rs.T_observed != run.T_observed:
-        raise AnalysisError("rescaled series was built from a different run")
     ks = np.array([rp.pick.curvature for rp in rs.picks])
     a_sq0 = np.array([rp.a_sq[rp.zero_index] for rp in rs.picks])
     horiz0 = np.array([rp.horiz[rp.zero_index] for rp in rs.picks])

@@ -30,6 +30,7 @@ from fiberflow import (
     splitting_report,
 )
 from fiberflow.chart_geometry import check_base_einstein, perturbed_fs_base
+from fiberflow.harness_cli import diagnostics_table
 
 from conftest import make_logistic
 
@@ -78,7 +79,7 @@ def test_product_curvature_plateau():
 def test_collapse_rates_and_type():
     t0 = time.perf_counter()
     run = run_flow(HirzebruchParams(), RunSettings())
-    report = classify_type(run)
+    report = classify_type(diagnostics_table(run), run.T_observed)
     wall = time.perf_counter() - t0
     ts = np.array([m.t for m in run.monitors])
     ws = np.array([m.width for m in run.monitors])
@@ -136,8 +137,9 @@ def test_a_norm_identity_random_frames():
 
 def test_rescaled_decay_exponents():
     run = run_flow(HirzebruchParams(), RunSettings())
-    seq = pick_blowup_sequence(run)
-    rep = splitting_report(rescale_series(run, seq), run)
+    diag = diagnostics_table(run)
+    seq = pick_blowup_sequence(diag, run.T_observed)
+    rep = splitting_report(rescale_series(diag, run.T_observed, seq))
     a_err = abs(rep.a_decay_exponent + 1.0)
     h_err = abs(rep.horiz_decay_exponent + 1.0)
     ok = a_err <= 0.1 and h_err <= 0.1

@@ -1,10 +1,12 @@
 """Byte-level golden outputs of the bundled configs.
 
 `fiberflow run` on `configs/hirzebruch.cfg` and `configs/product.cfg`
-must emit CSVs whose SHA-256 digests match the ones below.  They were
-recorded before the TR-BDF2 Newton kernel was rewritten for speed, with
-Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 on x86-64; the rewrite had to
-leave every byte unchanged.  A digest that moves means the program's
+must emit CSVs and a `report.json` whose SHA-256 digests match the ones
+below.  The CSV digests were recorded before the TR-BDF2 Newton kernel
+was rewritten for speed, the `report.json` digests before the analyzer
+was moved onto the diagnostics table, with Python 3.11.7, numpy 2.4.6
+and scipy 1.17.1 on x86-64; both rewrites had to leave every byte
+unchanged.  A digest that moves means the program's
 results moved: re-record only when that is the intended change, and say
 so where the change is described.
 """
@@ -40,6 +42,8 @@ DIGESTS = {
             "f45fa090953af761e9a8a2b493d593e4aa088ca83712bc29c0b59f70cc6d75f0",
         "rescaled_7.csv":
             "1086034853e8ffcf3236501a9f688243b20fe6967d88cb135a90e9eab303c8ac",
+        "report.json":
+            "e7c65c65d5804424199a5418a9284e38975df60c1aea94eab800772a7e0275dd",
     },
     "product": {
         "diagnostics.csv":
@@ -62,6 +66,8 @@ DIGESTS = {
             "caf132d36ec26e8f7acee4fdeb724c6275386b120b1c7301df55f1aa2fee2416",
         "rescaled_7.csv":
             "6c656fd70347d355629ccf59e5a2445103448e01568f5b3569b14942d6545e91",
+        "report.json":
+            "9b2f07f1318575b689b80d373061f16e6b7178559ae41cc6cafabd635239aac8",
     },
 }
 
@@ -72,5 +78,5 @@ def test_bundled_config_csvs_match_recorded_digests(tmp_path, name):
     assert main(["run", str(CONFIGS / f"{name}.cfg"),
                  "--output", str(out)]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in sorted(out.glob("*.csv"))}
+           for p in sorted(out.glob("*.csv")) + [out / "report.json"]}
     assert got == DIGESTS[name]

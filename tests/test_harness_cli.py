@@ -311,6 +311,12 @@ def _damage(path, how):
     elif how == "short":  # cut at a line boundary
         lines = data.splitlines(keepends=True)
         path.write_bytes(b"".join(lines[:len(lines) // 2]))
+    elif how == "node-inf":  # a well-formed table the analysis cannot use
+        lines = data.decode().splitlines()
+        fields = lines[-1].split(",")
+        fields[lines[1].split(",").index("node")] = "inf"
+        lines[-1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize("name,how", [
@@ -318,6 +324,7 @@ def _damage(path, how):
     ("diagnostics.csv", "empty"),
     ("diagnostics.csv", "missing"),
     ("diagnostics.csv", "short"),
+    ("diagnostics.csv", "node-inf"),
     ("manifest.json", "truncated"),
     ("manifest.json", "empty"),
     ("manifest.json", "missing"),
@@ -388,20 +395,40 @@ def test_check_crashed_run_exits_3_naming_the_error(tmp_path, capsys):
     assert "manifest.json" in err and "TooFewSamples" in err
 
 
-@pytest.mark.parametrize("fixture,name,column,value,check", [
+def _middle_row(value):
+    return lambda run_dir, header, lines: (len(lines) // 2, value)
+
+
+def _last_pick_row_rm_sup(run_dir, header, lines):
+    """The row of the last blow-up pick, and its rm_sup: as the last
+    pick's horiz_sup, rescaled by the pick's curvature, it reads 1, far
+    above the splitting report's horiz_tol of 0.05."""
+    report = json.loads((run_dir / "report.json").read_text())
+    k_last = report["splitting"]["curvatures"][-1]
+    rm = header.index("rm_sup")
+    row = next(i for i in range(2, len(lines))
+               if float(lines[i].split(",")[rm]) == k_last)
+    return row, lines[row].split(",")[rm]
+
+
+@pytest.mark.parametrize("fixture,name,column,edit,check", [
     ("hz_dir", "diagnostics.csv", "heat_residual",
-     repr(2.0 * parse_config(HZ_CFG).analysis.heat_tol), "monitors"),
-    ("product_dir", "flow.csv", "f", "nan", "closed_form"),
-], ids=["heat_residual-above-heat_tol", "flow-f-nan"])
+     _middle_row(repr(2.0 * parse_config(HZ_CFG).analysis.heat_tol)),
+     "monitors"),
+    ("product_dir", "flow.csv", "f", _middle_row("nan"), "closed_form"),
+    ("hz_dir", "diagnostics.csv", "horiz_sup", _last_pick_row_rm_sup,
+     "splitting"),
+], ids=["heat_residual-above-heat_tol", "flow-f-nan",
+        "horiz_sup-of-last-pick-above-horiz_tol"])
 def test_check_tampered_value_fails_its_check(request, tmp_path, fixture,
-                                              name, column, value, check):
+                                              name, column, edit, check):
     out, manifest, _ = request.getfixturevalue(fixture)
     clone = _clone(out, tmp_path / "clone")
     lines = (clone / name).read_text().splitlines()
-    col = lines[1].split(",").index(column)
-    row = len(lines) // 2
+    header = lines[1].split(",")
+    row, value = edit(clone, header, lines)
     fields = lines[row].split(",")
-    fields[col] = value
+    fields[header.index(column)] = value
     lines[row] = ",".join(fields)
     (clone / name).write_text("\n".join(lines) + "\n")
     summary, code = check_run_dir(clone)
@@ -409,6 +436,25 @@ def test_check_tampered_value_fails_its_check(request, tmp_path, fixture,
     assert summary["recheck"][check] is False
     assert summary["consistent"] is False
     assert code == 1
+
+
+def test_check_edited_report_fails_naming_report_json(hz_dir, tmp_path,
+                                                      capsys):
+    # valid JSON that no longer matches the analysis of diagnostics.csv
+    out, _, _ = hz_dir
+    clone = _clone(out, tmp_path / "clone")
+    report = json.loads((clone / "report.json").read_text())
+    report["splitting"] = []
+    (clone / "report.json").write_text(
+        json.dumps(report, indent=2, sort_keys=True) + "\n")
+    summary, code = check_run_dir(clone)
+    assert code == 1
+    assert summary["consistent"] is False
+    assert summary["recheck"] == summary["stored"]
+    assert main(["check", str(clone)]) == 1
+    captured = capsys.readouterr()
+    assert "report.json" in captured.out
+    assert "manifest.json" not in captured.out + captured.err
 
 
 def _hz(params: str) -> str:

@@ -215,7 +215,6 @@ def test_block_diagnostics_and_monitors_match_per_state(case, thr):
 def test_run_records_match_per_state(case):
     params, run = case
     thr = RunSettings().support_threshold
-    assert run.support_threshold == thr
     _assert_rows_equal(run.diagnostics,
                        [_ref_diagnostics(s, params, thr) for s in run.states])
     _assert_rows_equal(run.monitors, _ref_monitors(run.states, params))
