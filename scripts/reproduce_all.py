@@ -1,7 +1,8 @@
 """Run every bundled scenario end to end and re-check the stored outputs.
 
 Produces runs/<scenario>/ directories plus a grid-refinement sweep under
-runs/sweep/, then re-validates each run directory from its files alone.
+runs/sweep/, then re-validates each run directory, the sweep members
+included, from its files alone.
 Exits nonzero if any stage fails, so this doubles as a one-command repro
 of the headline numbers: closed-form tracking, the -2 width slope, the
 TypeI verdict, and the second-order heat-residual convergence.
@@ -46,6 +47,10 @@ def main(argv=None) -> int:
         failures.append(f"sweep: exit {code}")
     else:
         summary = json.loads((sweep_dir / "sweep_summary.json").read_text())
+        for member in summary["members"]:
+            code = cli(["check", member["output_dir"]])
+            if code != 0:
+                failures.append(f"check {member['config']}: exit {code}")
         order = summary["heat_residual_order"]
         print(f"sweep heat residual order: {order:.3f}")
         if order < 1.9:

@@ -33,7 +33,6 @@ from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .chart_geometry import ChartError, ChartSampler, calabi_sampler
 
@@ -56,10 +55,6 @@ class BadProfile(FlowError):
 
 class StepRejected(FlowError):
     """Implicit solve failed to converge after all step halvings."""
-
-
-class MonotonicityLost(FlowError):
-    """A step would destroy monotonicity of f (metric degeneration)."""
 
 
 class PastSingularTime(FlowError):
@@ -394,6 +389,28 @@ def _to_increments(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def solve_banded(gtsv, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system held in `ab`, in the (1, 1) storage of
+    `scipy.linalg.solve_banded`, for `b` with the LAPACK routine `gtsv`.
+
+    The bands and `b` are overwritten and the solution is returned in the
+    storage of `b`.  scipy's `solve_banded((1, 1), ab, b)` calls the same
+    `gtsv` on the same bands, so the solution is the same bit for bit;
+    what is left out is its argument handling and its copies.  Its checks
+    are kept: ValueError for NaN or inf input, LinAlgError for a singular
+    matrix, ValueError for an illegal argument."""
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    _, _, _, x, info = gtsv(ab[2, :-1], ab[1], ab[0, 1:], b,
+                            overwrite_dl=1, overwrite_d=1, overwrite_du=1,
+                            overwrite_b=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of gtsv")
+    return x
+
+
 class FlowProblem:
     """Grid, operators and parameters for one PDE run.
 
@@ -440,6 +457,14 @@ class FlowProblem:
         # matches no u.
         self._last_u = np.full(params.grid_points, np.nan)
         self._last_phi = np.empty(params.grid_points)
+        # Deferred: scipy.linalg takes ~0.3 s to import; only stepping uses it.
+        from scipy.linalg import get_lapack_funcs
+
+        self._gtsv = get_lapack_funcs("gtsv", dtype=np.float64)
+        # The Newton matrix, refilled by `_newton_matrix` for every update
+        # because `solve_banded` overwrites it.  ab[0, 0] and ab[2, -1] lie
+        # outside the matrix, where gtsv never writes, and stay zero.
+        self._ab = np.zeros((3, params.grid_points))
 
     # -- the Newton kernel, in increment space --------------------------------
     #
@@ -452,12 +477,18 @@ class FlowProblem:
         """Nodal rates F at (f, increments of f) and the interior stencils
         (s1 = f_rho, n s1, s2 = f_rhorho) they were built from.  Boundary
         rows are the endpoint rates."""
-        s1 = (inc[1:] + inc[:-1]) / self._two_h
-        s2 = (inc[1:] - inc[:-1]) / self._h_sq
+        s1 = np.add(inc[1:], inc[:-1])
+        s1 /= self._two_h
+        s2 = np.subtract(inc[1:], inc[:-1])
+        s2 /= self._h_sq
         ns1 = self.params.n * s1
         rates = np.empty(f.size)
         rates[0] = self.rate_lower_disc
-        rates[1:-1] = self.params.k * (s2 / s1 + ns1 / f[1:-1]) - self.sink
+        # k (s2/s1 + n s1/f) - sink, one operation at a time in place
+        mid = np.divide(s2, s1, out=rates[1:-1])
+        mid += ns1 / f[1:-1]
+        mid *= self.params.k
+        mid -= self.sink
         rates[-1] = self.rate_upper_disc
         return rates, (s1, ns1, s2)
 
@@ -468,29 +499,45 @@ class FlowProblem:
 
     def _newton_matrix(self, coeff: float, f: np.ndarray,
                        stencils: tuple[np.ndarray, ...]) -> np.ndarray:
-        """I - coeff * J in `solve_banded` (1, 1) storage, where J is the
-        tridiagonal d(rates)/d(nodal f); its boundary rows are zero (the
-        endpoint rates are constants)."""
+        """I - coeff * J in `solve_banded` (1, 1) storage, written into the
+        problem's band buffer, where J is the tridiagonal d(rates)/d(nodal
+        f); its boundary rows are zero (the endpoint rates are constants).
+
+        Each band is built in place in the order of its formula, and
+        products are exact to reorder, so the bands equal those of the
+        expressions in the comments bit for bit."""
         k = self.params.k
         s1, ns1, s2 = stencils
         fi = f[1:-1]
-        inv_s1 = 1.0 / s1
-        ratio = s2 * inv_s1 ** 2
-        curv = inv_s1 / self._h_sq
-        adv = ratio / self._two_h
-        geo = self.params.n / (self._two_h * fi)
-        ab = np.empty((3, f.size))
-        # ab[0, 0] and ab[2, -1] lie outside the matrix; the signed zeros
-        # are what -coeff times a zero boundary row of J gives.
-        ab[0, 0] = ab[2, -1] = 0.0
+        curv = np.divide(1.0, s1)               # 1/s1, then (1/s1)/h^2
+        adv = np.square(curv)                   # s2 (1/s1)^2 / (2h)
+        adv *= s2
+        adv /= self._two_h
+        curv /= self._h_sq
+        geo = np.multiply(self._two_h, fi)      # n / (2h f)
+        np.divide(self.params.n, geo, out=geo)
+        ab = self._ab
+        # the signed zeros are what -coeff times a zero boundary row of J
+        # gives
         ab[0, 1] = ab[2, -2] = -coeff * 0.0
         ab[1, 0] = ab[1, -1] = 1.0
-        np.multiply(-coeff, k * (curv - adv + geo), out=ab[0, 2:])
-        # -2.0 * curv equals (-2.0 * inv_s1) / h^2 bit for bit: scaling by
-        # a power of two commutes with rounding.
-        np.subtract(1.0, coeff * (k * (-2.0 * curv - ns1 / fi ** 2)),
-                    out=ab[1, 1:-1])
-        np.multiply(-coeff, k * (curv + adv - geo), out=ab[2, :-2])
+        up = np.subtract(curv, adv, out=ab[0, 2:])  # -coeff k (curv-adv+geo)
+        up += geo
+        up *= k
+        up *= -coeff
+        low = np.add(curv, adv, out=ab[2, :-2])     # -coeff k (curv+adv-geo)
+        low -= geo
+        low *= k
+        low *= -coeff
+        # 1 - coeff k (-2 curv - n s1/f^2).  -2.0 * curv equals
+        # (-2.0 / s1) / h^2 bit for bit: scaling by a power of two commutes
+        # with rounding.
+        diag = np.square(fi, out=ab[1, 1:-1])
+        np.divide(ns1, diag, out=diag)
+        np.subtract(np.multiply(-2.0, curv, out=geo), diag, out=diag)
+        diag *= k
+        diag *= coeff
+        np.subtract(1.0, diag, out=diag)
         return ab
 
     def _valid(self, u: np.ndarray) -> bool:
@@ -512,20 +559,23 @@ class FlowProblem:
             f = _reconstruct(u[0], u[1:])
             rates, stencils = self._rates(f, u[1:])
             phi = _to_increments(rates)
-            resid = u - coeff * phi - rhs_const
+            resid = np.multiply(coeff, phi)     # u - coeff phi - rhs_const
+            np.subtract(u, resid, out=resid)
+            resid -= rhs_const
             err = abs(resid[0]) + float(np.sum(np.abs(resid[1:])))
             if err <= self.settings.newton_tol * scale:
                 return u, phi
             # (I - coeff D J T) x = resid is solved as the banded f-space
             # system (I - coeff J) z = T resid, then x = D z.
-            z = solve_banded((1, 1), self._newton_matrix(coeff, f, stencils),
+            z = solve_banded(self._gtsv,
+                             self._newton_matrix(coeff, f, stencils),
                              _reconstruct(resid[0], resid[1:]))
             x = _to_increments(z)
             for _ in range(6):
                 candidate = u - x
                 if self._valid(candidate):
                     break
-                x = 0.5 * x
+                x *= 0.5
             else:
                 raise StepRejected("iterate left the monotone cone")
             u = candidate
@@ -551,8 +601,10 @@ class FlowProblem:
 
 
 def step_flow(problem: FlowProblem, state: FlowState, dt: float) -> FlowState:
-    """Advance one step; halves dt on solver failure or monotonicity loss
-    and raises StepRejected / MonotonicityLost once halvings are spent."""
+    """Advance one step; halves dt on solver failure and raises
+    StepRejected once halvings are spent.  The new profile is strictly
+    increasing: the Newton solve returns only iterates whose f[0] and
+    increments are all positive and finite."""
     if dt <= 0.0:
         raise FlowError("need dt > 0")
     remaining = dt
@@ -565,20 +617,13 @@ def step_flow(problem: FlowProblem, state: FlowState, dt: float) -> FlowState:
     while remaining > 1e-15 * dt:
         sub_dt = min(sub_dt, remaining)
         try:
-            u_new = problem.step_once(u, sub_dt)
+            u = problem.step_once(u, sub_dt)
         except StepRejected:
             halvings_left -= 1
             if halvings_left < 0:
                 raise
             sub_dt *= 0.5
             continue
-        if np.any(u_new[1:] <= 0.0) or u_new[0] <= 0.0:
-            halvings_left -= 1
-            if halvings_left < 0:
-                raise MonotonicityLost("profile lost monotonicity")
-            sub_dt *= 0.5
-            continue
-        u = u_new
         t += sub_dt
         remaining -= sub_dt
     f = _reconstruct(u[0], u[1:])
@@ -615,6 +660,15 @@ def _v_rows(df: np.ndarray, d: float, k: int) -> np.ndarray:
     v[..., 0] = (1.5 * df[..., 0] - 0.5 * df[..., 1]) / (d * k)
     v[..., -1] = (1.5 * df[..., -1] - 0.5 * df[..., -2]) / (d * k)
     return v
+
+
+def _max_v(df: np.ndarray, d: float, k: int) -> float:
+    """max of `_v_rows(df, d, k)` for one state without building v: the
+    largest centred sum is divided once, which gives the same value as
+    dividing every sum first, because rounding is monotone."""
+    return max(float(np.max(df[1:] + df[:-1])) / (2.0 * d * k),
+               (1.5 * df[0] - 0.5 * df[1]) / (d * k),
+               (1.5 * df[-1] - 0.5 * df[-2]) / (d * k))
 
 
 def _d1(arr: np.ndarray, d: float) -> np.ndarray:
@@ -944,9 +998,8 @@ def _run_hirzebruch(params: HirzebruchParams, settings: RunSettings,
                      settings.time_frac * (t_pred - state.t), remaining)
         try:
             new_state = step_flow(problem, state, dt)
-        except (StepRejected, MonotonicityLost) as exc:
-            stop_reason = ("step_rejected" if isinstance(exc, StepRejected)
-                           else "monotonicity_lost")
+        except StepRejected as exc:
+            stop_reason = "step_rejected"
             log.warning("run stopped early at t=%.6f: %s", state.t, exc)
             break
         if not new_state.t > state.t:
@@ -955,7 +1008,7 @@ def _run_hirzebruch(params: HirzebruchParams, settings: RunSettings,
         step_count += 1
         if step_count % settings.record_stride == 0:
             states.append(state)
-        v_max = float(np.max(state.v_profile(params.k)))
+        v_max = _max_v(state.df, problem.drho, params.k)
         if 4.0 * params.k * v_max < settings.v_floor:
             stop_reason = "fiber_collapsed"
             if states[-1] is not state:

@@ -356,22 +356,27 @@ def load_config(path: str | Path) -> RunConfig:
 INT_COLUMNS = frozenset({"node", "grad_bound_ok"})
 
 
-def _write_csv(path: Path, schema: str, columns: Sequence[str],
-               rows: Sequence[Sequence]) -> None:
+def _csv_text(schema: str, columns: Sequence[str],
+              rows: Sequence[Sequence]) -> str:
+    """The text of a CSV file: schema line, header, one line per row."""
     row_fmt = ",".join("%d" if c in INT_COLUMNS else "%.17g"
                        for c in columns)
     lines = [f"# {schema} columns: {','.join(columns)}", ",".join(columns)]
     lines.extend(row_fmt % tuple(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise RunDirError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _read_csv(path: Path, columns: Sequence[str]) -> dict[str, np.ndarray]:
-    """The columns of a CSV written by `_write_csv`; RunDirError naming the
+    """The columns of a CSV of `_csv_text`; RunDirError naming the
     file if it is unreadable, has another header or a short or bad row."""
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise RunDirError(f"{path}: {exc.strerror or exc}") from exc
+    lines = _read_text(path).splitlines()
     if len(lines) < 2 or lines[1].split(",") != list(columns):
         raise RunDirError(f"{path}: missing or unexpected column header")
     if len(lines) < 3:
@@ -390,7 +395,7 @@ def _read_csv(path: Path, columns: Sequence[str]) -> dict[str, np.ndarray]:
 
 
 def _table(columns: Sequence[str], rows: Sequence) -> dict[str, np.ndarray]:
-    """Float column arrays of the rows.  `_write_csv` writes floats with
+    """Float column arrays of the rows.  `_csv_text` writes floats with
     `%.17g`, which round-trips float64, so the columns of rows about to be
     written equal those `_read_csv` gets back from the file."""
     data = np.array(rows, dtype=float)
@@ -399,11 +404,9 @@ def _table(columns: Sequence[str], rows: Sequence) -> dict[str, np.ndarray]:
 
 def _read_json(path: Path) -> tuple[dict, str]:
     """The JSON object stored at path and the text it was parsed from."""
+    text = _read_text(path)
     try:
-        text = path.read_text()
         payload = json.loads(text)
-    except OSError as exc:
-        raise RunDirError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise RunDirError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
@@ -472,6 +475,24 @@ class Analysis:
         """The `report.json` text of this analysis."""
         report = analysis_report(self.type_report, self.splitting)
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    def rescaled_texts(self) -> dict[str, str]:
+        """The text of each `rescaled_<i>.csv` file, by file name."""
+        picks = [] if self.rescaled is None else self.rescaled.picks
+        return {f"rescaled_{i}.csv": _csv_text(RESCALED_CSV_SCHEMA,
+                                               RESCALED_COLUMNS,
+                                               rescaled_csv_rows(rp))
+                for i, rp in enumerate(picks)}
+
+    def manifest_fields(self) -> dict:
+        """The analysis entries of `manifest.json`."""
+        fields = {"plateau_value": self.type_report.plateau_value}
+        if self.splitting is None:
+            fields["analysis_note"] = self.note
+        else:
+            a_exp = self.splitting.a_decay_exponent
+            fields["a_decay_exponent"] = None if np.isnan(a_exp) else a_exp
+        return fields
 
 
 def analyze(diag: dict[str, np.ndarray], T_observed: float,
@@ -591,21 +612,17 @@ def execute(config: RunConfig, out_dir: str | Path,
         diag = diagnostics_table(run)
         manifest["heat_residual_max"] = _heat_max(diag["heat_residual"])
 
-        _write_csv(out / "flow.csv", FLOW_CSV_SCHEMA, flow_cols, flow_rows)
-        _write_csv(out / "diagnostics.csv", DIAG_CSV_SCHEMA, DIAG_COLUMNS,
-                   np.column_stack(list(diag.values())).tolist())
+        (out / "flow.csv").write_text(
+            _csv_text(FLOW_CSV_SCHEMA, flow_cols, flow_rows))
+        (out / "diagnostics.csv").write_text(_csv_text(
+            DIAG_CSV_SCHEMA, DIAG_COLUMNS,
+            np.column_stack(list(diag.values())).tolist()))
 
         analysis = analyze(diag, run.T_observed, config.analysis)
         manifest["classification"] = analysis.type_report.classification
-        manifest["plateau_value"] = analysis.type_report.plateau_value
-        if analysis.splitting is None:
-            manifest["analysis_note"] = analysis.note
-        else:
-            a_exp = analysis.splitting.a_decay_exponent
-            manifest["a_decay_exponent"] = None if np.isnan(a_exp) else a_exp
-            for i, rp in enumerate(analysis.rescaled.picks):
-                _write_csv(out / f"rescaled_{i}.csv", RESCALED_CSV_SCHEMA,
-                           RESCALED_COLUMNS, rescaled_csv_rows(rp))
+        manifest.update(analysis.manifest_fields())
+        for name, text in analysis.rescaled_texts().items():
+            (out / name).write_text(text)
         (out / "report.json").write_text(analysis.report_text())
 
         live = ({"chart_residuals": _check_chart_residuals(run, seed)}
@@ -628,15 +645,17 @@ def execute(config: RunConfig, out_dir: str | Path,
 
 
 def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
-    """Re-evaluate the acceptance map and the report from the stored files.
+    """Re-evaluate the acceptance map and the analysis from the stored files.
 
     The config is parsed again from the manifest's echo, and `analyze` and
     `_acceptance` run as in `execute`: every verdict is recomputed from
     the CSVs and the manifest, except `chart_residuals`, whose stored
-    verdict is carried forward, and the recomputed report must equal the
-    stored report.json byte for byte.  Raises RunDirError naming the file
-    when the recorded run ended in error, or a stored file is missing,
-    empty, cut short or malformed.
+    verdict is carried forward.  The recomputed report.json and
+    rescaled_<i>.csv texts must equal the stored files byte for byte, and
+    the recomputed analysis entries the manifest's; `differs` names each
+    that does not.  Raises RunDirError naming the file when the recorded
+    run ended in error, or a stored file is missing, empty, cut short or
+    malformed.
     """
     run_dir = Path(run_dir)
     manifest_path = run_dir / "manifest.json"
@@ -677,13 +696,20 @@ def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
                           f"({type(exc).__name__}: {exc})") from exc
     except FlowError as exc:
         raise RunDirError(f"{run_dir}: {exc}") from exc
-    report_matches = report_text == analysis.report_text()
+    differs = [] if report_text == analysis.report_text() else ["report.json"]
+    differs += [name for name, text in analysis.rescaled_texts().items()
+                if _read_text(run_dir / name) != text]
+    # JSON text compares NaN equal to NaN; floats round-trip through it
+    differs += [f"manifest.json {key}"
+                for key, value in analysis.manifest_fields().items()
+                if key not in manifest
+                or json.dumps(manifest[key]) != json.dumps(value)]
     summary = {
         "run_dir": str(run_dir),
         "recheck": results,
         "stored": stored,
-        "report_matches": report_matches,
-        "consistent": results == stored and report_matches,
+        "differs": differs,
+        "consistent": results == stored and not differs,
         "passed": all(results.values()),
     }
     return summary, 0 if summary["passed"] and summary["consistent"] else 1
@@ -800,9 +826,8 @@ def _cmd_check(args) -> int:
     summary, code = check_run_dir(args.run_dir)
     for name, ok in summary["recheck"].items():
         print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
-    if not summary["report_matches"]:
-        print("  report.json differs from the report recomputed from "
-              "diagnostics.csv")
+    for name in summary["differs"]:
+        print(f"  {name} differs from the analysis of diagnostics.csv")
     print(f"{args.run_dir}: "
           f"{'pass' if code == 0 else 'FAIL'}"
           f" (consistent={summary['consistent']})")

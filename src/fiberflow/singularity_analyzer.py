@@ -99,7 +99,6 @@ class RescaledPick:
 @dataclass(frozen=True)
 class RescaledSeries:
     mode: str
-    T_observed: float
     picks: list[RescaledPick]
 
 
@@ -290,7 +289,7 @@ def rescale_series(diag: dict[str, np.ndarray], T_observed: float,
             roundness=diag["roundness"][sel],
             zero_index=int(np.flatnonzero(ts[sel] == p.t)[0]),
         ))
-    return RescaledSeries(mode=seq.mode, T_observed=T_observed, picks=out)
+    return RescaledSeries(mode=seq.mode, picks=out)
 
 
 # ---------------------------------------------------------------------------

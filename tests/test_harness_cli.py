@@ -10,7 +10,7 @@ from fiberflow.harness_cli import (
     ParseError,
     RunDirError,
     ValidationError,
-    _write_csv,
+    _csv_text,
     check_run_dir,
     execute,
     load_config,
@@ -221,7 +221,7 @@ def _per_value_field(v) -> str:
     return format(float(v), ".17g")
 
 
-def test_csv_row_format_matches_per_value_formatting(tmp_path):
+def test_csv_row_format_matches_per_value_formatting():
     floats = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
               -5e-324, 1e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0,
               np.float64(2.5e-17), np.float64("nan"), 7, np.int64(-3), True]
@@ -232,12 +232,10 @@ def test_csv_row_format_matches_per_value_formatting(tmp_path):
            True, False, True, False, True, False, True]
     columns = ("t", "node", "grad_bound_ok", "rm_sup")
     rows = [(x, n, ok, -x) for x, n, ok in zip(floats, ints, oks)]
-    path = tmp_path / "rows.csv"
-    _write_csv(path, "test/1", columns, rows)
     want = ["# test/1 columns: t,node,grad_bound_ok,rm_sup",
             "t,node,grad_bound_ok,rm_sup"]
     want += [",".join(_per_value_field(v) for v in row) for row in rows]
-    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+    assert _csv_text("test/1", columns, rows) == "\n".join(want) + "\n"
 
 
 def test_product_flow_columns(product_dir):
@@ -329,6 +327,7 @@ def _damage(path, how):
     ("manifest.json", "empty"),
     ("manifest.json", "missing"),
     ("report.json", "truncated"),
+    ("rescaled_0.csv", "missing"),
 ])
 def test_check_damaged_run_dir_exits_3_naming_the_file(hz_dir, tmp_path,
                                                         capsys, name, how):
@@ -455,6 +454,58 @@ def test_check_edited_report_fails_naming_report_json(hz_dir, tmp_path,
     captured = capsys.readouterr()
     assert "report.json" in captured.out
     assert "manifest.json" not in captured.out + captured.err
+
+
+def _edit_rescaled_rm(run_dir):
+    path = run_dir / "rescaled_0.csv"
+    lines = path.read_text().splitlines()
+    rm = lines[1].split(",").index("rm")
+    fields = lines[2].split(",")
+    fields[rm] = "123456"
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _edit_manifest(key, value):
+    def edit(run_dir):
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert key in manifest
+        manifest[key] = value
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    return edit
+
+
+@pytest.mark.parametrize("edit,name", [
+    (_edit_rescaled_rm, "rescaled_0.csv"),
+    (_edit_manifest("plateau_value", 99.0), "manifest.json plateau_value"),
+    (_edit_manifest("a_decay_exponent", 5.0),
+     "manifest.json a_decay_exponent"),
+], ids=["rescaled_0-rm", "plateau_value", "a_decay_exponent"])
+def test_check_edited_analysis_output_fails_naming_it(hz_dir, tmp_path,
+                                                      capsys, edit, name):
+    # the verdicts still hold; only the stored analysis output is wrong
+    out, _, _ = hz_dir
+    clone = _clone(out, tmp_path / "clone")
+    edit(clone)
+    summary, code = check_run_dir(clone)
+    assert code == 1
+    assert summary["consistent"] is False
+    assert summary["recheck"] == summary["stored"]
+    assert summary["differs"] == [name]
+    assert main(["check", str(clone)]) == 1
+    assert f"  {name} differs" in capsys.readouterr().out
+
+
+def test_check_edited_analysis_note_fails(tmp_path):
+    # two picks are too few to split, so the manifest carries an
+    # analysis_note instead of a_decay_exponent
+    text = HZ_CFG.replace("max_picks = 6", "max_picks = 2")
+    manifest, _ = execute(parse_config(text), tmp_path)
+    assert "2 qualifying picks" in manifest["analysis_note"]
+    assert check_run_dir(tmp_path)[0]["differs"] == []
+    _edit_manifest("analysis_note", "edited")(tmp_path)
+    summary, code = check_run_dir(tmp_path)
+    assert code == 1 and summary["differs"] == ["manifest.json analysis_note"]
 
 
 def _hz(params: str) -> str:

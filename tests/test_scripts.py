@@ -28,3 +28,22 @@ def test_blowup_zoom_json_is_the_report_of_the_same_run(tmp_path, capsys):
     assert code == 0
     assert got == json.loads((tmp_path / "report.json").read_text())
     assert got["splitting"]["splits"] is True
+
+
+def test_reproduce_all_checks_every_sweep_member(tmp_path):
+    repro = _load("reproduce_all")
+    checked = []
+    real_cli = repro.cli
+
+    def cli(argv):
+        if argv[0] == "check":
+            checked.append(Path(argv[1]).name)
+        return real_cli(argv)
+
+    repro.cli = cli
+    assert repro.main(["--base", str(tmp_path), "--workers", "1"]) == 0
+    summary = json.loads((tmp_path / "sweep" / "sweep_summary.json")
+                         .read_text())
+    members = [Path(m["output_dir"]).name for m in summary["members"]]
+    assert len(members) == 5
+    assert checked == ["product", "hirzebruch", *members]

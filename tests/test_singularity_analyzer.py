@@ -331,8 +331,7 @@ def _constant_a_series(run):
             fiber_area=np.array([FIBER_LIMIT_TARGET
                                  / (2.0 / run.T_observed)]),
             roundness=one, zero_index=0))
-    return RescaledSeries(mode="typeI_max_curvature",
-                          T_observed=run.T_observed, picks=picks)
+    return RescaledSeries(mode="typeI_max_curvature", picks=picks)
 
 
 def test_splitting_negative_control(hrun):
