@@ -9,7 +9,7 @@ drains relative to the fiber direction as the singular time approaches.
 import argparse
 
 from fiberflow import HirzebruchParams, RunSettings, run_flow
-from fiberflow.harness_cli import AnalysisConfig, analyze, diagnostics_table
+from fiberflow.harness_cli import AnalysisConfig, analyze
 
 
 def main(argv=None) -> int:
@@ -23,7 +23,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     run = run_flow(HirzebruchParams(grid_points=args.grid), RunSettings())
-    result = analyze(diagnostics_table(run), run.T_observed,
+    result = analyze(run.diagnostics, run.T_observed,
                      AnalysisConfig(mode=args.mode, max_picks=args.picks))
     split = result.splitting
     if split is None:

@@ -195,43 +195,27 @@ class ProductState:
     c: float
 
 
-@dataclass(frozen=True)
-class MonitorReport:
-    t: float
-    heat_residual: float
-    min_f: float
-    max_f: float
-    max_f_slack: float
-    grad_f_sq_sup: float
-    grad_bound_ok: bool
-    width: float
-
-
-@dataclass(frozen=True)
-class DiagnosticsSample:
-    """Per-step curvature sups over the supported part of the grid."""
-
-    t: float
-    node: int
-    k_v_max: float
-    a_sq_sup: float
-    grad_ln_sq_sup: float
-    horiz_sup: float
-    mixed_sup: float
-    rm_sup: float
-    fiber_area: float
-    roundness: float
-    width: float
-    max_v: float
+# The columns of a run's diagnostics table, in the order `diagnostics.csv`
+# stores them: the per-step curvature sups of `diagnostics_series`, then
+# the monitors of `build_monitors`.
+_CURVATURE_COLUMNS = ("t", "node", "k_v_max", "a_sq_sup", "grad_ln_sq_sup",
+                      "horiz_sup", "mixed_sup", "rm_sup", "fiber_area",
+                      "roundness", "width", "max_v")
+DIAG_COLUMNS = _CURVATURE_COLUMNS + (
+    "heat_residual", "min_f", "max_f", "max_f_slack", "grad_f_sq_sup",
+    "grad_bound_ok")
 
 
 @dataclass(frozen=True)
 class FlowRun:
+    """A finished run.  `diagnostics` is its diagnostics table: one float64
+    array per column of `DIAG_COLUMNS`, in that order, one entry per
+    recorded state; `node` and `grad_bound_ok` hold integral floats."""
+
     scenario: str
     params: HirzebruchParams | ProductParams
     states: list
-    monitors: list[MonitorReport]
-    diagnostics: list[DiagnosticsSample]
+    diagnostics: dict[str, np.ndarray]
     T_predicted: float
     T_observed: float
     stop_reason: str
@@ -762,13 +746,15 @@ def curvature_profiles(state: FlowState, params: HirzebruchParams,
 
 def diagnostics_series(states: Sequence[FlowState], params: HirzebruchParams,
                        support_threshold: float = 1e-3
-                       ) -> list[DiagnosticsSample]:
-    """`profile_diagnostics` of every state, one block of states at a
-    time."""
+                       ) -> dict[str, np.ndarray]:
+    """The curvature columns of the diagnostics table (`t` to `max_v` of
+    `DIAG_COLUMNS`) of the states: per state, the curvature sups over the
+    supported nodes v >= threshold * max v.  The columns are filled one
+    block of states at a time."""
     k = params.k
     d = states[0].rho[1] - states[0].rho[0]
     rows = _block_rows(states[0].f.size)
-    out: list[DiagnosticsSample] = []
+    out = {name: np.empty(len(states)) for name in _CURVATURE_COLUMNS}
     # A block's arrays are dropped only when the next block's replace
     # them, so the allocator reuses their space.  Freed all at once, the
     # space can go back to the system and be faulted in again for every
@@ -787,38 +773,28 @@ def diagnostics_series(states: Sequence[FlowState], params: HirzebruchParams,
         center = np.argmax(v, axis=1)
         roundness = (p["k_v"][np.arange(len(block)), center] * area
                      / (4.0 * np.pi))
-        out.extend(map(
-            DiagnosticsSample,
-            [s.t for s in block],
-            np.argmax(p["rm"], axis=1).tolist(),
-            np.max(np.where(supp, p["k_v"], -np.inf), axis=1).tolist(),
-            np.max(p["a_sq"], axis=1).tolist(),
-            np.max(p["grad_ln_sq"], axis=1).tolist(),
-            np.max(np.abs(p["kappa_h"]), axis=1).tolist(),
-            # the larger of the two, mixed_r on ties (Python's max)
-            np.where(mixed_t > mixed_r, mixed_t, mixed_r).tolist(),
-            np.max(p["rm"], axis=1).tolist(),
-            area.tolist(), roundness.tolist(), width.tolist(),
-            np.max(v, axis=1).tolist()))
+        at = slice(lo, lo + len(block))
+        out["t"][at] = [s.t for s in block]
+        out["node"][at] = np.argmax(p["rm"], axis=1)
+        out["k_v_max"][at] = np.max(np.where(supp, p["k_v"], -np.inf), axis=1)
+        out["a_sq_sup"][at] = np.max(p["a_sq"], axis=1)
+        out["grad_ln_sq_sup"][at] = np.max(p["grad_ln_sq"], axis=1)
+        out["horiz_sup"][at] = np.max(np.abs(p["kappa_h"]), axis=1)
+        # the larger of the two, mixed_r on ties (Python's max)
+        out["mixed_sup"][at] = np.where(mixed_t > mixed_r, mixed_t, mixed_r)
+        out["rm_sup"][at] = np.max(p["rm"], axis=1)
+        out["fiber_area"][at] = area
+        out["roundness"][at] = roundness
+        out["width"][at] = width
+        out["max_v"][at] = np.max(v, axis=1)
     return out
 
 
 def profile_diagnostics(state: FlowState, params: HirzebruchParams,
-                        support_threshold: float = 1e-3) -> DiagnosticsSample:
-    """Curvature sups over the supported nodes v >= threshold * max v."""
-    return diagnostics_series([state], params, support_threshold)[0]
-
-
-def product_diagnostics(state: ProductState,
-                        params: ProductParams) -> DiagnosticsSample:
-    k_v = 2.0 / state.c
-    kappa_h = params.base_scalar / params.n / state.f
-    rm = float(np.sqrt(4.0 * k_v ** 2 + 4.0 * kappa_h ** 2))
-    return DiagnosticsSample(
-        t=state.t, node=0, k_v_max=k_v, a_sq_sup=0.0, grad_ln_sq_sup=0.0,
-        horiz_sup=kappa_h, mixed_sup=0.0, rm_sup=rm,
-        fiber_area=2.0 * np.pi * state.c, roundness=1.0,
-        width=state.c, max_v=state.c)
+                        support_threshold: float = 1e-3
+                        ) -> dict[str, np.ndarray]:
+    """`diagnostics_series` of one state: its one-row curvature columns."""
+    return diagnostics_series([state], params, support_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -877,26 +853,29 @@ def heat_residual_series(states: Sequence[FlowState],
 
 
 def build_monitors(states: Sequence[FlowState], params: HirzebruchParams,
-                   max_v: np.ndarray) -> list[MonitorReport]:
-    """Monitor rows of the recorded states; `max_v` holds each state's
-    max v, the `max_v` column of its diagnostics."""
+                   max_v: np.ndarray) -> dict[str, np.ndarray]:
+    """The monitor columns of the diagnostics table (`heat_residual` to
+    `grad_bound_ok` of `DIAG_COLUMNS`) of the recorded states, filled one
+    block of states at a time; `max_v` holds each state's max v, the
+    `max_v` column of its diagnostics."""
     k = params.k
     sink = params.base_scalar / params.n
-    residuals = heat_residual_series(states, params)
     grad_sup = 2.0 * k ** 2 * np.asarray(max_v, dtype=float)
-    t = [s.t for s in states]
-    max_f = np.array([s.f.max() for s in states])
-    slack = max_f - (max_f[0] - sink * np.array(t))
-    return list(map(
-        MonitorReport,
-        t,
-        residuals.tolist(),
-        [s.f.min().item() for s in states],
-        max_f.tolist(),
-        slack.tolist(),
-        grad_sup.tolist(),
-        (grad_sup <= grad_sup[0] * (1.0 + 1e-9) + 1e-12).tolist(),
-        [s.upper - s.lower for s in states]))
+    min_f = np.empty(len(states))
+    max_f = np.empty(len(states))
+    rows = _block_rows(states[0].f.size)
+    for lo in range(0, len(states), rows):
+        f = np.stack([s.f for s in states[lo:lo + rows]])
+        min_f[lo:lo + rows] = np.min(f, axis=1)
+        max_f[lo:lo + rows] = np.max(f, axis=1)
+    t = np.array([s.t for s in states])
+    ok = grad_sup <= grad_sup[0] * (1.0 + 1e-9) + 1e-12
+    return {"heat_residual": heat_residual_series(states, params),
+            "min_f": min_f,
+            "max_f": max_f,
+            "max_f_slack": max_f - (max_f[0] - sink * t),
+            "grad_f_sq_sup": grad_sup,
+            "grad_bound_ok": ok.astype(float)}
 
 
 # ---------------------------------------------------------------------------
@@ -965,17 +944,27 @@ def _run_product(params: ProductParams, settings: RunSettings) -> FlowRun:
         if st.c < settings.v_floor:
             stop_reason = "fiber_collapsed"
             break
-    monitors = [MonitorReport(t=s.t, heat_residual=0.0, min_f=s.f, max_f=s.f,
-                              max_f_slack=0.0, grad_f_sq_sup=0.0,
-                              grad_bound_ok=True, width=s.c)
-                for s in states]
-    diags = [product_diagnostics(s, params) for s in states]
-    times = np.array([s.t for s in states])
-    widths = np.array([s.c for s in states])
-    t_obs = _fit_stop_time(times, widths, t_pred)
+    # per-state Python float arithmetic, whose bytes the golden digests
+    # of configs/product.cfg pin
+    k_v = [2.0 / s.c for s in states]
+    kappa_h = [rh / params.n / s.f for s in states]
+    zero = [0.0] * len(states)
+    f = [s.f for s in states]
+    c = [s.c for s in states]
+    diags = {
+        "t": [s.t for s in states], "node": zero, "k_v_max": k_v,
+        "a_sq_sup": zero, "grad_ln_sq_sup": zero, "horiz_sup": kappa_h,
+        "mixed_sup": zero,
+        "rm_sup": [float(np.sqrt(4.0 * a ** 2 + 4.0 * b ** 2))
+                   for a, b in zip(k_v, kappa_h)],
+        "fiber_area": [2.0 * np.pi * s.c for s in states],
+        "roundness": [1.0] * len(states), "width": c, "max_v": c,
+        "heat_residual": zero, "min_f": f, "max_f": f, "max_f_slack": zero,
+        "grad_f_sq_sup": zero, "grad_bound_ok": [1.0] * len(states)}
+    diags = {name: np.array(col, dtype=float) for name, col in diags.items()}
+    t_obs = _fit_stop_time(diags["t"], diags["width"], t_pred)
     return FlowRun(scenario="product", params=params, states=states,
-                   monitors=monitors, diagnostics=diags,
-                   T_predicted=t_pred, T_observed=t_obs,
+                   diagnostics=diags, T_predicted=t_pred, T_observed=t_obs,
                    stop_reason=stop_reason)
 
 
@@ -1017,13 +1006,11 @@ def _run_hirzebruch(params: HirzebruchParams, settings: RunSettings,
     if states[-1] is not state:
         states.append(state)
     diags = diagnostics_series(states, params, settings.support_threshold)
-    max_v = np.array([d.max_v for d in diags])
-    monitors = build_monitors(states, params, max_v)
-    times = np.array([s.t for s in states])
-    t_obs = _fit_stop_time(times, 4.0 * params.k * max_v, t_pred)
+    diags.update(build_monitors(states, params, diags["max_v"]))
+    t_obs = _fit_stop_time(diags["t"], 4.0 * params.k * diags["max_v"],
+                           t_pred)
     return FlowRun(scenario="hirzebruch", params=params, states=states,
-                   monitors=monitors, diagnostics=diags,
-                   T_predicted=t_pred, T_observed=t_obs,
+                   diagnostics=diags, T_predicted=t_pred, T_observed=t_obs,
                    stop_reason=stop_reason)
 
 
@@ -1044,7 +1031,7 @@ def heat_residual_order(params: HirzebruchParams,
         settings = RunSettings(dt_fixed=dt_factor * drho ** 2,
                                stop_margin=stop_margin)
         run = run_flow(run_params, settings)
-        resid = float(np.nanmax([m.heat_residual for m in run.monitors]))
+        resid = float(np.nanmax(run.diagnostics["heat_residual"]))
         points.append((drho, resid))
     order = loglog_slope([p[0] for p in points], [p[1] for p in points])
     return points, order

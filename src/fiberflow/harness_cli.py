@@ -24,6 +24,7 @@ import glob
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 import time
@@ -36,6 +37,7 @@ import numpy as np
 
 from . import __version__
 from .calabi_flow import (
+    DIAG_COLUMNS,
     ConfigError,
     FlowError,
     FlowRun,
@@ -65,7 +67,6 @@ from .singularity_analyzer import (
     classify_type,
     pick_blowup_sequence,
     rescale_series,
-    rescaled_csv_rows,
     splitting_report,
 )
 
@@ -356,12 +357,14 @@ def load_config(path: str | Path) -> RunConfig:
 INT_COLUMNS = frozenset({"node", "grad_bound_ok"})
 
 
-def _csv_text(schema: str, columns: Sequence[str],
-              rows: Sequence[Sequence]) -> str:
-    """The text of a CSV file: schema line, header, one line per row."""
+def _csv_text(schema: str, table: dict[str, np.ndarray]) -> str:
+    """The text of the CSV file of a column table: schema line, the
+    table's keys as header, one line per row."""
+    columns = list(table)
     row_fmt = ",".join("%d" if c in INT_COLUMNS else "%.17g"
                        for c in columns)
     lines = [f"# {schema} columns: {','.join(columns)}", ",".join(columns)]
+    rows = np.column_stack(list(table.values())).tolist()
     lines.extend(row_fmt % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
 
@@ -374,8 +377,10 @@ def _read_text(path: Path) -> str:
 
 
 def _read_csv(path: Path, columns: Sequence[str]) -> dict[str, np.ndarray]:
-    """The columns of a CSV of `_csv_text`; RunDirError naming the
-    file if it is unreadable, has another header or a short or bad row."""
+    """The column table a CSV of `_csv_text` stores, one float64 array per
+    column; RunDirError naming the file if it is unreadable, has another
+    header or a short or bad row.  `%.17g` round-trips float64, so the
+    table equals the one the file was written from."""
     lines = _read_text(path).splitlines()
     if len(lines) < 2 or lines[1].split(",") != list(columns):
         raise RunDirError(f"{path}: missing or unexpected column header")
@@ -391,15 +396,7 @@ def _read_csv(path: Path, columns: Sequence[str]) -> dict[str, np.ndarray]:
             rows.append([float(v) for v in fields])
         except ValueError as exc:
             raise RunDirError(f"{path}: line {lineno}: {exc}") from exc
-    return _table(columns, rows)
-
-
-def _table(columns: Sequence[str], rows: Sequence) -> dict[str, np.ndarray]:
-    """Float column arrays of the rows.  `_csv_text` writes floats with
-    `%.17g`, which round-trips float64, so the columns of rows about to be
-    written equal those `_read_csv` gets back from the file."""
-    data = np.array(rows, dtype=float)
-    return {name: data[:, i] for i, name in enumerate(columns)}
+    return dict(zip(columns, np.array(rows, dtype=float).T.copy()))
 
 
 def _read_json(path: Path) -> tuple[dict, str]:
@@ -434,27 +431,26 @@ def _flow_columns(config: RunConfig) -> list[str]:
             *(f"f_node{i}" for i in config.tracked_nodes)]
 
 
-def _flow_rows(run: FlowRun, tracked: tuple[int, ...]) -> list[tuple]:
+def _flow_table(run: FlowRun, config: RunConfig) -> dict[str, np.ndarray]:
+    """The `flow.csv` table of a run, one row per recorded state."""
+    states = run.states
     if run.scenario == "product":
-        return [(s.t, s.f, s.c) for s in run.states]
-    return [(s.t, s.lower, s.upper, s.upper - s.lower,
-             *(float(s.f[i]) for i in tracked)) for s in run.states]
+        cols = [[s.f for s in states], [s.c for s in states]]
+    else:
+        cols = [[s.lower for s in states], [s.upper for s in states],
+                run.diagnostics["width"],
+                *([s.f[i] for s in states] for i in config.tracked_nodes)]
+    return {name: np.array(col, dtype=float) for name, col in
+            zip(_flow_columns(config), [run.diagnostics["t"], *cols])}
 
 
-DIAG_COLUMNS = ("t", "node", "k_v_max", "a_sq_sup", "grad_ln_sq_sup",
-                "horiz_sup", "mixed_sup", "rm_sup", "fiber_area",
-                "roundness", "width", "max_v", "heat_residual", "min_f",
-                "max_f", "max_f_slack", "grad_f_sq_sup", "grad_bound_ok")
+_RESCALED_NAME = re.compile(r"rescaled_\d+\.csv")
 
 
-def diagnostics_table(run: FlowRun) -> dict[str, np.ndarray]:
-    """The `DIAG_COLUMNS` of a run, one row per recorded state: the table
-    that `diagnostics.csv` stores and the analysis reads."""
-    return _table(DIAG_COLUMNS, [
-        (d.t, d.node, d.k_v_max, d.a_sq_sup, d.grad_ln_sq_sup, d.horiz_sup,
-         d.mixed_sup, d.rm_sup, d.fiber_area, d.roundness, d.width, d.max_v,
-         m.heat_residual, m.min_f, m.max_f, m.max_f_slack, m.grad_f_sq_sup,
-         m.grad_bound_ok) for d, m in zip(run.diagnostics, run.monitors)])
+def _stored_rescaled(run_dir: Path) -> list[str]:
+    """The names of the `rescaled_<i>.csv` files in a run directory."""
+    return sorted(p.name for p in run_dir.glob("rescaled_*.csv")
+                  if _RESCALED_NAME.fullmatch(p.name))
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +475,9 @@ class Analysis:
     def rescaled_texts(self) -> dict[str, str]:
         """The text of each `rescaled_<i>.csv` file, by file name."""
         picks = [] if self.rescaled is None else self.rescaled.picks
-        return {f"rescaled_{i}.csv": _csv_text(RESCALED_CSV_SCHEMA,
-                                               RESCALED_COLUMNS,
-                                               rescaled_csv_rows(rp))
+        return {f"rescaled_{i}.csv": _csv_text(
+                    RESCALED_CSV_SCHEMA,
+                    {name: getattr(rp, name) for name in RESCALED_COLUMNS})
                 for i, rp in enumerate(picks)}
 
     def manifest_fields(self) -> dict:
@@ -606,22 +602,22 @@ def execute(config: RunConfig, out_dir: str | Path,
         manifest["T_observed"] = run.T_observed
         manifest["time_ratio"] = run.T_observed / run.T_predicted
         manifest["steps_recorded"] = len(run.states)
-        flow_cols = _flow_columns(config)
-        flow_rows = _flow_rows(run, config.tracked_nodes)
-        flow = _table(flow_cols, flow_rows)
-        diag = diagnostics_table(run)
+        flow = _flow_table(run, config)
+        diag = run.diagnostics
         manifest["heat_residual_max"] = _heat_max(diag["heat_residual"])
 
-        (out / "flow.csv").write_text(
-            _csv_text(FLOW_CSV_SCHEMA, flow_cols, flow_rows))
-        (out / "diagnostics.csv").write_text(_csv_text(
-            DIAG_CSV_SCHEMA, DIAG_COLUMNS,
-            np.column_stack(list(diag.values())).tolist()))
+        (out / "flow.csv").write_text(_csv_text(FLOW_CSV_SCHEMA, flow))
+        (out / "diagnostics.csv").write_text(
+            _csv_text(DIAG_CSV_SCHEMA, diag))
 
         analysis = analyze(diag, run.T_observed, config.analysis)
         manifest["classification"] = analysis.type_report.classification
         manifest.update(analysis.manifest_fields())
-        for name, text in analysis.rescaled_texts().items():
+        rescaled = analysis.rescaled_texts()
+        for name in _stored_rescaled(out):
+            if name not in rescaled:  # left by an earlier run with more picks
+                (out / name).unlink()
+        for name, text in rescaled.items():
             (out / name).write_text(text)
         (out / "report.json").write_text(analysis.report_text())
 
@@ -651,11 +647,11 @@ def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
     `_acceptance` run as in `execute`: every verdict is recomputed from
     the CSVs and the manifest, except `chart_residuals`, whose stored
     verdict is carried forward.  The recomputed report.json and
-    rescaled_<i>.csv texts must equal the stored files byte for byte, and
-    the recomputed analysis entries the manifest's; `differs` names each
-    that does not.  Raises RunDirError naming the file when the recorded
-    run ended in error, or a stored file is missing, empty, cut short or
-    malformed.
+    rescaled_<i>.csv texts must equal the stored files byte for byte, no
+    other rescaled_<i>.csv may be stored, and the recomputed analysis
+    entries must equal the manifest's; `differs` names each that does
+    not.  Raises RunDirError naming the file when the recorded run ended
+    in error, or a stored file is missing, empty, cut short or malformed.
     """
     run_dir = Path(run_dir)
     manifest_path = run_dir / "manifest.json"
@@ -697,8 +693,11 @@ def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
     except FlowError as exc:
         raise RunDirError(f"{run_dir}: {exc}") from exc
     differs = [] if report_text == analysis.report_text() else ["report.json"]
-    differs += [name for name, text in analysis.rescaled_texts().items()
+    rescaled = analysis.rescaled_texts()
+    differs += [name for name, text in rescaled.items()
                 if _read_text(run_dir / name) != text]
+    differs += [name for name in _stored_rescaled(run_dir)
+                if name not in rescaled]
     # JSON text compares NaN equal to NaN; floats round-trip through it
     differs += [f"manifest.json {key}"
                 for key, value in analysis.manifest_fields().items()
@@ -778,11 +777,19 @@ def run_sweep(configs: Sequence[tuple[str, RunConfig]], base_dir: str | Path,
 
 
 def _resolve(flag_value, env_name: str, file_value, default):
+    """The flag value, else the environment's, else the config file's,
+    else the default.  An environment value is converted to the type of
+    the default; HarnessError names the variable if it does not convert."""
     if flag_value is not None:
         return flag_value
     env = os.environ.get(env_name)
     if env is not None and env != "":
-        return env
+        try:
+            return type(default)(env)
+        except ValueError:
+            raise HarnessError(
+                f"{env_name}: bad value {env!r}, expected "
+                f"{type(default).__name__}") from None
     if file_value is not None:
         return file_value
     return default
@@ -792,7 +799,7 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     out = _resolve(args.output, ENV_OUTPUT, config.output_dir,
                    f"runs/{Path(args.config).stem}")
-    seed = int(_resolve(args.seed, ENV_SEED, config.analysis.seed, 0))
+    seed = _resolve(args.seed, ENV_SEED, config.analysis.seed, 0)
     manifest, code = execute(config, out, seed)
     status = ("pass" if code == 0 else
               "acceptance-fail" if code == 1 else "error")
@@ -812,8 +819,8 @@ def _cmd_sweep(args) -> int:
         return 2
     configs = [(name, load_config(name)) for name in names]
     out = _resolve(args.output, ENV_OUTPUT, None, "runs/sweep")
-    seed = int(_resolve(args.seed, ENV_SEED, None, 0))
-    workers = int(_resolve(args.workers, ENV_WORKERS, None, 2))
+    seed = _resolve(args.seed, ENV_SEED, None, 0)
+    workers = _resolve(args.workers, ENV_WORKERS, None, 2)
     summary, code = run_sweep(configs, out, workers=workers, seed=seed)
     for m in summary["members"]:
         print(f"{m['config']}: {'pass' if m['passed'] else 'FAIL'}")

@@ -424,11 +424,6 @@ RESCALED_COLUMNS = ("s", "rm", "k_v", "a_sq", "grad_ln_sq", "horiz",
                     "mixed", "fiber_area", "roundness")
 
 
-def rescaled_csv_rows(rp: RescaledPick) -> list[tuple[float, ...]]:
-    cols = [getattr(rp, name) for name in RESCALED_COLUMNS]
-    return [tuple(float(c[i]) for c in cols) for i in range(rp.s.size)]
-
-
 def analysis_report(type_report: TypeReport,
                     split_report: SplittingReport | None) -> dict:
     out = {"type": type_report.to_dict()}

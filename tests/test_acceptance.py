@@ -30,7 +30,6 @@ from fiberflow import (
     splitting_report,
 )
 from fiberflow.chart_geometry import check_base_einstein, perturbed_fs_base
-from fiberflow.harness_cli import diagnostics_table
 
 from conftest import make_logistic
 
@@ -64,8 +63,8 @@ def test_product_curvature_plateau():
     t0 = time.perf_counter()
     run = run_flow(ProductParams(f0=3.0, c0=1.0, n=1), RunSettings())
     wall = time.perf_counter() - t0
-    ts = np.array([d.t for d in run.diagnostics])
-    sups = np.array([d.rm_sup for d in run.diagnostics])
+    ts = run.diagnostics["t"]
+    sups = run.diagnostics["rm_sup"]
     rem = run.T_observed - ts
     decade = rem <= 10.0 * rem[-1]
     prods = rem[decade] * sups[decade]
@@ -79,10 +78,10 @@ def test_product_curvature_plateau():
 def test_collapse_rates_and_type():
     t0 = time.perf_counter()
     run = run_flow(HirzebruchParams(), RunSettings())
-    report = classify_type(diagnostics_table(run), run.T_observed)
+    report = classify_type(run.diagnostics, run.T_observed)
     wall = time.perf_counter() - t0
-    ts = np.array([m.t for m in run.monitors])
-    ws = np.array([m.width for m in run.monitors])
+    ts = run.diagnostics["t"]
+    ws = run.diagnostics["width"]
     slope = float(np.polyfit(ts, ws, 1)[0])
     slope_err = abs(slope + 2.0) / 2.0
     ratio = run.T_observed / run.T_predicted
@@ -137,7 +136,7 @@ def test_a_norm_identity_random_frames():
 
 def test_rescaled_decay_exponents():
     run = run_flow(HirzebruchParams(), RunSettings())
-    diag = diagnostics_table(run)
+    diag = run.diagnostics
     seq = pick_blowup_sequence(diag, run.T_observed)
     rep = splitting_report(rescale_series(diag, run.T_observed, seq))
     a_err = abs(rep.a_decay_exponent + 1.0)
@@ -152,10 +151,11 @@ def test_discretization_and_monitors():
     _, order = heat_residual_order(HirzebruchParams(), grids=(128, 256, 512))
     run = run_flow(HirzebruchParams(), RunSettings())
     a0 = run.params.a0
-    slack = max(m.max_f_slack for m in run.monitors)
-    floor_ok = all(m.min_f >= a0 - m.t - 1e-3 and m.min_f > 0.0
-                   for m in run.monitors)
-    grad_ok = all(m.grad_bound_ok for m in run.monitors)
+    diag = run.diagnostics
+    slack = float(np.max(diag["max_f_slack"]))
+    floor_ok = bool(np.all((diag["min_f"] >= a0 - diag["t"] - 1e-3)
+                           & (diag["min_f"] > 0.0)))
+    grad_ok = bool(np.all(diag["grad_bound_ok"] == 1.0))
     ok = order >= 1.9 and slack <= 1e-9 and floor_ok and grad_ok
     _verdict("discretization and monitors", ok,
              f"heat residual order {order:.3f} (want >= 1.9), max-f slack "

@@ -6,11 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fiberflow.calabi_flow import DIAG_COLUMNS, run_flow
 from fiberflow.harness_cli import (
     ParseError,
     RunDirError,
     ValidationError,
     _csv_text,
+    _flow_columns,
+    _flow_table,
+    _read_csv,
     check_run_dir,
     execute,
     load_config,
@@ -222,6 +226,7 @@ def _per_value_field(v) -> str:
 
 
 def test_csv_row_format_matches_per_value_formatting():
+    # a column table holds float64; the integral columns print as ints
     floats = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
               -5e-324, 1e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0,
               np.float64(2.5e-17), np.float64("nan"), 7, np.int64(-3), True]
@@ -232,10 +237,12 @@ def test_csv_row_format_matches_per_value_formatting():
            True, False, True, False, True, False, True]
     columns = ("t", "node", "grad_bound_ok", "rm_sup")
     rows = [(x, n, ok, -x) for x, n, ok in zip(floats, ints, oks)]
+    table = {name: np.array([row[i] for row in rows], dtype=float)
+             for i, name in enumerate(columns)}
     want = ["# test/1 columns: t,node,grad_bound_ok,rm_sup",
             "t,node,grad_bound_ok,rm_sup"]
     want += [",".join(_per_value_field(v) for v in row) for row in rows]
-    assert _csv_text("test/1", columns, rows) == "\n".join(want) + "\n"
+    assert _csv_text("test/1", table) == "\n".join(want) + "\n"
 
 
 def test_product_flow_columns(product_dir):
@@ -548,6 +555,71 @@ def test_run_then_check_agree(tmp_path, name):
         assert all(manifest["acceptance"].values())
 
 
+# the tables a run holds in memory are the tables its CSVs store
+ROUND_TRIP = {
+    "bundled-hirzebruch": (CONFIGS / "hirzebruch.cfg").read_text(),
+    "bundled-product": (CONFIGS / "product.cfg").read_text(),
+    "k2-skew": _hz("k = 2") + "\n[flow]\nshape = skew\n",
+    "record-stride-3": ((CONFIGS / "hirzebruch.cfg").read_text()
+                        + "\n[recording]\nstride = 3\n"
+                          "tracked_nodes = 0, 256, 511\n"),
+}
+
+
+def _assert_same_table(got, want):
+    """Same keys in the same order and the same float64 bytes in every
+    column, NaN matching NaN."""
+    assert list(got) == list(want)
+    for name in want:
+        a, b = got[name], want[name]
+        assert a.dtype == b.dtype == np.float64, name
+        nan = np.isnan(b)
+        assert np.array_equal(np.isnan(a), nan), name
+        assert a[~nan].tobytes() == b[~nan].tobytes(), name
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP))
+def test_run_tables_equal_the_stored_csvs(tmp_path, name):
+    config = parse_config(ROUND_TRIP[name])
+    run = run_flow(config.params, config.settings, config.shape)
+    manifest, _ = execute(config, tmp_path)
+    assert manifest["error"] is None
+    assert list(run.diagnostics) == list(DIAG_COLUMNS)
+    _assert_same_table(run.diagnostics,
+                       _read_csv(tmp_path / "diagnostics.csv", DIAG_COLUMNS))
+    _assert_same_table(_flow_table(run, config),
+                       _read_csv(tmp_path / "flow.csv",
+                                 _flow_columns(config)))
+
+
+def test_rerun_with_fewer_picks_removes_the_stale_rescaled_files(tmp_path):
+    # splitting is left out: two picks are too few to split
+    text = PRODUCT_CFG + ("\n[analysis]\n"
+                          "checks = closed_form,time_ratio,classification\n"
+                          "max_picks = ")
+    _, code = execute(parse_config(text + "6"), tmp_path)
+    assert code == 0
+    assert len(list(tmp_path.glob("rescaled_*.csv"))) == 6
+    manifest, code = execute(parse_config(text + "2"), tmp_path)
+    assert code == 0 and "analysis_note" in manifest
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "diagnostics.csv", "flow.csv", "manifest.json", "report.json"]
+    summary, code = check_run_dir(tmp_path)
+    assert code == 0 and summary["differs"] == []
+
+
+def test_check_names_a_stored_rescaled_file_without_a_pick(tmp_path,
+                                                           capsys):
+    out = tmp_path / "run"
+    _, code = execute(load_config(CONFIGS / "product.cfg"), out)
+    assert code == 0 and not (out / "rescaled_9.csv").exists()
+    (out / "rescaled_9.csv").write_bytes((out / "rescaled_0.csv").read_bytes())
+    summary, code = check_run_dir(out)
+    assert code == 1 and summary["differs"] == ["rescaled_9.csv"]
+    assert main(["check", str(out)]) == 1
+    assert "  rescaled_9.csv differs" in capsys.readouterr().out
+
+
 def test_check_product_closed_form(product_dir):
     out, _, _ = product_dir
     summary, code = check_run_dir(out)
@@ -657,3 +729,19 @@ def test_env_and_flag_precedence(tmp_path, monkeypatch, capsys):
     manifest = json.loads((flag_dir / "manifest.json").read_text())
     assert manifest["seed"] == 5
     assert manifest["output_dir"] == str(flag_dir)
+
+
+@pytest.mark.parametrize("argv,name,value", [
+    (["run", str(CONFIGS / "product.cfg")], "FIBERFLOW_SEED", "abc"),
+    (["sweep", str(CONFIGS / "sweep" / "hz_grid_096.cfg")],
+     "FIBERFLOW_WORKERS", "two"),
+], ids=["seed", "workers"])
+def test_malformed_environment_value_is_a_config_error(
+        tmp_path, monkeypatch, capsys, argv, name, value):
+    monkeypatch.setenv(name, value)
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and repr(value) in err
+    assert "Traceback" not in err
+    assert not out.exists()

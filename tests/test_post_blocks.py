@@ -2,7 +2,8 @@
 
 The reference below is a frozen copy of the per-state diagnostics and
 monitors that the block code replaced, with the same formulas in the same
-evaluation order, so every field must agree exactly (NaN with NaN).
+evaluation order, so every field must agree exactly with its column of
+the diagnostics table (NaN with NaN).
 """
 
 import math
@@ -12,9 +13,8 @@ import pytest
 
 from fiberflow import calabi_flow
 from fiberflow.calabi_flow import (
-    DiagnosticsSample,
+    DIAG_COLUMNS,
     HirzebruchParams,
-    MonitorReport,
     RunSettings,
     build_monitors,
     curvature_profiles,
@@ -89,7 +89,7 @@ def _ref_diagnostics(st, params, thr):
     mixed_sup = float(max(np.max(np.abs(prof["vhc_r"][supp])),
                           np.max(np.abs(prof["vhc_t"][supp]))))
     center = int(np.argmax(prof["v"]))
-    return DiagnosticsSample(
+    return dict(
         t=st.t,
         node=int(np.argmax(prof["rm"])),
         k_v_max=float(np.max(np.where(supp, prof["k_v"], -np.inf))),
@@ -145,7 +145,7 @@ def _ref_monitors(states, params):
     reports = []
     for idx, st in enumerate(states):
         grad_sup = 2.0 * k ** 2 * float(np.max(_ref_v(st, k)))
-        reports.append(MonitorReport(
+        reports.append(dict(
             t=st.t,
             heat_residual=float(residuals[idx]),
             min_f=float(np.min(st.f)),
@@ -163,22 +163,21 @@ def _ref_monitors(states, params):
 
 
 def _same(a, b) -> bool:
-    """Equal type and value, NaN matching NaN and 0.0 not matching -0.0."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, float):
-        if math.isnan(a) or math.isnan(b):
-            return math.isnan(a) and math.isnan(b)
-        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
-    return a == b
+    """Equal float64 bytes, NaN matching NaN (0.0 does not match -0.0)."""
+    a, b = np.float64(a), np.float64(b)
+    return (math.isnan(a) and math.isnan(b)) or a.tobytes() == b.tobytes()
 
 
-def _assert_rows_equal(got, want):
-    assert len(got) == len(want)
-    for i, (g, w) in enumerate(zip(got, want)):
-        for name in type(w).__dataclass_fields__:
-            a, b = getattr(g, name), getattr(w, name)
-            assert _same(a, b), f"row {i} {name}: {a!r} != {b!r}"
+def _assert_table_matches(table, want):
+    """Every field of every reference row, as a float64 (ints and bools
+    included), equals the entry of its column in the table."""
+    for name, col in table.items():
+        assert col.dtype == np.float64 and col.shape == (len(want),), name
+    for i, row in enumerate(want):
+        for name, value in row.items():
+            got = table[name][i]
+            assert _same(got, float(value)), (
+                f"row {i} {name}: {got!r} != {value!r}")
 
 
 GRID = 512
@@ -204,28 +203,29 @@ def test_block_diagnostics_and_monitors_match_per_state(case, thr):
     assert BLOCK > 2 and len(run.states) > LENGTHS[-1]
     for m in LENGTHS + (len(run.states),):
         states = run.states[-m:]
-        diags = diagnostics_series(states, params, thr)
-        _assert_rows_equal(diags, [_ref_diagnostics(s, params, thr)
-                                   for s in states])
-        monitors = build_monitors(states, params,
-                                  np.array([d.max_v for d in diags]))
-        _assert_rows_equal(monitors, _ref_monitors(states, params))
+        table = diagnostics_series(states, params, thr)
+        table.update(build_monitors(states, params, table["max_v"]))
+        assert tuple(table) == DIAG_COLUMNS
+        _assert_table_matches(table, [_ref_diagnostics(s, params, thr)
+                                      for s in states])
+        _assert_table_matches(table, _ref_monitors(states, params))
 
 
 def test_run_records_match_per_state(case):
     params, run = case
     thr = RunSettings().support_threshold
-    _assert_rows_equal(run.diagnostics,
-                       [_ref_diagnostics(s, params, thr) for s in run.states])
-    _assert_rows_equal(run.monitors, _ref_monitors(run.states, params))
+    assert tuple(run.diagnostics) == DIAG_COLUMNS
+    _assert_table_matches(run.diagnostics, [_ref_diagnostics(s, params, thr)
+                                            for s in run.states])
+    _assert_table_matches(run.diagnostics, _ref_monitors(run.states, params))
 
 
 @pytest.mark.parametrize("thr", [1e-3, 0.05])
 def test_one_row_functions_match_per_state(case, thr):
     params, run = case
     for st in (run.states[0], run.states[-1]):
-        _assert_rows_equal([profile_diagnostics(st, params, thr)],
-                           [_ref_diagnostics(st, params, thr)])
+        _assert_table_matches(profile_diagnostics(st, params, thr),
+                              [_ref_diagnostics(st, params, thr)])
         prof = curvature_profiles(st, params, thr)
         want = _ref_profiles(st, params, thr)
         for name, arr in want.items():

@@ -14,7 +14,6 @@ from fiberflow.calabi_flow import (
     curvature_profiles,
     run_flow,
 )
-from fiberflow.harness_cli import diagnostics_table
 from fiberflow.singularity_analyzer import (
     FIBER_LIMIT_TARGET,
     RESCALED_COLUMNS,
@@ -31,7 +30,6 @@ from fiberflow.singularity_analyzer import (
     classify_type,
     pick_blowup_sequence,
     rescale_series,
-    rescaled_csv_rows,
     splitting_report,
     synthetic_power_series,
 )
@@ -49,7 +47,7 @@ def prun():
 
 def _table(run):
     """The analyzer's input: the run's diagnostics table and stop time."""
-    return diagnostics_table(run), run.T_observed
+    return run.diagnostics, run.T_observed
 
 
 @pytest.fixture(scope="module")
@@ -135,10 +133,11 @@ def test_picks_use_the_run_support_threshold(mode):
     # each pick reads the support mask of the recorded diagnostics row at
     # its time, so its node and curvature are that row's argmax and max
     run = run_flow(HirzebruchParams(), RunSettings(support_threshold=0.05))
-    rows = {d.t: d for d in run.diagnostics}
+    diag = run.diagnostics
     seq = pick_blowup_sequence(*_table(run), mode)
     for p in seq.picks:
-        assert (p.node, p.curvature) == (rows[p.t].node, rows[p.t].rm_sup)
+        j = int(np.flatnonzero(diag["t"] == p.t)[0])
+        assert (p.node, p.curvature) == (diag["node"][j], diag["rm_sup"][j])
     for rp in rescale_series(*_table(run), seq).picks:
         assert rp.rm[rp.zero_index] == 1.0
 
@@ -193,19 +192,19 @@ def test_rescaling_laws_exact(hrun, htab):
     # and the sup carry 1/K, the A-norm square carries 1/K, the gradient
     # is invariant, the area carries K
     rs = rescale_series(*htab, pick_blowup_sequence(*htab))
-    ts = [d.t for d in hrun.diagnostics]
+    diag = hrun.diagnostics
     for rp in rs.picks:
         kk = rp.pick.curvature
-        rows = [hrun.diagnostics[ts.index(rp.pick.t + s / kk)]
-                for s in [rp.s[rp.zero_index]]]
-        d0 = rows[0]
         z = rp.zero_index
-        assert rp.rm[z] * kk == pytest.approx(d0.rm_sup, rel=1e-14)
-        assert rp.a_sq[z] * kk == pytest.approx(d0.a_sq_sup, rel=1e-14)
-        assert rp.horiz[z] * kk == pytest.approx(d0.horiz_sup, rel=1e-14)
-        assert rp.fiber_area[z] / kk == pytest.approx(d0.fiber_area,
+        t0 = rp.pick.t + rp.s[z] / kk
+        d0 = {name: col[list(diag["t"]).index(t0)]
+              for name, col in diag.items()}
+        assert rp.rm[z] * kk == pytest.approx(d0["rm_sup"], rel=1e-14)
+        assert rp.a_sq[z] * kk == pytest.approx(d0["a_sq_sup"], rel=1e-14)
+        assert rp.horiz[z] * kk == pytest.approx(d0["horiz_sup"], rel=1e-14)
+        assert rp.fiber_area[z] / kk == pytest.approx(d0["fiber_area"],
                                                       rel=1e-14)
-        assert rp.grad_ln_sq[z] == d0.grad_ln_sq_sup
+        assert rp.grad_ln_sq[z] == d0["grad_ln_sq_sup"]
 
 
 def test_window_shapes(hrun, htab):
@@ -345,11 +344,10 @@ def test_splitting_negative_control(hrun):
 # emission helpers
 
 
-def test_rescaled_csv_rows_shape(htab):
+def test_rescaled_columns_shape(htab):
     rs = rescale_series(*htab, pick_blowup_sequence(*htab))
-    rows = rescaled_csv_rows(rs.picks[0])
-    assert len(rows) == rs.picks[0].s.size
-    assert all(len(r) == len(RESCALED_COLUMNS) for r in rows)
+    for name in RESCALED_COLUMNS:
+        assert getattr(rs.picks[0], name).shape == rs.picks[0].s.shape
 
 
 def test_analysis_report_serializable(htab):
