@@ -151,6 +151,10 @@ class RunSettings:
             raise ConfigError("need stop_margin > 0 and v_floor >= 0")
         if self.record_stride < 1 or self.max_halvings < 0:
             raise ConfigError("need record_stride >= 1, max_halvings >= 0")
+        # with no Newton iteration or a tolerance no residual meets, every
+        # step is rejected and the run fails only after all its halvings
+        if self.newton_max_iter < 1 or self.newton_tol <= 0.0:
+            raise ConfigError("need newton_max_iter >= 1 and newton_tol > 0")
         if self.dt_fixed is not None and self.dt_fixed <= 0.0:
             raise ConfigError("dt_fixed must be positive when set")
         if self.support_threshold > 1.0:
@@ -1044,6 +1048,44 @@ def loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:
 
 # ---------------------------------------------------------------------------
 # chart reconstruction
+
+
+def _local_profile(state: FlowState
+                   ) -> Callable[[float], tuple[float, float, float, float]]:
+    """f and its first three rho-derivatives from the degree-5 polynomial
+    through the six nodes nearest rho, the window clipped at the grid
+    ends; numpy only.  The window's values are summed from the increments
+    `df`, so the derivatives keep full relative precision in the tails.
+
+    The profile is only continuous where the window moves, which the
+    pointwise identities of `chart_residuals` allow; the finite-difference
+    oracles difference the metric across points and need the C^4 spline
+    of `sampler_from_state`."""
+    rho, f, df = state.rho, state.f, state.df
+    h = rho[1] - rho[0]
+    scale = h ** np.arange(4.0)
+    last = rho.size - 6
+    # A window has scaled offsets u = -2..3 from its anchor node j + 2; the
+    # inverse of their Vandermonde matrix maps its values to the
+    # coefficients of u^0..u^5.  The d-th derivative of u^m is
+    # perm(m, d) u^(m - d), zero for d > m.  Built per profile, so that
+    # `import fiberflow` makes no LAPACK call.
+    inverse = np.linalg.inv(np.vander(np.arange(-2.0, 4.0), increasing=True))
+    falling = np.array([[math.perm(m, d) for m in range(6)]
+                        for d in range(4)], dtype=float)
+    power = np.maximum(np.arange(6) - np.arange(4)[:, None], 0)
+
+    def prof(r: float):
+        j = min(max(math.floor((r - rho[0]) / h) - 2, 0), last)
+        y = np.zeros(6)
+        np.cumsum(df[j:j + 5], out=y[1:])
+        coeff = inverse @ (y - y[2])
+        u = (r - rho[j + 2]) / h
+        p = (falling * u ** power) @ coeff / scale
+        return (float(f[j + 2] + p[0]), float(p[1]), float(p[2]),
+                float(p[3]))
+
+    return prof
 
 
 def sampler_from_state(state: FlowState, params: HirzebruchParams,

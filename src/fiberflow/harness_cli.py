@@ -44,14 +44,16 @@ from .calabi_flow import (
     HirzebruchParams,
     ProductParams,
     RunSettings,
+    _local_profile,
     hirzebruch_class,
     loglog_slope,
     predict_max_time,
     product_closed_form,
     run_flow,
-    sampler_from_state,
+    sampler_from_state,  # no caller here; perfbench/tracing.py wraps it
 )
 from .chart_geometry import (
+    calabi_sampler,
     check_kahler_compatibility,
     check_totally_geodesic,
 )
@@ -314,6 +316,14 @@ def parse_config(text: str) -> RunConfig:
             raise ValidationError(
                 "tracked_nodes", f"nodes {outside} outside the grid "
                                  f"0..{params.grid_points - 1}")
+        # flow.csv names a column per node; a repeated node would repeat one
+        repeated = sorted({i for i in tracked if tracked.count(i) > 1})
+        if repeated:
+            raise ValidationError(
+                "tracked_nodes", f"nodes {repeated} listed more than once")
+    elif "tracked_nodes" in rec_kv:
+        raise ValidationError(
+            "tracked_nodes", "only applies to the hirzebruch scenario")
 
     if "checks" not in ana_kv:
         ana_kv["checks"] = DEFAULT_CHECKS[scenario]
@@ -326,7 +336,15 @@ def parse_config(text: str) -> RunConfig:
         if needs is not None and needs != scenario:
             raise ValidationError(
                 name, f"check only applies to the {needs} scenario")
+    for key, value in ana_kv.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(key, f"must be finite, got {value!r}")
     analysis = AnalysisConfig(**ana_kv)
+    if analysis.max_picks < 1:
+        raise ValidationError("max_picks", "must be at least 1")
+    for key in ("span_decades", "window_cap"):
+        if getattr(analysis, key) <= 0.0:
+            raise ValidationError(key, "must be positive")
     if analysis.mode not in PICK_MODES:
         raise ValidationError(
             "mode", f"unknown pick mode {analysis.mode!r}"
@@ -556,8 +574,12 @@ def _acceptance(config: RunConfig, manifest: dict,
 
 
 def _check_chart_residuals(run: FlowRun, seed: int) -> bool:
+    """Kahler compatibility and totally geodesic fibers at 5 seeded chart
+    points of the middle recorded state.  Both are identities of the chart
+    metric at one point, so the numpy-only local profile serves."""
     state = run.states[len(run.states) // 2]
-    sampler = sampler_from_state(state, run.params)
+    sampler = calabi_sampler(_local_profile(state), n=run.params.n,
+                             k=run.params.k)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for pt in sampler.random_points(rng, 5):

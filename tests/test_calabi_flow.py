@@ -19,6 +19,7 @@ from fiberflow.calabi_flow import (
     RunSettings,
     StepRejected,
     WrongRegime,
+    _local_profile,
     build_monitors,
     curvature_profiles,
     heat_residual_order,
@@ -119,6 +120,24 @@ def test_init_profile_chart_residuals():
         blocks = samp.evaluate(pt)
         assert check_kahler_compatibility(blocks) <= 1e-8
         assert check_totally_geodesic(blocks) <= 1e-8
+
+
+def test_local_profile_reproduces_a_quintic():
+    """The six-node local polynomial is exact on a degree-5 polynomial, for
+    f and its first three derivatives, in the interior and in the clipped
+    windows of the first and last nodes."""
+    quintic = np.polynomial.Polynomial([1.5, 0.8, -0.3, 0.25, 0.1, -0.04])
+    rho = np.linspace(-1.0, 1.5, 24)
+    f = quintic(rho)
+    state = calabi_flow.FlowState(t=0.0, rho=rho, f=f, lower=f[0],
+                                  upper=f[-1], df=np.diff(f))
+    prof = _local_profile(state)
+    where = np.sort(np.concatenate([rho, (rho[1:] + rho[:-1]) / 2]))
+    got = np.array([prof(r) for r in where])
+    for d in range(4):
+        want = quintic.deriv(d)(where)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got[:, d] - want)) <= 1e-10 * scale, d
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +373,11 @@ def test_run_settings_validation():
         run_flow(HirzebruchParams(), RunSettings(stop_margin=0.0))
     with pytest.raises(ConfigError):
         run_flow(HirzebruchParams(), RunSettings(time_frac=1.5))
+    # either would reject every step, and fail only after all halvings
+    with pytest.raises(ConfigError, match="newton_max_iter"):
+        run_flow(HirzebruchParams(), RunSettings(newton_max_iter=0))
+    with pytest.raises(ConfigError, match="newton_tol"):
+        run_flow(HirzebruchParams(), RunSettings(newton_tol=0.0))
 
 
 def test_support_threshold_above_one_rejected():

@@ -1,16 +1,25 @@
 """Harness: config dialect, emission, exit codes, sweeps, re-checking."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fiberflow.calabi_flow import DIAG_COLUMNS, run_flow
+from fiberflow import harness_cli
+from fiberflow.calabi_flow import (
+    DIAG_COLUMNS,
+    HirzebruchParams,
+    RunSettings,
+    run_flow,
+)
+from fiberflow.chart_geometry import calabi_sampler, point_to_complex
 from fiberflow.harness_cli import (
     ParseError,
     RunDirError,
     ValidationError,
+    _check_chart_residuals,
     _csv_text,
     _flow_columns,
     _flow_table,
@@ -203,6 +212,50 @@ def test_hirzebruch_execute_passes(hz_dir):
     assert manifest["seed"] == 3
     rescaled = sorted(out.glob("rescaled_*.csv"))
     assert len(rescaled) >= 3
+
+
+@pytest.fixture(scope="module")
+def twist_runs():
+    """A short run for each twist k and initial shape."""
+    return {(k, shape): run_flow(HirzebruchParams(k=k, grid_points=256),
+                                 RunSettings(), shape=shape)
+            for k in (1, 2, 3) for shape in ("tanh", "skew")}
+
+
+@pytest.mark.parametrize("shape", ["tanh", "skew"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_chart_residuals_pass_for_each_twist_and_shape(twist_runs, k, shape):
+    assert _check_chart_residuals(twist_runs[k, shape], seed=k) is True
+
+
+EPS = 1e-6
+# Both residuals read the chart derivatives of the connection s, not its
+# value, so a mutated s carries the derivatives that follow from it.
+MUTATIONS = {
+    # s = k xi d_z(phi) becomes k (xi + EPS conj(xi)) d_z(phi): no longer
+    # holomorphic in xi, so d_xi conj(s) no longer vanishes
+    "s": lambda b, xi: replace(
+        b, s=b.s * (1 + EPS * xi.conjugate() / xi),
+        dsbar_dz=b.dsbar_dz * (1 + EPS * xi / xi.conjugate()),
+        dsbar_dxi=EPS * np.conj(b.s / xi)),
+    "dsbar_dz": lambda b, xi: replace(b, dsbar_dz=b.dsbar_dz * (1 + EPS)),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_chart_residuals_fail_on_a_mutated_connection(
+        monkeypatch, twist_runs, mutation):
+    def mutated_sampler(profile, n, k):
+        sampler = calabi_sampler(profile, n=n, k=k)
+
+        def evaluate(point):
+            xi = point_to_complex(point)[1]
+            return MUTATIONS[mutation](sampler.evaluate(point), xi)
+        return replace(sampler, evaluate=evaluate)
+
+    monkeypatch.setattr(harness_cli, "calabi_sampler", mutated_sampler)
+    for key, run in twist_runs.items():
+        assert _check_chart_residuals(run, seed=key[0]) is False, key
 
 
 def test_csv_headers_versioned(hz_dir):
@@ -694,6 +747,10 @@ def test_non_finite_values_are_config_errors(tmp_path):
     (("[params]\n", "[params]\nb0 = 3.5\n"), "params"),
     (("[analysis]\n", "[recording]\ntracked_nodes = 0, 256\n\n[analysis]\n"),
      "tracked_nodes"),
+    # flow.csv would fold the two f_node3 columns into one, and `check`
+    # would then reject the header it wrote
+    (("[analysis]\n", "[recording]\ntracked_nodes = 3, 3\n\n[analysis]\n"),
+     "tracked_nodes"),
 ])
 def test_run_time_config_errors_found_at_parse(tmp_path, capsys, edit, key):
     text = HZ_CFG.replace(*edit)
@@ -703,6 +760,40 @@ def test_run_time_config_errors_found_at_parse(tmp_path, capsys, edit, key):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario,edit,key", [
+    # every step is rejected: exit 3 after the run's halvings
+    ("hirzebruch", ("[flow]\n", "[flow]\nnewton_max_iter = 0\n"),
+     "newton_max_iter"),
+    ("hirzebruch", ("[flow]\n", "[flow]\nnewton_tol = -1\n"), "newton_tol"),
+    # an IndexError in the analysis: exit 3
+    ("hirzebruch", ("[analysis]\n", "[analysis]\nwindow_cap = -1\n"),
+     "window_cap"),
+    # no pick qualifies: an acceptance failure, exit 1
+    ("hirzebruch", ("max_picks = 6", "max_picks = 0"), "max_picks"),
+    ("hirzebruch", ("[analysis]\n", "[analysis]\nspan_decades = 0\n"),
+     "span_decades"),
+    # a NaN gate fails `monitors`: exit 1
+    ("hirzebruch", ("heat_tol = 0.005", "heat_tol = nan"), "heat_tol"),
+    # accepted as given: exit 0
+    ("hirzebruch", ("[analysis]\n", "[analysis]\nburst_cap = inf\n"),
+     "burst_cap"),
+    ("product", ("[flow]\n", "[recording]\ntracked_nodes = 0\n\n[flow]\n"),
+     "tracked_nodes"),
+])
+def test_values_that_fail_only_after_a_run_are_rejected_at_parse(
+        tmp_path, capsys, scenario, edit, key):
+    base = {"hirzebruch": HZ_CFG, "product": PRODUCT_CFG}[scenario]
+    text = base.replace(*edit)
+    assert text != base
+    with pytest.raises(ValidationError, match=key):
+        parse_config(text)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

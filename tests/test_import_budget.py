@@ -1,12 +1,15 @@
 """Import budget: scipy loads only where it is used.
 
-`sampler_from_state` is the one user of scipy.interpolate, whose import
-costs about 0.35 s; `import fiberflow`, `fiberflow check` and runs whose
-checks never build a chart must not load it.  `FlowProblem` is the one
-user of scipy.linalg (about 0.3 s), for the LAPACK tridiagonal solver:
-`import fiberflow` and `fiberflow check` never step the flow and must
-not load it.  The stages run in one fresh interpreter, in order, and
-each looks at `sys.modules`, so the test does not depend on timings.
+`sampler_from_state`, the quintic-spline chart of the oracles and tests,
+is the one user of scipy.interpolate, whose import costs about 0.35 s;
+`import fiberflow`, `fiberflow check` and every run must not load it,
+including a run of the bundled hirzebruch config, whose default
+`chart_residuals` check builds its chart from a numpy-only local profile.
+`FlowProblem` is the one user of scipy.linalg (about 0.3 s), for the
+LAPACK tridiagonal solver: `import fiberflow` and `fiberflow check` never
+step the flow and must not load it.  The stages run in one fresh
+interpreter, in order, and each looks at `sys.modules`, so the test does
+not depend on timings.
 """
 
 import json
@@ -39,16 +42,18 @@ from fiberflow import harness_cli
 code = harness_cli.main(["check", sys.argv[1]])
 stages["check"] = loaded()
 
-config = harness_cli.load_config(sys.argv[2])
-_, run_code = harness_cli.execute(config, Path(sys.argv[3]))
-stages["execute " + ",".join(config.analysis.checks)] = loaded()
+codes = [code]
+for cfg, out in ((sys.argv[2], sys.argv[3]), (sys.argv[4], sys.argv[5])):
+    config = harness_cli.load_config(cfg)
+    codes.append(harness_cli.execute(config, Path(out))[1])
+    stages["execute " + ",".join(config.analysis.checks)] = loaded()
 
 from fiberflow.calabi_flow import (HirzebruchParams, init_hirzebruch_profile,
                                    sampler_from_state)
 params = HirzebruchParams(grid_points=64)
 sampler_from_state(init_hirzebruch_profile(params), params)
 stages["sampler_from_state"] = loaded()
-print(json.dumps({"stages": stages, "codes": [code, run_code]}))
+print(json.dumps({"stages": stages, "codes": codes}))
 """
 
 
@@ -61,14 +66,17 @@ def test_scipy_interpolate_loads_only_for_chart_reconstruction(tmp_path):
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", STAGES, str(run_dir),
-         str(CONFIGS / "sweep" / "hz_grid_096.cfg"), str(tmp_path / "sweep")],
+         str(CONFIGS / "sweep" / "hz_grid_096.cfg"), str(tmp_path / "sweep"),
+         str(CONFIGS / "hirzebruch.cfg"), str(tmp_path / "bundled")],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0]
+    assert result["codes"] == [0, 0, 0]
     assert result["stages"] == {
         "import fiberflow": [],
         "check": [],
         "execute monitors,time_ratio": ["scipy.linalg"],
+        "execute monitors,time_ratio,classification,splitting,"
+        "chart_residuals": ["scipy.linalg"],
         "sampler_from_state": ["scipy.linalg", "scipy.interpolate"],
     }
