@@ -27,9 +27,13 @@ used as the oracle for everything downstream of the PDE.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import logging
 import math
+import os
 from dataclasses import dataclass, fields
+from importlib.machinery import PathFinder
 from typing import Callable, Sequence
 
 import numpy as np
@@ -377,9 +381,37 @@ def _to_increments(z: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _dgtsv():
+    """LAPACK `dgtsv` from scipy's extension module scipy.linalg._flapack,
+    loaded on its own and once per process.
+
+    Importing the scipy.linalg package to reach it takes about 0.3 s; the
+    extension alone takes a few ms and does not import scipy.  CPython
+    keeps one copy of a single-phase extension module, so this is the very
+    routine `get_lapack_funcs("gtsv", dtype=np.float64)` returns, in either
+    import order.  Where the extension is not found in scipy's (private)
+    layout, the routine comes through `get_lapack_funcs`."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    spec = scipy_spec and PathFinder.find_spec(
+        "scipy.linalg._flapack",
+        [os.path.join(d, "linalg")
+         for d in scipy_spec.submodule_search_locations])
+    if spec is not None:
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module.dgtsv
+        except (ImportError, AttributeError):
+            pass
+    from scipy.linalg import get_lapack_funcs
+    return get_lapack_funcs("gtsv", dtype=np.float64)
+
+
 def solve_banded(gtsv, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve the tridiagonal system held in `ab`, in the (1, 1) storage of
-    `scipy.linalg.solve_banded`, for `b` with the LAPACK routine `gtsv`.
+    `scipy.linalg.solve_banded`, for `b` with the LAPACK routine `gtsv`
+    (`_dgtsv()` for every `FlowProblem`).
 
     The bands and `b` are overwritten and the solution is returned in the
     storage of `b`.  scipy's `solve_banded((1, 1), ab, b)` calls the same
@@ -445,10 +477,8 @@ class FlowProblem:
         # matches no u.
         self._last_u = np.full(params.grid_points, np.nan)
         self._last_phi = np.empty(params.grid_points)
-        # Deferred: scipy.linalg takes ~0.3 s to import; only stepping uses it.
-        from scipy.linalg import get_lapack_funcs
-
-        self._gtsv = get_lapack_funcs("gtsv", dtype=np.float64)
+        # the LAPACK extension alone, not the ~0.3 s scipy.linalg import
+        self._gtsv = _dgtsv()
         # The Newton matrix, refilled by `_newton_matrix` for every update
         # because `solve_banded` overwrites it.  ab[0, 0] and ab[2, -1] lie
         # outside the matrix, where gtsv never writes, and stay zero.

@@ -28,7 +28,6 @@ import re
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -293,10 +292,13 @@ def parse_config(text: str) -> RunConfig:
         params = (HirzebruchParams(**param_kv) if scenario == "hirzebruch"
                   else ProductParams(**param_kv))
         params.validate()
-        settings = RunSettings(**flow_kv)
-        settings.validate()
-    except (ConfigError, FlowError) as exc:
+    except FlowError as exc:
         raise ValidationError("params", str(exc)) from exc
+    settings = RunSettings(**flow_kv)
+    try:
+        settings.validate()
+    except ConfigError as exc:
+        raise ValidationError("flow", str(exc)) from exc
     tracked = rec_kv.get("tracked_nodes", ())
     if scenario == "hirzebruch":
         if "grid_points" not in param_kv:
@@ -752,6 +754,10 @@ def run_sweep(configs: Sequence[tuple[str, RunConfig]], base_dir: str | Path,
     items = [(cfg, str(base / Path(name).stem), seed)
              for name, cfg in configs]
     if workers > 1 and len(items) > 1:
+        # Deferred: this import costs ~20 ms at startup; only a parallel
+        # sweep uses it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_execute_member, items))
     else:

@@ -1,5 +1,7 @@
 """Flow module: profiles, implicit stepping, monitors, closed forms."""
 
+import hashlib
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +50,8 @@ from fiberflow.oneill_curvature import (
     vertical_horizontal_curvature,
     vertical_sectional,
 )
-from fiberflow.harness_cli import load_config
+from fiberflow.harness_cli import load_config, main
+from test_golden_outputs import DIGESTS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -330,6 +333,77 @@ def test_newton_solves_are_counted_through_module_solve_banded(monkeypatch):
                         lambda *args: calls.append(1) or real(*args))
     run_flow(config.params, config.settings, shape=config.shape)
     assert len(calls) == 223
+
+
+@pytest.fixture
+def fresh_dgtsv():
+    """Drop the cached LAPACK routine before and after the test, so the
+    test loads it and no later test sees a monkeypatched route."""
+    calabi_flow._dgtsv.cache_clear()
+    yield
+    calabi_flow._dgtsv.cache_clear()
+
+
+def _bundled_run_digests(out: Path) -> dict[str, str]:
+    assert main(["run", str(CONFIGS / "hirzebruch.cfg"),
+                 "--output", str(out)]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.glob("*.csv")) + [out / "report.json"]}
+
+
+def test_direct_dgtsv_solves_the_bundled_newton_systems_like_scipy(
+        monkeypatch, fresh_dgtsv):
+    systems = []
+    real_init = FlowProblem.__init__
+
+    def recording_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        gtsv = self._gtsv
+
+        def recording(dl, d, du, b, **flags):
+            systems.append([x.copy() for x in (dl, d, du, b)])
+            return gtsv(dl, d, du, b, **flags)
+        self._gtsv = recording
+
+    monkeypatch.setattr(FlowProblem, "__init__", recording_init)
+    config = load_config(CONFIGS / "hirzebruch.cfg")
+    run_flow(config.params, config.settings, shape=config.shape)
+    assert len(systems) == 223
+    direct, lapack = calabi_flow._dgtsv(), _gtsv()
+    assert direct is lapack
+    for system in systems:
+        want = lapack(*[x.copy() for x in system])
+        got = direct(*[x.copy() for x in system])
+        assert want[4] == got[4] == 0
+        assert np.array_equal(got[3], want[3])
+
+
+def test_failed_direct_load_falls_back_to_get_lapack_funcs(
+        tmp_path, monkeypatch, fresh_dgtsv):
+    import scipy.linalg
+
+    class NoFinder:
+        @staticmethod
+        def find_spec(name, path=None, target=None):
+            return None
+
+    calls = []
+    real = scipy.linalg.get_lapack_funcs
+    monkeypatch.setattr(calabi_flow, "PathFinder", NoFinder)
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs",
+                        lambda *args, **kw: calls.append(args) or
+                        real(*args, **kw))
+    assert _bundled_run_digests(tmp_path / "run") == DIGESTS["hirzebruch"]
+    assert calls == [("gtsv",)]
+
+
+def test_direct_load_after_scipy_linalg_keeps_the_golden_bytes(
+        tmp_path, fresh_dgtsv):
+    params = HirzebruchParams(grid_points=64)
+    sampler_from_state(init_hirzebruch_profile(params), params)
+    assert "scipy.linalg" in sys.modules
+    assert _bundled_run_digests(tmp_path / "run") == DIGESTS["hirzebruch"]
+    assert calabi_flow._dgtsv() is _gtsv()
 
 
 def test_v_evolution_consistency(default_run):

@@ -763,6 +763,21 @@ def test_run_time_config_errors_found_at_parse(tmp_path, capsys, edit, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("line", [
+    "dt_max = nan", "newton_tol = -1", "support_threshold = 2"])
+def test_bad_flow_value_is_reported_under_flow(tmp_path, capsys, line):
+    text = HZ_CFG.replace("[flow]\n", f"[flow]\n{line}\n")
+    assert text != HZ_CFG
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    assert err.value.key == "flow"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    assert "config error: flow: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("scenario,edit,key", [
     # every step is rejected: exit 3 after the run's halvings
     ("hirzebruch", ("[flow]\n", "[flow]\nnewton_max_iter = 0\n"),

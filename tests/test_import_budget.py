@@ -1,17 +1,20 @@
-"""Import budget: scipy loads only where it is used.
+"""Import budget: scipy and the process pool load only where they are used.
 
 `sampler_from_state`, the quintic-spline chart of the oracles and tests,
 is the one user of scipy.interpolate, whose import costs about 0.35 s;
 `import fiberflow`, `fiberflow check` and every run must not load it,
 including a run of the bundled hirzebruch config, whose default
 `chart_residuals` check builds its chart from a numpy-only local profile.
-`FlowProblem` is the one user of scipy.linalg (about 0.3 s), for the
-LAPACK tridiagonal solver: `import fiberflow` and `fiberflow check` never
-step the flow and must not load it.  The stages run in one fresh
-interpreter, in order, and each looks at `sys.modules`, so the test does
-not depend on timings.
+The flow's Newton updates take LAPACK `dgtsv` from the extension module
+scipy.linalg._flapack, loaded on its own, so no stage but
+`sampler_from_state` loads the scipy package or scipy.linalg (about
+0.3 s): not `import fiberflow`, not `fiberflow check`, not `execute` or
+`fiberflow run` of a config.  `concurrent.futures.process` (about 20 ms)
+is for parallel sweeps only: `import fiberflow` and a one-worker
+`run_sweep` must not load it.  The stages run in one fresh interpreter,
+in order, and each looks at `sys.modules`, so the test does not depend
+on timings.
 """
-
 import json
 import os
 import subprocess
@@ -30,7 +33,8 @@ from pathlib import Path
 
 
 def loaded():
-    return [name for name in ("scipy.linalg", "scipy.interpolate")
+    return [name for name in ("scipy", "scipy.linalg", "scipy.interpolate",
+                              "concurrent.futures.process")
             if name in sys.modules]
 
 
@@ -43,10 +47,19 @@ code = harness_cli.main(["check", sys.argv[1]])
 stages["check"] = loaded()
 
 codes = [code]
-for cfg, out in ((sys.argv[2], sys.argv[3]), (sys.argv[4], sys.argv[5])):
+sweep_cfg, bundled_cfg, out = sys.argv[2], sys.argv[3], Path(sys.argv[4])
+for cfg in (sweep_cfg, bundled_cfg):
     config = harness_cli.load_config(cfg)
-    codes.append(harness_cli.execute(config, Path(out))[1])
+    codes.append(harness_cli.execute(config, out / Path(cfg).stem)[1])
     stages["execute " + ",".join(config.analysis.checks)] = loaded()
+
+codes.append(harness_cli.main(["run", bundled_cfg,
+                               "--output", str(out / "cli")]))
+stages["main run"] = loaded()
+
+members = [(cfg, harness_cli.load_config(cfg)) for cfg in sys.argv[5:]]
+codes.append(harness_cli.run_sweep(members, out / "sweep", workers=1)[1])
+stages["run_sweep workers=1"] = loaded()
 
 from fiberflow.calabi_flow import (HirzebruchParams, init_hirzebruch_profile,
                                    sampler_from_state)
@@ -66,17 +79,21 @@ def test_scipy_interpolate_loads_only_for_chart_reconstruction(tmp_path):
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", STAGES, str(run_dir),
-         str(CONFIGS / "sweep" / "hz_grid_096.cfg"), str(tmp_path / "sweep"),
-         str(CONFIGS / "hirzebruch.cfg"), str(tmp_path / "bundled")],
+         str(CONFIGS / "sweep" / "hz_grid_096.cfg"),
+         str(CONFIGS / "hirzebruch.cfg"), str(tmp_path / "stages"),
+         str(CONFIGS / "sweep" / "hz_grid_096.cfg"),
+         str(CONFIGS / "sweep" / "hz_grid_128.cfg")],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0, 0]
     assert result["stages"] == {
         "import fiberflow": [],
         "check": [],
-        "execute monitors,time_ratio": ["scipy.linalg"],
+        "execute monitors,time_ratio": [],
         "execute monitors,time_ratio,classification,splitting,"
-        "chart_residuals": ["scipy.linalg"],
-        "sampler_from_state": ["scipy.linalg", "scipy.interpolate"],
+        "chart_residuals": [],
+        "main run": [],
+        "run_sweep workers=1": [],
+        "sampler_from_state": ["scipy", "scipy.linalg", "scipy.interpolate"],
     }
