@@ -1082,58 +1082,88 @@ def loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:
 
 def _local_profile(state: FlowState
                    ) -> Callable[[float], tuple[float, float, float, float]]:
-    """f and its first three rho-derivatives from the degree-5 polynomial
-    through the six nodes nearest rho, the window clipped at the grid
-    ends; numpy only.  The window's values are summed from the increments
-    `df`, so the derivatives keep full relative precision in the tails.
+    """f and its first three rho-derivatives from a C^4 blend of local
+    quintics through the stored nodes; numpy only.
 
-    The profile is only continuous where the window moves, which the
-    pointwise identities of `chart_residuals` allow; the finite-difference
-    oracles difference the metric across points and need the C^4 spline
-    of `sampler_from_state`."""
+    On [rho_i, rho_i+1], with s = (rho - rho_i)/h, the profile blends the
+    degree-5 polynomials through the six nodes from j = i - 3 and from
+    j = i - 2 (each window clipped to the grid) with the degree-9
+    smoothstep w(s) = s^5 (126 - 420 s + 540 s^2 - 315 s^3 + 70 s^4),
+    whose first four derivatives vanish at s = 0 and 1.  Both windows hold
+    both ends of the interval, so the profile interpolates every node, is
+    exact on quintics and is C^4 across nodes: on either side of rho_i+1
+    it agrees with the window from i - 2 to fourth order.  At a clipped
+    end the two windows coincide and nothing is blended.  A window's
+    values are summed from the increments `df`, so the derivatives keep
+    full relative precision in the tails; its coefficients are computed
+    on first use and kept for the life of the profile."""
     rho, f, df = state.rho, state.f, state.df
-    h = rho[1] - rho[0]
-    scale = h ** np.arange(4.0)
+    rho0, h = float(rho[0]), float(rho[1] - rho[0])
     last = rho.size - 6
     # A window has scaled offsets u = -2..3 from its anchor node j + 2; the
     # inverse of their Vandermonde matrix maps its values to the
-    # coefficients of u^0..u^5.  The d-th derivative of u^m is
-    # perm(m, d) u^(m - d), zero for d > m.  Built per profile, so that
-    # `import fiberflow` makes no LAPACK call.
-    inverse = np.linalg.inv(np.vander(np.arange(-2.0, 4.0), increasing=True))
-    falling = np.array([[math.perm(m, d) for m in range(6)]
-                        for d in range(4)], dtype=float)
-    power = np.maximum(np.arange(6) - np.arange(4)[:, None], 0)
+    # coefficients of u^0..u^5, and `deriv` maps those to the coefficients
+    # of the rho-derivative.  Built per profile, so that `import fiberflow`
+    # makes no LAPACK call.
+    deriv = np.diag(np.arange(1.0, 6.0), 1) / h
+    lift = np.stack([np.linalg.matrix_power(deriv, d) for d in range(4)]
+                    ) @ np.linalg.inv(np.vander(np.arange(-2.0, 4.0),
+                                                increasing=True))
+    windows: dict[int, list[list[float]]] = {}
+
+    def window(j: int, u: float) -> list[float]:
+        """(p, p', p'', p''') at offset u of the quintic through nodes
+        j..j + 5 minus f[j + 2]; Horner's rule in plain floats, which is
+        a few times faster than numpy on six coefficients."""
+        rows = windows.get(j)
+        if rows is None:
+            y = np.zeros(6)
+            np.cumsum(df[j:j + 5], out=y[1:])
+            coeff = lift @ (y - y[2])
+            rows = windows[j] = [coeff[d, 5 - d::-1].tolist()
+                                 for d in range(4)]
+        out = []
+        for row in rows:
+            acc = 0.0
+            for c in row:
+                acc = acc * u + c
+            out.append(acc)
+        return out
 
     def prof(r: float):
-        j = min(max(math.floor((r - rho[0]) / h) - 2, 0), last)
-        y = np.zeros(6)
-        np.cumsum(df[j:j + 5], out=y[1:])
-        coeff = inverse @ (y - y[2])
-        u = (r - rho[j + 2]) / h
-        p = (falling * u ** power) @ coeff / scale
-        return (float(f[j + 2] + p[0]), float(p[1]), float(p[2]),
-                float(p[3]))
+        r = float(r)
+        i = min(max(math.floor((r - rho0) / h), 0), rho.size - 2)
+        s = (r - float(rho[i])) / h
+        j = min(max(i - 3, 0), last)
+        a0, a1, a2, a3 = window(j, s + (i - j - 2))
+        if j != min(max(i - 2, 0), last):
+            # p = a + w (b - a) by Leibniz's rule; the anchors of windows j
+            # and j + 1 differ by df[j + 2]
+            b0, b1, b2, b3 = window(j + 1, s + (i - j - 3))
+            d0, d1, d2, d3 = (b0 - a0 + float(df[j + 2]), b1 - a1, b2 - a2,
+                              b3 - a3)
+            # w and its first three rho-derivatives
+            st = s * (1.0 - s)
+            w0 = s ** 5 * (126.0 + s * (-420.0 + s * (540.0 + s * (
+                -315.0 + s * 70.0))))
+            w1 = 630.0 * st ** 4 / h
+            w2 = 2520.0 * st ** 3 * (1.0 - 2.0 * s) / h ** 2
+            w3 = 2520.0 * st ** 2 * (3.0 - 14.0 * st) / h ** 3
+            a0, a1, a2, a3 = (a0 + w0 * d0, a1 + w0 * d1 + w1 * d0,
+                              a2 + w0 * d2 + 2.0 * w1 * d1 + w2 * d0,
+                              a3 + w0 * d3 + 3.0 * (w1 * d2 + w2 * d1)
+                              + w3 * d0)
+        return float(f[j + 2]) + a0, a1, a2, a3
 
     return prof
 
 
 def sampler_from_state(state: FlowState, params: HirzebruchParams,
                        **sampler_kwargs) -> ChartSampler:
-    """Quintic-spline profile through the stored nodes, lifted to a full
-    chart sampler.  The spline metric is an honest member of the ansatz
-    family (any smooth increasing profile is), so chart-level identity
-    checks on it are valid regardless of PDE accuracy."""
-    # Deferred: this import costs ~0.35 s (273 modules) at startup.
-    from scipy.interpolate import make_interp_spline
-
-    spline = make_interp_spline(state.rho, state.f, k=5)
-    d1 = spline.derivative(1)
-    d2 = spline.derivative(2)
-    d3 = spline.derivative(3)
-
-    def prof(rho: float):
-        return (float(spline(rho)), float(d1(rho)), float(d2(rho)),
-                float(d3(rho)))
-
-    return calabi_sampler(prof, n=params.n, k=params.k, **sampler_kwargs)
+    """The chart sampler of `calabi_sampler` on the C^4 local profile of
+    the stored nodes (`_local_profile`); numpy only.  That metric is an
+    honest member of the ansatz family (any smooth increasing profile is),
+    so chart-level identity checks and finite-difference oracles on it are
+    valid regardless of PDE accuracy."""
+    return calabi_sampler(_local_profile(state), n=params.n, k=params.k,
+                          **sampler_kwargs)

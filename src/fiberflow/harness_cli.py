@@ -43,16 +43,14 @@ from .calabi_flow import (
     HirzebruchParams,
     ProductParams,
     RunSettings,
-    _local_profile,
     hirzebruch_class,
     loglog_slope,
     predict_max_time,
     product_closed_form,
     run_flow,
-    sampler_from_state,  # no caller here; perfbench/tracing.py wraps it
+    sampler_from_state,
 )
 from .chart_geometry import (
-    calabi_sampler,
     check_kahler_compatibility,
     check_totally_geodesic,
 )
@@ -287,6 +285,9 @@ def parse_config(text: str) -> RunConfig:
 
     shape = flow_kv.pop("shape", "tanh")
     if "stride" in rec_kv:
+        if rec_kv["stride"] < 1:
+            raise ValidationError("stride",
+                                  "must be at least 1 in [recording]")
         flow_kv["record_stride"] = rec_kv.pop("stride")
     try:
         params = (HirzebruchParams(**param_kv) if scenario == "hirzebruch"
@@ -577,11 +578,11 @@ def _acceptance(config: RunConfig, manifest: dict,
 
 def _check_chart_residuals(run: FlowRun, seed: int) -> bool:
     """Kahler compatibility and totally geodesic fibers at 5 seeded chart
-    points of the middle recorded state.  Both are identities of the chart
-    metric at one point, so the numpy-only local profile serves."""
-    state = run.states[len(run.states) // 2]
-    sampler = calabi_sampler(_local_profile(state), n=run.params.n,
-                             k=run.params.k)
+    points of the middle recorded state, on the chart of
+    `sampler_from_state`, the one chart profile of the package (numpy
+    only, so a run loads no scipy module for this check)."""
+    sampler = sampler_from_state(run.states[len(run.states) // 2],
+                                 run.params)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for pt in sampler.random_points(rng, 5):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fiberflow import harness_cli
+from fiberflow import calabi_flow, harness_cli
 from fiberflow.calabi_flow import (
     DIAG_COLUMNS,
     HirzebruchParams,
@@ -253,7 +253,8 @@ def test_chart_residuals_fail_on_a_mutated_connection(
             return MUTATIONS[mutation](sampler.evaluate(point), xi)
         return replace(sampler, evaluate=evaluate)
 
-    monkeypatch.setattr(harness_cli, "calabi_sampler", mutated_sampler)
+    # the chart of `sampler_from_state`, which `_check_chart_residuals` uses
+    monkeypatch.setattr(calabi_flow, "calabi_sampler", mutated_sampler)
     for key, run in twist_runs.items():
         assert _check_chart_residuals(run, seed=key[0]) is False, key
 
@@ -751,6 +752,8 @@ def test_non_finite_values_are_config_errors(tmp_path):
     # would then reject the header it wrote
     (("[analysis]\n", "[recording]\ntracked_nodes = 3, 3\n\n[analysis]\n"),
      "tracked_nodes"),
+    # reported under the key the file holds, not as RunSettings.record_stride
+    (("[analysis]\n", "[recording]\nstride = 0\n\n[analysis]\n"), "stride"),
 ])
 def test_run_time_config_errors_found_at_parse(tmp_path, capsys, edit, key):
     text = HZ_CFG.replace(*edit)

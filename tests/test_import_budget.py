@@ -1,19 +1,18 @@
 """Import budget: scipy and the process pool load only where they are used.
 
-`sampler_from_state`, the quintic-spline chart of the oracles and tests,
-is the one user of scipy.interpolate, whose import costs about 0.35 s;
-`import fiberflow`, `fiberflow check` and every run must not load it,
-including a run of the bundled hirzebruch config, whose default
-`chart_residuals` check builds its chart from a numpy-only local profile.
-The flow's Newton updates take LAPACK `dgtsv` from the extension module
-scipy.linalg._flapack, loaded on its own, so no stage but
-`sampler_from_state` loads the scipy package or scipy.linalg (about
-0.3 s): not `import fiberflow`, not `fiberflow check`, not `execute` or
-`fiberflow run` of a config.  `concurrent.futures.process` (about 20 ms)
-is for parallel sweeps only: `import fiberflow` and a one-worker
-`run_sweep` must not load it.  The stages run in one fresh interpreter,
-in order, and each looks at `sys.modules`, so the test does not depend
-on timings.
+No module of the package imports scipy.interpolate (about 0.8 s): the
+chart of `sampler_from_state`, which the finite-difference oracles, the
+tests and the default `chart_residuals` check all use, is a numpy-only
+C^4 blend of local quintics.  The flow's Newton updates take LAPACK
+`dgtsv` from the extension module scipy.linalg._flapack, loaded on its
+own, so no stage loads the scipy package or scipy.linalg (about 0.3 s):
+not `import fiberflow`, not `fiberflow check`, not `execute` or
+`fiberflow run` of a config, not `sampler_from_state` and one oracle
+point on its chart.  `concurrent.futures.process` (about 20 ms) is for
+parallel sweeps only: `import fiberflow` and a one-worker `run_sweep`
+must not load it.  The stages run in one fresh interpreter, in order,
+and each looks at `sys.modules`, so the test does not depend on
+timings.
 """
 import json
 import os
@@ -63,14 +62,21 @@ stages["run_sweep workers=1"] = loaded()
 
 from fiberflow.calabi_flow import (HirzebruchParams, init_hirzebruch_profile,
                                    sampler_from_state)
+from fiberflow.chart_geometry import fd_ricci_oracle
+from fiberflow.oneill_curvature import frame_point, mixed_curvature_residuals
+import numpy as np
 params = HirzebruchParams(grid_points=64)
-sampler_from_state(init_hirzebruch_profile(params), params)
+sampler = sampler_from_state(init_hirzebruch_profile(params), params)
 stages["sampler_from_state"] = loaded()
+point = sampler.random_points(np.random.default_rng(0), 1)[0]
+fd_ricci_oracle(sampler, point, richardson=True)
+mixed_curvature_residuals(frame_point(sampler, point))
+stages["oracle point"] = loaded()
 print(json.dumps({"stages": stages, "codes": codes}))
 """
 
 
-def test_scipy_interpolate_loads_only_for_chart_reconstruction(tmp_path):
+def test_no_stage_loads_scipy_or_the_process_pool(tmp_path):
     run_dir = tmp_path / "hirzebruch"
     assert main(["run", str(CONFIGS / "hirzebruch.cfg"),
                  "--output", str(run_dir)]) == 0
@@ -95,5 +101,6 @@ def test_scipy_interpolate_loads_only_for_chart_reconstruction(tmp_path):
         "chart_residuals": [],
         "main run": [],
         "run_sweep workers=1": [],
-        "sampler_from_state": ["scipy", "scipy.linalg", "scipy.interpolate"],
+        "sampler_from_state": [],
+        "oracle point": [],
     }
