@@ -284,40 +284,7 @@ def predict_max_time(cls: CohomologyClass) -> tuple[float, CohomologyClass]:
 # initial profiles
 
 
-def logistic_profile(lower: float, width: float
-                     ) -> Callable[[float], tuple[float, float, float, float]]:
-    """f = lower + width * sigma(rho) with three derivatives; tails have
-    ratio f_rr/f_r -> +-1 exactly, which the pole closure needs.  The
-    callable broadcasts over an array of rho."""
-
-    def prof(rho: float):
-        sig = 1.0 / (1.0 + np.exp(-rho))
-        s1 = sig * (1.0 - sig)
-        s2 = s1 * (1.0 - 2.0 * sig)
-        s3 = s2 * (1.0 - 2.0 * sig) - 2.0 * s1 * s1
-        return (lower + width * sig, width * s1, width * s2, width * s3)
-
-    return prof
-
-
-def skew_profile(lower: float, width: float, mix: float = 0.35,
-                 shift: float = 1.2
-                 ) -> Callable[[float], tuple[float, float, float, float]]:
-    """Mixture of two shifted logistics: asymmetric but keeps unit tail
-    rates, so the same endpoint dynamics apply."""
-    p0 = logistic_profile(0.0, (1.0 - mix) * width)
-    p1 = logistic_profile(0.0, mix * width)
-
-    def prof(rho: float):
-        a = p0(rho)
-        b = p1(rho - shift)
-        return tuple(lower * (i == 0) + x + y for i, (x, y) in
-                     enumerate(zip(a, b)))
-
-    return prof
-
-
-def _sigma_increments(rho: np.ndarray, shift: float = 0.0) -> np.ndarray:
+def _sigma_increments(rho: np.ndarray, shift: float) -> np.ndarray:
     """sigma(b - shift) - sigma(a - shift) over grid cells, evaluated as
     sigma(b) (1 - sigma(a)) (1 - e^(a-b)): exact identity, every factor at
     full relative precision however deep in the tails a and b sit."""
@@ -328,32 +295,27 @@ def _sigma_increments(rho: np.ndarray, shift: float = 0.0) -> np.ndarray:
     return sig_b * com_a * (-np.expm1(a - b))
 
 
-def _tanh_increments(rho: np.ndarray, width: float) -> np.ndarray:
-    return width * _sigma_increments(rho)
-
-
-def _skew_increments(rho: np.ndarray, width: float, mix: float = 0.35,
-                     shift: float = 1.2) -> np.ndarray:
-    return ((1.0 - mix) * width * _sigma_increments(rho)
-            + mix * width * _sigma_increments(rho, shift))
-
-
-PROFILE_SHAPES = {"tanh": logistic_profile, "skew": skew_profile}
-_PROFILE_INCREMENTS = {"tanh": _tanh_increments, "skew": _skew_increments}
+# Each initial shape is a sum of logistic steps (weight, shift): f = lower
+# + sum of weight * width * sigma(rho - shift).  Every step has the tail
+# ratios f_rr/f_r -> +-1 exactly that the pole closure needs.
+PROFILE_SHAPES = {"tanh": ((1.0, 0.0),),
+                  "skew": ((1.0 - 0.35, 0.0), (0.35, 1.2))}
 
 
 def init_hirzebruch_profile(params: HirzebruchParams,
                             shape: str = "tanh") -> FlowState:
+    """The initial state of `shape`; f and `df` sum its steps in order."""
     params.validate()
     if shape not in PROFILE_SHAPES:
         raise BadProfile(f"unknown shape {shape!r}")
     lower = params.k * params.a0
     upper = params.k * params.b0
     width = upper - lower
-    prof = PROFILE_SHAPES[shape](lower, width)
     rho = np.linspace(-params.L, params.L, params.grid_points)
-    f = prof(rho)[0]
-    df = _PROFILE_INCREMENTS[shape](rho, width)
+    f, df = lower, 0.0
+    for w, c in PROFILE_SHAPES[shape]:
+        f = f + (w * width) * (1.0 / (1.0 + np.exp(-(rho - c))))
+        df = df + (w * width) * _sigma_increments(rho, c)
     state = FlowState(t=0.0, rho=rho, f=f, lower=lower, upper=upper, df=df)
     state.validate()
     if abs(f[0] - lower) > 1e-6 or abs(f[-1] - upper) > 1e-6:
@@ -708,35 +670,14 @@ def _d2(arr: np.ndarray, d: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class CurvatureProfiles:
-    """Per-node curvature arrays at one recorded time.
-
-    Arrays outside the support mask hold zeros rather than the raw
-    stencil values: fiber curvature divides stencils of ln v by v, which
-    amplifies noise where v underflows.
-    """
-
-    t: float
-    rho: np.ndarray
-    v: np.ndarray
-    supp: np.ndarray
-    k_v: np.ndarray
-    grad_ln_sq: np.ndarray
-    a_sq: np.ndarray
-    kappa_h: np.ndarray
-    vhc_r: np.ndarray
-    vhc_t: np.ndarray
-    rm: np.ndarray
-    width: float
-    area: float
-
-
 def _curvature_rows(f: np.ndarray, v: np.ndarray, d: float,
                     params: HirzebruchParams,
                     support_threshold: float) -> dict[str, np.ndarray]:
-    """The per-node arrays of `CurvatureProfiles` for rows of nodal f and
-    v; the support mask is v >= threshold * (max v of the row)."""
+    """Per-node curvature arrays, keyed as returned, for rows of nodal f
+    and v; the support mask `supp` is v >= threshold * (max v of the row).
+    Outside it k_v, rm and the Hessian terms of vhc_r and vhc_t are zeros
+    rather than raw stencil values: fiber curvature divides stencils of
+    ln v by v, which amplifies noise where v underflows."""
     if params.n != 1:
         raise FlowError("profile diagnostics implemented over surface bases")
     k = params.k
@@ -766,16 +707,18 @@ def _curvature_rows(f: np.ndarray, v: np.ndarray, d: float,
 
 
 def curvature_profiles(state: FlowState, params: HirzebruchParams,
-                       support_threshold: float = 1e-3) -> CurvatureProfiles:
-    """Curvature arrays from the profile alone (no chart reconstruction)."""
+                       support_threshold: float = 1e-3
+                       ) -> dict[str, np.ndarray | float]:
+    """The `_curvature_rows` arrays of one state, from the profile alone (no
+    chart reconstruction), with its time `t`, grid `rho`, fiber `width`
+    and fiber `area`."""
     rows = _curvature_rows(state.f[None], state.v_profile(params.k)[None],
                            state.rho[1] - state.rho[0], params,
                            support_threshold)
     width = float(state.upper - state.lower)
-    return CurvatureProfiles(
-        t=state.t, rho=state.rho, width=width,
-        area=float(2.0 * np.pi * width / params.k),
-        **{name: arr[0] for name, arr in rows.items()})
+    return {name: arr[0] for name, arr in rows.items()} | {
+        "t": state.t, "rho": state.rho, "width": width,
+        "area": float(2.0 * np.pi * width / params.k)}
 
 
 def diagnostics_series(states: Sequence[FlowState], params: HirzebruchParams,
@@ -1048,29 +991,6 @@ def _run_hirzebruch(params: HirzebruchParams, settings: RunSettings,
                    stop_reason=stop_reason)
 
 
-def heat_residual_order(params: HirzebruchParams,
-                        grids: Sequence[int] = (128, 256, 512),
-                        stop_margin: float = 0.25,
-                        dt_factor: float = 0.35
-                        ) -> tuple[list[tuple[float, float]], float]:
-    """Max heat residual per grid with dt tied to drho^2, plus the fitted
-    log-log convergence order.  Expected ~2 for the TR-BDF2 + central
-    stencil pair."""
-    points = []
-    for n_pts in grids:
-        run_params = HirzebruchParams(
-            a0=params.a0, b0=params.b0, n=params.n, k=params.k,
-            R_h=params.R_h, L=params.L, grid_points=int(n_pts))
-        drho = 2.0 * params.L / (n_pts - 1)
-        settings = RunSettings(dt_fixed=dt_factor * drho ** 2,
-                               stop_margin=stop_margin)
-        run = run_flow(run_params, settings)
-        resid = float(np.nanmax(run.diagnostics["heat_residual"]))
-        points.append((drho, resid))
-    order = loglog_slope([p[0] for p in points], [p[1] for p in points])
-    return points, order
-
-
 def loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:
     """Slope of the least-squares line through (ln x, ln y)."""
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
@@ -1158,12 +1078,11 @@ def _local_profile(state: FlowState
     return prof
 
 
-def sampler_from_state(state: FlowState, params: HirzebruchParams,
-                       **sampler_kwargs) -> ChartSampler:
+def sampler_from_state(state: FlowState,
+                       params: HirzebruchParams) -> ChartSampler:
     """The chart sampler of `calabi_sampler` on the C^4 local profile of
     the stored nodes (`_local_profile`); numpy only.  That metric is an
     honest member of the ansatz family (any smooth increasing profile is),
     so chart-level identity checks and finite-difference oracles on it are
     valid regardless of PDE accuracy."""
-    return calabi_sampler(_local_profile(state), n=params.n, k=params.k,
-                          **sampler_kwargs)
+    return calabi_sampler(_local_profile(state), n=params.n, k=params.k)

@@ -480,14 +480,14 @@ class ChartSampler:
         return rng.uniform(lo, hi, size=(count, self.domain.shape[0]))
 
 
-def _box(n: int, z_half: float, xi_re: tuple[float, float],
-         xi_im: tuple[float, float]) -> np.ndarray:
+def _box(n: int, z_bound: float, re_range: tuple[float, float],
+         im_range: tuple[float, float]) -> np.ndarray:
     box = []
     for _ in range(n):
-        box.append([-z_half, z_half])
-        box.append([-z_half, z_half])
-    box.append(list(xi_re))
-    box.append(list(xi_im))
+        box.append([-z_bound, z_bound])
+        box.append([-z_bound, z_bound])
+    box.append(list(re_range))
+    box.append(list(im_range))
     return np.array(box)
 
 
@@ -532,11 +532,13 @@ def product_sampler(base_size: float = 3.0, fiber_size: float = 1.0,
                         domain=_box(n, 0.5, (-0.9, 0.9), (-0.9, 0.9)))
 
 
+# The chart box of `calabi_sampler` as `_box` takes it after n: |Re z_i|,
+# |Im z_i| <= 0.35, Re xi in [0.65, 1.45] and Im xi in [-0.35, 0.35].
+_CALABI_BOX = (0.35, (0.65, 1.45), (-0.35, 0.35))
+
+
 def calabi_sampler(profile: Callable[[float], tuple[float, float, float, float]],
-                   n: int = 1, k: int = 1,
-                   z_half: float = 0.35,
-                   xi_re: tuple[float, float] = (0.65, 1.45),
-                   xi_im: tuple[float, float] = (-0.35, 0.35)) -> ChartSampler:
+                   n: int = 1, k: int = 1) -> ChartSampler:
     """Calabi-symmetric metric on a twisted fiber chart over Fubini-Study.
 
     The potential depends on rho = ln|xi|^2 + k ln(1+|z|^2) only; `profile`
@@ -575,7 +577,7 @@ def calabi_sampler(profile: Callable[[float], tuple[float, float, float, float]]
             dg_dxi=complex(dg), d2g=float(d2g))
 
     return ChartSampler(n=n, evaluate=evaluate,
-                        domain=_box(n, z_half, xi_re, xi_im))
+                        domain=_box(n, *_CALABI_BOX))
 
 
 # ---------------------------------------------------------------------------

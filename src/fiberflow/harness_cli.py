@@ -37,6 +37,7 @@ import numpy as np
 from . import __version__
 from .calabi_flow import (
     DIAG_COLUMNS,
+    PROFILE_SHAPES,
     ConfigError,
     FlowError,
     FlowRun,
@@ -111,20 +112,8 @@ class RunDirError(Exception):
 # config schema
 
 
-def _to_int(s: str) -> int:
-    return int(s, 10)
-
-
-def _to_float(s: str) -> float:
-    return float(s)
-
-
 def _to_opt_float(s: str) -> float | None:
     return None if s == "" else float(s)
-
-
-def _to_str(s: str) -> str:
-    return s
 
 
 def _to_int_tuple(s: str) -> tuple[int, ...]:
@@ -135,36 +124,31 @@ def _to_str_tuple(s: str) -> tuple[str, ...]:
     return tuple(x.strip() for x in s.split(",") if x.strip())
 
 
-RUN_KEYS: dict[str, Callable] = {"scenario": _to_str, "output_dir": _to_str}
+RUN_KEYS: dict[str, Callable] = {"scenario": str, "output_dir": str}
 
 PARAM_KEYS: dict[str, dict[str, Callable]] = {
-    "product": {"f0": _to_float, "c0": _to_float, "n": _to_int,
-                "R_h": _to_opt_float},
-    "hirzebruch": {"a0": _to_float, "b0": _to_float, "n": _to_int,
-                   "k": _to_int, "R_h": _to_opt_float, "L": _to_float,
-                   "grid_points": _to_int},
+    "product": {"f0": float, "c0": float, "n": int, "R_h": _to_opt_float},
+    "hirzebruch": {"a0": float, "b0": float, "n": int, "k": int,
+                   "R_h": _to_opt_float, "L": float, "grid_points": int},
 }
 
 FLOW_KEYS: dict[str, Callable] = {
-    "dt_max": _to_float, "time_frac": _to_float, "stop_margin": _to_float,
-    "v_floor": _to_float, "newton_tol": _to_float, "newton_max_iter": _to_int,
-    "max_halvings": _to_int, "support_threshold": _to_float,
-    "dt_fixed": _to_opt_float, "shape": _to_str,
+    "dt_max": float, "time_frac": float, "stop_margin": float,
+    "v_floor": float, "newton_tol": float, "newton_max_iter": int,
+    "max_halvings": int, "support_threshold": float,
+    "dt_fixed": _to_opt_float, "shape": str,
 }
 
 RECORDING_KEYS: dict[str, Callable] = {
-    "stride": _to_int, "tracked_nodes": _to_int_tuple,
+    "stride": int, "tracked_nodes": _to_int_tuple,
 }
 
 ANALYSIS_KEYS: dict[str, Callable] = {
-    "mode": _to_str, "max_picks": _to_int, "span_decades": _to_float,
-    "window_cap": _to_float, "slope_bounded": _to_float,
-    "slope_diverging": _to_float, "burst_cap": _to_float,
-    "heat_tol": _to_float, "checks": _to_str_tuple, "seed": _to_int,
+    "mode": str, "max_picks": int, "span_decades": float,
+    "window_cap": float, "slope_bounded": float, "slope_diverging": float,
+    "burst_cap": float, "heat_tol": float, "checks": _to_str_tuple,
+    "seed": int,
 }
-
-SECTION_KEYS = {"run": RUN_KEYS, "flow": FLOW_KEYS,
-                "recording": RECORDING_KEYS, "analysis": ANALYSIS_KEYS}
 
 CHECK_NAMES = ("monitors", "time_ratio", "classification", "splitting",
                "chart_residuals", "closed_form")
@@ -277,13 +261,23 @@ def parse_config(text: str) -> RunConfig:
         raise ValidationError(
             "scenario", f"unknown scenario {scenario!r}"
                         f"{_suggestion(scenario, list(PARAM_KEYS))}")
+    if run_kv.get("output_dir") == "":
+        # Path("") is the current directory, which the run would fill
+        raise ValidationError("output_dir", "empty value in [run]")
 
     param_kv = _take(sections, "params", PARAM_KEYS[scenario])
     flow_kv = _take(sections, "flow", FLOW_KEYS)
     rec_kv = _take(sections, "recording", RECORDING_KEYS)
     ana_kv = _take(sections, "analysis", ANALYSIS_KEYS)
 
+    if "shape" in flow_kv and scenario != "hirzebruch":
+        raise ValidationError(
+            "shape", "only applies to the hirzebruch scenario")
     shape = flow_kv.pop("shape", "tanh")
+    if shape not in PROFILE_SHAPES:
+        raise ValidationError(
+            "shape", f"unknown shape {shape!r}"
+                     f"{_suggestion(shape, list(PROFILE_SHAPES))}")
     if "stride" in rec_kv:
         if rec_kv["stride"] < 1:
             raise ValidationError("stride",
@@ -348,6 +342,12 @@ def parse_config(text: str) -> RunConfig:
     for key in ("span_decades", "window_cap"):
         if getattr(analysis, key) <= 0.0:
             raise ValidationError(key, "must be positive")
+    # a heat residual is never negative, and a burst (max over median) is
+    # never below 1: either gate could then never pass
+    if analysis.heat_tol < 0.0:
+        raise ValidationError("heat_tol", "must be at least 0")
+    if analysis.burst_cap < 1.0:
+        raise ValidationError("burst_cap", "must be at least 1")
     if analysis.mode not in PICK_MODES:
         raise ValidationError(
             "mode", f"unknown pick mode {analysis.mode!r}"

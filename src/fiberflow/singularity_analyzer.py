@@ -27,6 +27,11 @@ import numpy as np
 from .calabi_flow import curvature_profiles, loglog_slope
 
 FIBER_LIMIT_TARGET = 4.0 * np.pi
+# splitting_report's gates: |A-norm exponent + 1|, the final rescaled
+# horizontal max, and the fiber product's relative distance from the target
+A_EXPONENT_TOL = 0.25
+HORIZ_TOL = 0.05
+FIBER_TOL = 0.05
 
 PICK_MODES = ("typeI_max_curvature", "typeII_supremum")
 
@@ -104,10 +109,7 @@ class RescaledSeries:
 
 @dataclass(frozen=True)
 class TypeReport:
-    times: np.ndarray
-    sup_series: np.ndarray
-    tail_times: np.ndarray
-    tail_values: np.ndarray
+    tail_samples: int
     classification: str
     plateau_value: float
     trend_slope: float
@@ -122,7 +124,7 @@ class TypeReport:
             "plateau_value": self.plateau_value,
             "trend_slope": self.trend_slope,
             "burst": self.burst,
-            "tail_samples": int(self.tail_times.size),
+            "tail_samples": self.tail_samples,
             "thresholds": {
                 "slope_bounded": self.slope_bounded,
                 "slope_diverging": self.slope_diverging,
@@ -136,7 +138,6 @@ class SplittingReport:
     mode: str
     curvatures: np.ndarray
     rescaled_a_norm: np.ndarray
-    rescaled_a_sq: np.ndarray
     a_decay_exponent: float
     a_identically_zero: bool
     rescaled_horiz: np.ndarray
@@ -313,8 +314,8 @@ def classify_sup_series(times: np.ndarray, rm_sup: np.ndarray,
     rm_sup = np.asarray(rm_sup, dtype=float)
     rem = T_observed - times
     ok = (rem > 0.0) & (rm_sup > 0.0)
-    times, rem, rm_sup = times[ok], rem[ok], rm_sup[ok]
-    if times.size < 4:
+    rem, rm_sup = rem[ok], rm_sup[ok]
+    if rem.size < 4:
         raise TooFewSamples("need at least 4 samples before the stop time")
     vals = rem * rm_sup
 
@@ -334,10 +335,10 @@ def classify_sup_series(times: np.ndarray, rm_sup: np.ndarray,
     else:
         cls = "Inconclusive"
     return TypeReport(
-        times=times, sup_series=vals, tail_times=times[tail],
-        tail_values=tv, classification=cls, plateau_value=plateau,
-        trend_slope=trend, burst=burst, slope_bounded=slope_bounded,
-        slope_diverging=slope_diverging, burst_cap=burst_cap)
+        tail_samples=tv.size, classification=cls,
+        plateau_value=plateau, trend_slope=trend, burst=burst,
+        slope_bounded=slope_bounded, slope_diverging=slope_diverging,
+        burst_cap=burst_cap)
 
 
 def classify_type(diag: dict[str, np.ndarray], T_observed: float,
@@ -359,9 +360,7 @@ def synthetic_power_series(alpha: float, T: float = 0.5,
 # splitting report
 
 
-def splitting_report(rs: RescaledSeries, a_exponent_tol: float = 0.25,
-                     horiz_tol: float = 0.05,
-                     fiber_tol: float = 0.05) -> SplittingReport:
+def splitting_report(rs: RescaledSeries) -> SplittingReport:
     """Certify the measurable precursors of the collapsed-fiber limit.
 
     (i) the rescaled A-norm dies like 1/K_i (exponent -1 against K_i),
@@ -389,9 +388,9 @@ def splitting_report(rs: RescaledSeries, a_exponent_tol: float = 0.25,
     horiz_final = float(horiz0[-1])
     fiber_final = float(fiber[-1])
 
-    a_ok = a_zero or abs(a_exp + 1.0) <= a_exponent_tol
-    horiz_ok = horiz_final <= horiz_tol
-    fiber_ok = abs(fiber_final / FIBER_LIMIT_TARGET - 1.0) <= fiber_tol
+    a_ok = a_zero or abs(a_exp + 1.0) <= A_EXPONENT_TOL
+    horiz_ok = horiz_final <= HORIZ_TOL
+    fiber_ok = abs(fiber_final / FIBER_LIMIT_TARGET - 1.0) <= FIBER_TOL
     splits = bool(a_ok and horiz_ok and fiber_ok)
     if splits:
         verdict = ("splitting: A-tensor vanishes identically" if a_zero
@@ -408,7 +407,7 @@ def splitting_report(rs: RescaledSeries, a_exponent_tol: float = 0.25,
 
     return SplittingReport(
         mode=rs.mode, curvatures=ks, rescaled_a_norm=a_norm0,
-        rescaled_a_sq=a_sq0, a_decay_exponent=a_exp,
+        a_decay_exponent=a_exp,
         a_identically_zero=a_zero, rescaled_horiz=horiz0,
         horiz_decay_exponent=horiz_exp, horiz_final=horiz_final,
         rescaled_mixed_max=mixed_max, fiber_products=fiber,

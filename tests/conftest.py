@@ -1,4 +1,5 @@
-"""Shared test helpers: independent profile constructions and random data.
+"""Shared test helpers: independent profile constructions, the
+grid-refinement sweep behind the convergence-order tests, and random data.
 
 The logistic profile here is written from scratch so tests do not lean on
 the library's own profile code when checking library output.
@@ -7,6 +8,7 @@ the library's own profile code when checking library output.
 import numpy as np
 
 from fiberflow.chart_geometry import BaseMetric, ChartMetricBlocks
+from fiberflow.harness_cli import parse_config, run_sweep
 
 
 def make_logistic(lower, width):
@@ -17,6 +19,25 @@ def make_logistic(lower, width):
         s3 = s2 * (1.0 - 2.0 * sig) - 2.0 * s1 * s1
         return lower + width * sig, width * s1, width * s2, width * s3
     return prof
+
+
+def grid_member(n):
+    """Config text of a grid-refinement sweep member on n nodes, with dt
+    tied to 0.35 drho^2 (written with repr, so it parses to that float)."""
+    drho = 40.0 / (n - 1)
+    return (f"[run]\nscenario = hirzebruch\n\n"
+            f"[params]\ngrid_points = {n}\n\n"
+            f"[flow]\ndt_fixed = {0.35 * drho ** 2!r}\n"
+            f"stop_margin = 0.25\n\n"
+            f"[analysis]\nheat_tol = 0.05\nchecks = monitors,time_ratio\n")
+
+
+def grid_sweep(base_dir, grids=(128, 256, 512), workers=1):
+    """The summary of `run_sweep` over the `grid_member` configs of grids,
+    with its members in the order of grids."""
+    configs = [(f"grid_{n}.cfg", parse_config(grid_member(n))) for n in grids]
+    summary, _ = run_sweep(configs, base_dir, workers=workers)
+    return summary
 
 
 def random_structured_blocks(rng, n):

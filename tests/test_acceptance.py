@@ -21,7 +21,6 @@ from fiberflow import (
     frame_point,
     fubini_study_base,
     grad_ln_f_norm_sq,
-    heat_residual_order,
     mixed_curvature_residuals,
     pick_blowup_sequence,
     rescale_series,
@@ -31,7 +30,7 @@ from fiberflow import (
 )
 from fiberflow.chart_geometry import check_base_einstein, perturbed_fs_base
 
-from conftest import make_logistic
+from conftest import grid_sweep, make_logistic
 
 
 VERDICTS: list[str] = []
@@ -147,8 +146,8 @@ def test_rescaled_decay_exponents():
              f"exponent {rep.horiz_decay_exponent:.4f} (target -1, tol 0.1)")
 
 
-def test_discretization_and_monitors():
-    _, order = heat_residual_order(HirzebruchParams(), grids=(128, 256, 512))
+def test_discretization_and_monitors(tmp_path):
+    order = grid_sweep(tmp_path)["heat_residual_order"]
     run = run_flow(HirzebruchParams(), RunSettings())
     a0 = run.params.a0
     diag = run.diagnostics

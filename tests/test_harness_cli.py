@@ -32,6 +32,8 @@ from fiberflow.harness_cli import (
     run_sweep,
 )
 
+from conftest import grid_member
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 PRODUCT_CFG = """\
@@ -685,20 +687,11 @@ def test_check_product_closed_form(product_dir):
 # sweeps
 
 
-def _grid_member(n: int) -> str:
-    drho = 40.0 / (n - 1)
-    return (f"[run]\nscenario = hirzebruch\n\n"
-            f"[params]\ngrid_points = {n}\n\n"
-            f"[flow]\ndt_fixed = {0.35 * drho * drho:.12g}\n"
-            f"stop_margin = 0.25\n\n"
-            f"[analysis]\nheat_tol = 0.05\nchecks = monitors,time_ratio\n")
-
-
 def test_sweep_convergence_order(tmp_path):
     names = []
     for n in (96, 128, 192):
         p = tmp_path / f"grid_{n}.cfg"
-        p.write_text(_grid_member(n))
+        p.write_text(grid_member(n))
         names.append(str(p))
     configs = [(name, load_config(name)) for name in names]
     summary, code = run_sweep(configs, tmp_path / "sweep", workers=2)
@@ -800,6 +793,12 @@ def test_bad_flow_value_is_reported_under_flow(tmp_path, capsys, line):
      "burst_cap"),
     ("product", ("[flow]\n", "[recording]\ntracked_nodes = 0\n\n[flow]\n"),
      "tracked_nodes"),
+    # gates no run can pass: exit 1
+    ("hirzebruch", ("heat_tol = 0.005", "heat_tol = -1"), "heat_tol"),
+    ("hirzebruch", ("[analysis]\n", "[analysis]\nburst_cap = 0.5\n"),
+     "burst_cap"),
+    # ignored: exit 0
+    ("product", ("[flow]\n", "[flow]\nshape = tanh\n"), "shape"),
 ])
 def test_values_that_fail_only_after_a_run_are_rejected_at_parse(
         tmp_path, capsys, scenario, edit, key):
@@ -813,6 +812,39 @@ def test_values_that_fail_only_after_a_run_are_rejected_at_parse(
     assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_unknown_shape_is_rejected_at_parse(tmp_path, capsys):
+    # unchecked, the run would stop with BadProfile: exit 3
+    text = HZ_CFG.replace("[flow]\n", "[flow]\nshape = skwe\n")
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    assert err.value.key == "shape"
+    assert "did you mean 'skew'" in str(err.value)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    assert "config error: shape: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_output_dir_is_rejected_at_parse(tmp_path, monkeypatch,
+                                               capsys):
+    # Path("") is the working directory: the run would write its files
+    # there and delete rescaled_<i>.csv files above its pick count
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(PRODUCT_CFG.replace("[params]\n",
+                                       "output_dir =\n\n[params]\n"))
+    with pytest.raises(ValidationError) as err:
+        load_config(cfg)
+    assert err.value.key == "output_dir"
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.delenv("FIBERFLOW_OUTPUT", raising=False)
+    assert main(["run", str(cfg)]) == 2
+    assert "config error: output_dir: " in capsys.readouterr().err
+    assert list(work.iterdir()) == []
 
 
 def test_main_check_missing_dir_is_runtime_error(tmp_path):

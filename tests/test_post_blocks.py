@@ -229,7 +229,7 @@ def test_one_row_functions_match_per_state(case, thr):
         prof = curvature_profiles(st, params, thr)
         want = _ref_profiles(st, params, thr)
         for name, arr in want.items():
-            got = getattr(prof, name)
+            got = prof[name]
             if isinstance(arr, float):
                 assert _same(got, arr), name
             else:

@@ -80,9 +80,9 @@ def test_typeI_pick_is_spatial_max(hrun, htab):
     ts = [s.t for s in hrun.states]
     for p in seq.picks:
         prof = curvature_profiles(hrun.states[ts.index(p.t)], hrun.params)
-        assert prof.rm[p.node] == p.curvature
-        assert np.max(prof.rm) == p.curvature
-        assert np.all(prof.rm ** 2 / p.curvature ** 2 <= 1.0 + 1e-15)
+        assert prof["rm"][p.node] == p.curvature
+        assert np.max(prof["rm"]) == p.curvature
+        assert np.all(prof["rm"] ** 2 / p.curvature ** 2 <= 1.0 + 1e-15)
 
 
 def test_picks_sit_where_fiber_smallest(hrun, htab):
@@ -92,8 +92,8 @@ def test_picks_sit_where_fiber_smallest(hrun, htab):
     ts = [s.t for s in hrun.states]
     for p in seq.picks:
         prof = curvature_profiles(hrun.states[ts.index(p.t)], hrun.params)
-        assert prof.supp[p.node]
-        assert prof.v[p.node] <= 2e-3 * np.max(prof.v)
+        assert prof["supp"][p.node]
+        assert prof["v"][p.node] <= 2e-3 * np.max(prof["v"])
 
 
 def test_typeII_picks_satisfy_normalization(hrun, htab):
@@ -104,8 +104,8 @@ def test_typeII_picks_satisfy_normalization(hrun, htab):
     ts = [s.t for s in hrun.states]
     for p in seq.picks:
         prof = curvature_profiles(hrun.states[ts.index(p.t)], hrun.params)
-        assert np.all(prof.rm ** 2 <= p.curvature ** 2 * (1.0 + 1e-15))
-        assert prof.rm[p.node] == p.curvature
+        assert np.all(prof["rm"] ** 2 <= p.curvature ** 2 * (1.0 + 1e-15))
+        assert prof["rm"][p.node] == p.curvature
 
 
 def test_typeII_picks_are_the_window_maximizers(htab):
