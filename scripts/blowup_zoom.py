@@ -8,7 +8,12 @@ drains relative to the fiber direction as the singular time approaches.
 
 import argparse
 
-from fiberflow import HirzebruchParams, RunSettings, run_flow
+from fiberflow import (
+    HirzebruchParams,
+    RunSettings,
+    pick_blowup_sequence,
+    run_flow,
+)
 from fiberflow.harness_cli import AnalysisConfig, analyze
 
 
@@ -23,9 +28,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     run = run_flow(HirzebruchParams(grid_points=args.grid), RunSettings())
-    result = analyze(run.diagnostics, run.T_observed,
+    diag = run.diagnostics
+    result = analyze(diag, run.T_observed,
                      AnalysisConfig(mode=args.mode, max_picks=args.picks))
-    split = result.splitting
+    split = result.report.get("splitting")
     if split is None:
         raise SystemExit(f"no qualifying picks: {result.note}")
 
@@ -33,18 +39,23 @@ def main(argv=None) -> int:
         print(result.report_text(), end="")
         return 0
 
+    rows = pick_blowup_sequence(diag, run.T_observed, args.mode,
+                                max_picks=args.picks)
     print(f"T_predicted {run.T_predicted:.6f}  T_observed "
-          f"{run.T_observed:.6f}  class {result.type_report.classification}")
+          f"{run.T_observed:.6f}  class "
+          f"{result.report['type']['classification']}")
     print(f"{'t':>10} {'K':>12} {'a_norm':>10} {'horiz':>10} {'fiber/4pi':>10}")
-    for rp, a_n, hz, fib in zip(result.rescaled.picks, split.rescaled_a_norm,
-                                split.rescaled_horiz, split.fiber_products):
-        pick = rp.pick
-        print(f"{pick.t:10.6f} {pick.curvature:12.3f} {a_n:10.5f} "
-              f"{hz:10.5f} {fib / split.fiber_target:10.5f}")
-    print(f"A-norm exponent {split.a_decay_exponent:+.4f}   horizontal "
-          f"exponent {split.horiz_decay_exponent:+.4f}   rescaled mixed "
-          f"max {split.rescaled_mixed_max:.5f}")
-    print(f"verdict: {split.verdict}")
+    for t, kk, a_n, hz, tab in zip(diag["t"][rows], split["curvatures"],
+                                   split["rescaled_a_norm"],
+                                   split["rescaled_horiz"], result.tables):
+        z = tab["s"] == 0.0  # the picked row
+        fib = (tab["k_v"][z] * tab["fiber_area"][z])[0]
+        print(f"{t:10.6f} {kk:12.3f} {a_n:10.5f} "
+              f"{hz:10.5f} {fib / split['fiber_target']:10.5f}")
+    print(f"A-norm exponent {split['a_decay_exponent']:+.4f}   horizontal "
+          f"exponent {split['horiz_decay_exponent']:+.4f}   rescaled mixed "
+          f"max {split['rescaled_mixed_max']:.5f}")
+    print(f"verdict: {split['verdict']}")
     return 0
 
 

@@ -57,12 +57,7 @@ from .chart_geometry import (
 )
 from .singularity_analyzer import (
     PICK_MODES,
-    RESCALED_COLUMNS,
     AnalysisError,
-    RescaledSeries,
-    SplittingReport,
-    TypeReport,
-    analysis_report,
     classify_sup_series,  # no caller here; perfbench/tracing.py wraps it
     classify_type,
     pick_blowup_sequence,
@@ -352,6 +347,9 @@ def parse_config(text: str) -> RunConfig:
         raise ValidationError(
             "mode", f"unknown pick mode {analysis.mode!r}"
                     f"{_suggestion(analysis.mode, PICK_MODES)}")
+    if analysis.seed is not None and analysis.seed < 0:
+        # np.random.default_rng takes no negative seed
+        raise ValidationError("seed", "must be at least 0")
 
     echo = {name: {k: v for k, (v, _) in kv.items()}
             for name, kv in sections.items()}
@@ -400,8 +398,9 @@ def _read_text(path: Path) -> str:
 def _read_csv(path: Path, columns: Sequence[str]) -> dict[str, np.ndarray]:
     """The column table a CSV of `_csv_text` stores, one float64 array per
     column; RunDirError naming the file if it is unreadable, has another
-    header or a short or bad row.  `%.17g` round-trips float64, so the
-    table equals the one the file was written from."""
+    header or a short or bad row, or a value in an INT_COLUMNS column that
+    is not a finite integer.  `%.17g` round-trips float64, so the table
+    equals the one the file was written from."""
     lines = _read_text(path).splitlines()
     if len(lines) < 2 or lines[1].split(",") != list(columns):
         raise RunDirError(f"{path}: missing or unexpected column header")
@@ -417,7 +416,14 @@ def _read_csv(path: Path, columns: Sequence[str]) -> dict[str, np.ndarray]:
             rows.append([float(v) for v in fields])
         except ValueError as exc:
             raise RunDirError(f"{path}: line {lineno}: {exc}") from exc
-    return dict(zip(columns, np.array(rows, dtype=float).T.copy()))
+    table = dict(zip(columns, np.array(rows, dtype=float).T.copy()))
+    for name in INT_COLUMNS.intersection(columns):
+        col = table[name]
+        bad = np.flatnonzero(~np.isfinite(col) | (np.trunc(col) != col))
+        if bad.size:
+            raise RunDirError(f"{path}: line {bad[0] + 3}: {name} = "
+                              f"{float(col[bad[0]])} is not an integer")
+    return table
 
 
 def _read_json(path: Path) -> tuple[dict, str]:
@@ -480,35 +486,31 @@ def _stored_rescaled(run_dir: Path) -> list[str]:
 
 @dataclass(frozen=True)
 class Analysis:
-    """Classification, and the rescaled series and splitting report when
-    the picks qualify; otherwise `note` says why they do not."""
+    """The `report.json` object, with its `splitting` entry and a rescaled
+    table per pick when the picks qualify; otherwise `note` says why they
+    do not."""
 
-    type_report: TypeReport
-    rescaled: RescaledSeries | None
-    splitting: SplittingReport | None
+    report: dict
+    tables: list[dict[str, np.ndarray]]
     note: str | None
 
     def report_text(self) -> str:
         """The `report.json` text of this analysis."""
-        report = analysis_report(self.type_report, self.splitting)
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.report, indent=2, sort_keys=True) + "\n"
 
     def rescaled_texts(self) -> dict[str, str]:
         """The text of each `rescaled_<i>.csv` file, by file name."""
-        picks = [] if self.rescaled is None else self.rescaled.picks
-        return {f"rescaled_{i}.csv": _csv_text(
-                    RESCALED_CSV_SCHEMA,
-                    {name: getattr(rp, name) for name in RESCALED_COLUMNS})
-                for i, rp in enumerate(picks)}
+        return {f"rescaled_{i}.csv": _csv_text(RESCALED_CSV_SCHEMA, table)
+                for i, table in enumerate(self.tables)}
 
     def manifest_fields(self) -> dict:
         """The analysis entries of `manifest.json`."""
-        fields = {"plateau_value": self.type_report.plateau_value}
-        if self.splitting is None:
-            fields["analysis_note"] = self.note
+        fields = {"plateau_value": self.report["type"]["plateau_value"]}
+        if "splitting" in self.report:
+            fields["a_decay_exponent"] = (
+                self.report["splitting"]["a_decay_exponent"])
         else:
-            a_exp = self.splitting.a_decay_exponent
-            fields["a_decay_exponent"] = None if np.isnan(a_exp) else a_exp
+            fields["analysis_note"] = self.note
         return fields
 
 
@@ -516,18 +518,20 @@ def analyze(diag: dict[str, np.ndarray], T_observed: float,
             ana: AnalysisConfig) -> Analysis:
     """Classify, pick, rescale and split one diagnostics table; the one
     analysis behind `execute` and `check_run_dir`."""
-    type_report = classify_type(
+    report = {"type": classify_type(
         diag, T_observed, slope_bounded=ana.slope_bounded,
-        slope_diverging=ana.slope_diverging, burst_cap=ana.burst_cap)
+        slope_diverging=ana.slope_diverging, burst_cap=ana.burst_cap)}
     try:
-        seq = pick_blowup_sequence(diag, T_observed, ana.mode,
-                                   max_picks=ana.max_picks,
-                                   span_decades=ana.span_decades)
-        rs = rescale_series(diag, T_observed, seq,
-                            window_cap=ana.window_cap)
+        rows = pick_blowup_sequence(diag, T_observed, ana.mode,
+                                    max_picks=ana.max_picks,
+                                    span_decades=ana.span_decades)
+        tables = rescale_series(diag, T_observed, rows,
+                                window_cap=ana.window_cap)
     except AnalysisError as exc:
-        return Analysis(type_report, None, None, str(exc))
-    return Analysis(type_report, rs, splitting_report(rs), None)
+        return Analysis(report, [], str(exc))
+    report["splitting"] = splitting_report(diag["rm_sup"][rows], tables,
+                                           ana.mode)
+    return Analysis(report, tables, None)
 
 
 def _heat_max(resid: np.ndarray) -> float:
@@ -560,10 +564,10 @@ def _acceptance(config: RunConfig, manifest: dict,
             ratio = manifest["T_observed"] / manifest["T_predicted"]
             ok = abs(ratio - 1.0) <= TIME_RATIO_BAND
         elif name == "classification":
-            ok = (analysis.type_report.classification == "TypeI"
+            ok = (analysis.report["type"]["classification"] == "TypeI"
                   == manifest["classification"])
         elif name == "splitting":
-            ok = analysis.splitting is not None and analysis.splitting.splits
+            ok = analysis.report.get("splitting", {}).get("splits", False)
         elif name == "closed_form":
             p = config.params
             exact = [product_closed_form(p.f0, p.c0, p.base_scalar, p.n,
@@ -636,7 +640,7 @@ def execute(config: RunConfig, out_dir: str | Path,
             _csv_text(DIAG_CSV_SCHEMA, diag))
 
         analysis = analyze(diag, run.T_observed, config.analysis)
-        manifest["classification"] = analysis.type_report.classification
+        manifest["classification"] = analysis.report["type"]["classification"]
         manifest.update(analysis.manifest_fields())
         rescaled = analysis.rescaled_texts()
         for name in _stored_rescaled(out):
@@ -824,11 +828,21 @@ def _resolve(flag_value, env_name: str, file_value, default):
     return default
 
 
+def _seed(args, file_value: int | None) -> int:
+    """The resolved seed; HarnessError naming `--seed` or the environment
+    variable if it is negative (a config-file seed is checked at parse)."""
+    seed = _resolve(args.seed, ENV_SEED, file_value, 0)
+    if seed < 0:
+        source = "--seed" if args.seed is not None else ENV_SEED
+        raise HarnessError(f"{source}: seed {seed} must be at least 0")
+    return seed
+
+
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     out = _resolve(args.output, ENV_OUTPUT, config.output_dir,
                    f"runs/{Path(args.config).stem}")
-    seed = _resolve(args.seed, ENV_SEED, config.analysis.seed, 0)
+    seed = _seed(args, config.analysis.seed)
     manifest, code = execute(config, out, seed)
     status = ("pass" if code == 0 else
               "acceptance-fail" if code == 1 else "error")
@@ -848,7 +862,7 @@ def _cmd_sweep(args) -> int:
         return 2
     configs = [(name, load_config(name)) for name in names]
     out = _resolve(args.output, ENV_OUTPUT, None, "runs/sweep")
-    seed = _resolve(args.seed, ENV_SEED, None, 0)
+    seed = _seed(args, None)
     workers = _resolve(args.workers, ENV_WORKERS, None, 2)
     summary, code = run_sweep(configs, out, workers=workers, seed=seed)
     for m in summary["members"]:

@@ -19,8 +19,6 @@ steps, and recording density is part of the measurement contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # curvature_profiles has no caller here; perfbench/tracing.py counts calls
@@ -49,127 +47,6 @@ class WindowOutOfRange(AnalysisError):
 
 
 # ---------------------------------------------------------------------------
-# domain types
-
-
-@dataclass(frozen=True)
-class BlowupPick:
-    node: int
-    t: float
-    curvature: float
-
-
-@dataclass(frozen=True)
-class BlowupSequence:
-    picks: list[BlowupPick]
-    mode: str
-
-    def validate(self) -> None:
-        if self.mode not in PICK_MODES:
-            raise AnalysisError(f"unknown pick mode {self.mode!r}")
-        ks = [p.curvature for p in self.picks]
-        if len(ks) < 3:
-            raise TooFewSamples(f"{len(ks)} picks, need at least 3")
-        if not all(b > a for a, b in zip(ks, ks[1:])):
-            raise AnalysisError("pick curvatures must increase strictly")
-        ts = [p.t for p in self.picks]
-        if not all(b > a for a, b in zip(ts, ts[1:])):
-            raise AnalysisError("pick times must increase strictly")
-
-
-@dataclass(frozen=True)
-class RescaledPick:
-    """Diagnostic series of one pick under g_i(s) = K_i g(t_i + s/K_i).
-
-    Sectional blocks and the curvature sup carry 1/K_i, the squared
-    A-norm carries 1/K_i, |grad ln f|^2 is scale invariant, and the
-    fiber area carries K_i.  zero_index marks the sample at s = 0.
-    """
-
-    pick: BlowupPick
-    alpha: float
-    beta: float
-    s: np.ndarray
-    rm: np.ndarray
-    k_v: np.ndarray
-    a_sq: np.ndarray
-    grad_ln_sq: np.ndarray
-    horiz: np.ndarray
-    mixed: np.ndarray
-    fiber_area: np.ndarray
-    roundness: np.ndarray
-    zero_index: int
-
-
-@dataclass(frozen=True)
-class RescaledSeries:
-    mode: str
-    picks: list[RescaledPick]
-
-
-@dataclass(frozen=True)
-class TypeReport:
-    tail_samples: int
-    classification: str
-    plateau_value: float
-    trend_slope: float
-    burst: float
-    slope_bounded: float
-    slope_diverging: float
-    burst_cap: float
-
-    def to_dict(self) -> dict:
-        return {
-            "classification": self.classification,
-            "plateau_value": self.plateau_value,
-            "trend_slope": self.trend_slope,
-            "burst": self.burst,
-            "tail_samples": self.tail_samples,
-            "thresholds": {
-                "slope_bounded": self.slope_bounded,
-                "slope_diverging": self.slope_diverging,
-                "burst_cap": self.burst_cap,
-            },
-        }
-
-
-@dataclass(frozen=True)
-class SplittingReport:
-    mode: str
-    curvatures: np.ndarray
-    rescaled_a_norm: np.ndarray
-    a_decay_exponent: float
-    a_identically_zero: bool
-    rescaled_horiz: np.ndarray
-    horiz_decay_exponent: float
-    horiz_final: float
-    rescaled_mixed_max: float
-    fiber_products: np.ndarray
-    fiber_final: float
-    fiber_target: float
-    splits: bool
-    verdict: str
-
-    def to_dict(self) -> dict:
-        a_exp = self.a_decay_exponent
-        return {
-            "mode": self.mode,
-            "curvatures": [float(x) for x in self.curvatures],
-            "rescaled_a_norm": [float(x) for x in self.rescaled_a_norm],
-            "a_decay_exponent": None if np.isnan(a_exp) else a_exp,
-            "a_identically_zero": self.a_identically_zero,
-            "rescaled_horiz": [float(x) for x in self.rescaled_horiz],
-            "horiz_decay_exponent": self.horiz_decay_exponent,
-            "horiz_final": self.horiz_final,
-            "rescaled_mixed_max": self.rescaled_mixed_max,
-            "fiber_final": self.fiber_final,
-            "fiber_target": self.fiber_target,
-            "splits": self.splits,
-            "verdict": self.verdict,
-        }
-
-
-# ---------------------------------------------------------------------------
 # point picking
 
 
@@ -193,11 +70,11 @@ def _horizon_ladder(rem: np.ndarray, max_picks: int,
 def pick_blowup_sequence(diag: dict[str, np.ndarray], T_observed: float,
                          mode: str = "typeI_max_curvature",
                          max_picks: int = 8,
-                         span_decades: float = 1.0) -> BlowupSequence:
+                         span_decades: float = 1.0) -> np.ndarray:
     """High-curvature picks (x_i, t_i, K_i) with strictly increasing K_i.
 
     Each pick is a diagnostics row: x_i, t_i and K_i are its `node`, `t`
-    and `rm_sup`.
+    and `rm_sup`.  Returns the picked row indices of the table.
 
     typeI_max_curvature: K_i is the spatial curvature max at ladder
     times approaching the stop time.
@@ -213,84 +90,85 @@ def pick_blowup_sequence(diag: dict[str, np.ndarray], T_observed: float,
     """
     if mode not in PICK_MODES:
         raise AnalysisError(f"unknown pick mode {mode!r}")
-    keep = diag["t"] < T_observed
-    ts, nodes, rm = diag["t"][keep], diag["node"][keep], diag["rm_sup"][keep]
+    keep = np.flatnonzero(diag["t"] < T_observed)
+    ts, rm = diag["t"][keep], diag["rm_sup"][keep]
     rem = T_observed - ts
     if ts.size < 3:
         raise TooFewSamples("run recorded fewer than 3 usable samples")
 
-    def row(j: int) -> BlowupPick:
-        return BlowupPick(node=int(nodes[j]), t=float(ts[j]),
-                          curvature=float(rm[j]))
-
     if mode == "typeI_max_curvature":
-        raw = [row(j) for j in _horizon_ladder(rem, max_picks, span_decades)]
+        raw = _horizon_ladder(rem, max_picks, span_decades)
     else:
         horizons = _horizon_ladder(rem, max_picks + 1, span_decades)
         # the first maximizer of (T_i - t) * K over each window
-        raw = [row(lo + 1 + int(np.argmax((ts[hi] - ts[lo + 1:hi + 1])
-                                          * rm[lo + 1:hi + 1])))
+        raw = [lo + 1 + int(np.argmax((ts[hi] - ts[lo + 1:hi + 1])
+                                      * rm[lo + 1:hi + 1]))
                for lo, hi in zip(horizons, horizons[1:])]
 
-    picks: list[BlowupPick] = []
-    for p in raw:
-        if picks and p.curvature <= picks[-1].curvature:
+    picks: list[int] = []
+    for j in raw:
+        if picks and rm[j] <= rm[picks[-1]]:
             continue
-        picks.append(p)
+        picks.append(j)
     if len(picks) < 3:
         raise TooFewSamples(
             f"only {len(picks)} qualifying picks in the recorded series")
-    seq = BlowupSequence(picks=picks, mode=mode)
-    seq.validate()
-    return seq
+    return keep[picks]
 
 
 # ---------------------------------------------------------------------------
 # parabolic rescaling
 
 
+RESCALED_COLUMNS = ("s", "rm", "k_v", "a_sq", "grad_ln_sq", "horiz",
+                    "mixed", "fiber_area", "roundness")
+
+
 def rescale_series(diag: dict[str, np.ndarray], T_observed: float,
-                   seq: BlowupSequence,
-                   window_cap: float = 50.0) -> RescaledSeries:
-    """Recorded diagnostics under the dilated metrics g_i.
+                   rows: np.ndarray,
+                   window_cap: float = 50.0) -> list[dict[str, np.ndarray]]:
+    """Recorded diagnostics under g_i(s) = K_i g(t_i + s/K_i), one column
+    table per picked row, keyed in RESCALED_COLUMNS order.
+
+    Sectional blocks and the curvature sup carry 1/K_i, the squared
+    A-norm carries 1/K_i, |grad ln f|^2 is scale invariant, and the
+    fiber area carries K_i.  The picked row sits at s = 0.
 
     Window per pick: rescaled time s in [-beta_i, alpha_i] with
     beta_i = min(t_i K_i, cap) and alpha_i = min((T_obs - t_i) K_i * 0.9,
     cap), so the window always sits inside [0, T_observed) for picks
-    taken from the run itself.  Raises WindowOutOfRange for picks that
-    are not recorded times or whose window leaves the run.
+    taken from the run itself.  Raises WindowOutOfRange for picks whose
+    window leaves the run.
     """
-    seq.validate()
-    ts = diag["t"]
-    out: list[RescaledPick] = []
-    for p in seq.picks:
-        kk = p.curvature
-        if kk <= 0.0 or p.t >= T_observed:
+    ts, rm = diag["t"], diag["rm_sup"]
+    if len(rows) < 3:
+        raise TooFewSamples(f"{len(rows)} picks, need at least 3")
+    if not np.all(np.diff([rm[rows], ts[rows]]) > 0.0):
+        raise AnalysisError("pick curvatures and times must increase strictly")
+    tables = []
+    for t, kk in zip(ts[rows].tolist(), rm[rows].tolist()):
+        if kk <= 0.0 or t >= T_observed:
             raise WindowOutOfRange(
-                f"pick at t={p.t} does not precede the singular time")
-        if p.t not in ts:
-            raise WindowOutOfRange(f"pick time {p.t} is not a recorded time")
-        beta = min(p.t * kk, window_cap)
-        alpha = min((T_observed - p.t) * kk * 0.9, window_cap)
-        lo, hi = p.t - beta / kk, p.t + alpha / kk
+                f"pick at t={t} does not precede the singular time")
+        beta = min(t * kk, window_cap)
+        alpha = min((T_observed - t) * kk * 0.9, window_cap)
+        lo, hi = t - beta / kk, t + alpha / kk
         if lo < ts[0] - 1e-12 or hi > T_observed + 1e-12:
             raise WindowOutOfRange(
                 f"window [{lo}, {hi}] leaves the recorded run")
         sel = np.flatnonzero((ts >= lo - 1e-15) & (ts <= hi + 1e-15))
-        out.append(RescaledPick(
-            pick=p, alpha=float(alpha), beta=float(beta),
-            s=(ts[sel] - p.t) * kk,
-            rm=diag["rm_sup"][sel] / kk,
-            k_v=diag["k_v_max"][sel] / kk,
-            a_sq=diag["a_sq_sup"][sel] / kk,
-            grad_ln_sq=diag["grad_ln_sq_sup"][sel],
-            horiz=diag["horiz_sup"][sel] / kk,
-            mixed=diag["mixed_sup"][sel] / kk,
-            fiber_area=diag["fiber_area"][sel] * kk,
-            roundness=diag["roundness"][sel],
-            zero_index=int(np.flatnonzero(ts[sel] == p.t)[0]),
-        ))
-    return RescaledSeries(mode=seq.mode, picks=out)
+        tables.append({
+            "s": (ts[sel] - t) * kk,
+            "rm": rm[sel] / kk,
+            "k_v": diag["k_v_max"][sel] / kk,
+            "a_sq": diag["a_sq_sup"][sel] / kk,
+            "grad_ln_sq": diag["grad_ln_sq_sup"][sel],
+            "horiz": diag["horiz_sup"][sel] / kk,
+            "mixed": diag["mixed_sup"][sel] / kk,
+            "fiber_area": diag["fiber_area"][sel] * kk,
+            "roundness": diag["roundness"][sel],
+        })
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +179,7 @@ def classify_sup_series(times: np.ndarray, rm_sup: np.ndarray,
                         T_observed: float,
                         slope_bounded: float = 0.05,
                         slope_diverging: float = 0.10,
-                        burst_cap: float = 1.5) -> TypeReport:
+                        burst_cap: float = 1.5) -> dict:
     """Decide bounded vs diverging (T - t) * max|Rm| from its tail.
 
     The tail is the last decade of remaining time.  trend_slope is the
@@ -309,6 +187,7 @@ def classify_sup_series(times: np.ndarray, rm_sup: np.ndarray,
     means diverging); burst is its max over its median.  Bounded needs
     both a flat trend and no burst; diverging needs a clearly positive
     trend.  Thresholds leave >= 2x margin for the closed-form oracles.
+    Returns the `type` object of `report.json`.
     """
     times = np.asarray(times, dtype=float)
     rm_sup = np.asarray(rm_sup, dtype=float)
@@ -334,33 +213,30 @@ def classify_sup_series(times: np.ndarray, rm_sup: np.ndarray,
         cls = "TypeI"
     else:
         cls = "Inconclusive"
-    return TypeReport(
-        tail_samples=tv.size, classification=cls,
-        plateau_value=plateau, trend_slope=trend, burst=burst,
-        slope_bounded=slope_bounded, slope_diverging=slope_diverging,
-        burst_cap=burst_cap)
+    return {
+        "classification": cls,
+        "plateau_value": plateau,
+        "trend_slope": trend,
+        "burst": burst,
+        "tail_samples": tv.size,
+        "thresholds": {"slope_bounded": slope_bounded,
+                       "slope_diverging": slope_diverging,
+                       "burst_cap": burst_cap},
+    }
 
 
 def classify_type(diag: dict[str, np.ndarray], T_observed: float,
-                  **thresholds) -> TypeReport:
+                  **thresholds) -> dict:
     return classify_sup_series(diag["t"], diag["rm_sup"], T_observed,
                                **thresholds)
-
-
-def synthetic_power_series(alpha: float, T: float = 0.5,
-                           samples: int = 200, rem_start: float = 0.45,
-                           rem_stop: float = 1e-4, amplitude: float = 1.0
-                           ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Curvature sup growing like (T - t)^-alpha; classifier test input."""
-    rem = np.logspace(np.log10(rem_start), np.log10(rem_stop), samples)
-    return T - rem, amplitude * rem ** (-alpha), T
 
 
 # ---------------------------------------------------------------------------
 # splitting report
 
 
-def splitting_report(rs: RescaledSeries) -> SplittingReport:
+def splitting_report(curvatures: np.ndarray,
+                     tables: list[dict[str, np.ndarray]], mode: str) -> dict:
     """Certify the measurable precursors of the collapsed-fiber limit.
 
     (i) the rescaled A-norm dies like 1/K_i (exponent -1 against K_i),
@@ -368,21 +244,26 @@ def splitting_report(rs: RescaledSeries) -> SplittingReport:
     horizontal sectional max goes to zero; (iii) the rescaled mixed
     vertical-horizontal block stays near zero throughout; (iv) the
     fiber curvature-area product holds the round value 4*pi, so the
-    fiber factor is the round sphere.
+    fiber factor is the round sphere.  `curvatures` are the picks' K_i
+    and `tables` their `rescale_series` tables; returns the `splitting`
+    object of `report.json`, whose `a_decay_exponent` is None when the
+    A-tensor vanishes identically.
     """
-    ks = np.array([rp.pick.curvature for rp in rs.picks])
-    a_sq0 = np.array([rp.a_sq[rp.zero_index] for rp in rs.picks])
-    horiz0 = np.array([rp.horiz[rp.zero_index] for rp in rs.picks])
-    mixed_max = float(max(np.max(np.abs(rp.mixed)) for rp in rs.picks))
-    fiber = np.array([rp.k_v[rp.zero_index] * rp.fiber_area[rp.zero_index]
-                      for rp in rs.picks])
+    ks = np.asarray(curvatures, dtype=float)
+
+    def at_zero(name: str) -> np.ndarray:
+        """Each table's `name` value at s = 0, its picked row."""
+        return np.array([tab[name][np.flatnonzero(tab["s"] == 0.0)[0]]
+                         for tab in tables])
+
+    a_sq0 = at_zero("a_sq")
+    horiz0 = at_zero("horiz")
+    mixed_max = float(max(np.max(np.abs(tab["mixed"])) for tab in tables))
+    fiber = at_zero("k_v") * at_zero("fiber_area")
 
     a_zero = bool(np.max(np.abs(a_sq0)) == 0.0)
     a_norm0 = np.sqrt(np.maximum(a_sq0, 0.0))
-    if a_zero:
-        a_exp = float("nan")
-    else:
-        a_exp = loglog_slope(ks, a_norm0)
+    a_exp = None if a_zero else loglog_slope(ks, a_norm0)
 
     horiz_exp = loglog_slope(ks, horiz0) if np.all(horiz0 > 0.0) else 0.0
     horiz_final = float(horiz0[-1])
@@ -405,27 +286,18 @@ def splitting_report(rs: RescaledSeries) -> SplittingReport:
             reasons.append("fiber area-curvature product off round value")
         verdict = "no-splitting: " + "; ".join(reasons)
 
-    return SplittingReport(
-        mode=rs.mode, curvatures=ks, rescaled_a_norm=a_norm0,
-        a_decay_exponent=a_exp,
-        a_identically_zero=a_zero, rescaled_horiz=horiz0,
-        horiz_decay_exponent=horiz_exp, horiz_final=horiz_final,
-        rescaled_mixed_max=mixed_max, fiber_products=fiber,
-        fiber_final=fiber_final, fiber_target=FIBER_LIMIT_TARGET,
-        splits=splits, verdict=verdict)
-
-
-# ---------------------------------------------------------------------------
-# emission helpers (file writing stays in the harness)
-
-
-RESCALED_COLUMNS = ("s", "rm", "k_v", "a_sq", "grad_ln_sq", "horiz",
-                    "mixed", "fiber_area", "roundness")
-
-
-def analysis_report(type_report: TypeReport,
-                    split_report: SplittingReport | None) -> dict:
-    out = {"type": type_report.to_dict()}
-    if split_report is not None:
-        out["splitting"] = split_report.to_dict()
-    return out
+    return {
+        "mode": mode,
+        "curvatures": ks.tolist(),
+        "rescaled_a_norm": a_norm0.tolist(),
+        "a_decay_exponent": a_exp,
+        "a_identically_zero": a_zero,
+        "rescaled_horiz": horiz0.tolist(),
+        "horiz_decay_exponent": horiz_exp,
+        "horiz_final": horiz_final,
+        "rescaled_mixed_max": mixed_max,
+        "fiber_final": fiber_final,
+        "fiber_target": FIBER_LIMIT_TARGET,
+        "splits": splits,
+        "verdict": verdict,
+    }

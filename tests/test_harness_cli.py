@@ -372,12 +372,19 @@ def _damage(path, how):
     elif how == "short":  # cut at a line boundary
         lines = data.splitlines(keepends=True)
         path.write_bytes(b"".join(lines[:len(lines) // 2]))
-    elif how == "node-inf":  # a well-formed table the analysis cannot use
+    elif how in _NOT_INTEGER:  # a float where the file stores an integer
+        row, column, value = _NOT_INTEGER[how]
         lines = data.decode().splitlines()
-        fields = lines[-1].split(",")
-        fields[lines[1].split(",").index("node")] = "inf"
-        lines[-1] = ",".join(fields)
+        fields = lines[row].split(",")
+        fields[lines[1].split(",").index(column)] = value
+        lines[row] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
+
+
+# (line index, column, value) of each integer-column damage
+_NOT_INTEGER = {"node-inf": (-1, "node", "inf"),
+                "node-2.5": (2, "node", "2.5"),
+                "grad_bound_ok-0.7": (2, "grad_bound_ok", "0.7")}
 
 
 @pytest.mark.parametrize("name,how", [
@@ -386,6 +393,8 @@ def _damage(path, how):
     ("diagnostics.csv", "missing"),
     ("diagnostics.csv", "short"),
     ("diagnostics.csv", "node-inf"),
+    ("diagnostics.csv", "node-2.5"),
+    ("diagnostics.csv", "grad_bound_ok-0.7"),
     ("manifest.json", "truncated"),
     ("manifest.json", "empty"),
     ("manifest.json", "missing"),
@@ -884,5 +893,28 @@ def test_malformed_environment_value_is_a_config_error(
     assert main(argv + ["--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert name in err and repr(value) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("route", ["config", "flag", "environment"])
+def test_negative_seed_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                         command, route):
+    # np.random.default_rng rejects a negative seed, and only after the
+    # flow has run and its files are written; reject it before the run
+    monkeypatch.delenv("FIBERFLOW_SEED", raising=False)
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(PRODUCT_CFG + ("[analysis]\nseed = -1\n"
+                                  if route == "config" else ""))
+    if route == "environment":
+        monkeypatch.setenv("FIBERFLOW_SEED", "-3")
+    flag = ["--seed", "-1"] if route == "flag" else []
+    out = tmp_path / "out"
+    assert main([command, str(cfg), "--output", str(out), *flag]) == 2
+    err = capsys.readouterr().err
+    named = {"config": "seed: ", "flag": "--seed: ",
+             "environment": "FIBERFLOW_SEED: "}[route]
+    assert f"config error: {named}" in err
     assert "Traceback" not in err
     assert not out.exists()
