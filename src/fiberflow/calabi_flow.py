@@ -34,7 +34,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 from importlib.machinery import PathFinder
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -80,7 +80,9 @@ def _require_finite(record, error: type[FlowError]) -> None:
     through; a NaN dt then never advances the flow."""
     for fld in fields(record):
         value = getattr(record, fld.name)
-        if value is not None and not math.isfinite(value):
+        if value is None or isinstance(value, tuple):
+            continue
+        if not math.isfinite(value):
             raise error(f"{fld.name} must be finite, got {value!r}")
 
 
@@ -146,6 +148,8 @@ class RunSettings:
     max_halvings: int = 10
     support_threshold: float = 1e-3
     dt_fixed: float | None = None
+    # grid nodes whose f the run's flow table records, one column each
+    tracked_nodes: tuple[int, ...] = ()
 
     def validate(self) -> None:
         _require_finite(self, ConfigError)
@@ -214,19 +218,39 @@ DIAG_COLUMNS = _CURVATURE_COLUMNS + (
     "grad_bound_ok")
 
 
+def flow_columns(scenario: str, settings: RunSettings) -> tuple[str, ...]:
+    """The columns of a run's `flow.csv` table, in order."""
+    if scenario == "product":
+        return ("t", "f", "c")
+    return ("t", "lower", "upper", "width",
+            *(f"f_node{i}" for i in settings.tracked_nodes))
+
+
 @dataclass(frozen=True)
 class FlowRun:
     """A finished run.  `diagnostics` is its diagnostics table: one float64
     array per column of `DIAG_COLUMNS`, in that order, one entry per
-    recorded state; `node` and `grad_bound_ok` hold integral floats."""
+    recorded state; `node` and `grad_bound_ok` hold integral floats.
+    `flow` is its `flow.csv` table, the columns of `flow_columns`, one
+    entry per recorded state too.  `sample` is the one profile a
+    hirzebruch run keeps (None for the product scenario): its first
+    recorded state at or past half the span the run aims to cover,
+    t >= (T_predicted - stop_margin) / 2, or its last recorded state if it
+    stops earlier."""
 
     scenario: str
     params: HirzebruchParams | ProductParams
-    states: list
     diagnostics: dict[str, np.ndarray]
+    flow: dict[str, np.ndarray]
+    sample: FlowState | None
     T_predicted: float
     T_observed: float
     stop_reason: str
+
+    @property
+    def states(self) -> list[tuple[float, ...]]:
+        """The `flow.csv` row of each recorded state, in order."""
+        return list(zip(*self.flow.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -614,18 +638,26 @@ def step_flow(problem: FlowProblem, state: FlowState, dt: float) -> FlowState:
 # ---------------------------------------------------------------------------
 # profile-level diagnostics
 #
-# A run is post-processed in blocks of recorded states stacked into
-# (rows, nodes) arrays, so numpy's per-call cost is paid once per block
-# rather than once per state.  Every formula acts along the last axis; the
-# per-state functions are the one-row case of the block code.
+# Recorded states are processed in blocks stacked into (rows, nodes)
+# arrays, so numpy's per-call cost is paid once per block rather than once
+# per state.  Every formula acts along the last axis; the per-state
+# functions are the one-row case of the block code.
 
 # Nodes per block: 16 rows at the default 512 nodes, 4 at 2048.  With the
 # previous block's arrays still held (see `diagnostics_series`) the
-# diagnostics peak at about 1.4 MB, which adds little to the peak memory
-# of a run that holds all of its states meanwhile.  On a 2-core Xeon with
-# 2 MB of L2 cache per core, the post-processing of refine sweeps took
-# 10% more CPU time at 6144 nodes per block and 25% more at 4096.
+# diagnostics peak at about 1.4 MB, next to the 2 MB of states a run
+# buffers (`_FLUSH_NODES`).  On a 2-core Xeon with 2 MB of L2 cache per
+# core, the diagnostics of refine sweeps took 10% more CPU time at 6144
+# nodes per block and 25% more at 4096.
 _BLOCK_NODES = 8192
+
+# A run buffers its recorded states until they hold this many nodes (256
+# states at 512 nodes, 64 at 2048), passes them through the block code in
+# one call and drops them, so it holds O(N) profile memory whatever its
+# step count: 2 MB of `f` and `df`.  Each call pays the block code's set-up
+# (time weights, grid slices, output columns) once, so the buffer is kept
+# well above one block.
+_FLUSH_NODES = 2 ** 17
 
 
 def _block_rows(nodes: int) -> int:
@@ -694,8 +726,8 @@ def _curvature_rows(f: np.ndarray, v: np.ndarray, d: float,
     with np.errstate(divide="ignore", invalid="ignore"):
         hess_rr = np.where(supp, (2.0 / v) * (lf2 - 0.5 * lv1 * lf1), 0.0)
         hess_tt = np.where(supp, (1.0 / v) * lv1 * lf1, 0.0)
-    # Freed early: these temporaries add to the peak memory of a run,
-    # which holds all of its states meanwhile.
+    # Freed early: these temporaries add to the peak memory of a run, on
+    # top of the states it buffers.
     del lnv, lv1, lf1, lf2
     vhc_r = -0.5 * (hess_rr + grad_ln_sq) + 0.25 * grad_ln_sq
     vhc_t = -0.5 * hess_tt + 0.25 * grad_ln_sq
@@ -735,8 +767,9 @@ def diagnostics_series(states: Sequence[FlowState], params: HirzebruchParams,
     # A block's arrays are dropped only when the next block's replace
     # them, so the allocator reuses their space.  Freed all at once, the
     # space can go back to the system and be faulted in again for every
-    # block: up to 90,000 page faults were measured for a 1,872-state run
-    # at 2048 nodes, which made the blocks slower than single states.
+    # block: up to 90,000 page faults were measured when the 1,872 states
+    # of a 2048-node run went through in one call, which made the blocks
+    # slower than single states.
     for lo in range(0, len(states), rows):
         block = states[lo:lo + rows]
         v = _v_rows(np.stack([s.df for s in block]), d, k)
@@ -829,22 +862,19 @@ def heat_residual_series(states: Sequence[FlowState],
     return out
 
 
-def build_monitors(states: Sequence[FlowState], params: HirzebruchParams,
-                   max_v: np.ndarray) -> dict[str, np.ndarray]:
+def build_monitors(params: HirzebruchParams, t: np.ndarray,
+                   heat_residual: np.ndarray, min_f: np.ndarray,
+                   max_f: np.ndarray, max_v: np.ndarray
+                   ) -> dict[str, np.ndarray]:
     """The monitor columns of the diagnostics table (`heat_residual` to
-    `grad_bound_ok` of `DIAG_COLUMNS`) of the recorded states; `max_v`
-    holds each state's max v, the `max_v` column of its diagnostics."""
+    `grad_bound_ok` of `DIAG_COLUMNS`) from columns of the recorded
+    states: their times, heat residuals (`heat_residual_series`), min and
+    max of f, and max v (the `max_v` column of their diagnostics)."""
     k = params.k
     sink = params.base_scalar / params.n
     grad_sup = 2.0 * k ** 2 * np.asarray(max_v, dtype=float)
-    # every recorded f is nondecreasing, so its min and max are its ends:
-    # the initial f sums monotone logistic steps, a stepped f is a
-    # cumulative sum of positive increments
-    min_f = np.array([s.f[0] for s in states])
-    max_f = np.array([s.f[-1] for s in states])
-    t = np.array([s.t for s in states])
     ok = grad_sup <= grad_sup[0] * (1.0 + 1e-9) + 1e-12
-    return {"heat_residual": heat_residual_series(states, params),
+    return {"heat_residual": heat_residual,
             "min_f": min_f,
             "max_f": max_f,
             "max_f_slack": max_f - (max_f[0] - sink * t),
@@ -937,17 +967,28 @@ def _run_product(params: ProductParams, settings: RunSettings) -> FlowRun:
         "grad_f_sq_sup": zero, "grad_bound_ok": [1.0] * len(states)}
     diags = {name: np.array(col, dtype=float) for name, col in diags.items()}
     t_obs = _fit_stop_time(diags["t"], diags["width"], t_pred)
-    return FlowRun(scenario="product", params=params, states=states,
-                   diagnostics=diags, T_predicted=t_pred, T_observed=t_obs,
-                   stop_reason=stop_reason)
+    flow = {"t": diags["t"], "f": np.array(f, dtype=float),
+            "c": np.array(c, dtype=float)}
+    return FlowRun(scenario="product", params=params, diagnostics=diags,
+                   flow=flow, sample=None, T_predicted=t_pred,
+                   T_observed=t_obs, stop_reason=stop_reason)
 
 
-def _run_hirzebruch(params: HirzebruchParams, settings: RunSettings,
-                    shape: str) -> FlowRun:
+def recorded_states(params: HirzebruchParams,
+                    settings: RunSettings | None = None,
+                    shape: str = "tanh"
+                    ) -> Generator[FlowState, None, str]:
+    """The recorded states of a hirzebruch run, in order: the initial
+    state, every `record_stride`-th stepped state and the last state.
+    Returns the stop reason.  This is the one stepping loop: `run_flow`
+    consumes it, and tests that need the profiles of a run take them from
+    it."""
     problem = FlowProblem(params, settings)
+    settings = problem.settings
     state = init_hirzebruch_profile(params, shape)
     t_pred, _ = predict_max_time(hirzebruch_class(params))
-    states = [state]
+    yield state
+    recorded = True
     stop_reason = "time_exhausted"
     step_count = 0
     while True:
@@ -969,22 +1010,75 @@ def _run_hirzebruch(params: HirzebruchParams, settings: RunSettings,
             raise FlowError(f"step of dt={dt!r} did not advance t={state.t!r}")
         state = new_state
         step_count += 1
-        if step_count % settings.record_stride == 0:
-            states.append(state)
+        recorded = step_count % settings.record_stride == 0
+        if recorded:
+            yield state
         v_max = _max_v(state.df, problem.drho, params.k)
         if 4.0 * params.k * v_max < settings.v_floor:
             stop_reason = "fiber_collapsed"
-            if states[-1] is not state:
-                states.append(state)
             break
-    if states[-1] is not state:
-        states.append(state)
-    diags = diagnostics_series(states, params, settings.support_threshold)
-    diags.update(build_monitors(states, params, diags["max_v"]))
+    if not recorded:
+        yield state
+    return stop_reason
+
+
+def _run_hirzebruch(params: HirzebruchParams, settings: RunSettings,
+                    shape: str) -> FlowRun:
+    """Fill the run's tables while `recorded_states` steps.  Its states
+    gather in a buffer; once `_FLUSH_NODES` nodes' worth are new, they go
+    through `diagnostics_series`, and through `heat_residual_series` with
+    one state of halo on each side, and all but the last two states are
+    dropped: those are the halo of the next heat residuals.  The monitor
+    columns are filled from the run's columns at the end."""
+    states = recorded_states(params, settings, shape)
+    state = next(states)
+    t_pred, _ = predict_max_time(hirzebruch_class(params))
+    half = 0.5 * (t_pred - settings.stop_margin)
+    size = max(1, _FLUSH_NODES // params.grid_points)
+    buf: list[FlowState] = []
+    curvature = []  # the curvature columns of each flush
+    heat = [np.full(1, np.nan)]  # no time stencil at the first state
+    rows = []  # per state: lower, upper, f[0], f[-1], f at tracked nodes
+    sample = None
+
+    def flush(new: int) -> None:
+        curvature.append(diagnostics_series(buf[-new:], params,
+                                            settings.support_threshold))
+        heat.append(heat_residual_series(buf, params)[1:-1])
+        del buf[:-2]
+
+    while True:
+        buf.append(state)
+        # every recorded f is nondecreasing, so its min and max are its
+        # ends: the initial f sums monotone logistic steps, a stepped f is
+        # a cumulative sum of positive increments
+        rows.append((state.lower, state.upper, state.f[0], state.f[-1],
+                     *[state.f[i] for i in settings.tracked_nodes]))
+        if sample is None and state.t >= half:
+            sample = state
+        if len(rows) % size == 0:
+            flush(size)
+        try:
+            state = next(states)
+        except StopIteration as stop:
+            stop_reason = stop.value
+            break
+    if len(rows) % size:
+        flush(len(rows) % size)
+    if len(rows) > 1:
+        heat.append(np.full(1, np.nan))  # nor at the last
+    lower, upper, min_f, max_f, *tracked = np.array(rows).T.copy()
+    diags = {name: np.concatenate([c[name] for c in curvature])
+             for name in _CURVATURE_COLUMNS}
+    diags.update(build_monitors(params, diags["t"], np.concatenate(heat),
+                                min_f, max_f, diags["max_v"]))
+    flow = dict(zip(flow_columns("hirzebruch", settings),
+                    [diags["t"], lower, upper, diags["width"], *tracked]))
     t_obs = _fit_stop_time(diags["t"], 4.0 * params.k * diags["max_v"],
                            t_pred)
-    return FlowRun(scenario="hirzebruch", params=params, states=states,
-                   diagnostics=diags, T_predicted=t_pred, T_observed=t_obs,
+    return FlowRun(scenario="hirzebruch", params=params, diagnostics=diags,
+                   flow=flow, sample=state if sample is None else sample,
+                   T_predicted=t_pred, T_observed=t_obs,
                    stop_reason=stop_reason)
 
 

@@ -44,6 +44,7 @@ from .calabi_flow import (
     HirzebruchParams,
     ProductParams,
     RunSettings,
+    flow_columns,
     hirzebruch_class,
     loglog_slope,
     predict_max_time,
@@ -175,7 +176,6 @@ class RunConfig:
     params: HirzebruchParams | ProductParams
     settings: RunSettings
     shape: str
-    tracked_nodes: tuple[int, ...]
     analysis: AnalysisConfig
     output_dir: str | None
     echo: dict
@@ -278,6 +278,8 @@ def parse_config(text: str) -> RunConfig:
             raise ValidationError("stride",
                                   "must be at least 1 in [recording]")
         flow_kv["record_stride"] = rec_kv.pop("stride")
+    if "tracked_nodes" in rec_kv:
+        flow_kv["tracked_nodes"] = rec_kv.pop("tracked_nodes")
     try:
         params = (HirzebruchParams(**param_kv) if scenario == "hirzebruch"
                   else ProductParams(**param_kv))
@@ -289,7 +291,7 @@ def parse_config(text: str) -> RunConfig:
         settings.validate()
     except ConfigError as exc:
         raise ValidationError("flow", str(exc)) from exc
-    tracked = rec_kv.get("tracked_nodes", ())
+    tracked = settings.tracked_nodes
     if scenario == "hirzebruch":
         if "grid_points" not in param_kv:
             # the heat residual is O(k h^2): scale the default grid so that
@@ -313,7 +315,7 @@ def parse_config(text: str) -> RunConfig:
         if repeated:
             raise ValidationError(
                 "tracked_nodes", f"nodes {repeated} listed more than once")
-    elif "tracked_nodes" in rec_kv:
+    elif "tracked_nodes" in flow_kv:
         raise ValidationError(
             "tracked_nodes", "only applies to the hirzebruch scenario")
 
@@ -347,16 +349,21 @@ def parse_config(text: str) -> RunConfig:
         raise ValidationError(
             "mode", f"unknown pick mode {analysis.mode!r}"
                     f"{_suggestion(analysis.mode, PICK_MODES)}")
-    if analysis.seed is not None and analysis.seed < 0:
-        # np.random.default_rng takes no negative seed
-        raise ValidationError("seed", "must be at least 0")
+    if analysis.seed is not None:
+        _require_seed(analysis.seed)
 
     echo = {name: {k: v for k, (v, _) in kv.items()}
             for name, kv in sections.items()}
     return RunConfig(
         scenario=scenario, params=params, settings=settings, shape=shape,
-        tracked_nodes=tracked,
         analysis=analysis, output_dir=run_kv.get("output_dir"), echo=echo)
+
+
+def _require_seed(seed: int) -> None:
+    """ValidationError if `seed` is negative, which the `chart_residuals`
+    points cannot take (np.random.default_rng takes no negative seed)."""
+    if seed < 0:
+        raise ValidationError("seed", "must be at least 0")
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -449,26 +456,6 @@ def _atomic_json(path: Path, payload: dict) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _flow_columns(config: RunConfig) -> list[str]:
-    if config.scenario == "product":
-        return ["t", "f", "c"]
-    return ["t", "lower", "upper", "width",
-            *(f"f_node{i}" for i in config.tracked_nodes)]
-
-
-def _flow_table(run: FlowRun, config: RunConfig) -> dict[str, np.ndarray]:
-    """The `flow.csv` table of a run, one row per recorded state."""
-    states = run.states
-    if run.scenario == "product":
-        cols = [[s.f for s in states], [s.c for s in states]]
-    else:
-        cols = [[s.lower for s in states], [s.upper for s in states],
-                run.diagnostics["width"],
-                *([s.f[i] for s in states] for i in config.tracked_nodes)]
-    return {name: np.array(col, dtype=float) for name, col in
-            zip(_flow_columns(config), [run.diagnostics["t"], *cols])}
 
 
 _RESCALED_NAME = re.compile(r"rescaled_\d+\.csv")
@@ -582,11 +569,11 @@ def _acceptance(config: RunConfig, manifest: dict,
 
 def _check_chart_residuals(run: FlowRun, seed: int) -> bool:
     """Kahler compatibility and totally geodesic fibers at 5 seeded chart
-    points of the middle recorded state, on the chart of
-    `sampler_from_state`, the one chart profile of the package (numpy
-    only, so a run loads no scipy module for this check)."""
-    sampler = sampler_from_state(run.states[len(run.states) // 2],
-                                 run.params)
+    points of the run's sampled state (`FlowRun.sample`: the first
+    recorded state at or past half the span the run aims to cover), on
+    the chart of `sampler_from_state`, the one chart profile of the
+    package (numpy only, so a run loads no scipy module for this check)."""
+    sampler = sampler_from_state(run.sample, run.params)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for pt in sampler.random_points(rng, 5):
@@ -605,8 +592,10 @@ def execute(config: RunConfig, out_dir: str | Path,
     """Run, analyze, emit files; returns (manifest, exit_code).
 
     The manifest lands atomically even when the compute fails, as long
-    as the output directory itself is writable.
+    as the output directory itself is writable.  A negative seed raises
+    ValidationError before anything is run or written.
     """
+    _require_seed(seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
@@ -630,9 +619,9 @@ def execute(config: RunConfig, out_dir: str | Path,
         manifest["T_predicted"] = run.T_predicted
         manifest["T_observed"] = run.T_observed
         manifest["time_ratio"] = run.T_observed / run.T_predicted
-        manifest["steps_recorded"] = len(run.states)
-        flow = _flow_table(run, config)
+        flow = run.flow
         diag = run.diagnostics
+        manifest["steps_recorded"] = len(diag["t"])
         manifest["heat_residual_max"] = _heat_max(diag["heat_residual"])
 
         (out / "flow.csv").write_text(_csv_text(FLOW_CSV_SCHEMA, flow))
@@ -704,7 +693,8 @@ def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
         if recorded is not None and recorded != diag["t"].size:
             raise RunDirError(f"{diag_path}: {diag['t'].size} rows, the "
                               f"manifest records {recorded}")
-        flow = _read_csv(run_dir / "flow.csv", _flow_columns(config))
+        flow = _read_csv(run_dir / "flow.csv",
+                         flow_columns(config.scenario, config.settings))
         _, report_text = _read_json(run_dir / "report.json")
         T_observed = manifest["T_observed"]
         try:
@@ -754,6 +744,7 @@ def _execute_member(item: tuple[RunConfig, str, int]) -> tuple[dict, int]:
 
 def run_sweep(configs: Sequence[tuple[str, RunConfig]], base_dir: str | Path,
               workers: int = 2, seed: int = 0) -> tuple[dict, int]:
+    _require_seed(seed)
     base = Path(base_dir)
     base.mkdir(parents=True, exist_ok=True)
     items = [(cfg, str(base / Path(name).stem), seed)

@@ -48,9 +48,8 @@ def test_product_matches_closed_form():
     run = run_flow(ProductParams(f0=3.0, c0=1.0, n=1), RunSettings())
     wall = time.perf_counter() - t0
     err = 0.0
-    for st in run.states:
-        err = max(err, abs(st.f - (3.0 - 2.0 * st.t)),
-                  abs(st.c - (1.0 - 2.0 * st.t)))
+    for t, f, c in zip(run.flow["t"], run.flow["f"], run.flow["c"]):
+        err = max(err, abs(f - (3.0 - 2.0 * t)), abs(c - (1.0 - 2.0 * t)))
     t_err = abs(run.T_observed - 0.5)
     ok = err <= 1e-6 and t_err <= 1e-3 and wall < 5.0
     _verdict("product closed form", ok,

@@ -2,6 +2,7 @@
 
 import hashlib
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from fiberflow.calabi_flow import (
     product_class,
     product_closed_form,
     profile_diagnostics,
+    recorded_states,
     run_flow,
     sampler_from_state,
     step_flow,
@@ -51,8 +53,8 @@ from fiberflow.oneill_curvature import (
     vertical_horizontal_curvature,
     vertical_sectional,
 )
-from fiberflow.harness_cli import load_config, main
-from conftest import grid_sweep, make_logistic
+from fiberflow.harness_cli import load_config, main, parse_config
+from conftest import grid_member, grid_sweep, make_logistic
 from test_golden_outputs import DIGESTS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -61,6 +63,12 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 @pytest.fixture(scope="module")
 def default_run():
     return run_flow(HirzebruchParams(), RunSettings())
+
+
+@pytest.fixture(scope="module")
+def default_states():
+    """The recorded states of `default_run`."""
+    return list(recorded_states(HirzebruchParams(), RunSettings()))
 
 
 @pytest.fixture(scope="module")
@@ -236,14 +244,14 @@ def test_endpoint_rates_from_interior_drift():
     # exponentially small bias, measuring the PDE rather than the
     # imposed boundary rows
     params = HirzebruchParams(L=14.0, grid_points=512)
-    run = run_flow(params, RunSettings(dt_max=0.005))
-    rho = run.states[0].rho
+    states = list(recorded_states(params, RunSettings(dt_max=0.005)))
+    rho = states[0].rho
     i_lo = int(np.argmin(np.abs(rho + 7.0)))
     i_hi = int(np.argmin(np.abs(rho - 7.0)))
-    ts = np.array([s.t for s in run.states])
+    ts = np.array([s.t for s in states])
     sel = (ts >= 0.02) & (ts <= 0.1)
-    lo = np.polyfit(ts[sel], [s.f[i_lo] for s in run.states if 0.02 <= s.t <= 0.1], 1)[0]
-    hi = np.polyfit(ts[sel], [s.f[i_hi] for s in run.states if 0.02 <= s.t <= 0.1], 1)[0]
+    lo = np.polyfit(ts[sel], [s.f[i_lo] for s in states if 0.02 <= s.t <= 0.1], 1)[0]
+    hi = np.polyfit(ts[sel], [s.f[i_hi] for s in states if 0.02 <= s.t <= 0.1], 1)[0]
     assert lo == pytest.approx(-1.0, rel=0.02)
     assert hi == pytest.approx(-3.0, rel=0.02)
 
@@ -480,9 +488,9 @@ def test_direct_load_after_scipy_linalg_keeps_the_golden_bytes(
     assert calabi_flow._dgtsv() is _gtsv()
 
 
-def test_v_evolution_consistency(default_run):
+def test_v_evolution_consistency(default_run, default_states):
     params = default_run.params
-    a, b = default_run.states[30], default_run.states[31]
+    a, b = default_states[30], default_states[31]
     dt = b.t - a.t
     va, vb = a.v_profile(params.k), b.v_profile(params.k)
     vdot = (vb - va) / dt
@@ -544,6 +552,26 @@ def test_non_finite_settings_rejected():
         HirzebruchParams(b0=float("inf")).validate()
 
 
+def test_run_memory_does_not_grow_with_the_recorded_states():
+    # One 1024-node sweep member stopped at two margins, the second with
+    # about twice the recorded states.  A run that kept its states would
+    # peak 16 KB (f and df) higher per extra state, about 3.7 MB here.
+    run_flow(HirzebruchParams(grid_points=64), RunSettings(stop_margin=0.45))
+    peaks, counts = [], []
+    for margin in ("0.375", "0.25"):
+        config = parse_config(grid_member(1024).replace(
+            "stop_margin = 0.25", f"stop_margin = {margin}"))
+        tracemalloc.start()
+        try:
+            run = run_flow(config.params, config.settings)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        counts.append(run.diagnostics["t"].size)
+    assert counts[1] >= 1.9 * counts[0]
+    assert abs(peaks[1] - peaks[0]) <= 2 ** 20
+
+
 def test_run_loop_raises_when_a_step_does_not_advance(monkeypatch):
     calls = []
 
@@ -564,8 +592,8 @@ def test_run_loop_raises_when_a_step_does_not_advance(monkeypatch):
 
 def test_run_reaches_stop_with_increasing_times(default_run):
     assert default_run.stop_reason == "time_exhausted"
-    ts = [s.t for s in default_run.states]
-    assert all(b > a for a, b in zip(ts, ts[1:]))
+    ts = default_run.diagnostics["t"]
+    assert np.all(ts[1:] > ts[:-1])
 
 
 def test_observed_vs_predicted_time(default_run):
@@ -626,16 +654,17 @@ def test_width_decay_rate_k2():
 
 @pytest.mark.parametrize("k,shape", [(1, "tanh"), (2, "skew")])
 def test_max_v_of_the_v_floor_stop_equals_max_of_v_profile(k, shape):
-    run = run_flow(HirzebruchParams(k=k), RunSettings(), shape)
-    d = run.states[0].rho[1] - run.states[0].rho[0]
-    got = [calabi_flow._max_v(s.df, d, k) for s in run.states]
-    assert got == [np.max(s.v_profile(k)) for s in run.states]
+    states = list(recorded_states(HirzebruchParams(k=k), RunSettings(),
+                                  shape))
+    d = states[0].rho[1] - states[0].rho[0]
+    got = [calabi_flow._max_v(s.df, d, k) for s in states]
+    assert got == [np.max(s.v_profile(k)) for s in states]
 
 
 def test_v_floor_stop_reason():
     run = run_flow(HirzebruchParams(), RunSettings(v_floor=0.3))
     assert run.stop_reason == "fiber_collapsed"
-    assert run.states[-1].t < run.T_predicted - 0.05
+    assert run.diagnostics["t"][-1] < run.T_predicted - 0.05
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -648,10 +677,10 @@ def test_collapse_proxy_is_the_f_range_for_each_twist(k):
     assert proxy == pytest.approx(st.upper - st.lower, rel=1e-3)
     run = run_flow(HirzebruchParams(k=k, grid_points=256),
                    RunSettings(v_floor=0.3 * k))
-    last = run.states[-1]
     assert run.stop_reason == "fiber_collapsed"
-    assert last.upper - last.lower == pytest.approx(0.3 * k, rel=0.02)
-    assert last.t == pytest.approx(0.35, abs=0.01)
+    assert run.flow["upper"][-1] - run.flow["lower"][-1] == pytest.approx(
+        0.3 * k, rel=0.02)
+    assert run.flow["t"][-1] == pytest.approx(0.35, abs=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -745,8 +774,10 @@ def test_profile_curvature_matches_chart_for_each_twist(k):
         got = np.sort([prof["vhc_r"][j], prof["vhc_t"][j]])
         want = np.sort(vertical_horizontal_curvature(fp)[:, 0])
         assert np.max(np.abs(got - want)) <= 1e-4
-    grad_sup = build_monitors([st], params,
-                              [np.max(prof["v"])])["grad_f_sq_sup"][0]
+    grad_sup = build_monitors(
+        params, t=np.zeros(1), heat_residual=np.zeros(1), min_f=st.f[:1],
+        max_f=st.f[-1:], max_v=np.array([np.max(prof["v"])])
+    )["grad_f_sq_sup"][0]
     assert grad_sup == pytest.approx(
         grad_f_norm_sq(chart_frame(int(np.argmax(prof["v"])))), rel=1e-4)
 
@@ -759,9 +790,8 @@ def test_fiber_gauss_bonnet_for_each_twist(k, b0):
     # which is +-1 in the exponential tails.  The two nodes at each end
     # carry one-sided stencils and are left out.
     params = HirzebruchParams(k=k, b0=b0)
-    run = run_flow(params, RunSettings(), "skew")
-    for st in (run.states[0], run.states[len(run.states) // 2],
-               run.states[-1]):
+    states = list(recorded_states(params, RunSettings(), "skew"))
+    for st in (states[0], states[len(states) // 2], states[-1]):
         prof = curvature_profiles(st, params, support_threshold=0.0)
         h = st.rho[1] - st.rho[0]
         density = np.gradient(st.f, st.rho) / k
@@ -775,11 +805,10 @@ def test_fiber_gauss_bonnet_for_each_twist(k, b0):
         pytest.approx(1.0, abs=0.005))
 
 
-def test_s_constancy_on_reconstructed_charts(default_run):
+def test_s_constancy_on_reconstructed_charts(default_run, default_states):
     rng = np.random.default_rng(11)
     params = default_run.params
-    for idx in (0, len(default_run.states) // 2):
-        st = default_run.states[idx]
+    for st in (default_states[0], default_run.sample):
         samp = sampler_from_state(st, params)
         for pt in samp.random_points(rng, 2):
             blocks = samp.evaluate(pt)
@@ -793,12 +822,13 @@ def test_s_constancy_on_reconstructed_charts(default_run):
 
 
 def test_product_run_matches_closed_form(product_run):
-    for st in product_run.states:
-        if st.t == 0.0:
+    flow = product_run.flow
+    for t, f_run, c_run in zip(flow["t"], flow["f"], flow["c"]):
+        if t == 0.0:
             continue
-        f, c, kv = product_closed_form(3.0, 1.0, 2.0, 1, st.t)
-        assert abs(st.f - f) <= 1e-6
-        assert abs(st.c - c) <= 1e-6
+        f, c, kv = product_closed_form(3.0, 1.0, 2.0, 1, t)
+        assert abs(f_run - f) <= 1e-6
+        assert abs(c_run - c) <= 1e-6
     assert abs(product_run.T_observed - 0.5) <= 1e-3
 
 

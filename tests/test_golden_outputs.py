@@ -1,8 +1,12 @@
-"""Byte-level golden outputs of the bundled configs.
+"""Byte-level golden outputs of the bundled configs and of one long run.
 
 `fiberflow run` on `configs/hirzebruch.cfg` and `configs/product.cfg`
 must emit CSVs and a `report.json` whose SHA-256 digests match the ones
-below.  The CSV digests were recorded before the TR-BDF2 Newton kernel
+below.  The bundled runs record at most 140 states; the 1024-node
+grid-refinement member (`grid_member(1024)`, 469 recorded states) is
+pinned too, so that a run filling its diagnostics over many buffered
+blocks of states is covered end to end.  Its digests were recorded
+before the diagnostics were computed while stepping.  The CSV digests were recorded before the TR-BDF2 Newton kernel
 was rewritten for speed, the `report.json` digests before the analyzer
 was moved onto the diagnostics table, with Python 3.11.7, numpy 2.4.6
 and scipy 1.17.1 on x86-64; both rewrites had to leave every byte
@@ -16,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import grid_member
 from fiberflow.harness_cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -69,14 +74,41 @@ DIGESTS = {
         "report.json":
             "9b2f07f1318575b689b80d373061f16e6b7178559ae41cc6cafabd635239aac8",
     },
+    "grid_1024": {
+        "diagnostics.csv":
+            "38d044c434f96558cef8efcfa006688d06c1c3094ca8ef3f4efd97f833c32feb",
+        "flow.csv":
+            "04cdf5300da9ab759daf7f6709fcfcfd77120b7137f4fa89bca1d5e4b444ec6d",
+        "rescaled_0.csv":
+            "8c23d6af1fc4a302db7d7a81f1217b41f61be4c5271e9e6fe091b99cf2c984ca",
+        "rescaled_1.csv":
+            "07ba18e9fbf80b8e799a2c137bb3fd71b0dcc21e212a8eedc94d1fdba6599f62",
+        "rescaled_2.csv":
+            "98acbfa267d6880171e7e0146ecd1b517516f758ba969d599aeb4ac8dfce4e5d",
+        "rescaled_3.csv":
+            "4987f159fda2e29da394d58cc7c2e14e5effa2c5cd045fcf5df4cdf709292843",
+        "report.json":
+            "0896c1d2fb58c76b0eff97f4d3ce7ac998a2ebc3bcc4d00d349e8d0f243448ab",
+    },
 }
 
 
-@pytest.mark.parametrize("name", sorted(DIGESTS))
+def _digests(out: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.glob("*.csv")) + [out / "report.json"]}
+
+
+@pytest.mark.parametrize("name", ["hirzebruch", "product"])
 def test_bundled_config_csvs_match_recorded_digests(tmp_path, name):
     out = tmp_path / name
     assert main(["run", str(CONFIGS / f"{name}.cfg"),
                  "--output", str(out)]) == 0
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in sorted(out.glob("*.csv")) + [out / "report.json"]}
-    assert got == DIGESTS[name]
+    assert _digests(out) == DIGESTS[name]
+
+
+def test_long_grid_member_csvs_match_recorded_digests(tmp_path):
+    config = tmp_path / "grid_1024.cfg"
+    config.write_text(grid_member(1024))
+    out = tmp_path / "grid_1024"
+    assert main(["run", str(config), "--output", str(out)]) == 0
+    assert _digests(out) == DIGESTS["grid_1024"]

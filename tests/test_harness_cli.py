@@ -12,6 +12,7 @@ from fiberflow.calabi_flow import (
     DIAG_COLUMNS,
     HirzebruchParams,
     RunSettings,
+    flow_columns,
     run_flow,
 )
 from fiberflow.chart_geometry import calabi_sampler, point_to_complex
@@ -21,8 +22,6 @@ from fiberflow.harness_cli import (
     ValidationError,
     _check_chart_residuals,
     _csv_text,
-    _flow_columns,
-    _flow_table,
     _read_csv,
     check_run_dir,
     execute,
@@ -178,7 +177,7 @@ seed = 11
     assert cfg.settings.record_stride == 2
     assert cfg.settings.dt_fixed is None
     assert cfg.shape == "skew"
-    assert cfg.tracked_nodes == (10, 200)
+    assert cfg.settings.tracked_nodes == (10, 200)
     assert cfg.analysis.mode == "typeII_supremum"
     assert cfg.analysis.heat_tol == 0.02
     assert cfg.analysis.seed == 11
@@ -652,9 +651,8 @@ def test_run_tables_equal_the_stored_csvs(tmp_path, name):
     assert list(run.diagnostics) == list(DIAG_COLUMNS)
     _assert_same_table(run.diagnostics,
                        _read_csv(tmp_path / "diagnostics.csv", DIAG_COLUMNS))
-    _assert_same_table(_flow_table(run, config),
-                       _read_csv(tmp_path / "flow.csv",
-                                 _flow_columns(config)))
+    _assert_same_table(run.flow, _read_csv(
+        tmp_path / "flow.csv", flow_columns(config.scenario, config.settings)))
 
 
 def test_rerun_with_fewer_picks_removes_the_stale_rescaled_files(tmp_path):
@@ -918,3 +916,22 @@ def test_negative_seed_is_a_config_error(tmp_path, monkeypatch, capsys,
     assert f"config error: {named}" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", ["execute", "run_sweep"])
+def test_library_entry_points_reject_a_negative_seed_before_running(
+        tmp_path, entry):
+    # with chart_residuals on, the seed is first used after the flow has
+    # run and its files are written
+    config = parse_config((CONFIGS / "sweep" / "hz_grid_096.cfg").read_text()
+                          .replace("checks = monitors,time_ratio",
+                                   "checks = monitors,chart_residuals"))
+    out = tmp_path / "out"
+    with pytest.raises(ValidationError) as err:
+        if entry == "execute":
+            execute(config, out, seed=-1)
+        else:
+            run_sweep([("hz_grid_096.cfg", config)], out, workers=1, seed=-1)
+    assert err.value.key == "seed"
+    assert not out.exists()
+    assert not list(tmp_path.rglob("flow.csv"))

@@ -1,9 +1,13 @@
-"""Whole-run post-processing in blocks against a per-state reference.
+"""A run's tables, filled in blocks while it steps, against a per-state
+reference.
 
 The reference below is a frozen copy of the per-state diagnostics and
 monitors that the block code replaced, with the same formulas in the same
 evaluation order, so every field must agree exactly with its column of
-the diagnostics table (NaN with NaN).
+the diagnostics table (NaN with NaN).  `run_flow` passes its recorded
+states through the block code in flushes of `_FLUSH_NODES` nodes' worth;
+the states of the reference come from `recorded_states`, the stepping
+loop that `run_flow` consumes.
 """
 
 import math
@@ -19,7 +23,9 @@ from fiberflow.calabi_flow import (
     build_monitors,
     curvature_profiles,
     diagnostics_series,
+    heat_residual_series,
     profile_diagnostics,
+    recorded_states,
     run_flow,
 )
 
@@ -158,6 +164,13 @@ def _ref_monitors(states, params):
     return reports
 
 
+def _ref_flow(states, settings):
+    return [dict(t=st.t, lower=st.lower, upper=st.upper,
+                 width=st.upper - st.lower,
+                 **{f"f_node{i}": st.f[i] for i in settings.tracked_nodes})
+            for st in states]
+
+
 # ---------------------------------------------------------------------------
 # comparisons
 
@@ -194,36 +207,90 @@ LENGTHS = (1, 2, 3, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1,
 def case(request):
     k, shape = request.param
     params = HirzebruchParams(k=k, grid_points=GRID)
-    return params, run_flow(params, RunSettings(), shape)
+    return (params, run_flow(params, RunSettings(), shape),
+            list(recorded_states(params, RunSettings(), shape)))
 
 
 @pytest.mark.parametrize("thr", [1e-3, 0.05])
 def test_block_diagnostics_and_monitors_match_per_state(case, thr):
-    params, run = case
-    assert BLOCK > 2 and len(run.states) > LENGTHS[-1]
-    for m in LENGTHS + (len(run.states),):
-        states = run.states[-m:]
+    params, _, all_states = case
+    assert BLOCK > 2 and len(all_states) > LENGTHS[-1]
+    for m in LENGTHS + (len(all_states),):
+        states = all_states[-m:]
         table = diagnostics_series(states, params, thr)
-        table.update(build_monitors(states, params, table["max_v"]))
+        table.update(build_monitors(
+            params, table["t"], heat_residual_series(states, params),
+            np.array([s.f[0] for s in states]),
+            np.array([s.f[-1] for s in states]), table["max_v"]))
         assert tuple(table) == DIAG_COLUMNS
         _assert_table_matches(table, [_ref_diagnostics(s, params, thr)
                                       for s in states])
         _assert_table_matches(table, _ref_monitors(states, params))
 
 
-def test_run_records_match_per_state(case):
-    params, run = case
-    thr = RunSettings().support_threshold
+def _assert_run_matches_per_state(params, settings, run, states):
+    """The run's diagnostics and flow tables against the reference of the
+    states, and its sample against the rule of `FlowRun.sample`."""
+    thr = settings.support_threshold
     assert tuple(run.diagnostics) == DIAG_COLUMNS
     _assert_table_matches(run.diagnostics, [_ref_diagnostics(s, params, thr)
-                                            for s in run.states])
-    _assert_table_matches(run.diagnostics, _ref_monitors(run.states, params))
+                                            for s in states])
+    _assert_table_matches(run.diagnostics, _ref_monitors(states, params))
+    _assert_table_matches(run.flow, _ref_flow(states, settings))
+    half = 0.5 * (run.T_predicted - settings.stop_margin)
+    want = next((s for s in states if s.t >= half), states[-1])
+    assert run.sample.t == want.t
+    assert run.sample.df.tobytes() == want.df.tobytes()
+    assert run.sample.f.tobytes() == want.f.tobytes()
+
+
+def test_run_records_match_per_state(case):
+    params, run, states = case
+    assert len(states) < calabi_flow._FLUSH_NODES // GRID  # one flush
+    _assert_run_matches_per_state(params, RunSettings(), run, states)
+
+
+# A 2048-node run flushes every FLUSH states.  With dt_fixed = DT and the
+# stop placed half a step past (m - 2) DT, it records exactly m states.
+FLUSH = calabi_flow._FLUSH_NODES // 2048
+DT = 2e-3
+# name: (grid, settings, recorded states, stop reason)
+STREAMED = {
+    f"{m}-states": (2048, RunSettings(dt_fixed=DT,
+                                      stop_margin=0.5 - (m - 1.5) * DT,
+                                      tracked_nodes=(0, 700, 2047)),
+                    m, "time_exhausted")
+    for m in (2, 3, FLUSH - 1, FLUSH, FLUSH + 1, 2 * FLUSH - 1, 2 * FLUSH,
+              2 * FLUSH + 1)
+} | {
+    # 301 steps: the last state is off the stride and recorded on its own
+    "stride-2": (2048, RunSettings(dt_fixed=DT / 2,
+                                   stop_margin=0.5 - 150.25 * DT,
+                                   record_stride=2, tracked_nodes=(1024,)),
+                 152, "time_exhausted"),
+    # 3 flushes of 128 states and part of a fourth; the run stops before
+    # half its span, so its sample is its last state
+    "v-floor": (1024, RunSettings(dt_fixed=0.35 * (40.0 / 1023) ** 2,
+                                  stop_margin=1e-3, v_floor=0.5),
+                461, "fiber_collapsed"),
+}
+
+
+@pytest.mark.parametrize("name", list(STREAMED))
+def test_streamed_run_matches_per_state(name):
+    grid, settings, count, reason = STREAMED[name]
+    params = HirzebruchParams(grid_points=grid)
+    states = list(recorded_states(params, settings))
+    assert len(states) == count
+    run = run_flow(params, settings)
+    assert run.stop_reason == reason
+    _assert_run_matches_per_state(params, settings, run, states)
 
 
 @pytest.mark.parametrize("thr", [1e-3, 0.05])
 def test_one_row_functions_match_per_state(case, thr):
-    params, run = case
-    for st in (run.states[0], run.states[-1]):
+    params, _, states = case
+    for st in (states[0], states[-1]):
         _assert_table_matches(profile_diagnostics(st, params, thr),
                               [_ref_diagnostics(st, params, thr)])
         prof = curvature_profiles(st, params, thr)

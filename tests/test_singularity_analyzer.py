@@ -12,6 +12,7 @@ from fiberflow.calabi_flow import (
     ProductParams,
     RunSettings,
     curvature_profiles,
+    recorded_states,
     run_flow,
 )
 from fiberflow.singularity_analyzer import (
@@ -32,6 +33,12 @@ from fiberflow.singularity_analyzer import (
 @pytest.fixture(scope="module")
 def hrun():
     return run_flow(HirzebruchParams(), RunSettings())
+
+
+@pytest.fixture(scope="module")
+def hstates():
+    """The recorded states of `hrun`."""
+    return list(recorded_states(HirzebruchParams(), RunSettings()))
 
 
 @pytest.fixture(scope="module")
@@ -85,35 +92,35 @@ def test_typeI_picks_monotone_and_late(hrun, htab):
     assert hrun.T_observed - ts[-1] <= 0.01 * hrun.T_observed
 
 
-def test_typeI_pick_is_spatial_max(hrun, htab):
+def test_typeI_pick_is_spatial_max(hrun, hstates, htab):
     rows = pick_blowup_sequence(*htab)
-    ts = [s.t for s in hrun.states]
+    ts = [s.t for s in hstates]
     for node, t, kk in _picks(htab[0], rows):
-        prof = curvature_profiles(hrun.states[ts.index(t)], hrun.params)
+        prof = curvature_profiles(hstates[ts.index(t)], hrun.params)
         assert prof["rm"][int(node)] == kk
         assert np.max(prof["rm"]) == kk
         assert np.all(prof["rm"] ** 2 / kk ** 2 <= 1.0 + 1e-15)
 
 
-def test_picks_sit_where_fiber_smallest(hrun, htab):
+def test_picks_sit_where_fiber_smallest(hrun, hstates, htab):
     # direct-scan oracle: the curvature max lives at the edge of the
     # supported region, where v is within a hair of the support cutoff
     rows = pick_blowup_sequence(*htab)
-    ts = [s.t for s in hrun.states]
+    ts = [s.t for s in hstates]
     for node, t, _ in _picks(htab[0], rows):
-        prof = curvature_profiles(hrun.states[ts.index(t)], hrun.params)
+        prof = curvature_profiles(hstates[ts.index(t)], hrun.params)
         assert prof["supp"][int(node)]
         assert prof["v"][int(node)] <= 2e-3 * np.max(prof["v"])
 
 
-def test_typeII_picks_satisfy_normalization(hrun, htab):
+def test_typeII_picks_satisfy_normalization(hrun, hstates, htab):
     rows = pick_blowup_sequence(*htab, "typeII_supremum")
     ks = list(htab[0]["rm_sup"][rows])
     assert len(ks) >= 3
     assert all(b > a for a, b in zip(ks, ks[1:]))
-    ts = [s.t for s in hrun.states]
+    ts = [s.t for s in hstates]
     for node, t, kk in _picks(htab[0], rows):
-        prof = curvature_profiles(hrun.states[ts.index(t)], hrun.params)
+        prof = curvature_profiles(hstates[ts.index(t)], hrun.params)
         assert np.all(prof["rm"] ** 2 <= kk ** 2 * (1.0 + 1e-15))
         assert prof["rm"][int(node)] == kk
 
