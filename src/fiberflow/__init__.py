@@ -1,154 +1,19 @@
 """Conformally fibered Kahler geometry: chart algebra, curvature splitting,
-reduced collapse flows and their singularity diagnostics."""
+reduced collapse flows and their singularity diagnostics.
+
+The top level holds the names that README's library example and scripts/
+import; everything else is imported from its module."""
 
 __version__ = "0.1.0"
 
-from .chart_geometry import (
-    BaseMetric,
-    ChartMetricBlocks,
-    ChartSampler,
-    InverseBlocks,
-    RicciBlocks,
-    assemble_block_metric,
-    calabi_sampler,
-    check_kahler_compatibility,
-    check_totally_geodesic,
-    fd_ricci_oracle,
-    fiber_christoffel,
-    fubini_study_base,
-    real_metric,
-    ricci_blocks,
-    riemann_fd,
-)
-from .calabi_flow import (
-    BadProfile,
-    CohomologyClass,
-    ConfigError,
-    FlowError,
-    FlowProblem,
-    FlowRun,
-    FlowState,
-    HirzebruchParams,
-    PastSingularTime,
-    ProductParams,
-    ProductState,
-    RunSettings,
-    StepRejected,
-    WrongRegime,
-    heat_residual_series,
-    hirzebruch_class,
-    init_hirzebruch_profile,
-    predict_max_time,
-    product_class,
-    product_closed_form,
-    profile_diagnostics,
-    run_flow,
-    sampler_from_state,
-    step_flow,
-)
-from .oneill_curvature import (
-    CurvatureDiagnostics,
-    FramePoint,
-    a_norm_sq,
-    a_tensor,
-    frame_point,
-    grad_ln_f_norm_sq,
-    mixed_curvature_residuals,
-    vertical_horizontal_curvature,
-)
-
-from .singularity_analyzer import (
-    AnalysisError,
-    TooFewSamples,
-    WindowOutOfRange,
-    classify_sup_series,
-    classify_type,
-    pick_blowup_sequence,
-    rescale_series,
-    splitting_report,
-)
-from .harness_cli import (
-    AnalysisConfig,
-    HarnessError,
-    ParseError,
-    RunConfig,
-    RunDirError,
-    ValidationError,
-    check_run_dir,
-    execute,
-    load_config,
-    main,
-    parse_config,
-    run_sweep,
-)
+from .calabi_flow import HirzebruchParams, RunSettings, run_flow
+from .singularity_analyzer import classify_type, pick_blowup_sequence
 
 __all__ = [
-    "AnalysisConfig",
-    "AnalysisError",
-    "BadProfile",
-    "BaseMetric",
-    "ChartMetricBlocks",
-    "ChartSampler",
-    "CohomologyClass",
-    "ConfigError",
-    "CurvatureDiagnostics",
-    "FlowError",
-    "FlowProblem",
-    "FlowRun",
-    "FlowState",
-    "FramePoint",
-    "HarnessError",
     "HirzebruchParams",
-    "InverseBlocks",
-    "ParseError",
-    "PastSingularTime",
-    "ProductParams",
-    "ProductState",
-    "RicciBlocks",
-    "RunConfig",
-    "RunDirError",
     "RunSettings",
-    "StepRejected",
-    "TooFewSamples",
-    "ValidationError",
-    "WindowOutOfRange",
-    "WrongRegime",
     "__version__",
-    "a_norm_sq",
-    "a_tensor",
-    "assemble_block_metric",
-    "calabi_sampler",
-    "check_kahler_compatibility",
-    "check_run_dir",
-    "check_totally_geodesic",
-    "classify_sup_series",
     "classify_type",
-    "execute",
-    "fd_ricci_oracle",
-    "fiber_christoffel",
-    "frame_point",
-    "fubini_study_base",
-    "grad_ln_f_norm_sq",
-    "heat_residual_series",
-    "hirzebruch_class",
-    "init_hirzebruch_profile",
-    "load_config",
-    "main",
-    "mixed_curvature_residuals",
-    "parse_config",
     "pick_blowup_sequence",
-    "predict_max_time",
-    "product_class",
-    "product_closed_form",
-    "profile_diagnostics",
-    "real_metric",
-    "rescale_series",
-    "ricci_blocks",
-    "riemann_fd",
     "run_flow",
-    "run_sweep",
-    "sampler_from_state",
-    "splitting_report",
-    "step_flow",
-    "vertical_horizontal_curvature",
 ]

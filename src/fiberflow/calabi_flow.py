@@ -903,7 +903,10 @@ def product_closed_form(f0: float, c0: float, R_h: float, n: int,
 def _fit_stop_time(times: np.ndarray, widths: np.ndarray,
                    t_pred: float) -> float:
     """Root of a linear fit of the collapse proxy over the last decade of
-    remaining time; falls back to the last time if the fit degenerates."""
+    remaining time (over all times if that decade holds one); falls back to
+    the last time if the fit degenerates or only one time is recorded."""
+    if times.size < 2:
+        return float(times[-1])
     remaining = t_pred - times
     cutoff = remaining[-1] * 10.0 if remaining[-1] > 0 else remaining[-1]
     sel = remaining <= max(cutoff, remaining[-1] + 1e-12)

@@ -260,45 +260,6 @@ def assemble_block_metric(blocks: ChartMetricBlocks, check: bool = True) -> np.n
     return g
 
 
-@dataclass(frozen=True)
-class InverseBlocks:
-    """Blocks of the inverse metric, entries of the true matrix inverse."""
-
-    base: np.ndarray
-    mixed: np.ndarray
-    fiber: float
-
-    def assemble(self) -> np.ndarray:
-        n = self.base.shape[0]
-        ginv = np.zeros((n + 1, n + 1), dtype=complex)
-        ginv[:n, :n] = self.base
-        ginv[:n, n] = self.mixed
-        ginv[n, :n] = self.mixed.conj()
-        ginv[n, n] = self.fiber
-        return ginv
-
-
-def invert_block_metric(blocks: ChartMetricBlocks) -> InverseBlocks:
-    """Closed-form inverse via the Schur complement f*h of the fiber entry.
-
-    Returns entries of the literal matrix inverse; the structured forms are
-      base  (1/f) h^{-1}
-      mixed -(1/f) h^{-1} s
-      fiber 1/g_fiber + (1/f) s^H h^{-1} s
-    """
-    if blocks.f <= POSITIVITY_FLOOR or blocks.g_fiber <= POSITIVITY_FLOOR:
-        raise NonPositiveDefinite("non-positive dilation or fiber component")
-    try:
-        hinv_s = np.linalg.solve(blocks.base.h, blocks.s)
-        hinv = np.linalg.inv(blocks.base.h)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBase("base metric numerically singular") from exc
-    inv_base = hinv / blocks.f
-    inv_mixed = -hinv_s / blocks.f
-    inv_fiber = 1.0 / blocks.g_fiber + float(np.vdot(blocks.s, hinv_s).real) / blocks.f
-    return InverseBlocks(base=inv_base, mixed=inv_mixed, fiber=inv_fiber)
-
-
 def fiber_christoffel(blocks: ChartMetricBlocks) -> np.ndarray:
     """Gamma^i_{xi xi} = (1/f) h^{i jbar} g_fiber d_xi conj(s_j).
 
@@ -491,20 +452,6 @@ def _box(n: int, z_bound: float, re_range: tuple[float, float],
     return np.array(box)
 
 
-def flat_sampler(n: int = 1) -> ChartSampler:
-    base = flat_base(n)
-
-    def evaluate(point: np.ndarray) -> ChartMetricBlocks:
-        return ChartMetricBlocks(
-            base=base, f=1.0, s=np.zeros(n, dtype=complex), g_fiber=1.0,
-            df_dz=np.zeros(n, dtype=complex),
-            dsbar_dz=np.zeros((n, n), dtype=complex),
-            dsbar_dxi=np.zeros(n, dtype=complex))
-
-    return ChartSampler(n=n, evaluate=evaluate,
-                        domain=_box(n, 0.8, (-0.8, 0.8), (-0.8, 0.8)))
-
-
 def product_sampler(base_size: float = 3.0, fiber_size: float = 1.0,
                     n: int = 1) -> ChartSampler:
     """Product of a Fubini-Study base scaled by `base_size` and a round fiber.
@@ -652,19 +599,6 @@ def fd_ricci_oracle(sampler: ChartSampler, point: np.ndarray,
     ric = -mat
     return RicciBlocks(base=ric[:-1, :-1], mixed=ric[:-1, -1],
                        fiber=float(ric[-1, -1].real))
-
-
-def scalar_curvature_fd(sampler: ChartSampler, point: np.ndarray,
-                        step: float | None = None) -> float:
-    """Complex scalar curvature g^{AB} R_AB via the log-det oracle.
-
-    The real (Riemannian) scalar curvature is twice this value.
-    """
-    ric = fd_ricci_oracle(sampler, point, step=step)
-    blocks = sampler.evaluate(np.asarray(point, dtype=float))
-    g = assemble_block_metric(blocks, check=False)
-    ginv = np.linalg.inv(g)
-    return float(np.trace(ric.assemble() @ ginv).real)
 
 
 # --- real-geometry oracles (Christoffel, Riemann) --------------------------

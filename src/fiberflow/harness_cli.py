@@ -48,6 +48,7 @@ from .calabi_flow import (
     hirzebruch_class,
     loglog_slope,
     predict_max_time,
+    product_class,
     product_closed_form,
     run_flow,
     sampler_from_state,
@@ -301,10 +302,6 @@ def parse_config(text: str) -> RunConfig:
         # the profile diagnostics are implemented over surface bases only
         if params.n != 1:
             raise ValidationError("n", "the hirzebruch scenario needs n = 1")
-        try:
-            predict_max_time(hirzebruch_class(params))
-        except FlowError as exc:
-            raise ValidationError("params", str(exc)) from exc
         outside = [i for i in tracked if not 0 <= i < params.grid_points]
         if outside:
             raise ValidationError(
@@ -318,6 +315,17 @@ def parse_config(text: str) -> RunConfig:
     elif "tracked_nodes" in flow_kv:
         raise ValidationError(
             "tracked_nodes", "only applies to the hirzebruch scenario")
+    try:
+        t_pred, _ = predict_max_time(
+            hirzebruch_class(params) if scenario == "hirzebruch"
+            else product_class(params))
+    except FlowError as exc:
+        raise ValidationError("params", str(exc)) from exc
+    if settings.stop_margin >= t_pred:
+        # the run would stop before its first step
+        raise ValidationError(
+            "stop_margin", f"must be below the predicted collapse time "
+                           f"{t_pred!r} in [flow]")
 
     if "checks" not in ana_kv:
         ana_kv["checks"] = DEFAULT_CHECKS[scenario]

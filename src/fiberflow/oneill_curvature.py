@@ -11,7 +11,7 @@ routines from `chart_geometry` act as the independent cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -194,11 +194,6 @@ def a_norm_sq(fp: FramePoint) -> float:
     return 2.0 * tot
 
 
-def a_norm_sq_closed(fp: FramePoint) -> float:
-    """|A|^2 = 2n |grad ln f|^2."""
-    return 2.0 * fp.n * grad_ln_f_norm_sq(fp)
-
-
 # ---------------------------------------------------------------------------
 # sectional-curvature splitting
 
@@ -358,68 +353,3 @@ def mixed_curvature_residuals(fp: FramePoint, step: float = 1e-3,
     vvh = np.einsum('abcd,xa,zb,c,d->zx', rlow, hor, ver, ver[0], ver[1],
                     optimize=True)
     return float(np.max(np.abs(hhv))), float(np.max(np.abs(vvh)))
-
-
-# ---------------------------------------------------------------------------
-# pointwise diagnostics bundle
-
-
-@dataclass(frozen=True)
-class CurvatureDiagnostics:
-    a_norm_sq: float
-    grad_ln_f_norm_sq: float
-    vertical_sectional: float
-    dominant_scalar: float
-    horizontal_sectional: float
-    rm_norm_estimate: float
-    mixed_max: float | None = None
-
-
-def curvature_diagnostics(fp: FramePoint,
-                          mixed_max: float | None = None
-                          ) -> CurvatureDiagnostics:
-    """Closed-form diagnostics bundle at a frame point.
-
-    The horizontal entry uses the one-plane reduction only available over
-    a surface base.  `dominant_scalar` is twice the vertical sectional
-    value, the leading term of the scalar curvature under collapse.  The
-    norm estimate combines the two sectional contributions the way a
-    metric product would; `mixed_max` can be filled from
-    `vertical_horizontal_curvature` when a sampler is around.
-    """
-    blocks = fp.blocks
-    if blocks.n != 1:
-        raise ChartError("closed horizontal sectional needs a surface base")
-    grad_sq = grad_ln_f_norm_sq(fp)
-    a_sq = 2.0 * blocks.n * grad_sq
-    k_v = vertical_sectional(blocks)
-    kappa_h = blocks.base.scalar / blocks.f - grad_sq
-    rm = float(np.sqrt(4.0 * k_v ** 2 + 4.0 * kappa_h ** 2))
-    if mixed_max is None and fp.sampler is not None:
-        mixed_max = float(np.max(np.abs(vertical_horizontal_curvature(fp))))
-    return CurvatureDiagnostics(
-        a_norm_sq=float(a_sq),
-        grad_ln_f_norm_sq=float(grad_sq),
-        vertical_sectional=k_v,
-        dominant_scalar=2.0 * k_v,
-        horizontal_sectional=float(kappa_h),
-        rm_norm_estimate=rm,
-        mixed_max=mixed_max,
-    )
-
-
-def scale_blocks(blocks: ChartMetricBlocks, factor: float) -> ChartMetricBlocks:
-    """Blocks of factor * g.  Dilation and fiber data scale; the base
-    metric, connection components and their derivatives do not."""
-    if factor <= 0.0:
-        raise ChartError("scale factor must be positive")
-    return replace(
-        blocks,
-        f=blocks.f * factor,
-        df_dxi=blocks.df_dxi * factor,
-        d2f=blocks.d2f * factor,
-        df_dz=None if blocks.df_dz is None else blocks.df_dz * factor,
-        g_fiber=blocks.g_fiber * factor,
-        dg_dxi=blocks.dg_dxi * factor,
-        d2g=blocks.d2g * factor,
-    )

@@ -1,5 +1,5 @@
-"""Shared test helpers: independent profile constructions, the
-grid-refinement sweep behind the convergence-order tests, and random data.
+"""Shared test helpers: an independent profile construction and the
+grid-refinement sweep behind the convergence-order tests.
 
 The logistic profile here is written from scratch so tests do not lean on
 the library's own profile code when checking library output.
@@ -7,7 +7,6 @@ the library's own profile code when checking library output.
 
 import numpy as np
 
-from fiberflow.chart_geometry import BaseMetric, ChartMetricBlocks
 from fiberflow.harness_cli import parse_config, run_sweep
 
 
@@ -38,21 +37,6 @@ def grid_sweep(base_dir, grids=(128, 256, 512), workers=1):
     configs = [(f"grid_{n}.cfg", parse_config(grid_member(n))) for n in grids]
     summary, _ = run_sweep(configs, base_dir, workers=workers)
     return summary
-
-
-def random_structured_blocks(rng, n):
-    """Well-conditioned random block data with consistent declared base."""
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    h = a @ a.conj().T + n * np.eye(n)
-    lam = float(rng.uniform(0.5, 2.0))
-    base = BaseMetric(n=n, h=h, ricci=lam * h, scalar=lam * n)
-    s = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return ChartMetricBlocks(
-        base=base,
-        f=float(rng.uniform(0.5, 3.0)),
-        s=s,
-        g_fiber=float(rng.uniform(0.5, 3.0)),
-    )
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -8,27 +8,34 @@ import time
 
 import numpy as np
 
-from fiberflow import (
+from fiberflow.calabi_flow import (
     HirzebruchParams,
     ProductParams,
     RunSettings,
-    a_norm_sq,
+    run_flow,
+)
+from fiberflow.chart_geometry import (
     calabi_sampler,
+    check_base_einstein,
     check_kahler_compatibility,
     check_totally_geodesic,
-    classify_type,
     fd_ricci_oracle,
-    frame_point,
     fubini_study_base,
+    perturbed_fs_base,
+    ricci_blocks,
+)
+from fiberflow.oneill_curvature import (
+    a_norm_sq,
+    frame_point,
     grad_ln_f_norm_sq,
     mixed_curvature_residuals,
+)
+from fiberflow.singularity_analyzer import (
+    classify_type,
     pick_blowup_sequence,
     rescale_series,
-    ricci_blocks,
-    run_flow,
     splitting_report,
 )
-from fiberflow.chart_geometry import check_base_einstein, perturbed_fs_base
 
 from conftest import grid_sweep, make_logistic
 

@@ -43,6 +43,7 @@ from fiberflow.chart_geometry import (
     point_to_complex,
     ricci_blocks,
     riemann_fd,
+    sectional_from_riemann,
 )
 from fiberflow.oneill_curvature import (
     a_norm_sq,
@@ -667,6 +668,17 @@ def test_v_floor_stop_reason():
     assert run.diagnostics["t"][-1] < run.T_predicted - 0.05
 
 
+@pytest.mark.parametrize("params", [HirzebruchParams(grid_points=64),
+                                    ProductParams()])
+def test_stop_margin_past_collapse_records_one_state(params):
+    # T_predicted is 0.5 for both: no step is taken, and the stop-time fit
+    # falls back to the one recorded time instead of failing in np.polyfit
+    run = run_flow(params, RunSettings(stop_margin=0.6))
+    assert run.T_predicted == 0.5
+    assert list(run.diagnostics["t"]) == [0.0]
+    assert run.T_observed == 0.0
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_collapse_proxy_is_the_f_range_for_each_twist(k):
     # 4 k max v = 4 max f_rho, the f-range k (b - a) of a logistic
@@ -745,8 +757,9 @@ def test_vhc_profile_forms_match_chart_curvature():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_profile_curvature_matches_chart_for_each_twist(k):
     # profile-level arrays and the monitors' |grad f|^2 against the frame
-    # computations on the chart of the same analytic profile; the fine
-    # grid keeps the profile stencils' O(h^2) error near 3e-5
+    # computations and the curvature stencil on the chart of the same
+    # analytic profile; the fine grid keeps the profile stencils' O(h^2)
+    # error near 3e-5
     params = HirzebruchParams(k=k, grid_points=4001)
     st = init_hirzebruch_profile(params, "skew")
     prof = curvature_profiles(st, params)
@@ -774,6 +787,10 @@ def test_profile_curvature_matches_chart_for_each_twist(k):
         got = np.sort([prof["vhc_r"][j], prof["vhc_t"][j]])
         want = np.sort(vertical_horizontal_curvature(fp)[:, 0])
         assert np.max(np.abs(got - want)) <= 1e-4
+        # the ambient sectional curvature of the horizontal frame plane
+        rlow = riemann_fd(samp.metric_fn(), fp.point, 1e-3)
+        assert prof["kappa_h"][j] == pytest.approx(
+            sectional_from_riemann(rlow, fp.g_real, *fp.horizontal), rel=1e-4)
     grad_sup = build_monitors(
         params, t=np.zeros(1), heat_residual=np.zeros(1), min_f=st.f[:1],
         max_f=st.f[-1:], max_v=np.array([np.max(prof["v"])])

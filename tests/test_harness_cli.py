@@ -806,6 +806,12 @@ def test_bad_flow_value_is_reported_under_flow(tmp_path, capsys, line):
      "burst_cap"),
     # ignored: exit 0
     ("product", ("[flow]\n", "[flow]\nshape = tanh\n"), "shape"),
+    # one recorded state, whose stop-time fit failed in np.polyfit: exit 3
+    ("hirzebruch", ("stop_margin = 0.001", "stop_margin = 0.6"),
+     "stop_margin"),
+    ("product", ("stop_margin = 0.001", "stop_margin = 0.6"), "stop_margin"),
+    # the base collapses before the fiber, WrongRegime: exit 3
+    ("product", ("f0 = 3.0", "f0 = 0.5"), "params"),
 ])
 def test_values_that_fail_only_after_a_run_are_rejected_at_parse(
         tmp_path, capsys, scenario, edit, key):

@@ -95,7 +95,7 @@ def test_a_norm_identity_brute_vs_closed(seed, n):
     p = samp.random_points(rng, 1)[0]
     fp = oc.frame_point(samp, p)
     brute = oc.a_norm_sq(fp)
-    closed = oc.a_norm_sq_closed(fp)
+    closed = 2.0 * n * oc.grad_ln_f_norm_sq(fp)
     assert brute == pytest.approx(closed, rel=1e-8)
 
 
@@ -110,8 +110,11 @@ def test_a_norm_hand_value():
 
 
 def test_a_norm_scaling_law():
-    fp = twisted_frame(seed=13)
-    scaled = oc.frame_point_from_blocks(oc.scale_blocks(fp.blocks, 7.0))
+    # scaling the profile by 7 scales the whole metric by 7
+    samp = twisted_sampler(lower=1.0, width=1.0)
+    p = samp.random_points(np.random.default_rng(13), 1)[0]
+    fp = oc.frame_point(samp, p)
+    scaled = oc.frame_point(twisted_sampler(lower=7.0, width=7.0), p)
     assert oc.a_norm_sq(scaled) == pytest.approx(oc.a_norm_sq(fp) / 7.0,
                                                  rel=1e-12)
     assert oc.grad_ln_f_norm_sq(scaled) == pytest.approx(
@@ -273,39 +276,23 @@ def test_mixed_curvature_detector_fires():
 
 
 # ---------------------------------------------------------------------------
-# diagnostics bundle
+# product values
 
 
 @pytest.mark.parametrize("size", [1.0, 0.4])
-def test_diagnostics_product_values(size):
+def test_product_sectional_values(size):
     f0 = 2.0
     samp = cg.product_sampler(base_size=f0, fiber_size=size)
-    fp = oc.frame_point(samp, np.array([0.1, -0.2, 0.3, 0.1]))
-    d = oc.curvature_diagnostics(fp)
-    assert d.a_norm_sq == 0.0
-    assert d.grad_ln_f_norm_sq == 0.0
+    p = np.array([0.1, -0.2, 0.3, 0.1])
+    fp = oc.frame_point(samp, p)
+    assert oc.a_norm_sq(fp) == 0.0
+    assert oc.grad_ln_f_norm_sq(fp) == 0.0
     # round fiber of area 2*pi*size has curvature 2/size
-    assert d.vertical_sectional == pytest.approx(2.0 / size, rel=1e-12)
-    assert d.dominant_scalar == pytest.approx(4.0 / size, rel=1e-12)
-    assert d.horizontal_sectional == pytest.approx(2.0 / f0, rel=1e-12)
-    expect = np.sqrt(4.0 * (2.0 / size) ** 2 + 4.0 * (2.0 / f0) ** 2)
-    assert d.rm_norm_estimate == pytest.approx(expect, rel=1e-12)
-    assert d.mixed_max <= 1e-6
-
-
-def test_diagnostics_closed_horizontal_matches_fd():
-    samp = twisted_sampler()
-    rng = np.random.default_rng(41)
-    for p in samp.random_points(rng, 3):
-        fp = oc.frame_point(samp, p)
-        x, y = fp.horizontal
-        rlow = cg.riemann_fd(samp.metric_fn(), p, 1e-3)
-        ambient = cg.sectional_from_riemann(rlow, fp.g_real, x, y)
-        d = oc.curvature_diagnostics(fp, mixed_max=0.0)
-        assert d.horizontal_sectional == pytest.approx(ambient, abs=1e-4)
-
-
-def test_diagnostics_requires_surface_base():
-    fp = twisted_frame(n=2, seed=43)
-    with pytest.raises(cg.ChartError):
-        oc.curvature_diagnostics(fp)
+    assert oc.vertical_sectional(fp.blocks) == pytest.approx(2.0 / size,
+                                                             rel=1e-12)
+    # the base sphere of area 2*pi*f0 has curvature 2/f0
+    rlow = cg.riemann_fd(samp.metric_fn(), p, 1e-3)
+    x, y = fp.horizontal
+    assert cg.sectional_from_riemann(rlow, fp.g_real, x, y) == pytest.approx(
+        2.0 / f0, abs=1e-4)
+    assert np.max(np.abs(oc.vertical_horizontal_curvature(fp))) <= 1e-6

@@ -1,4 +1,5 @@
-"""The scripts under scripts/, run in process through their `main`."""
+"""The scripts under scripts/, run in process through their `main`, and
+README's library example, run as written."""
 
 import importlib.util
 import json
@@ -7,6 +8,7 @@ from pathlib import Path
 from fiberflow.harness_cli import execute, parse_config
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+README = SCRIPTS.parent / "README.md"
 
 
 def _load(name: str):
@@ -67,3 +69,14 @@ def test_reproduce_all_checks_every_sweep_member(tmp_path):
     members = [Path(m["output_dir"]).name for m in summary["members"]]
     assert len(members) == 5
     assert checked == ["product", "hirzebruch", *members]
+
+
+def test_readme_library_example_runs_as_written(capsys):
+    # the python block under "Library use mirrors the CLI", which imports
+    # from the package top level only
+    text = README.read_text().split("Library use mirrors the CLI:", 1)[1]
+    code = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[-1] == "TypeI"
