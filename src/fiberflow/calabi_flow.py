@@ -1095,9 +1095,10 @@ def loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def _local_profile(state: FlowState
-                   ) -> Callable[[float], tuple[float, float, float, float]]:
+                   ) -> Callable[[np.ndarray], tuple[np.ndarray, ...]]:
     """f and its first three rho-derivatives from a C^4 blend of local
-    quintics through the stored nodes; numpy only.
+    quintics through the stored nodes, elementwise over an array of rho
+    (a float gives 0-d arrays); numpy only.
 
     On [rho_i, rho_i+1], with s = (rho - rho_i)/h, the profile blends the
     degree-5 polynomials through the six nodes from j = i - 3 and from
@@ -1123,51 +1124,48 @@ def _local_profile(state: FlowState
     lift = np.stack([np.linalg.matrix_power(deriv, d) for d in range(4)]
                     ) @ np.linalg.inv(np.vander(np.arange(-2.0, 4.0),
                                                 increasing=True))
-    windows: dict[int, list[list[float]]] = {}
+    windows: list[np.ndarray | None] = [None] * (last + 1)
 
-    def window(j: int, u: float) -> list[float]:
-        """(p, p', p'', p''') at offset u of the quintic through nodes
-        j..j + 5 minus f[j + 2]; Horner's rule in plain floats, which is
-        a few times faster than numpy on six coefficients."""
-        rows = windows.get(j)
-        if rows is None:
-            y = np.zeros(6)
-            np.cumsum(df[j:j + 5], out=y[1:])
-            coeff = lift @ (y - y[2])
-            rows = windows[j] = [coeff[d, 5 - d::-1].tolist()
-                                 for d in range(4)]
-        out = []
-        for row in rows:
-            acc = 0.0
-            for c in row:
-                acc = acc * u + c
-            out.append(acc)
-        return out
+    def window(j: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """(p, p', p'', p''') at offsets u of the quintics through nodes
+        j..j + 5 minus f[j + 2], by Horner's rule."""
+        lo, hi = int(j.min()), int(j.max()) + 1
+        for w in range(lo, hi):
+            if windows[w] is None:
+                y = np.zeros(6)
+                np.cumsum(df[w:w + 5], out=y[1:])
+                # rows: the coefficients of u^5 .. u^0 of each derivative;
+                # a derivative's vanishing top coefficients are exact zeros
+                windows[w] = (lift @ (y - y[2]))[:, ::-1].T
+        coeff = np.stack(windows[lo:hi], axis=-1)
+        acc = np.zeros((4,) + u.shape)
+        for c in coeff[..., j - lo]:
+            acc = acc * u + c
+        return acc
 
-    def prof(r: float):
-        r = float(r)
-        i = min(max(math.floor((r - rho0) / h), 0), rho.size - 2)
-        s = (r - float(rho[i])) / h
-        j = min(max(i - 3, 0), last)
+    def prof(r):
+        r = np.asarray(r, dtype=float)
+        i = np.clip(np.floor((r - rho0) / h).astype(int), 0, rho.size - 2)
+        s = (r - rho[i]) / h
+        j = np.clip(i - 3, 0, last)
         a0, a1, a2, a3 = window(j, s + (i - j - 2))
-        if j != min(max(i - 2, 0), last):
-            # p = a + w (b - a) by Leibniz's rule; the anchors of windows j
-            # and j + 1 differ by df[j + 2]
-            b0, b1, b2, b3 = window(j + 1, s + (i - j - 3))
-            d0, d1, d2, d3 = (b0 - a0 + float(df[j + 2]), b1 - a1, b2 - a2,
-                              b3 - a3)
-            # w and its first three rho-derivatives
-            st = s * (1.0 - s)
-            w0 = s ** 5 * (126.0 + s * (-420.0 + s * (540.0 + s * (
-                -315.0 + s * 70.0))))
-            w1 = 630.0 * st ** 4 / h
-            w2 = 2520.0 * st ** 3 * (1.0 - 2.0 * s) / h ** 2
-            w3 = 2520.0 * st ** 2 * (3.0 - 14.0 * st) / h ** 3
-            a0, a1, a2, a3 = (a0 + w0 * d0, a1 + w0 * d1 + w1 * d0,
-                              a2 + w0 * d2 + 2.0 * w1 * d1 + w2 * d0,
-                              a3 + w0 * d3 + 3.0 * (w1 * d2 + w2 * d1)
-                              + w3 * d0)
-        return float(f[j + 2]) + a0, a1, a2, a3
+        # p = a + w (b - a) by Leibniz's rule where the windows j and j + 1
+        # differ; their anchors differ by df[j + 2]
+        blend = j != np.clip(i - 2, 0, last)
+        b0, b1, b2, b3 = window(np.minimum(j + 1, last), s + (i - j - 3))
+        d0, d1, d2, d3 = b0 - a0 + df[j + 2], b1 - a1, b2 - a2, b3 - a3
+        # w and its first three rho-derivatives
+        st = s * (1.0 - s)
+        w0 = s ** 5 * (126.0 + s * (-420.0 + s * (540.0 + s * (
+            -315.0 + s * 70.0))))
+        w1 = 630.0 * st ** 4 / h
+        w2 = 2520.0 * st ** 3 * (1.0 - 2.0 * s) / h ** 2
+        w3 = 2520.0 * st ** 2 * (3.0 - 14.0 * st) / h ** 3
+        return (f[j + 2] + np.where(blend, a0 + w0 * d0, a0),
+                np.where(blend, a1 + w0 * d1 + w1 * d0, a1),
+                np.where(blend, a2 + w0 * d2 + 2.0 * w1 * d1 + w2 * d0, a2),
+                np.where(blend, a3 + w0 * d3 + 3.0 * (w1 * d2 + w2 * d1)
+                         + w3 * d0, a3))
 
     return prof
 

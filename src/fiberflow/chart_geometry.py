@@ -18,7 +18,7 @@ y_fiber) with z = x + i*y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -58,17 +58,14 @@ class BaseMetric:
 
     `scalar` is the constant the flow normalization declares for the base,
     h^{ij} ricci_ij; for a Kahler-Einstein base it matches the pointwise
-    trace everywhere.  `dh`/`d2h` hold holomorphic first and mixed second
-    coordinate derivatives of h when the construction knows them (index
-    layout dh[k,i,j] = d_k h_ij, d2h[k,l,i,j] = d_k d_lbar h_ij).
+    trace everywhere.  A batch carries h and ricci stacked on a leading
+    axis.
     """
 
     n: int
     h: np.ndarray
     ricci: np.ndarray
     scalar: float
-    dh: np.ndarray | None = None
-    d2h: np.ndarray | None = None
 
     def einstein_residual(self) -> np.ndarray:
         """(scalar/n) h - ricci, the pointwise Kahler-Einstein defect."""
@@ -92,40 +89,45 @@ class BaseMetric:
             raise StructureViolation("declared base scalar does not match trace")
 
 
+def _fs_factor(z: np.ndarray) -> np.ndarray:
+    """a = 1 / (1 + |z|^2) over the last axis of z."""
+    return 1.0 / (1.0 + np.sum(z.real ** 2 + z.imag ** 2, axis=-1))
+
+
 def fubini_study_base(z: np.ndarray) -> BaseMetric:
-    """Fubini-Study data at a chart point, normalized so Ric(h) = (n+1) h.
+    """Fubini-Study data at chart points z (..., n), normalized so
+    Ric(h) = (n+1) h; h and ricci carry the leading axes of z.
 
     Potential ln(1 + |z|^2); for n = 1 this is the round sphere with Gauss
     curvature 2 and total area 2*pi.
     """
     z = np.asarray(z, dtype=complex)
+    n = z.shape[-1]
+    a = _fs_factor(z)[..., None, None]
+    h = a * np.eye(n) - (a * a) * (z.conj()[..., :, None] * z[..., None, :])
+    return BaseMetric(n=n, h=h, ricci=(n + 1.0) * h, scalar=float(n * (n + 1)))
+
+
+def fubini_study_derivatives(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Holomorphic first and mixed second derivatives of the Fubini-Study h
+    at one chart point z (n,): dh[k,i,j] = d_k h_ij and
+    d2h[k,l,i,j] = d_k d_lbar h_ij.  Chart evaluation does not need them.
+
+    In d2h, `d_kl` is delta_kl, `d_il` delta_il and so on, each broadcast
+    over the two axes it does not carry.
+    """
+    z = np.asarray(z, dtype=complex)
     n = z.size
-    a = 1.0 / (1.0 + np.vdot(z, z).real)
+    a = float(_fs_factor(z))
     eye = np.eye(n)
     zb = z.conj()
     zz = np.outer(zb, z)
-    h = a * eye - (a * a) * zz
     # d_k h_ij = -a^2 (delta_ij zb_k + delta_jk zb_i) + 2 a^3 zb_i z_j zb_k,
     # stacked over k on the leading axis
     zk = zb[:, None, None]
     dh = (-(a * a) * (eye * zk)
           - (a * a) * (zb[:, None] * eye[:, None, :])
           + 2.0 * a ** 3 * zz * zk)
-    d2h = _fs_second_derivs(z, a)
-    ricci = (n + 1.0) * h
-    return BaseMetric(n=n, h=h, ricci=ricci, scalar=float(n * (n + 1)), dh=dh, d2h=d2h)
-
-
-def _fs_second_derivs(z: np.ndarray, a: float) -> np.ndarray:
-    """d_k d_lbar h_ij for the Fubini-Study metric with potential ln(1+|z|^2).
-
-    Axes are (k, l, i, j); `d_kl` is delta_kl, `d_il` delta_il and so on,
-    each broadcast over the two axes it does not carry.
-    """
-    n = z.size
-    eye = np.eye(n)
-    zb = z.conj()
-    zz = np.outer(zb, z)
     d_ij = eye[None, None]
     d_kl = eye[:, :, None, None]
     d_il = eye.T[None, :, :, None]
@@ -141,16 +143,14 @@ def _fs_second_derivs(z: np.ndarray, a: float) -> np.ndarray:
         + (d_il * z) * zb_k
         + d_kl * zz
     )
-    return d2h - 6.0 * a ** 4 * zz * zz_kl
+    return dh, d2h - 6.0 * a ** 4 * zz * zz_kl
 
 
 def flat_base(n: int) -> BaseMetric:
     """Flat base: identity h, zero curvature."""
     eye = np.eye(n, dtype=complex)
     zero = np.zeros((n, n), dtype=complex)
-    return BaseMetric(n=n, h=eye, ricci=zero, scalar=0.0,
-                      dh=np.zeros((n, n, n), dtype=complex),
-                      d2h=np.zeros((n, n, n, n), dtype=complex))
+    return BaseMetric(n=n, h=eye, ricci=zero, scalar=0.0)
 
 
 def perturbed_fs_base(z: np.ndarray, amplitude: float = 0.1,
@@ -165,16 +165,17 @@ def perturbed_fs_base(z: np.ndarray, amplitude: float = 0.1,
     n = z.size
 
     def h_at(zz: np.ndarray) -> np.ndarray:
-        return (1.0 + amplitude * zz[0].real) * fubini_study_base(zz).h
+        scale = 1.0 + amplitude * zz[..., 0].real
+        return scale[..., None, None] * fubini_study_base(zz).h
 
-    def logdet(p: np.ndarray) -> float:
-        zz = p[0::2] + 1j * p[1::2]
-        return float(np.linalg.slogdet(h_at(zz))[1])
+    def logdet(points: np.ndarray) -> np.ndarray:
+        zz = points[:, 0::2] + 1j * points[:, 1::2]
+        return np.linalg.slogdet(h_at(zz))[1]
 
     p0 = np.empty(2 * n)
     p0[0::2] = z.real
     p0[1::2] = z.imag
-    ric = -hermitian_hessian_fd(logdet, p0, n, step)
+    ric = -hermitian_hessian_fd(logdet, p0, step)
     return BaseMetric(n=n, h=h_at(z), ricci=ric, scalar=float(n * (n + 1)))
 
 
@@ -184,7 +185,9 @@ def perturbed_fs_base(z: np.ndarray, amplitude: float = 0.1,
 
 @dataclass(frozen=True)
 class ChartMetricBlocks:
-    """Structured metric data at a single chart point.
+    """Structured metric data at a chart point, or at a batch of P points:
+    then every field that varies by point carries a leading axis of length
+    P, the scalar fields as 1-D arrays (see `row`).
 
     Derivative fields follow the chart coordinates: `df_dxi` is the
     holomorphic fiber derivative of f, `df_dz` the holomorphic base
@@ -208,6 +211,19 @@ class ChartMetricBlocks:
     @property
     def n(self) -> int:
         return self.base.n
+
+    def row(self, i: int) -> ChartMetricBlocks:
+        """Point i of a batch, its scalar fields as Python numbers."""
+        def take(value):
+            if isinstance(value, BaseMetric):
+                return replace(value, h=value.h[i], ricci=value.ricci[i])
+            ndim = np.ndim(value)
+            if ndim == 0:
+                return value
+            return value[i].item() if ndim == 1 else value[i]
+
+        return ChartMetricBlocks(**{fld.name: take(getattr(self, fld.name))
+                                    for fld in fields(self)})
 
     def df_dz_filled(self) -> np.ndarray:
         if self.df_dz is None:
@@ -242,16 +258,20 @@ class ChartMetricBlocks:
 
 
 def assemble_block_metric(blocks: ChartMetricBlocks, check: bool = True) -> np.ndarray:
-    """Assemble the (n+1) x (n+1) Hermitian matrix from structured blocks."""
+    """Assemble the (n+1) x (n+1) Hermitian matrix from structured blocks;
+    a batch gives a stack of matrices."""
     n = blocks.n
-    g = np.zeros((n + 1, n + 1), dtype=complex)
-    s = blocks.s
-    g[:n, :n] = blocks.f * blocks.base.h + np.outer(s, s.conj()) * blocks.g_fiber
-    g[:n, n] = s * blocks.g_fiber
-    g[n, :n] = s.conj() * blocks.g_fiber
-    g[n, n] = blocks.g_fiber
+    s = np.asarray(blocks.s)
+    f = np.asarray(blocks.f)[..., None, None]
+    gf = np.asarray(blocks.g_fiber)[..., None]
+    g = np.empty(s.shape[:-1] + (n + 1, n + 1), dtype=complex)
+    ssbar = s[..., :, None] * s.conj()[..., None, :]
+    g[..., :n, :n] = f * blocks.base.h + ssbar * gf[..., None]
+    g[..., :n, n] = s * gf
+    g[..., n, :n] = s.conj() * gf
+    g[..., n, n] = blocks.g_fiber
     if check:
-        if blocks.f <= POSITIVITY_FLOOR or blocks.g_fiber <= POSITIVITY_FLOOR:
+        if np.any(f <= POSITIVITY_FLOOR) or np.any(gf <= POSITIVITY_FLOOR):
             raise NonPositiveDefinite("non-positive dilation or fiber component")
         try:
             np.linalg.cholesky(g)
@@ -360,14 +380,15 @@ def real_metric(blocks: ChartMetricBlocks) -> np.ndarray:
 
 
 def real_metric_from_hermitian(g: np.ndarray) -> np.ndarray:
-    m = g.shape[0]
-    out = np.zeros((2 * m, 2 * m))
+    """Real form of a Hermitian matrix, or of a stack of them."""
+    m = g.shape[-1]
+    out = np.empty(g.shape[:-2] + (2 * m, 2 * m))
     a = 2.0 * g.real
     b = 2.0 * g.imag
-    out[0::2, 0::2] = a
-    out[1::2, 1::2] = a
-    out[0::2, 1::2] = b
-    out[1::2, 0::2] = -b
+    out[..., 0::2, 0::2] = a
+    out[..., 1::2, 1::2] = a
+    out[..., 0::2, 1::2] = b
+    out[..., 1::2, 0::2] = -b
     return out
 
 
@@ -392,11 +413,11 @@ def real_partials(dz: np.ndarray) -> np.ndarray:
     return out
 
 
-def point_to_complex(point: np.ndarray) -> tuple[np.ndarray, complex]:
+def point_to_complex(point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(z, xi) of a real chart point, or of a stack of them."""
     p = np.asarray(point, dtype=float)
-    m = p.size // 2
-    zs = p[0:2 * m:2] + 1j * p[1:2 * m:2]
-    return zs[:-1], complex(zs[-1])
+    zs = p[..., 0::2] + 1j * p[..., 1::2]
+    return zs[..., :-1], zs[..., -1]
 
 
 # ---------------------------------------------------------------------------
@@ -405,25 +426,31 @@ def point_to_complex(point: np.ndarray) -> tuple[np.ndarray, complex]:
 
 @dataclass(frozen=True)
 class ChartSampler:
-    """Deterministic map from a real chart point to structured blocks.
+    """Deterministic map from real chart points to structured blocks.
 
-    `domain` is a (2n+2, 2) box of admissible real coordinates; oracles
-    refuse stencils that would leave it.
+    `evaluate_batch` takes a (P, 2n+2) stack of points and returns one
+    batch of blocks for them (see `ChartMetricBlocks`); `evaluate` is its
+    one-row case.  `domain` is a (2n+2, 2) box of admissible real
+    coordinates; oracles refuse stencils that would leave it.
     """
 
     n: int
-    evaluate: Callable[[np.ndarray], ChartMetricBlocks]
+    evaluate_batch: Callable[[np.ndarray], ChartMetricBlocks]
     domain: np.ndarray
     fd_step: float = DEFAULT_FD_STEP
 
-    def metric_fn(self) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda p: real_metric(self.evaluate(p))
+    def evaluate(self, point: np.ndarray) -> ChartMetricBlocks:
+        return self.evaluate_batch(np.asarray(point, dtype=float)[None]).row(0)
 
-    def log_det_fn(self) -> Callable[[np.ndarray], float]:
-        def ld(p: np.ndarray) -> float:
-            g = assemble_block_metric(self.evaluate(p), check=False)
-            sign, val = np.linalg.slogdet(g)
-            return float(val)
+    def metric_fn(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Real metrics (P, d, d) at a (P, d) stack of points."""
+        return lambda points: real_metric(self.evaluate_batch(points))
+
+    def log_det_fn(self) -> Callable[[np.ndarray], np.ndarray]:
+        """ln det of the Hermitian metrics (P,) at a (P, d) stack of points."""
+        def ld(points: np.ndarray) -> np.ndarray:
+            g = assemble_block_metric(self.evaluate_batch(points), check=False)
+            return np.linalg.slogdet(g)[1]
         return ld
 
     def check_point(self, point: np.ndarray, margin: float) -> None:
@@ -460,22 +487,21 @@ def product_sampler(base_size: float = 3.0, fiber_size: float = 1.0,
     2*pi*fiber_size and its Gauss curvature 2/fiber_size.
     """
 
-    def evaluate(point: np.ndarray) -> ChartMetricBlocks:
-        z, xi = point_to_complex(point)
-        base = fubini_study_base(z)
-        r2 = abs(xi) ** 2
+    def evaluate_batch(points: np.ndarray) -> ChartMetricBlocks:
+        z, xi = point_to_complex(points)
+        r2 = np.abs(xi) ** 2
         w = 1.0 + r2
-        gf = fiber_size / w ** 2
-        dg = -2.0 * fiber_size * np.conj(xi) / w ** 3
-        d2g = -2.0 * fiber_size * (1.0 - 2.0 * r2) / w ** 4
+        zero = np.zeros(z.shape, dtype=complex)
         return ChartMetricBlocks(
-            base=base, f=base_size, s=np.zeros(n, dtype=complex), g_fiber=gf,
-            df_dz=np.zeros(n, dtype=complex),
-            dsbar_dz=np.zeros((n, n), dtype=complex),
-            dsbar_dxi=np.zeros(n, dtype=complex),
-            dg_dxi=complex(dg), d2g=float(d2g))
+            base=fubini_study_base(z), f=np.full(r2.shape, float(base_size)),
+            s=zero, g_fiber=fiber_size / w ** 2,
+            df_dxi=np.zeros(xi.shape, dtype=complex), d2f=np.zeros(r2.shape),
+            df_dz=zero, dsbar_dz=np.zeros(z.shape + (n,), dtype=complex),
+            dsbar_dxi=zero,
+            dg_dxi=-2.0 * fiber_size * np.conj(xi) / w ** 3,
+            d2g=-2.0 * fiber_size * (1.0 - 2.0 * r2) / w ** 4)
 
-    return ChartSampler(n=n, evaluate=evaluate,
+    return ChartSampler(n=n, evaluate_batch=evaluate_batch,
                         domain=_box(n, 0.5, (-0.9, 0.9), (-0.9, 0.9)))
 
 
@@ -484,46 +510,42 @@ def product_sampler(base_size: float = 3.0, fiber_size: float = 1.0,
 _CALABI_BOX = (0.35, (0.65, 1.45), (-0.35, 0.35))
 
 
-def calabi_sampler(profile: Callable[[float], tuple[float, float, float, float]],
+def calabi_sampler(profile: Callable[[np.ndarray], tuple[np.ndarray, ...]],
                    n: int = 1, k: int = 1) -> ChartSampler:
     """Calabi-symmetric metric on a twisted fiber chart over Fubini-Study.
 
     The potential depends on rho = ln|xi|^2 + k ln(1+|z|^2) only; `profile`
-    returns (f, df/drho, d2f/drho2, d3f/drho3) of the dilation.  With
-    v = f'/k the fiber component is g_fiber = v * exp(k*phi - rho); the
-    connection components are s_i = k xi d_i phi, holomorphic in xi, so the
-    structure is Kahler-compatible and totally geodesic by construction.
+    maps an array of rho to the arrays (f, df/drho, d2f/drho2, d3f/drho3)
+    of the dilation.  With v = f'/k the fiber component is
+    g_fiber = v * exp(k*phi - rho); the connection components are
+    s_i = k xi d_i phi, holomorphic in xi, so the structure is
+    Kahler-compatible and totally geodesic by construction.
     """
 
-    def evaluate(point: np.ndarray) -> ChartMetricBlocks:
-        z, xi = point_to_complex(point)
+    def evaluate_batch(points: np.ndarray) -> ChartMetricBlocks:
+        z, xi = point_to_complex(points)
         base = fubini_study_base(z)
-        a = 1.0 / (1.0 + np.vdot(z, z).real)
-        phi = float(np.log(1.0 / a))
-        phi_d = z.conj() * a
-        r2 = abs(xi) ** 2
-        if r2 <= 0.0:
+        a = _fs_factor(z)
+        phi = np.log(1.0 / a)
+        phi_d = z.conj() * a[:, None]
+        r2 = np.abs(xi) ** 2
+        if np.any(r2 <= 0.0):
             raise DomainEdge("fiber coordinate too close to the pole")
-        rho = float(np.log(r2) + k * phi)
+        rho = np.log(r2) + k * phi
         fval, f1, f2, f3 = profile(rho)
         v, v1, v2 = f1 / k, f2 / k, f3 / k
-        if f1 <= 0.0:
+        if np.any(f1 <= 0.0):
             raise NonPositiveDefinite("profile not strictly increasing")
         efac = np.exp(k * phi - rho)
-        gf = v * efac
-        dg = (v1 - v) * efac / xi
-        d2g = (v2 - 2.0 * v1 + v) * efac / r2
-        s = k * xi * phi_d
-        dsbar_dz = k * np.conj(xi) * base.h
         return ChartMetricBlocks(
-            base=base, f=float(fval), s=s, g_fiber=float(gf),
-            df_dxi=complex(f1 / xi), d2f=float(f2 / r2),
-            df_dz=f1 * k * phi_d,
-            dsbar_dz=dsbar_dz,
-            dsbar_dxi=np.zeros(n, dtype=complex),
-            dg_dxi=complex(dg), d2g=float(d2g))
+            base=base, f=fval, s=(k * xi)[:, None] * phi_d, g_fiber=v * efac,
+            df_dxi=f1 / xi, d2f=f2 / r2,
+            df_dz=(f1 * k)[:, None] * phi_d,
+            dsbar_dz=(k * np.conj(xi))[:, None, None] * base.h,
+            dsbar_dxi=np.zeros(phi_d.shape, dtype=complex),
+            dg_dxi=(v1 - v) * efac / xi, d2g=(v2 - 2.0 * v1 + v) * efac / r2)
 
-    return ChartSampler(n=n, evaluate=evaluate,
+    return ChartSampler(n=n, evaluate_batch=evaluate_batch,
                         domain=_box(n, *_CALABI_BOX))
 
 
@@ -531,49 +553,79 @@ def calabi_sampler(profile: Callable[[float], tuple[float, float, float, float]]
 # finite-difference oracles
 
 
-def _second_derivative(fn: Callable[[np.ndarray], float], p: np.ndarray,
-                       a: int, h: float, f0: float) -> float:
-    ea = np.zeros(p.size)
-    ea[a] = h
-    return (fn(p + ea) - 2.0 * f0 + fn(p - ea)) / h ** 2
+# Every oracle lays out its whole stencil first, evaluates the distinct
+# points of it in one batch call and reads the values back through an
+# index table.  Overlapping stencils share points: (p + e_c) + e_a is
+# bitwise (p + e_a) + e_c, and p + e_c - e_c usually rounds back to p.
 
 
-def _mixed_derivative(fn: Callable[[np.ndarray], float], p: np.ndarray,
-                      a: int, b: int, h: float) -> float:
-    ea = np.zeros(p.size)
-    eb = np.zeros(p.size)
-    ea[a] = h
-    eb[b] = h
-    return (fn(p + ea + eb) - fn(p + ea - eb)
-            - fn(p - ea + eb) + fn(p - ea - eb)) / (4.0 * h ** 2)
+def _star(points: np.ndarray, step: float) -> np.ndarray:
+    """p, p + step e_0, p - step e_0, p + step e_1, ... for every p of
+    `points` (..., d): shape (..., 2d + 1, d)."""
+    d = points.shape[-1]
+    shifts = np.zeros((2 * d + 1, d))
+    axis = np.arange(d)
+    shifts[1 + 2 * axis, axis] = step
+    shifts[2 + 2 * axis, axis] = -step
+    return points[..., None, :] + shifts
 
 
-def hermitian_hessian_fd(fn: Callable[[np.ndarray], float], point: np.ndarray,
-                         m: int, step: float) -> np.ndarray:
-    """Mixed complex Hessian d_A d_Bbar of a real scalar by central stencils.
+def _hessian_grid(point: np.ndarray, step: float) -> np.ndarray:
+    """`_star` of `_star(point)`, (2d + 1, 2d + 1, d), with the entries
+    that shift one coordinate twice set to `point`: they are not used,
+    and the point is on the stencil anyway."""
+    grid = _star(_star(point, step), step)
+    axis = (np.arange(grid.shape[0]) + 1) // 2  # 0 at the centre
+    grid[(axis[:, None] == axis) & (axis[:, None] > 0)] = point
+    return grid
 
-    d_A d_Abar = (d_xx + d_yy)/4; off-diagonal entries combine the four
-    real mixed partials into (real + i imag)/4.
-    """
-    p = np.asarray(point, dtype=float)
-    f0 = fn(p)
-    out = np.zeros((m, m), dtype=complex)
-    xs = [2 * a for a in range(m)]
-    ys = [2 * a + 1 for a in range(m)]
-    for a in range(m):
-        dxx = _second_derivative(fn, p, xs[a], step, f0)
-        dyy = _second_derivative(fn, p, ys[a], step, f0)
-        out[a, a] = 0.25 * (dxx + dyy)
-    for a in range(m):
-        for b in range(a + 1, m):
-            dxx = _mixed_derivative(fn, p, xs[a], xs[b], step)
-            dyy = _mixed_derivative(fn, p, ys[a], ys[b], step)
-            dxy = _mixed_derivative(fn, p, xs[a], ys[b], step)
-            dyx = _mixed_derivative(fn, p, ys[a], xs[b], step)
-            val = 0.25 * ((dxx + dyy) + 1j * (dxy - dyx))
-            out[a, b] = val
-            out[b, a] = np.conj(val)
-    return out
+
+def _distinct(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct points of `points` (..., d) by their exact bytes, and
+    the index table (...) that reads values computed at them back in the
+    shape of `points`."""
+    flat = np.ascontiguousarray(points, dtype=float).reshape(
+        -1, points.shape[-1])
+    keys = flat.view(np.dtype((np.void, flat.strides[0]))).ravel()
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    return flat[first], index.reshape(points.shape[:-1])
+
+
+def _on_stencil(fn: Callable[[np.ndarray], np.ndarray],
+                points: np.ndarray) -> np.ndarray:
+    """The values of the batch function `fn` at `points` (..., d), from one
+    call on their distinct points."""
+    rows, index = _distinct(points)
+    return fn(rows)[index]
+
+
+def _real_hessian(values: np.ndarray, step: float) -> np.ndarray:
+    """Real Hessian (d, d) of a scalar by central differences, from its
+    values (2d + 1, 2d + 1) on `_hessian_grid`."""
+    h2 = step ** 2
+    diag = (values[0, 1::2] - 2.0 * values[0, 0] + values[0, 2::2]) / h2
+    mixed = (values[1::2, 1::2] - values[1::2, 2::2]
+             - values[2::2, 1::2] + values[2::2, 2::2]) / (4.0 * h2)
+    upper = np.triu(mixed, 1)
+    return upper + upper.T + np.diag(diag)
+
+
+def _complex_hessian(real: np.ndarray) -> np.ndarray:
+    """d_A d_Bbar of a real scalar from its real Hessian in the chart order
+    (x^1, y^1, ...): d_A d_Abar = (d_xx + d_yy)/4 on the diagonal, and off
+    it the four real mixed partials combine into (real + i imag)/4."""
+    xx, yy = real[0::2, 0::2], real[1::2, 1::2]
+    upper = np.triu(0.25 * ((xx + yy) + 1j * (real[0::2, 1::2]
+                                              - real[1::2, 0::2])), 1)
+    return upper + upper.conj().T + np.diag(0.25 * (np.diag(xx) + np.diag(yy)))
+
+
+def hermitian_hessian_fd(fn: Callable[[np.ndarray], np.ndarray],
+                         point: np.ndarray, step: float) -> np.ndarray:
+    """Mixed complex Hessian d_A d_Bbar of a real scalar by central
+    stencils; `fn` maps a (P, 2m) stack of points to (P,) values."""
+    grid = _hessian_grid(np.asarray(point, dtype=float), step)
+    return _complex_hessian(_real_hessian(_on_stencil(fn, grid), step))
 
 
 def fd_ricci_oracle(sampler: ChartSampler, point: np.ndarray,
@@ -582,20 +634,19 @@ def fd_ricci_oracle(sampler: ChartSampler, point: np.ndarray,
     """Ricci blocks from R_AB = -d_A d_Bbar ln det g, oblivious to structure.
 
     With `richardson` the h and h/2 evaluations are extrapolated to fourth
-    order, which the tight ratio-structure checks need.
+    order, which the tight ratio-structure checks need; both stencils go
+    to the sampler in one call.
     """
     h = sampler.fd_step if step is None else step
     margin = 2.5 * h
     sampler.check_point(point, margin)
-    fn = sampler.log_det_fn()
-    m = sampler.n + 1
-
-    def hess(hh: float) -> np.ndarray:
-        return hermitian_hessian_fd(fn, point, m, hh)
-
-    mat = hess(h)
-    if richardson:
-        mat = (4.0 * hess(h / 2.0) - mat) / 3.0
+    p = np.asarray(point, dtype=float)
+    steps = (h, h / 2.0) if richardson else (h,)
+    values = _on_stencil(sampler.log_det_fn(),
+                         np.stack([_hessian_grid(p, hh) for hh in steps]))
+    mats = [_complex_hessian(_real_hessian(v, hh))
+            for v, hh in zip(values, steps)]
+    mat = (4.0 * mats[1] - mats[0]) / 3.0 if richardson else mats[0]
     ric = -mat
     return RicciBlocks(base=ric[:-1, :-1], mixed=ric[:-1, -1],
                        fiber=float(ric[-1, -1].real))
@@ -604,40 +655,16 @@ def fd_ricci_oracle(sampler: ChartSampler, point: np.ndarray,
 # --- real-geometry oracles (Christoffel, Riemann) --------------------------
 
 
-def _memo(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
-    """`fn` with its results kept, keyed on the exact bytes of the point.
-
-    Meant to live for one oracle call: overlapping stencils then evaluate
-    each distinct point once, and a hit returns what `fn` would have
-    returned for the same bits.  Callers must not mutate the results.
-    """
-    cache: dict[bytes, object] = {}
-
-    def cached(p: np.ndarray) -> object:
-        key = p.tobytes()
-        if key not in cache:
-            cache[key] = fn(p)
-        return cache[key]
-
-    return cached
-
-
-def christoffel_fd(metric_fn: Callable[[np.ndarray], np.ndarray],
-                   point: np.ndarray, step: float) -> np.ndarray:
-    """Christoffel symbols Gamma^a_{bc} of a real metric via central FD."""
-    p = np.asarray(point, dtype=float)
-    d = p.size
-    g0 = metric_fn(p)
-    dg = np.zeros((d, d, d))
-    for a in range(d):
-        ea = np.zeros(d)
-        ea[a] = step
-        dg[a] = (metric_fn(p + ea) - metric_fn(p - ea)) / (2.0 * step)
-    ginv = np.linalg.inv(g0)
-    # Gamma^a_{bc} = 1/2 g^{ad} (d_b g_dc + d_c g_db - d_d g_bc); dg[a] is the
-    # metric derivative in direction a, so T[b,d,c] collects the parenthesis.
-    term = dg + dg.transpose(2, 1, 0) - dg.transpose(1, 0, 2)
-    return 0.5 * np.einsum('ad,bdc->abc', ginv, term)
+def _christoffel(g: np.ndarray, step: float) -> np.ndarray:
+    """Christoffel symbols Gamma^a_{bc} (..., d, d, d) of a real metric by
+    central differences, from its values g (..., 2d + 1, d, d) on `_star`."""
+    # dg[..., a, :, :] is the metric derivative in direction a
+    dg = (g[..., 1::2, :, :] - g[..., 2::2, :, :]) / (2.0 * step)
+    ginv = np.linalg.inv(g[..., 0, :, :])
+    # Gamma^a_{bc} = 1/2 g^{ad} (d_b g_dc + d_c g_db - d_d g_bc); T[b,d,c]
+    # collects the parenthesis.
+    term = dg + np.swapaxes(dg, -3, -1) - np.swapaxes(dg, -3, -2)
+    return 0.5 * np.einsum('...ad,...bdc->...abc', ginv, term)
 
 
 def riemann_fd(metric_fn: Callable[[np.ndarray], np.ndarray],
@@ -647,22 +674,17 @@ def riemann_fd(metric_fn: Callable[[np.ndarray], np.ndarray],
     Built from finite differences of the Christoffel symbols; second-order
     accurate in `step`.  Sign convention fixed so that the sectional
     curvature of a round sphere comes out positive via
-    `sectional_from_riemann`.  The Christoffel stencils around p +- e_c
-    overlap ((p + e_c) + e_a is bitwise (p + e_a) + e_c), so `metric_fn`
-    runs once per distinct point: 2d^2 + 2d + 1 times unless a shift
-    x + h - h does not round back to x.
+    `sectional_from_riemann`.  `metric_fn` maps a (P, d) stack of points
+    to their (P, d, d) real metrics; it is called once, on the 2d^2 + 2d + 1
+    distinct points of the Christoffel stencils around p and p +- e_c
+    (more only if a shift x + h - h does not round back to x).
     """
-    metric_fn = _memo(metric_fn)
     p = np.asarray(point, dtype=float)
-    d = p.size
-    gamma0 = christoffel_fd(metric_fn, p, step)
-    dgamma = np.zeros((d, d, d, d))
-    for c in range(d):
-        ec = np.zeros(d)
-        ec[c] = step
-        gp = christoffel_fd(metric_fn, p + ec, step)
-        gm = christoffel_fd(metric_fn, p - ec, step)
-        dgamma[c] = (gp - gm) / (2.0 * step)
+    g = _on_stencil(metric_fn, _star(_star(p, step), step))
+    gamma = _christoffel(g, step)
+    gamma0 = gamma[0]
+    # dgamma[c] is the derivative of Gamma in direction c
+    dgamma = (gamma[1::2] - gamma[2::2]) / (2.0 * step)
     # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
     #           + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}
     rup = (
@@ -671,8 +693,7 @@ def riemann_fd(metric_fn: Callable[[np.ndarray], np.ndarray],
         + np.einsum('ace,edb->abcd', gamma0, gamma0)
         - np.einsum('ade,ecb->abcd', gamma0, gamma0)
     )
-    g0 = metric_fn(p)
-    return np.einsum('ae,ebcd->abcd', g0, rup)
+    return np.einsum('ae,ebcd->abcd', g[0, 0], rup)
 
 
 def riem4(rlow: np.ndarray, x: np.ndarray, y: np.ndarray,

@@ -580,12 +580,14 @@ def _check_chart_residuals(run: FlowRun, seed: int) -> bool:
     points of the run's sampled state (`FlowRun.sample`: the first
     recorded state at or past half the span the run aims to cover), on
     the chart of `sampler_from_state`, the one chart profile of the
-    package (numpy only, so a run loads no scipy module for this check)."""
+    package (numpy only, so a run loads no scipy module for this check).
+    The points are evaluated in one batch call."""
     sampler = sampler_from_state(run.sample, run.params)
-    rng = np.random.default_rng(seed)
+    points = sampler.random_points(np.random.default_rng(seed), 5)
+    batch = sampler.evaluate_batch(points)
     worst = 0.0
-    for pt in sampler.random_points(rng, 5):
-        blocks = sampler.evaluate(pt)
+    for i in range(len(points)):
+        blocks = batch.row(i)
         worst = max(worst, check_kahler_compatibility(blocks),
                     check_totally_geodesic(blocks))
     return worst <= CHART_RESIDUAL_TOL

@@ -19,10 +19,10 @@ from .chart_geometry import (
     ChartError,
     ChartMetricBlocks,
     ChartSampler,
-    _memo,
-    _mixed_derivative,
-    _second_derivative,
-    christoffel_fd,
+    _christoffel,
+    _distinct,
+    _hessian_grid,
+    _real_hessian,
     complex_structure,
     real_metric,
     real_metric_from_hermitian,
@@ -244,11 +244,12 @@ def base_sectional_fd(fp: FramePoint, x: np.ndarray, y: np.ndarray,
     fiber_tail = fp.point[2 * n:]
     samp = fp.sampler
 
-    def base_fn(pb: np.ndarray) -> np.ndarray:
-        full = np.concatenate([pb, fiber_tail])
-        return real_metric_from_hermitian(samp.evaluate(full).base.h)
+    def base_fn(points: np.ndarray) -> np.ndarray:
+        tails = np.broadcast_to(fiber_tail, (len(points), 2))
+        full = np.concatenate([points, tails], axis=1)
+        return real_metric_from_hermitian(samp.evaluate_batch(full).base.h)
 
-    h_real = base_fn(fp.point[:2 * n])
+    h_real = real_metric_from_hermitian(fp.blocks.base.h)
     rlow_b = riemann_fd(base_fn, fp.point[:2 * n], step)
     return sectional_from_riemann(rlow_b, h_real, x[:2 * n], y[:2 * n])
 
@@ -262,29 +263,17 @@ def vertical_sectional(blocks: ChartMetricBlocks) -> float:
 
 def _hessian_ln_f(fp: FramePoint, step: float) -> np.ndarray:
     """Covariant Hessian matrix of ln f at the frame point via metric-only
-    stencils.  One memoised sampler evaluation per stencil point feeds both
+    stencils.  One sampler call on the distinct stencil points feeds both
     the ln f stencil and the Christoffel stencil."""
     if fp.sampler is None:
         raise ChartError("hessian stencil needs a sampler")
-    evaluate = _memo(fp.sampler.evaluate)
-
-    def lnf(p: np.ndarray) -> float:
-        return float(np.log(evaluate(p).f))
-
-    p = fp.point
-    d = p.size
-    f0 = lnf(p)
-    hess = np.zeros((d, d))
-    grad1 = np.zeros(d)
-    for a in range(d):
-        ea = np.zeros(d)
-        ea[a] = step
-        hess[a, a] = _second_derivative(lnf, p, a, step, f0)
-        grad1[a] = (lnf(p + ea) - lnf(p - ea)) / (2.0 * step)
-        for b in range(a + 1, d):
-            hess[a, b] = hess[b, a] = _mixed_derivative(lnf, p, a, b, step)
-    gamma = christoffel_fd(lambda q: real_metric(evaluate(q)), p, step)
-    return hess - np.einsum('cab,c->ab', gamma, grad1)
+    rows, index = _distinct(_hessian_grid(fp.point, step))
+    blocks = fp.sampler.evaluate_batch(rows)
+    lnf = np.log(blocks.f)[index]
+    grad1 = (lnf[0, 1::2] - lnf[0, 2::2]) / (2.0 * step)
+    # the first row of the grid is the Christoffel stencil of `_star`
+    gamma = _christoffel(real_metric(blocks)[index[0]], step)
+    return _real_hessian(lnf, step) - np.einsum('cab,c->ab', gamma, grad1)
 
 
 def _mixed_sectional(fp: FramePoint, u: np.ndarray, x: np.ndarray,

@@ -1,8 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from conftest import make_logistic
 from fiberflow import chart_geometry as cg
+from fiberflow.calabi_flow import (HirzebruchParams, _local_profile,
+                                   init_hirzebruch_profile)
 
 
 def twisted_sampler(lower=1.0, width=1.0, n=1, k=1):
@@ -127,14 +131,14 @@ def test_fubini_study_derivatives_match_fd():
 
     for n in (1, 2, 3):
         z0 = np.array([0.21 - 0.13j, -0.07 + 0.29j, 0.16 + 0.04j])[:n]
-        bm = cg.fubini_study_base(z0)
+        dh, d2h = cg.fubini_study_derivatives(z0)
         for k in range(n):
             fd = dhol(h_at, z0, k)
-            assert np.max(np.abs(fd - bm.dh[k])) <= 1e-6, (n, k)
+            assert np.max(np.abs(fd - dh[k])) <= 1e-6, (n, k)
         for k in range(n):
             for l in range(n):
                 fd = dhol(lambda z, l=l: dbar(h_at, z, l), z0, k)
-                assert np.max(np.abs(fd - bm.d2h[k, l])) <= 1e-6, (n, k, l)
+                assert np.max(np.abs(fd - d2h[k, l])) <= 1e-6, (n, k, l)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -142,7 +146,7 @@ def test_fubini_study_derivatives_match_entrywise_formulas(n):
     """The broadcast derivatives against the formulas written out entry by
     entry, to rounding."""
     z = np.array([0.31 + 0.12j, -0.18 + 0.07j, 0.05 - 0.22j])[:n]
-    bm = cg.fubini_study_base(z)
+    got_dh, got_d2h = cg.fubini_study_derivatives(z)
     a = 1.0 / (1.0 + np.vdot(z, z).real)
     zb = z.conj()
     dl = np.eye(n)
@@ -157,8 +161,8 @@ def test_fubini_study_derivatives_match_entrywise_formulas(n):
                             + dl[i, l] * z[j] * zb[k]
                             + dl[k, l] * zb[i] * z[j])
             - 6 * a ** 4 * zb[i] * z[j] * zb[k] * z[l])
-    assert np.max(np.abs(bm.dh - dh)) <= 1e-12 * np.max(np.abs(dh))
-    assert np.max(np.abs(bm.d2h - d2h)) <= 1e-12 * np.max(np.abs(d2h))
+    assert np.max(np.abs(got_dh - dh)) <= 1e-12 * np.max(np.abs(dh))
+    assert np.max(np.abs(got_d2h - d2h)) <= 1e-12 * np.max(np.abs(d2h))
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +266,9 @@ def test_real_partials_convention():
 @pytest.mark.parametrize("size", [1.0, 0.5])
 def test_riemann_fd_round_sphere(size):
     def metric(p):
-        w = 1.0 + p[0] ** 2 + p[1] ** 2
+        w = 1.0 + p[..., 0] ** 2 + p[..., 1] ** 2
         return cg.real_metric_from_hermitian(
-            np.array([[size / w ** 2]], dtype=complex))
+            (size / w ** 2)[..., None, None].astype(complex))
 
     pt = np.array([0.23, -0.11])
     rlow = cg.riemann_fd(metric, pt, 1e-3)
@@ -276,7 +280,8 @@ def test_riemann_fd_round_sphere(size):
 
 def test_riemann_fd_flat_chart():
     g = np.diag([2.0, 2.0, 2.0, 2.0])
-    rlow = cg.riemann_fd(lambda p: g, np.array([0.1, 0.2, -0.1, 0.3]), 1e-3)
+    rlow = cg.riemann_fd(lambda p: np.broadcast_to(g, (len(p), 4, 4)),
+                         np.array([0.1, 0.2, -0.1, 0.3]), 1e-3)
     assert np.max(np.abs(rlow)) <= 1e-8
 
 
@@ -293,3 +298,67 @@ def test_random_points_stay_inside():
     pts = samp.random_points(rng, 50)
     for p in pts:
         samp.check_point(p, margin=2.5 * samp.fd_step)
+
+
+# ---------------------------------------------------------------------------
+# batch evaluation
+
+
+def _rho(points, k=1):
+    z, xi = cg.point_to_complex(points)
+    return np.log(np.abs(xi) ** 2) + k * np.log(1.0 + np.sum(np.abs(z) ** 2,
+                                                            axis=-1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("chart", ["local_profile", "logistic", "product"])
+def test_batch_rows_match_single_point_evaluation(chart, n):
+    """Every field of batch row i equals that of `evaluate(point_i)`.  On
+    the local profile the first rows lie within 1e-9 node spacings of a
+    node, on either side, where the profile switches its blend."""
+    if chart == "local_profile":
+        st = init_hirzebruch_profile(HirzebruchParams(n=n))
+        samp = cg.calabi_sampler(_local_profile(st), n=n, k=1)
+    elif chart == "logistic":
+        samp = twisted_sampler(n=n, k=2)
+    else:
+        samp = cg.product_sampler(n=n)
+    points = samp.random_points(np.random.default_rng(60 + n), 8,
+                                margin=0.1)
+    if chart == "local_profile":
+        rho = _rho(points[:4])
+        node = st.rho[np.argmin(np.abs(st.rho[:, None] - rho), axis=0)]
+        shift = np.array([-1e-9, 1e-9, 0.0, 1e-6]) * (st.rho[1] - st.rho[0])
+        # scaling xi moves rho alone; the margin keeps the rows in the domain
+        points[:4, -2:] *= np.exp((node + shift - rho) / 2.0)[:, None]
+    batch = samp.evaluate_batch(points)
+    for i, point in enumerate(points):
+        one = samp.evaluate(point)
+        for fld in fields(one):
+            got, want = getattr(batch, fld.name), getattr(one, fld.name)
+            if fld.name == "base":
+                assert (got.n, got.scalar) == (want.n, want.scalar)
+                assert np.array_equal(got.h[i], want.h)
+                assert np.array_equal(got.ricci[i], want.ricci)
+            else:
+                assert np.array_equal(got[i], want), (fld.name, i)
+
+
+def test_batch_with_one_bad_row_raises():
+    logistic = make_logistic(1.0, 1.0)
+    samp = cg.calabi_sampler(logistic, n=2)
+    points = samp.random_points(np.random.default_rng(7), 5)
+    pole = points.copy()
+    pole[3, -2:] = 0.0
+    with pytest.raises(cg.DomainEdge):
+        samp.evaluate_batch(pole)
+    cut = np.sort(_rho(points))[-2]
+
+    def bent(rho):
+        f, f1, f2, f3 = logistic(rho)
+        return f, np.where(rho > cut, -f1, f1), f2, f3
+
+    bent_samp = cg.calabi_sampler(bent, n=2)
+    bent_samp.evaluate_batch(np.delete(points, np.argmax(_rho(points)), 0))
+    with pytest.raises(cg.NonPositiveDefinite):
+        bent_samp.evaluate_batch(points)

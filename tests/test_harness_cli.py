@@ -231,13 +231,14 @@ def test_chart_residuals_pass_for_each_twist_and_shape(twist_runs, k, shape):
 
 EPS = 1e-6
 # Both residuals read the chart derivatives of the connection s, not its
-# value, so a mutated s carries the derivatives that follow from it.
+# value, so a mutated s carries the derivatives that follow from it.  A
+# mutation acts on a batch of blocks, with xi as a (P, 1) column.
 MUTATIONS = {
     # s = k xi d_z(phi) becomes k (xi + EPS conj(xi)) d_z(phi): no longer
     # holomorphic in xi, so d_xi conj(s) no longer vanishes
     "s": lambda b, xi: replace(
         b, s=b.s * (1 + EPS * xi.conjugate() / xi),
-        dsbar_dz=b.dsbar_dz * (1 + EPS * xi / xi.conjugate()),
+        dsbar_dz=b.dsbar_dz * (1 + EPS * xi / xi.conjugate())[..., None],
         dsbar_dxi=EPS * np.conj(b.s / xi)),
     "dsbar_dz": lambda b, xi: replace(b, dsbar_dz=b.dsbar_dz * (1 + EPS)),
 }
@@ -249,10 +250,10 @@ def test_chart_residuals_fail_on_a_mutated_connection(
     def mutated_sampler(profile, n, k):
         sampler = calabi_sampler(profile, n=n, k=k)
 
-        def evaluate(point):
-            xi = point_to_complex(point)[1]
-            return MUTATIONS[mutation](sampler.evaluate(point), xi)
-        return replace(sampler, evaluate=evaluate)
+        def evaluate_batch(points):
+            xi = point_to_complex(points)[1][:, None]
+            return MUTATIONS[mutation](sampler.evaluate_batch(points), xi)
+        return replace(sampler, evaluate_batch=evaluate_batch)
 
     # the chart of `sampler_from_state`, which `_check_chart_residuals` uses
     monkeypatch.setattr(calabi_flow, "calabi_sampler", mutated_sampler)

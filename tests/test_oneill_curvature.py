@@ -191,25 +191,37 @@ def test_vertical_horizontal_closed_vs_fd():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_oracle_evaluations_per_call(n, monkeypatch):
-    """Overlapping stencils share chart evaluations: riemann_fd evaluates
-    each distinct stencil point once, and the covariant Hessian behind
-    vertical_horizontal_curvature is stenciled once per frame point."""
+    """Each oracle hands its whole stencil to the sampler in one batch
+    call: riemann_fd evaluates each distinct stencil point once, the
+    covariant Hessian behind vertical_horizontal_curvature is stenciled
+    once per frame point, and fd_ricci_oracle evaluates both Richardson
+    stencils together.  `calls` holds the rows of each sampler call."""
     calls = []
     real = cg.fubini_study_base
 
     def counted(z):
-        calls.append(1)
+        calls.append(len(z))
         return real(z)
 
     monkeypatch.setattr(cg, "fubini_study_base", counted)
     fp = twisted_frame(n=n, seed=5)
     d = fp.dim
+    seen = []
+
+    def metric(points):
+        seen.append(points)
+        return fp.sampler.metric_fn()(points)
+
     calls.clear()
-    cg.riemann_fd(fp.sampler.metric_fn(), fp.point, 1e-3)
-    assert len(calls) == 2 * d * d + 2 * d + 1
+    cg.riemann_fd(metric, fp.point, 1e-3)
+    assert calls == [2 * d * d + 2 * d + 1]
+    assert len(np.unique(seen[0], axis=0)) == len(seen[0])
     calls.clear()
     oc.vertical_horizontal_curvature(fp)
-    assert len(calls) <= 2 * d * d + 1
+    assert len(calls) == 1 and calls[0] <= 2 * d * d + 1
+    calls.clear()
+    cg.fd_ricci_oracle(fp.sampler, fp.point, richardson=True)
+    assert len(calls) == 1
 
 
 def test_vertical_horizontal_equals_per_pair_closed_form():
@@ -266,8 +278,8 @@ def test_mixed_curvature_detector_fires():
 
     def broken_fn(p):
         g = base_fn(p)
-        e = np.zeros((4, 4))
-        e[0, 2] = e[2, 0] = np.sin(5.0 * p[0]) * p[2]
+        e = np.zeros((len(p), 4, 4))
+        e[:, 0, 2] = e[:, 2, 0] = np.sin(5.0 * p[:, 0]) * p[:, 2]
         return g + 0.1 * e
 
     rlow = cg.riemann_fd(broken_fn, p0, 1e-3)
