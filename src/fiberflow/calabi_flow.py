@@ -170,6 +170,18 @@ class RunSettings:
             raise ConfigError("support_threshold must be at most 1")
 
 
+def check_tracked_nodes(nodes: tuple[int, ...], grid_points: int) -> None:
+    """ConfigError unless every tracked node is on the grid and none is
+    listed twice: flow.csv names one column per node."""
+    outside = [i for i in nodes if not 0 <= i < grid_points]
+    if outside:
+        raise ConfigError(
+            f"nodes {outside} outside the grid 0..{grid_points - 1}")
+    repeated = sorted({i for i in nodes if nodes.count(i) > 1})
+    if repeated:
+        raise ConfigError(f"nodes {repeated} listed more than once")
+
+
 @dataclass(frozen=True)
 class FlowState:
     """Profile snapshot.  `lower`/`upper` are the endpoint values k a(t),
@@ -925,6 +937,7 @@ def run_flow(params: HirzebruchParams | ProductParams,
     settings.validate()
     if isinstance(params, ProductParams):
         return _run_product(params, settings)
+    check_tracked_nodes(settings.tracked_nodes, params.grid_points)
     return _run_hirzebruch(params, settings, shape)
 
 
@@ -1145,13 +1158,16 @@ def _local_profile(state: FlowState
 
     def prof(r):
         r = np.asarray(r, dtype=float)
-        i = np.clip(np.floor((r - rho0) / h).astype(int), 0, rho.size - 2)
+        # np.minimum/np.maximum, not np.clip: the same integers, without the
+        # Python-level wrapper that makes np.clip slow on one-point arrays
+        i = np.minimum(np.maximum(np.floor((r - rho0) / h).astype(int), 0),
+                       rho.size - 2)
         s = (r - rho[i]) / h
-        j = np.clip(i - 3, 0, last)
+        j = np.minimum(np.maximum(i - 3, 0), last)
         a0, a1, a2, a3 = window(j, s + (i - j - 2))
         # p = a + w (b - a) by Leibniz's rule where the windows j and j + 1
         # differ; their anchors differ by df[j + 2]
-        blend = j != np.clip(i - 2, 0, last)
+        blend = j != np.minimum(np.maximum(i - 2, 0), last)
         b0, b1, b2, b3 = window(np.minimum(j + 1, last), s + (i - j - 3))
         d0, d1, d2, d3 = b0 - a0 + df[j + 2], b1 - a1, b2 - a2, b3 - a3
         # w and its first three rho-derivatives

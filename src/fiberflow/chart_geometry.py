@@ -71,23 +71,6 @@ class BaseMetric:
         """(scalar/n) h - ricci, the pointwise Kahler-Einstein defect."""
         return (self.scalar / self.n) * self.h - self.ricci
 
-    def trace_residual(self) -> float:
-        """Difference between declared scalar and the pointwise trace."""
-        tr = np.trace(np.linalg.solve(self.h, self.ricci)).real
-        return abs(tr - self.scalar)
-
-    def validate(self, tol: float = STRUCTURE_TOL) -> None:
-        if self.h.shape != (self.n, self.n):
-            raise StructureViolation("base metric shape mismatch")
-        if not np.allclose(self.h, self.h.conj().T, atol=tol):
-            raise StructureViolation("base metric not Hermitian")
-        try:
-            np.linalg.cholesky(self.h)
-        except np.linalg.LinAlgError as exc:
-            raise NonPositiveDefinite("base metric not positive definite") from exc
-        if self.trace_residual() > max(tol, 1e-6):
-            raise StructureViolation("declared base scalar does not match trace")
-
 
 def _fs_factor(z: np.ndarray) -> np.ndarray:
     """a = 1 / (1 + |z|^2) over the last axis of z."""
@@ -186,8 +169,9 @@ def perturbed_fs_base(z: np.ndarray, amplitude: float = 0.1,
 @dataclass(frozen=True)
 class ChartMetricBlocks:
     """Structured metric data at a chart point, or at a batch of P points:
-    then every field that varies by point carries a leading axis of length
-    P, the scalar fields as 1-D arrays (see `row`).
+    then `base.h`, `base.ricci` and every other field carry a leading
+    axis of length P, the scalar fields as 1-D arrays (see `row`).  The
+    samplers set every field.
 
     Derivative fields follow the chart coordinates: `df_dxi` is the
     holomorphic fiber derivative of f, `df_dz` the holomorphic base
@@ -200,13 +184,13 @@ class ChartMetricBlocks:
     f: float
     s: np.ndarray
     g_fiber: float
-    df_dxi: complex = 0.0
-    d2f: float = 0.0
-    df_dz: np.ndarray | None = None
-    dsbar_dz: np.ndarray | None = None
-    dsbar_dxi: np.ndarray | None = None
-    dg_dxi: complex = 0.0
-    d2g: float = 0.0
+    df_dxi: complex
+    d2f: float
+    df_dz: np.ndarray
+    dsbar_dz: np.ndarray
+    dsbar_dxi: np.ndarray
+    dg_dxi: complex
+    d2g: float
 
     @property
     def n(self) -> int:
@@ -217,23 +201,10 @@ class ChartMetricBlocks:
         def take(value):
             if isinstance(value, BaseMetric):
                 return replace(value, h=value.h[i], ricci=value.ricci[i])
-            ndim = np.ndim(value)
-            if ndim == 0:
-                return value
-            return value[i].item() if ndim == 1 else value[i]
+            return value[i].item() if value.ndim == 1 else value[i]
 
         return ChartMetricBlocks(**{fld.name: take(getattr(self, fld.name))
                                     for fld in fields(self)})
-
-    def df_dz_filled(self) -> np.ndarray:
-        if self.df_dz is None:
-            return np.zeros(self.n, dtype=complex)
-        return np.asarray(self.df_dz, dtype=complex)
-
-    def dsbar_dxi_filled(self) -> np.ndarray:
-        if self.dsbar_dxi is None:
-            return np.zeros(self.n, dtype=complex)
-        return np.asarray(self.dsbar_dxi, dtype=complex)
 
     def horizontal_homothety_residual(self) -> float:
         """Max |X_i(f)| over horizontal lifts X_i = d_i - s_i d_xi.
@@ -242,19 +213,8 @@ class ChartMetricBlocks:
         statement of horizontal homothety is that f is constant along the
         horizontal distribution, i.e. the lift derivative vanishes.
         """
-        res = self.df_dz_filled() - self.s * self.df_dxi
+        res = self.df_dz - self.s * self.df_dxi
         return float(np.max(np.abs(res))) if self.n else 0.0
-
-    def validate(self, tol: float = STRUCTURE_TOL) -> None:
-        if self.f <= POSITIVITY_FLOOR:
-            raise NonPositiveDefinite("dilation f must be positive")
-        if self.g_fiber <= POSITIVITY_FLOOR:
-            raise NonPositiveDefinite("fiber component must be positive")
-        self.base.validate(tol)
-        if self.s.shape != (self.n,):
-            raise StructureViolation("connection components shape mismatch")
-        if self.horizontal_homothety_residual() > tol:
-            raise StructureViolation("gradient of f has a horizontal component")
 
 
 def assemble_block_metric(blocks: ChartMetricBlocks, check: bool = True) -> np.ndarray:
@@ -285,10 +245,9 @@ def fiber_christoffel(blocks: ChartMetricBlocks) -> np.ndarray:
 
     Vanishes exactly when the fibers are totally geodesic.
     """
-    dsbar = blocks.dsbar_dxi_filled()
     try:
         # h^{i jbar} w_j contracts with the conjugate-transposed inverse
-        contr = np.linalg.solve(blocks.base.h.conj(), dsbar)
+        contr = np.linalg.solve(blocks.base.h.conj(), blocks.dsbar_dxi)
     except np.linalg.LinAlgError as exc:
         raise SingularBase("base metric numerically singular") from exc
     return (blocks.g_fiber / blocks.f) * contr
@@ -302,11 +261,7 @@ def check_totally_geodesic(blocks: ChartMetricBlocks) -> float:
 
 def check_kahler_compatibility(blocks: ChartMetricBlocks) -> float:
     """Residual of h_ij * d_xi f = d_i conj(s_j) * g_fiber (max entry)."""
-    if blocks.dsbar_dz is None:
-        dsbar = np.zeros((blocks.n, blocks.n), dtype=complex)
-    else:
-        dsbar = blocks.dsbar_dz
-    res = blocks.base.h * blocks.df_dxi - dsbar * blocks.g_fiber
+    res = blocks.base.h * blocks.df_dxi - blocks.dsbar_dz * blocks.g_fiber
     return float(np.max(np.abs(res))) if blocks.n else 0.0
 
 
@@ -345,16 +300,16 @@ def complex_laplacian_f(blocks: ChartMetricBlocks) -> float:
     return float((grad_term + blocks.d2f) / blocks.g_fiber)
 
 
-def ricci_blocks(blocks: ChartMetricBlocks, tol: float = STRUCTURE_TOL) -> RicciBlocks:
+def ricci_blocks(blocks: ChartMetricBlocks) -> RicciBlocks:
     """Structured Ricci blocks of a submersion-type Kahler metric.
 
     fiber: -d_xi d_xibar (ln g_fiber + n ln f)
     mixed: s_i * fiber
     base:  (-Delta f + scalar/n) h_ij + s_i conj(s_j) * fiber
     """
-    if blocks.horizontal_homothety_residual() > tol:
+    if blocks.horizontal_homothety_residual() > STRUCTURE_TOL:
         raise StructureViolation("gradient of f has a horizontal component")
-    if float(np.max(np.abs(blocks.dsbar_dxi_filled()), initial=0.0)) > tol:
+    if float(np.max(np.abs(blocks.dsbar_dxi), initial=0.0)) > STRUCTURE_TOL:
         raise StructureViolation("fibers not totally geodesic")
     n = blocks.n
     g = blocks.g_fiber
@@ -437,7 +392,6 @@ class ChartSampler:
     n: int
     evaluate_batch: Callable[[np.ndarray], ChartMetricBlocks]
     domain: np.ndarray
-    fd_step: float = DEFAULT_FD_STEP
 
     def evaluate(self, point: np.ndarray) -> ChartMetricBlocks:
         return self.evaluate_batch(np.asarray(point, dtype=float)[None]).row(0)
@@ -462,7 +416,7 @@ class ChartSampler:
 
     def random_points(self, rng: np.random.Generator, count: int,
                       margin: float | None = None) -> np.ndarray:
-        m = 4.0 * self.fd_step if margin is None else margin
+        m = 4.0 * DEFAULT_FD_STEP if margin is None else margin
         lo = self.domain[:, 0] + m
         hi = self.domain[:, 1] - m
         return rng.uniform(lo, hi, size=(count, self.domain.shape[0]))
@@ -629,19 +583,17 @@ def hermitian_hessian_fd(fn: Callable[[np.ndarray], np.ndarray],
 
 
 def fd_ricci_oracle(sampler: ChartSampler, point: np.ndarray,
-                    step: float | None = None,
+                    step: float = DEFAULT_FD_STEP,
                     richardson: bool = False) -> RicciBlocks:
     """Ricci blocks from R_AB = -d_A d_Bbar ln det g, oblivious to structure.
 
-    With `richardson` the h and h/2 evaluations are extrapolated to fourth
-    order, which the tight ratio-structure checks need; both stencils go
-    to the sampler in one call.
+    With `richardson` the `step` and `step`/2 evaluations are extrapolated
+    to fourth order, which the tight ratio-structure checks need; both
+    stencils go to the sampler in one call.
     """
-    h = sampler.fd_step if step is None else step
-    margin = 2.5 * h
-    sampler.check_point(point, margin)
+    sampler.check_point(point, 2.5 * step)
     p = np.asarray(point, dtype=float)
-    steps = (h, h / 2.0) if richardson else (h,)
+    steps = (step, step / 2.0) if richardson else (step,)
     values = _on_stencil(sampler.log_det_fn(),
                          np.stack([_hessian_grid(p, hh) for hh in steps]))
     mats = [_complex_hessian(_real_hessian(v, hh))

@@ -44,6 +44,7 @@ from .calabi_flow import (
     HirzebruchParams,
     ProductParams,
     RunSettings,
+    check_tracked_nodes,
     flow_columns,
     hirzebruch_class,
     loglog_slope,
@@ -292,7 +293,6 @@ def parse_config(text: str) -> RunConfig:
         settings.validate()
     except ConfigError as exc:
         raise ValidationError("flow", str(exc)) from exc
-    tracked = settings.tracked_nodes
     if scenario == "hirzebruch":
         if "grid_points" not in param_kv:
             # the heat residual is O(k h^2): scale the default grid so that
@@ -302,16 +302,10 @@ def parse_config(text: str) -> RunConfig:
         # the profile diagnostics are implemented over surface bases only
         if params.n != 1:
             raise ValidationError("n", "the hirzebruch scenario needs n = 1")
-        outside = [i for i in tracked if not 0 <= i < params.grid_points]
-        if outside:
-            raise ValidationError(
-                "tracked_nodes", f"nodes {outside} outside the grid "
-                                 f"0..{params.grid_points - 1}")
-        # flow.csv names a column per node; a repeated node would repeat one
-        repeated = sorted({i for i in tracked if tracked.count(i) > 1})
-        if repeated:
-            raise ValidationError(
-                "tracked_nodes", f"nodes {repeated} listed more than once")
+        try:
+            check_tracked_nodes(settings.tracked_nodes, params.grid_points)
+        except ConfigError as exc:
+            raise ValidationError("tracked_nodes", str(exc)) from exc
     elif "tracked_nodes" in flow_kv:
         raise ValidationError(
             "tracked_nodes", "only applies to the hirzebruch scenario")
@@ -889,21 +883,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="fiberflow",
         description="collapse-flow runs, sweeps, and stored-run checks")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--workers", type=int, default=None,
-                        help="sweep parallelism (env FIBERFLOW_WORKERS)")
-    common.add_argument("--output", default=None,
-                        help="output directory (env FIBERFLOW_OUTPUT)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized checks (env FIBERFLOW_SEED)")
+    # each subcommand takes only the flags it reads: `check` none of them
+    executes = argparse.ArgumentParser(add_help=False)
+    executes.add_argument("--output", default=None,
+                          help="output directory (env FIBERFLOW_OUTPUT)")
+    executes.add_argument("--seed", type=int, default=None,
+                          help="seed for randomized checks "
+                               "(env FIBERFLOW_SEED)")
     sub = parser.add_subparsers(dest="command", required=True)
-    p_run = sub.add_parser("run", parents=[common],
+    p_run = sub.add_parser("run", parents=[executes],
                            help="execute one config")
     p_run.add_argument("config")
-    p_sweep = sub.add_parser("sweep", parents=[common],
+    p_sweep = sub.add_parser("sweep", parents=[executes],
                              help="execute a glob of configs concurrently")
+    p_sweep.add_argument("--workers", type=int, default=None,
+                         help="sweep parallelism (env FIBERFLOW_WORKERS)")
     p_sweep.add_argument("patterns", nargs="+")
-    p_check = sub.add_parser("check", parents=[common],
+    p_check = sub.add_parser("check",
                              help="re-evaluate acceptance on stored files")
     p_check.add_argument("run_dir")
     args = parser.parse_args(argv)

@@ -28,7 +28,6 @@ from .chart_geometry import (
     real_metric_from_hermitian,
     real_partials,
     riemann_fd,
-    riem4,
     sectional_from_riemann,
 )
 
@@ -50,7 +49,7 @@ class FramePoint:
 
     `vertical` has shape (2, d) and spans the fiber tangent; `horizontal`
     has shape (2n, d).  Rows are orthonormal for `g_real`.  `sampler` is
-    kept when known so curvature oracles can stencil around the point.
+    kept so curvature oracles can stencil around the point.
     """
 
     blocks: ChartMetricBlocks
@@ -60,7 +59,7 @@ class FramePoint:
     j: np.ndarray
     vertical: np.ndarray
     horizontal: np.ndarray
-    sampler: ChartSampler | None = None
+    sampler: ChartSampler
 
     @property
     def n(self) -> int:
@@ -85,9 +84,10 @@ def _gram_schmidt(g: np.ndarray, seeds: list[np.ndarray],
     return np.array(out)
 
 
-def frame_point_from_blocks(blocks: ChartMetricBlocks,
-                            point: np.ndarray | None = None,
-                            sampler: ChartSampler | None = None) -> FramePoint:
+def frame_point(sampler: ChartSampler, point: np.ndarray) -> FramePoint:
+    """The blocks of `sampler` at `point` with their adapted frames."""
+    point = np.asarray(point, dtype=float)
+    blocks = sampler.evaluate(point)
     n = blocks.n
     d = 2 * n + 2
     g = real_metric(blocks)
@@ -97,17 +97,9 @@ def frame_point_from_blocks(blocks: ChartMetricBlocks,
     vertical = _gram_schmidt(g, [eye[2 * n], eye[2 * n + 1]], [])
     horizontal = _gram_schmidt(g, [eye[a] for a in range(2 * n)],
                                list(vertical))
-    if point is None:
-        point = np.zeros(d)
-    return FramePoint(blocks=blocks, point=np.asarray(point, dtype=float),
-                      g_real=g, g_real_inv=ginv, j=j,
-                      vertical=vertical, horizontal=horizontal,
+    return FramePoint(blocks=blocks, point=point, g_real=g, g_real_inv=ginv,
+                      j=j, vertical=vertical, horizontal=horizontal,
                       sampler=sampler)
-
-
-def frame_point(sampler: ChartSampler, point: np.ndarray) -> FramePoint:
-    blocks = sampler.evaluate(np.asarray(point, dtype=float))
-    return frame_point_from_blocks(blocks, point=point, sampler=sampler)
 
 
 def inner(fp: FramePoint, x: np.ndarray, y: np.ndarray) -> float:
@@ -133,7 +125,7 @@ def _require_horizontal(fp: FramePoint, x: np.ndarray) -> None:
 def grad_f(fp: FramePoint) -> np.ndarray:
     """Real gradient vector of the dilation; vertical by construction."""
     b = fp.blocks
-    d_hol = np.concatenate([b.df_dz_filled(), [complex(b.df_dxi)]])
+    d_hol = np.concatenate([b.df_dz, [complex(b.df_dxi)]])
     return fp.g_real_inv @ real_partials(d_hol)
 
 
@@ -220,8 +212,6 @@ def sectional_residual(fp: FramePoint, x: np.ndarray, y: np.ndarray,
     two routes together.  Zero within stencil tolerance for valid
     submersion metrics.
     """
-    if fp.sampler is None:
-        raise ChartError("sectional residual needs a sampler to stencil around")
     _require_horizontal(fp, x)
     _require_horizontal(fp, y)
     gram = inner(fp, x, x) * inner(fp, y, y) - inner(fp, x, y) ** 2
@@ -238,8 +228,6 @@ def base_sectional_fd(fp: FramePoint, x: np.ndarray, y: np.ndarray,
                       step: float = 1e-3) -> float:
     """Base sectional curvature of the projected plane, by stencils on the
     base metric alone (the projection drops fiber coordinates)."""
-    if fp.sampler is None:
-        raise ChartError("base stencil needs a sampler")
     n = fp.n
     fiber_tail = fp.point[2 * n:]
     samp = fp.sampler
@@ -265,8 +253,6 @@ def _hessian_ln_f(fp: FramePoint, step: float) -> np.ndarray:
     """Covariant Hessian matrix of ln f at the frame point via metric-only
     stencils.  One sampler call on the distinct stencil points feeds both
     the ln f stencil and the Christoffel stencil."""
-    if fp.sampler is None:
-        raise ChartError("hessian stencil needs a sampler")
     rows, index = _distinct(_hessian_grid(fp.point, step))
     blocks = fp.sampler.evaluate_batch(rows)
     lnf = np.log(blocks.f)[index]
@@ -296,16 +282,6 @@ def mixed_sectional_closed(fp: FramePoint, u: np.ndarray, x: np.ndarray,
     return _mixed_sectional(fp, u, x, _hessian_ln_f(fp, step))
 
 
-def mixed_sectional_fd(fp: FramePoint, u: np.ndarray, x: np.ndarray,
-                       step: float = 1e-3,
-                       rlow: np.ndarray | None = None) -> float:
-    if rlow is None:
-        if fp.sampler is None:
-            raise ChartError("curvature stencil needs a sampler")
-        rlow = riemann_fd(fp.sampler.metric_fn(), fp.point, step)
-    return riem4(rlow, x, u, u, x)
-
-
 def vertical_horizontal_curvature(fp: FramePoint,
                                   step: float = 1e-3) -> np.ndarray:
     """Closed-form R(v_i, x_j, v_i, x_j) over the adapted frames, (2, 2n).
@@ -332,8 +308,6 @@ def mixed_curvature_residuals(fp: FramePoint, step: float = 1e-3,
     splitting detector.
     """
     if rlow is None:
-        if fp.sampler is None:
-            raise ChartError("curvature stencil needs a sampler")
         rlow = riemann_fd(fp.sampler.metric_fn(), fp.point, step)
     # riem4(rlow, x, y, z, w) contracts rlow's slots with (w, z, x, y)
     hor, ver = fp.horizontal, fp.vertical

@@ -537,6 +537,19 @@ def test_run_settings_validation():
         run_flow(HirzebruchParams(), RunSettings(newton_tol=0.0))
 
 
+@pytest.mark.parametrize("nodes", [(-1,), (600,), (3, 3)])
+def test_run_flow_rejects_bad_tracked_nodes_before_stepping(nodes,
+                                                            monkeypatch):
+    # off the 512-node grid, or a node listed twice: flow.csv would record
+    # f[-1] as f_node-1, index past the grid, or fold two columns into one
+    def no_steps(*args):
+        raise AssertionError("the run started stepping")
+
+    monkeypatch.setattr(calabi_flow, "recorded_states", no_steps)
+    with pytest.raises(ConfigError, match="nodes"):
+        run_flow(HirzebruchParams(), RunSettings(tracked_nodes=nodes))
+
+
 def test_support_threshold_above_one_rejected():
     # the support mask v >= threshold * max v would be empty
     with pytest.raises(ConfigError, match="support_threshold"):

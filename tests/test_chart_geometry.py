@@ -13,36 +13,30 @@ def twisted_sampler(lower=1.0, width=1.0, n=1, k=1):
     return cg.calabi_sampler(make_logistic(lower, width), n=n, k=k)
 
 
+def flat_blocks(f=1.0, s=0j, g_fiber=1.0, dsbar_dxi=0j):
+    """Blocks at one point over the flat base of dimension 1, every field
+    not named here zero."""
+    zero = np.zeros(1, complex)
+    return cg.ChartMetricBlocks(
+        base=cg.flat_base(1), f=f, s=np.array([s]), g_fiber=g_fiber,
+        df_dxi=0j, d2f=0.0, df_dz=zero, dsbar_dz=np.zeros((1, 1), complex),
+        dsbar_dxi=np.array([dsbar_dxi]), dg_dxi=0j, d2g=0.0)
+
+
 # ---------------------------------------------------------------------------
 # assembly
 
 
 def test_assemble_block_metric_hand_value():
-    base = cg.flat_base(1)
-    blocks = cg.ChartMetricBlocks(base=base, f=2.0, s=np.array([0.5 + 0j]),
-                                  g_fiber=3.0)
+    blocks = flat_blocks(f=2.0, s=0.5 + 0j, g_fiber=3.0)
     g = cg.assemble_block_metric(blocks)
     assert np.allclose(g, np.array([[2.75, 1.5], [1.5, 3.0]]), atol=1e-15)
 
 
-def test_assemble_rejects_nonpositive_dilation():
-    base = cg.flat_base(1)
-    blocks = cg.ChartMetricBlocks(base=base, f=-1.0, s=np.zeros(1, complex),
-                                  g_fiber=1.0)
+@pytest.mark.parametrize("f, g_fiber", [(-1.0, 1.0), (1.0, 0.0)])
+def test_assemble_rejects_nonpositive_dilation(f, g_fiber):
     with pytest.raises(cg.NonPositiveDefinite):
-        cg.assemble_block_metric(blocks)
-
-
-def test_validate_rejects_bad_shapes_and_positivity():
-    base = cg.flat_base(2)
-    bad_shape = cg.ChartMetricBlocks(base=base, f=1.0,
-                                     s=np.zeros(3, complex), g_fiber=1.0)
-    with pytest.raises(cg.StructureViolation):
-        bad_shape.validate()
-    bad_fiber = cg.ChartMetricBlocks(base=base, f=1.0,
-                                     s=np.zeros(2, complex), g_fiber=0.0)
-    with pytest.raises(cg.NonPositiveDefinite):
-        bad_fiber.validate()
+        cg.assemble_block_metric(flat_blocks(f=f, g_fiber=g_fiber))
 
 
 # ---------------------------------------------------------------------------
@@ -50,10 +44,7 @@ def test_validate_rejects_bad_shapes_and_positivity():
 
 
 def test_fiber_christoffel_hand_value():
-    base = cg.flat_base(1)
-    blocks = cg.ChartMetricBlocks(base=base, f=2.0, s=np.array([0.5 + 0j]),
-                                  g_fiber=3.0,
-                                  dsbar_dxi=np.array([0.4 + 0j]))
+    blocks = flat_blocks(f=2.0, s=0.5 + 0j, g_fiber=3.0, dsbar_dxi=0.4 + 0j)
     gamma = cg.fiber_christoffel(blocks)
     assert gamma[0] == pytest.approx(0.6, abs=1e-15)
     assert cg.check_totally_geodesic(blocks) == pytest.approx(0.6, abs=1e-15)
@@ -67,7 +58,6 @@ def test_twisted_chart_is_totally_geodesic_and_compatible():
         assert cg.check_totally_geodesic(blocks) <= 1e-13
         assert cg.check_kahler_compatibility(blocks) <= 1e-13
         assert blocks.horizontal_homothety_residual() <= 1e-13
-        blocks.validate()
 
 
 def test_kahler_compatibility_detects_tampering():
@@ -84,7 +74,7 @@ def test_ricci_blocks_refuses_horizontal_gradient():
     p = np.array([0.1, 0.05, 1.0, 0.1])
     blocks = samp.evaluate(p)
     from dataclasses import replace
-    broken = replace(blocks, df_dz=blocks.df_dz_filled() + 0.05)
+    broken = replace(blocks, df_dz=blocks.df_dz + 0.05)
     with pytest.raises(cg.StructureViolation):
         cg.ricci_blocks(broken)
 
@@ -106,7 +96,6 @@ def test_fubini_study_point_values():
     assert np.allclose(bm.h, np.eye(2), atol=1e-15)
     assert np.allclose(bm.ricci, 3.0 * np.eye(2), atol=1e-15)
     assert bm.scalar == pytest.approx(6.0)
-    bm.validate()
 
 
 def test_fubini_study_derivatives_match_fd():
@@ -297,7 +286,7 @@ def test_random_points_stay_inside():
     rng = np.random.default_rng(5)
     pts = samp.random_points(rng, 50)
     for p in pts:
-        samp.check_point(p, margin=2.5 * samp.fd_step)
+        samp.check_point(p, margin=2.5 * cg.DEFAULT_FD_STEP)
 
 
 # ---------------------------------------------------------------------------

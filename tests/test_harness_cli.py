@@ -869,6 +869,27 @@ def test_main_sweep_no_match(tmp_path, capsys):
     assert main(["sweep", str(tmp_path / "*.cfg")]) == 2
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("check", ["--seed", "1"]),
+    ("run", ["--workers", "2"]),
+])
+def test_subcommands_refuse_flags_they_do_not_read(tmp_path, monkeypatch,
+                                                   capsys, command, flag):
+    # `check` reads no flag and `run` no worker count; a usage error, not
+    # a flag that is silently ignored
+    monkeypatch.chdir(tmp_path)
+    target = tmp_path / "p.cfg"
+    target.write_text(PRODUCT_CFG)
+    if command == "check":
+        target = tmp_path / "run_dir"
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(target), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_env_and_flag_precedence(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "p.cfg"
     cfg.write_text(PRODUCT_CFG)

@@ -100,11 +100,19 @@ def test_a_norm_identity_brute_vs_closed(seed, n):
 
 
 def test_a_norm_hand_value():
-    base = cg.flat_base(1)
-    blocks = cg.ChartMetricBlocks(base=base, f=1.0, s=np.zeros(1, complex),
-                                  g_fiber=1.0, df_dxi=np.sqrt(0.045),
-                                  df_dz=np.zeros(1, complex))
-    fp = oc.frame_point_from_blocks(blocks)
+    # flat base, unit fiber and d_xi f = sqrt(0.045) at the one chart point
+    flat = cg.flat_base(1)
+    zero = np.zeros((1, 1), complex)
+    blocks = cg.ChartMetricBlocks(
+        base=cg.BaseMetric(n=1, h=flat.h[None], ricci=flat.ricci[None],
+                           scalar=flat.scalar),
+        f=np.ones(1), s=zero, g_fiber=np.ones(1),
+        df_dxi=np.full(1, np.sqrt(0.045), complex), d2f=np.zeros(1),
+        df_dz=zero, dsbar_dz=np.zeros((1, 1, 1), complex), dsbar_dxi=zero,
+        dg_dxi=np.zeros(1, complex), d2g=np.zeros(1))
+    samp = cg.ChartSampler(n=1, evaluate_batch=lambda points: blocks,
+                           domain=np.array([[-1.0, 1.0]] * 4))
+    fp = oc.frame_point(samp, np.zeros(4))
     assert oc.grad_ln_f_norm_sq(fp) == pytest.approx(0.09, rel=1e-12)
     assert oc.a_norm_sq(fp) == pytest.approx(0.18, rel=1e-12)
 
@@ -185,7 +193,7 @@ def test_vertical_horizontal_closed_vs_fd():
     for u in fp.vertical:
         for x in fp.horizontal:
             closed = oc.mixed_sectional_closed(fp, u, x)
-            fd = oc.mixed_sectional_fd(fp, u, x, rlow=rlow)
+            fd = cg.riem4(rlow, x, u, u, x)
             assert closed == pytest.approx(fd, abs=1e-3)
 
 
