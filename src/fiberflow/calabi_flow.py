@@ -44,6 +44,19 @@ log = logging.getLogger(__name__)
 
 GAMMA = 2.0 - np.sqrt(2.0)
 
+# Numerical constants of a run.  Each is read when it is used, not bound
+# as a default argument, so a test can monkeypatch one.
+# A hirzebruch run stops (`fiber_collapsed`) once its collapse proxy
+# 4 k max v drops below V_FLOOR, a product run once its fiber size c does.
+V_FLOOR = 1e-6
+# Newton residual tolerance (relative) and iteration cap per implicit stage
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 12
+# step halvings before `step_flow` gives up with StepRejected
+MAX_HALVINGS = 10
+# curvature masks keep the nodes with v >= SUPPORT_THRESHOLD * max v
+SUPPORT_THRESHOLD = 1e-3
+
 
 class FlowError(ChartError):
     pass
@@ -80,7 +93,7 @@ def _require_finite(record, error: type[FlowError]) -> None:
     through; a NaN dt then never advances the flow."""
     for fld in fields(record):
         value = getattr(record, fld.name)
-        if value is None or isinstance(value, tuple):
+        if value is None:
             continue
         if not math.isfinite(value):
             raise error(f"{fld.name} must be finite, got {value!r}")
@@ -141,45 +154,16 @@ class RunSettings:
     dt_max: float = 0.01
     time_frac: float = 0.1
     stop_margin: float = 1e-3
-    v_floor: float = 1e-6
-    record_stride: int = 1
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 12
-    max_halvings: int = 10
-    support_threshold: float = 1e-3
     dt_fixed: float | None = None
-    # grid nodes whose f the run's flow table records, one column each
-    tracked_nodes: tuple[int, ...] = ()
 
     def validate(self) -> None:
         _require_finite(self, ConfigError)
         if self.dt_max <= 0.0 or not (0.0 < self.time_frac <= 1.0):
             raise ConfigError("need dt_max > 0 and 0 < time_frac <= 1")
-        if self.stop_margin <= 0.0 or self.v_floor < 0.0:
-            raise ConfigError("need stop_margin > 0 and v_floor >= 0")
-        if self.record_stride < 1 or self.max_halvings < 0:
-            raise ConfigError("need record_stride >= 1, max_halvings >= 0")
-        # with no Newton iteration or a tolerance no residual meets, every
-        # step is rejected and the run fails only after all its halvings
-        if self.newton_max_iter < 1 or self.newton_tol <= 0.0:
-            raise ConfigError("need newton_max_iter >= 1 and newton_tol > 0")
+        if self.stop_margin <= 0.0:
+            raise ConfigError("need stop_margin > 0")
         if self.dt_fixed is not None and self.dt_fixed <= 0.0:
             raise ConfigError("dt_fixed must be positive when set")
-        if self.support_threshold > 1.0:
-            # no node would reach threshold * max v: every sup is empty
-            raise ConfigError("support_threshold must be at most 1")
-
-
-def check_tracked_nodes(nodes: tuple[int, ...], grid_points: int) -> None:
-    """ConfigError unless every tracked node is on the grid and none is
-    listed twice: flow.csv names one column per node."""
-    outside = [i for i in nodes if not 0 <= i < grid_points]
-    if outside:
-        raise ConfigError(
-            f"nodes {outside} outside the grid 0..{grid_points - 1}")
-    repeated = sorted({i for i in nodes if nodes.count(i) > 1})
-    if repeated:
-        raise ConfigError(f"nodes {repeated} listed more than once")
 
 
 @dataclass(frozen=True)
@@ -229,13 +213,9 @@ DIAG_COLUMNS = _CURVATURE_COLUMNS + (
     "heat_residual", "min_f", "max_f", "max_f_slack", "grad_f_sq_sup",
     "grad_bound_ok")
 
-
-def flow_columns(scenario: str, settings: RunSettings) -> tuple[str, ...]:
-    """The columns of a run's `flow.csv` table, in order."""
-    if scenario == "product":
-        return ("t", "f", "c")
-    return ("t", "lower", "upper", "width",
-            *(f"f_node{i}" for i in settings.tracked_nodes))
+# The columns of a run's `flow.csv` table, in order, by scenario.
+FLOW_COLUMNS = {"product": ("t", "f", "c"),
+                "hirzebruch": ("t", "lower", "upper", "width")}
 
 
 @dataclass(frozen=True)
@@ -243,7 +223,7 @@ class FlowRun:
     """A finished run.  `diagnostics` is its diagnostics table: one float64
     array per column of `DIAG_COLUMNS`, in that order, one entry per
     recorded state; `node` and `grad_bound_ok` hold integral floats.
-    `flow` is its `flow.csv` table, the columns of `flow_columns`, one
+    `flow` is its `flow.csv` table, the columns of `FLOW_COLUMNS`, one
     entry per recorded state too.  `sample` is the one profile a
     hirzebruch run keeps (None for the product scenario): its first
     recorded state at or past half the span the run aims to cover,
@@ -300,20 +280,16 @@ def product_class(params: ProductParams) -> CohomologyClass:
     )
 
 
-def predict_max_time(cls: CohomologyClass) -> tuple[float, CohomologyClass]:
-    """Collapse time of the fiber coefficient under linear class evolution,
-    and the limit class at that time."""
+def predict_max_time(cls: CohomologyClass) -> float:
+    """Collapse time of the fiber coefficient under linear class evolution;
+    WrongRegime unless the base coefficient is still positive then."""
     cls.validate()
     if cls.c1_fiber_rate >= 0.0:
         raise WrongRegime("fiber coefficient does not decay")
     t_max = cls.fiber_coeff / abs(cls.c1_fiber_rate)
-    base_limit = cls.base_coeff + t_max * cls.c1_base_rate
-    if base_limit <= 0.0:
+    if cls.base_coeff + t_max * cls.c1_base_rate <= 0.0:
         raise WrongRegime("base class collapses before the fiber")
-    limit = CohomologyClass(base_coeff=base_limit, fiber_coeff=0.0,
-                            c1_base_rate=cls.c1_base_rate,
-                            c1_fiber_rate=cls.c1_fiber_rate)
-    return t_max, limit
+    return t_max
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +325,12 @@ def init_hirzebruch_profile(params: HirzebruchParams,
     width = upper - lower
     rho = np.linspace(-params.L, params.L, params.grid_points)
     f, df = lower, 0.0
-    for w, c in PROFILE_SHAPES[shape]:
-        f = f + (w * width) * (1.0 / (1.0 + np.exp(-(rho - c))))
-        df = df + (w * width) * _sigma_increments(rho, c)
+    # where e^(+-rho) overflows, the logistic factors take their limits
+    # 0 and 1 exactly; only a grid too wide for the profile gets there
+    with np.errstate(over="ignore"):
+        for w, c in PROFILE_SHAPES[shape]:
+            f = f + (w * width) * (1.0 / (1.0 + np.exp(-(rho - c))))
+            df = df + (w * width) * _sigma_increments(rho, c)
     state = FlowState(t=0.0, rho=rho, f=f, lower=lower, upper=upper, df=df)
     state.validate()
     if abs(f[0] - lower) > 1e-6 or abs(f[-1] - upper) > 1e-6:
@@ -445,12 +424,9 @@ class FlowProblem:
     FlowProblem must not step from several threads at once.
     """
 
-    def __init__(self, params: HirzebruchParams,
-                 settings: RunSettings | None = None):
+    def __init__(self, params: HirzebruchParams):
         params.validate()
         self.params = params
-        self.settings = settings or RunSettings()
-        self.settings.validate()
         self.rho = np.linspace(-params.L, params.L, params.grid_points)
         self.drho = float(self.rho[1] - self.rho[0])
         rh = params.base_scalar
@@ -571,7 +547,7 @@ class FlowProblem:
         if not self._valid(u):
             raise StepRejected("no valid starting iterate")
         scale = 1.0 + abs(rhs_const[0]) + float(np.sum(np.abs(rhs_const[1:])))
-        for _ in range(self.settings.newton_max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             f = _reconstruct(u[0], u[1:])
             rates, stencils = self._rates(f, u[1:])
             phi = _to_increments(rates)
@@ -579,7 +555,7 @@ class FlowProblem:
             np.subtract(u, resid, out=resid)
             resid -= rhs_const
             err = abs(resid[0]) + float(np.sum(np.abs(resid[1:])))
-            if err <= self.settings.newton_tol * scale:
+            if err <= NEWTON_TOL * scale:
                 return u, phi
             # (I - coeff D J T) x = resid is solved as the banded f-space
             # system (I - coeff J) z = T resid, then x = D z.
@@ -628,7 +604,7 @@ def step_flow(problem: FlowProblem, state: FlowState, dt: float) -> FlowState:
     u[0] = state.f[0]
     u[1:] = state.df
     t = state.t
-    halvings_left = problem.settings.max_halvings
+    halvings_left = MAX_HALVINGS
     sub_dt = dt
     while remaining > 1e-15 * dt:
         sub_dt = min(sub_dt, remaining)
@@ -715,17 +691,16 @@ def _d2(arr: np.ndarray, d: float) -> np.ndarray:
 
 
 def _curvature_rows(f: np.ndarray, v: np.ndarray, d: float,
-                    params: HirzebruchParams,
-                    support_threshold: float) -> dict[str, np.ndarray]:
+                    params: HirzebruchParams) -> dict[str, np.ndarray]:
     """Per-node curvature arrays, keyed as returned, for rows of nodal f
-    and v; the support mask `supp` is v >= threshold * (max v of the row).
-    Outside it k_v, rm and the Hessian terms of vhc_r and vhc_t are zeros
-    rather than raw stencil values: fiber curvature divides stencils of
-    ln v by v, which amplifies noise where v underflows."""
+    and v; the support mask `supp` is v >= SUPPORT_THRESHOLD * (max v of
+    the row).  Outside it k_v, rm and the Hessian terms of vhc_r and vhc_t
+    are zeros rather than raw stencil values: fiber curvature divides
+    stencils of ln v by v, which amplifies noise where v underflows."""
     if params.n != 1:
         raise FlowError("profile diagnostics implemented over surface bases")
     k = params.k
-    supp = v >= support_threshold * np.max(v, axis=-1, keepdims=True)
+    supp = v >= SUPPORT_THRESHOLD * np.max(v, axis=-1, keepdims=True)
     lnv = np.log(np.where(v > 0.0, v, 1.0))
     lv1 = _d1(lnv, d)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -750,23 +725,20 @@ def _curvature_rows(f: np.ndarray, v: np.ndarray, d: float,
             "vhc_t": vhc_t, "rm": rm}
 
 
-def curvature_profiles(state: FlowState, params: HirzebruchParams,
-                       support_threshold: float = 1e-3
+def curvature_profiles(state: FlowState, params: HirzebruchParams
                        ) -> dict[str, np.ndarray | float]:
     """The `_curvature_rows` arrays of one state, from the profile alone (no
     chart reconstruction), with its time `t`, grid `rho`, fiber `width`
     and fiber `area`."""
     rows = _curvature_rows(state.f[None], state.v_profile(params.k)[None],
-                           state.rho[1] - state.rho[0], params,
-                           support_threshold)
+                           state.rho[1] - state.rho[0], params)
     width = float(state.upper - state.lower)
     return {name: arr[0] for name, arr in rows.items()} | {
         "t": state.t, "rho": state.rho, "width": width,
         "area": float(2.0 * np.pi * width / params.k)}
 
 
-def diagnostics_series(states: Sequence[FlowState], params: HirzebruchParams,
-                       support_threshold: float = 1e-3
+def diagnostics_series(states: Sequence[FlowState], params: HirzebruchParams
                        ) -> dict[str, np.ndarray]:
     """The curvature columns of the diagnostics table (`t` to `max_v` of
     `DIAG_COLUMNS`) of the states: per state, the curvature sups over the
@@ -785,8 +757,7 @@ def diagnostics_series(states: Sequence[FlowState], params: HirzebruchParams,
     for lo in range(0, len(states), rows):
         block = states[lo:lo + rows]
         v = _v_rows(np.stack([s.df for s in block]), d, k)
-        p = _curvature_rows(np.stack([s.f for s in block]), v, d, params,
-                            support_threshold)
+        p = _curvature_rows(np.stack([s.f for s in block]), v, d, params)
         supp = p["supp"]
         mixed_r = np.max(np.where(supp, np.abs(p["vhc_r"]), -np.inf), axis=1)
         mixed_t = np.max(np.where(supp, np.abs(p["vhc_t"]), -np.inf), axis=1)
@@ -812,11 +783,10 @@ def diagnostics_series(states: Sequence[FlowState], params: HirzebruchParams,
     return out
 
 
-def profile_diagnostics(state: FlowState, params: HirzebruchParams,
-                        support_threshold: float = 1e-3
+def profile_diagnostics(state: FlowState, params: HirzebruchParams
                         ) -> dict[str, np.ndarray]:
     """`diagnostics_series` of one state: its one-row curvature columns."""
-    return diagnostics_series([state], params, support_threshold)
+    return diagnostics_series([state], params)
 
 
 # ---------------------------------------------------------------------------
@@ -937,7 +907,6 @@ def run_flow(params: HirzebruchParams | ProductParams,
     settings.validate()
     if isinstance(params, ProductParams):
         return _run_product(params, settings)
-    check_tracked_nodes(settings.tracked_nodes, params.grid_points)
     return _run_hirzebruch(params, settings, shape)
 
 
@@ -946,7 +915,7 @@ def _run_product(params: ProductParams, settings: RunSettings) -> FlowRun:
     evaluated on the stepper's time grid, not an integration, so its
     `closed_form` check compares the formula with itself."""
     params.validate()
-    t_pred, _ = predict_max_time(product_class(params))
+    t_pred = predict_max_time(product_class(params))
     rh = params.base_scalar
     states = [ProductState(t=0.0, f=params.f0, c=params.c0)]
     t = 0.0
@@ -961,7 +930,7 @@ def _run_product(params: ProductParams, settings: RunSettings) -> FlowRun:
         st = ProductState(t=t, f=params.f0 - (rh / params.n) * t,
                           c=params.c0 - 2.0 * t)
         states.append(st)
-        if st.c < settings.v_floor:
+        if st.c < V_FLOOR:
             stop_reason = "fiber_collapsed"
             break
     # per-state Python float arithmetic, whose bytes the golden digests
@@ -995,18 +964,16 @@ def recorded_states(params: HirzebruchParams,
                     shape: str = "tanh"
                     ) -> Generator[FlowState, None, str]:
     """The recorded states of a hirzebruch run, in order: the initial
-    state, every `record_stride`-th stepped state and the last state.
-    Returns the stop reason.  This is the one stepping loop: `run_flow`
-    consumes it, and tests that need the profiles of a run take them from
-    it."""
-    problem = FlowProblem(params, settings)
-    settings = problem.settings
+    state and every stepped state.  Returns the stop reason.  This is the
+    one stepping loop: `run_flow` consumes it, and tests that need the
+    profiles of a run take them from it."""
+    settings = settings or RunSettings()
+    settings.validate()
+    problem = FlowProblem(params)
     state = init_hirzebruch_profile(params, shape)
-    t_pred, _ = predict_max_time(hirzebruch_class(params))
+    t_pred = predict_max_time(hirzebruch_class(params))
     yield state
-    recorded = True
     stop_reason = "time_exhausted"
-    step_count = 0
     while True:
         remaining = t_pred - settings.stop_margin - state.t
         if remaining <= 1e-12:
@@ -1025,16 +992,10 @@ def recorded_states(params: HirzebruchParams,
         if not new_state.t > state.t:
             raise FlowError(f"step of dt={dt!r} did not advance t={state.t!r}")
         state = new_state
-        step_count += 1
-        recorded = step_count % settings.record_stride == 0
-        if recorded:
-            yield state
-        v_max = _max_v(state.df, problem.drho, params.k)
-        if 4.0 * params.k * v_max < settings.v_floor:
+        yield state
+        if 4.0 * params.k * _max_v(state.df, problem.drho, params.k) < V_FLOOR:
             stop_reason = "fiber_collapsed"
             break
-    if not recorded:
-        yield state
     return stop_reason
 
 
@@ -1048,18 +1009,17 @@ def _run_hirzebruch(params: HirzebruchParams, settings: RunSettings,
     columns are filled from the run's columns at the end."""
     states = recorded_states(params, settings, shape)
     state = next(states)
-    t_pred, _ = predict_max_time(hirzebruch_class(params))
+    t_pred = predict_max_time(hirzebruch_class(params))
     half = 0.5 * (t_pred - settings.stop_margin)
     size = max(1, _FLUSH_NODES // params.grid_points)
     buf: list[FlowState] = []
     curvature = []  # the curvature columns of each flush
     heat = [np.full(1, np.nan)]  # no time stencil at the first state
-    rows = []  # per state: lower, upper, f[0], f[-1], f at tracked nodes
+    rows = []  # per state: lower, upper, f[0], f[-1]
     sample = None
 
     def flush(new: int) -> None:
-        curvature.append(diagnostics_series(buf[-new:], params,
-                                            settings.support_threshold))
+        curvature.append(diagnostics_series(buf[-new:], params))
         heat.append(heat_residual_series(buf, params)[1:-1])
         del buf[:-2]
 
@@ -1068,8 +1028,7 @@ def _run_hirzebruch(params: HirzebruchParams, settings: RunSettings,
         # every recorded f is nondecreasing, so its min and max are its
         # ends: the initial f sums monotone logistic steps, a stepped f is
         # a cumulative sum of positive increments
-        rows.append((state.lower, state.upper, state.f[0], state.f[-1],
-                     *[state.f[i] for i in settings.tracked_nodes]))
+        rows.append((state.lower, state.upper, state.f[0], state.f[-1]))
         if sample is None and state.t >= half:
             sample = state
         if len(rows) % size == 0:
@@ -1083,13 +1042,13 @@ def _run_hirzebruch(params: HirzebruchParams, settings: RunSettings,
         flush(len(rows) % size)
     if len(rows) > 1:
         heat.append(np.full(1, np.nan))  # nor at the last
-    lower, upper, min_f, max_f, *tracked = np.array(rows).T.copy()
+    lower, upper, min_f, max_f = np.array(rows).T.copy()
     diags = {name: np.concatenate([c[name] for c in curvature])
              for name in _CURVATURE_COLUMNS}
     diags.update(build_monitors(params, diags["t"], np.concatenate(heat),
                                 min_f, max_f, diags["max_v"]))
-    flow = dict(zip(flow_columns("hirzebruch", settings),
-                    [diags["t"], lower, upper, diags["width"], *tracked]))
+    flow = dict(zip(FLOW_COLUMNS["hirzebruch"],
+                    (diags["t"], lower, upper, diags["width"])))
     t_obs = _fit_stop_time(diags["t"], 4.0 * params.k * diags["max_v"],
                            t_pred)
     return FlowRun(scenario="hirzebruch", params=params, diagnostics=diags,

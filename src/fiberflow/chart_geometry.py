@@ -214,7 +214,7 @@ class ChartMetricBlocks:
         horizontal distribution, i.e. the lift derivative vanishes.
         """
         res = self.df_dz - self.s * self.df_dxi
-        return float(np.max(np.abs(res))) if self.n else 0.0
+        return float(np.max(np.abs(res)))
 
 
 def assemble_block_metric(blocks: ChartMetricBlocks, check: bool = True) -> np.ndarray:
@@ -256,13 +256,13 @@ def fiber_christoffel(blocks: ChartMetricBlocks) -> np.ndarray:
 def check_totally_geodesic(blocks: ChartMetricBlocks) -> float:
     """Max norm of the fiber Christoffel block; zero iff fibers are geodesic."""
     gamma = fiber_christoffel(blocks)
-    return float(np.max(np.abs(gamma))) if blocks.n else 0.0
+    return float(np.max(np.abs(gamma)))
 
 
 def check_kahler_compatibility(blocks: ChartMetricBlocks) -> float:
     """Residual of h_ij * d_xi f = d_i conj(s_j) * g_fiber (max entry)."""
     res = blocks.base.h * blocks.df_dxi - blocks.dsbar_dz * blocks.g_fiber
-    return float(np.max(np.abs(res))) if blocks.n else 0.0
+    return float(np.max(np.abs(res)))
 
 
 def check_base_einstein(base: BaseMetric) -> float:

@@ -37,6 +37,7 @@ import numpy as np
 from . import __version__
 from .calabi_flow import (
     DIAG_COLUMNS,
+    FLOW_COLUMNS,
     PROFILE_SHAPES,
     ConfigError,
     FlowError,
@@ -44,9 +45,8 @@ from .calabi_flow import (
     HirzebruchParams,
     ProductParams,
     RunSettings,
-    check_tracked_nodes,
-    flow_columns,
     hirzebruch_class,
+    init_hirzebruch_profile,
     loglog_slope,
     predict_max_time,
     product_class,
@@ -80,10 +80,6 @@ TIME_RATIO_BAND = 0.02
 CLOSED_FORM_TOL = 1e-6
 CHART_RESIDUAL_TOL = 1e-8
 
-ENV_OUTPUT = "FIBERFLOW_OUTPUT"
-ENV_SEED = "FIBERFLOW_SEED"
-ENV_WORKERS = "FIBERFLOW_WORKERS"
-
 
 class HarnessError(Exception):
     """Base for configuration-layer failures."""
@@ -114,10 +110,6 @@ def _to_opt_float(s: str) -> float | None:
     return None if s == "" else float(s)
 
 
-def _to_int_tuple(s: str) -> tuple[int, ...]:
-    return tuple(int(x.strip(), 10) for x in s.split(",") if x.strip())
-
-
 def _to_str_tuple(s: str) -> tuple[str, ...]:
     return tuple(x.strip() for x in s.split(",") if x.strip())
 
@@ -132,20 +124,12 @@ PARAM_KEYS: dict[str, dict[str, Callable]] = {
 
 FLOW_KEYS: dict[str, Callable] = {
     "dt_max": float, "time_frac": float, "stop_margin": float,
-    "v_floor": float, "newton_tol": float, "newton_max_iter": int,
-    "max_halvings": int, "support_threshold": float,
     "dt_fixed": _to_opt_float, "shape": str,
 }
 
-RECORDING_KEYS: dict[str, Callable] = {
-    "stride": int, "tracked_nodes": _to_int_tuple,
-}
-
 ANALYSIS_KEYS: dict[str, Callable] = {
-    "mode": str, "max_picks": int, "span_decades": float,
-    "window_cap": float, "slope_bounded": float, "slope_diverging": float,
-    "burst_cap": float, "heat_tol": float, "checks": _to_str_tuple,
-    "seed": int,
+    "mode": str, "max_picks": int, "heat_tol": float,
+    "checks": _to_str_tuple,
 }
 
 CHECK_NAMES = ("monitors", "time_ratio", "classification", "splitting",
@@ -162,14 +146,8 @@ DEFAULT_CHECKS = {
 class AnalysisConfig:
     mode: str = "typeI_max_curvature"
     max_picks: int = 8
-    span_decades: float = 1.0
-    window_cap: float = 50.0
-    slope_bounded: float = 0.05
-    slope_diverging: float = 0.10
-    burst_cap: float = 1.5
     heat_tol: float = HEAT_RESIDUAL_TOL
     checks: tuple[str, ...] = ()
-    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -244,7 +222,7 @@ def _take(sections: dict, section: str,
 def parse_config(text: str) -> RunConfig:
     """Strictly validated RunConfig from a key = value document."""
     sections = _parse_sections(text)
-    known = {"run", "params", "flow", "recording", "analysis"}
+    known = {"run", "params", "flow", "analysis"}
     for name in sections:
         if name not in known:
             raise ValidationError(
@@ -264,7 +242,6 @@ def parse_config(text: str) -> RunConfig:
 
     param_kv = _take(sections, "params", PARAM_KEYS[scenario])
     flow_kv = _take(sections, "flow", FLOW_KEYS)
-    rec_kv = _take(sections, "recording", RECORDING_KEYS)
     ana_kv = _take(sections, "analysis", ANALYSIS_KEYS)
 
     if "shape" in flow_kv and scenario != "hirzebruch":
@@ -275,13 +252,6 @@ def parse_config(text: str) -> RunConfig:
         raise ValidationError(
             "shape", f"unknown shape {shape!r}"
                      f"{_suggestion(shape, list(PROFILE_SHAPES))}")
-    if "stride" in rec_kv:
-        if rec_kv["stride"] < 1:
-            raise ValidationError("stride",
-                                  "must be at least 1 in [recording]")
-        flow_kv["record_stride"] = rec_kv.pop("stride")
-    if "tracked_nodes" in rec_kv:
-        flow_kv["tracked_nodes"] = rec_kv.pop("tracked_nodes")
     try:
         params = (HirzebruchParams(**param_kv) if scenario == "hirzebruch"
                   else ProductParams(**param_kv))
@@ -302,15 +272,15 @@ def parse_config(text: str) -> RunConfig:
         # the profile diagnostics are implemented over surface bases only
         if params.n != 1:
             raise ValidationError("n", "the hirzebruch scenario needs n = 1")
+        # the run's own initial profile: a half-width L too small for the
+        # endpoint closure, or so large that the increments underflow,
+        # would stop the run with BadProfile after it had started
         try:
-            check_tracked_nodes(settings.tracked_nodes, params.grid_points)
-        except ConfigError as exc:
-            raise ValidationError("tracked_nodes", str(exc)) from exc
-    elif "tracked_nodes" in flow_kv:
-        raise ValidationError(
-            "tracked_nodes", "only applies to the hirzebruch scenario")
+            init_hirzebruch_profile(params, shape)
+        except FlowError as exc:
+            raise ValidationError("L", str(exc)) from exc
     try:
-        t_pred, _ = predict_max_time(
+        t_pred = predict_max_time(
             hirzebruch_class(params) if scenario == "hirzebruch"
             else product_class(params))
     except FlowError as exc:
@@ -332,27 +302,18 @@ def parse_config(text: str) -> RunConfig:
         if needs is not None and needs != scenario:
             raise ValidationError(
                 name, f"check only applies to the {needs} scenario")
-    for key, value in ana_kv.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValidationError(key, f"must be finite, got {value!r}")
     analysis = AnalysisConfig(**ana_kv)
     if analysis.max_picks < 1:
         raise ValidationError("max_picks", "must be at least 1")
-    for key in ("span_decades", "window_cap"):
-        if getattr(analysis, key) <= 0.0:
-            raise ValidationError(key, "must be positive")
-    # a heat residual is never negative, and a burst (max over median) is
-    # never below 1: either gate could then never pass
-    if analysis.heat_tol < 0.0:
-        raise ValidationError("heat_tol", "must be at least 0")
-    if analysis.burst_cap < 1.0:
-        raise ValidationError("burst_cap", "must be at least 1")
+    # a heat residual is never negative: the gate could then never pass
+    if not 0.0 <= analysis.heat_tol < math.inf:
+        raise ValidationError(
+            "heat_tol", f"must be finite and at least 0, got "
+                        f"{analysis.heat_tol!r}")
     if analysis.mode not in PICK_MODES:
         raise ValidationError(
             "mode", f"unknown pick mode {analysis.mode!r}"
                     f"{_suggestion(analysis.mode, PICK_MODES)}")
-    if analysis.seed is not None:
-        _require_seed(analysis.seed)
 
     echo = {name: {k: v for k, (v, _) in kv.items()}
             for name, kv in sections.items()}
@@ -507,15 +468,11 @@ def analyze(diag: dict[str, np.ndarray], T_observed: float,
             ana: AnalysisConfig) -> Analysis:
     """Classify, pick, rescale and split one diagnostics table; the one
     analysis behind `execute` and `check_run_dir`."""
-    report = {"type": classify_type(
-        diag, T_observed, slope_bounded=ana.slope_bounded,
-        slope_diverging=ana.slope_diverging, burst_cap=ana.burst_cap)}
+    report = {"type": classify_type(diag, T_observed)}
     try:
         rows = pick_blowup_sequence(diag, T_observed, ana.mode,
-                                    max_picks=ana.max_picks,
-                                    span_decades=ana.span_decades)
-        tables = rescale_series(diag, T_observed, rows,
-                                window_cap=ana.window_cap)
+                                    max_picks=ana.max_picks)
+        tables = rescale_series(diag, T_observed, rows)
     except AnalysisError as exc:
         return Analysis(report, [], str(exc))
     report["splitting"] = splitting_report(diag["rm_sup"][rows], tables,
@@ -668,7 +625,10 @@ def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
     The config is parsed again from the manifest's echo, and `analyze` and
     `_acceptance` run as in `execute`: every verdict is recomputed from
     the CSVs and the manifest, except `chart_residuals`, whose stored
-    verdict is carried forward.  The recomputed report.json and
+    verdict is carried forward.  `flow.csv` must hold the `t` and
+    `width` columns of `diagnostics.csv` (in the product scenario its `c`
+    the `width` and its `f` the `min_f`) bit for bit: a run writes both
+    from the same arrays.  The recomputed report.json and
     rescaled_<i>.csv texts must equal the stored files byte for byte, no
     other rescaled_<i>.csv may be stored, and the recomputed analysis
     entries must equal the manifest's; `differs` names each that does
@@ -697,8 +657,16 @@ def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
         if recorded is not None and recorded != diag["t"].size:
             raise RunDirError(f"{diag_path}: {diag['t'].size} rows, the "
                               f"manifest records {recorded}")
-        flow = _read_csv(run_dir / "flow.csv",
-                         flow_columns(config.scenario, config.settings))
+        flow_path = run_dir / "flow.csv"
+        flow = _read_csv(flow_path, FLOW_COLUMNS[config.scenario])
+        same = ((("t", "t"), ("width", "width"))
+                if config.scenario == "hirzebruch" else
+                (("t", "t"), ("c", "width"), ("f", "min_f")))
+        for name, diag_name in same:
+            if flow[name].tobytes() != diag[diag_name].tobytes():
+                raise RunDirError(
+                    f"{flow_path}: column {name} differs from the "
+                    f"{diag_name} column of {diag_path.name}")
         _, report_text = _read_json(run_dir / "report.json")
         T_observed = manifest["T_observed"]
         try:
@@ -804,41 +772,20 @@ def run_sweep(configs: Sequence[tuple[str, RunConfig]], base_dir: str | Path,
 # CLI plumbing
 
 
-def _resolve(flag_value, env_name: str, file_value, default):
-    """The flag value, else the environment's, else the config file's,
-    else the default.  An environment value is converted to the type of
-    the default; HarnessError names the variable if it does not convert."""
+def _resolve(flag_value, file_value, default):
+    """The flag value, else the config file's, else the default."""
     if flag_value is not None:
         return flag_value
-    env = os.environ.get(env_name)
-    if env is not None and env != "":
-        try:
-            return type(default)(env)
-        except ValueError:
-            raise HarnessError(
-                f"{env_name}: bad value {env!r}, expected "
-                f"{type(default).__name__}") from None
     if file_value is not None:
         return file_value
     return default
 
 
-def _seed(args, file_value: int | None) -> int:
-    """The resolved seed; HarnessError naming `--seed` or the environment
-    variable if it is negative (a config-file seed is checked at parse)."""
-    seed = _resolve(args.seed, ENV_SEED, file_value, 0)
-    if seed < 0:
-        source = "--seed" if args.seed is not None else ENV_SEED
-        raise HarnessError(f"{source}: seed {seed} must be at least 0")
-    return seed
-
-
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    out = _resolve(args.output, ENV_OUTPUT, config.output_dir,
+    out = _resolve(args.output, config.output_dir,
                    f"runs/{Path(args.config).stem}")
-    seed = _seed(args, config.analysis.seed)
-    manifest, code = execute(config, out, seed)
+    manifest, code = execute(config, out, args.seed)
     status = ("pass" if code == 0 else
               "acceptance-fail" if code == 1 else "error")
     print(f"{args.config}: {status} -> {out}")
@@ -856,10 +803,9 @@ def _cmd_sweep(args) -> int:
         print("no config files matched", file=sys.stderr)
         return 2
     configs = [(name, load_config(name)) for name in names]
-    out = _resolve(args.output, ENV_OUTPUT, None, "runs/sweep")
-    seed = _seed(args, None)
-    workers = _resolve(args.workers, ENV_WORKERS, None, 2)
-    summary, code = run_sweep(configs, out, workers=workers, seed=seed)
+    out = _resolve(args.output, None, "runs/sweep")
+    summary, code = run_sweep(configs, out, workers=args.workers,
+                              seed=args.seed)
     for m in summary["members"]:
         print(f"{m['config']}: {'pass' if m['passed'] else 'FAIL'}")
     if summary["heat_residual_order"] is not None:
@@ -886,18 +832,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     # each subcommand takes only the flags it reads: `check` none of them
     executes = argparse.ArgumentParser(add_help=False)
     executes.add_argument("--output", default=None,
-                          help="output directory (env FIBERFLOW_OUTPUT)")
-    executes.add_argument("--seed", type=int, default=None,
-                          help="seed for randomized checks "
-                               "(env FIBERFLOW_SEED)")
+                          help="output directory")
+    executes.add_argument("--seed", type=int, default=0,
+                          help="seed for randomized checks")
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", parents=[executes],
                            help="execute one config")
     p_run.add_argument("config")
     p_sweep = sub.add_parser("sweep", parents=[executes],
                              help="execute a glob of configs concurrently")
-    p_sweep.add_argument("--workers", type=int, default=None,
-                         help="sweep parallelism (env FIBERFLOW_WORKERS)")
+    p_sweep.add_argument("--workers", type=int, default=2,
+                         help="sweep parallelism")
     p_sweep.add_argument("patterns", nargs="+")
     p_check = sub.add_parser("check",
                              help="re-evaluate acceptance on stored files")

@@ -33,6 +33,18 @@ FIBER_TOL = 0.05
 
 PICK_MODES = ("typeI_max_curvature", "typeII_supremum")
 
+# Analysis constants, read when used so that a test can monkeypatch one.
+# The pick ladder spans the last SPAN_DECADES decades of remaining time;
+# a rescaled window reaches at most WINDOW_CAP either side of its pick.
+SPAN_DECADES = 1.0
+WINDOW_CAP = 50.0
+# classify_sup_series's gates: a trend slope at or above SLOPE_DIVERGING
+# is TypeII; one at or below SLOPE_BOUNDED with a burst of at most
+# BURST_CAP is TypeI
+SLOPE_BOUNDED = 0.05
+SLOPE_DIVERGING = 0.10
+BURST_CAP = 1.5
+
 
 class AnalysisError(Exception):
     """Base for analyzer failures."""
@@ -50,15 +62,14 @@ class WindowOutOfRange(AnalysisError):
 # point picking
 
 
-def _horizon_ladder(rem: np.ndarray, max_picks: int,
-                    span_decades: float) -> list[int]:
+def _horizon_ladder(rem: np.ndarray, max_picks: int) -> list[int]:
     """Recorded indices whose remaining time descends a log ladder.
 
-    The ladder lives in the last span_decades decades of remaining time,
+    The ladder lives in the last SPAN_DECADES decades of remaining time,
     where the curvature growth is resolved and the sup is attained on
     well-supported nodes.
     """
-    targets = rem[-1] * np.logspace(span_decades, 0.0, max_picks)
+    targets = rem[-1] * np.logspace(SPAN_DECADES, 0.0, max_picks)
     idxs: list[int] = []
     for tgt in targets:
         j = int(np.searchsorted(-rem, -tgt))
@@ -69,8 +80,7 @@ def _horizon_ladder(rem: np.ndarray, max_picks: int,
 
 def pick_blowup_sequence(diag: dict[str, np.ndarray], T_observed: float,
                          mode: str = "typeI_max_curvature",
-                         max_picks: int = 8,
-                         span_decades: float = 1.0) -> np.ndarray:
+                         max_picks: int = 8) -> np.ndarray:
     """High-curvature picks (x_i, t_i, K_i) with strictly increasing K_i.
 
     Each pick is a diagnostics row: x_i, t_i and K_i are its `node`, `t`
@@ -97,9 +107,9 @@ def pick_blowup_sequence(diag: dict[str, np.ndarray], T_observed: float,
         raise TooFewSamples("run recorded fewer than 3 usable samples")
 
     if mode == "typeI_max_curvature":
-        raw = _horizon_ladder(rem, max_picks, span_decades)
+        raw = _horizon_ladder(rem, max_picks)
     else:
-        horizons = _horizon_ladder(rem, max_picks + 1, span_decades)
+        horizons = _horizon_ladder(rem, max_picks + 1)
         # the first maximizer of (T_i - t) * K over each window
         raw = [lo + 1 + int(np.argmax((ts[hi] - ts[lo + 1:hi + 1])
                                       * rm[lo + 1:hi + 1]))
@@ -125,8 +135,7 @@ RESCALED_COLUMNS = ("s", "rm", "k_v", "a_sq", "grad_ln_sq", "horiz",
 
 
 def rescale_series(diag: dict[str, np.ndarray], T_observed: float,
-                   rows: np.ndarray,
-                   window_cap: float = 50.0) -> list[dict[str, np.ndarray]]:
+                   rows: np.ndarray) -> list[dict[str, np.ndarray]]:
     """Recorded diagnostics under g_i(s) = K_i g(t_i + s/K_i), one column
     table per picked row, keyed in RESCALED_COLUMNS order.
 
@@ -136,9 +145,9 @@ def rescale_series(diag: dict[str, np.ndarray], T_observed: float,
 
     Window per pick: rescaled time s in [-beta_i, alpha_i] with
     beta_i = min(t_i K_i, cap) and alpha_i = min((T_obs - t_i) K_i * 0.9,
-    cap), so the window always sits inside [0, T_observed) for picks
-    taken from the run itself.  Raises WindowOutOfRange for picks whose
-    window leaves the run.
+    cap), cap = WINDOW_CAP, so the window always sits inside
+    [0, T_observed) for picks taken from the run itself.  Raises
+    WindowOutOfRange for picks whose window leaves the run.
     """
     ts, rm = diag["t"], diag["rm_sup"]
     if len(rows) < 3:
@@ -150,8 +159,8 @@ def rescale_series(diag: dict[str, np.ndarray], T_observed: float,
         if kk <= 0.0 or t >= T_observed:
             raise WindowOutOfRange(
                 f"pick at t={t} does not precede the singular time")
-        beta = min(t * kk, window_cap)
-        alpha = min((T_observed - t) * kk * 0.9, window_cap)
+        beta = min(t * kk, WINDOW_CAP)
+        alpha = min((T_observed - t) * kk * 0.9, WINDOW_CAP)
         lo, hi = t - beta / kk, t + alpha / kk
         if lo < ts[0] - 1e-12 or hi > T_observed + 1e-12:
             raise WindowOutOfRange(
@@ -176,10 +185,7 @@ def rescale_series(diag: dict[str, np.ndarray], T_observed: float,
 
 
 def classify_sup_series(times: np.ndarray, rm_sup: np.ndarray,
-                        T_observed: float,
-                        slope_bounded: float = 0.05,
-                        slope_diverging: float = 0.10,
-                        burst_cap: float = 1.5) -> dict:
+                        T_observed: float) -> dict:
     """Decide bounded vs diverging (T - t) * max|Rm| from its tail.
 
     The tail is the last decade of remaining time.  trend_slope is the
@@ -207,9 +213,9 @@ def classify_sup_series(times: np.ndarray, rm_sup: np.ndarray,
     burst = float(np.max(tv) / plateau)
     trend = -float(np.polyfit(np.log(tr), np.log(tv), 1)[0])
 
-    if trend >= slope_diverging:
+    if trend >= SLOPE_DIVERGING:
         cls = "TypeII"
-    elif trend <= slope_bounded and burst <= burst_cap:
+    elif trend <= SLOPE_BOUNDED and burst <= BURST_CAP:
         cls = "TypeI"
     else:
         cls = "Inconclusive"
@@ -219,16 +225,14 @@ def classify_sup_series(times: np.ndarray, rm_sup: np.ndarray,
         "trend_slope": trend,
         "burst": burst,
         "tail_samples": tv.size,
-        "thresholds": {"slope_bounded": slope_bounded,
-                       "slope_diverging": slope_diverging,
-                       "burst_cap": burst_cap},
+        "thresholds": {"slope_bounded": SLOPE_BOUNDED,
+                       "slope_diverging": SLOPE_DIVERGING,
+                       "burst_cap": BURST_CAP},
     }
 
 
-def classify_type(diag: dict[str, np.ndarray], T_observed: float,
-                  **thresholds) -> dict:
-    return classify_sup_series(diag["t"], diag["rm_sup"], T_observed,
-                               **thresholds)
+def classify_type(diag: dict[str, np.ndarray], T_observed: float) -> dict:
+    return classify_sup_series(diag["t"], diag["rm_sup"], T_observed)
 
 
 # ---------------------------------------------------------------------------

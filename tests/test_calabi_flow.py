@@ -232,7 +232,7 @@ def test_local_profile_tracks_the_quintic_spline(grid_points):
 
 def test_single_step_endpoint_rates():
     params = HirzebruchParams()
-    problem = FlowProblem(params, RunSettings())
+    problem = FlowProblem(params)
     st = init_hirzebruch_profile(params, "tanh")
     s2 = step_flow(problem, st, 0.01)
     assert (s2.lower - st.lower) / 0.01 == pytest.approx(-1.0, rel=0.02)
@@ -264,8 +264,7 @@ def test_interior_rhs_translation_equivariance():
     assert np.all(np.abs(np.roll(f, -1) - np.roll(f, 1)) > 0.0)
     # drho = 0.17, k = n = 1, sink R_h / n = 2
     problem = FlowProblem(HirzebruchParams(L=0.17 * (n_pts + 1) / 2.0,
-                                           grid_points=n_pts + 2),
-                          RunSettings())
+                                           grid_points=n_pts + 2))
     wrap = np.arange(-1, n_pts + 1) % n_pts
 
     def interior_rates(g):
@@ -282,8 +281,7 @@ def test_interior_rhs_translation_equivariance():
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("n", [1, 2])
 def test_newton_jacobian_matches_central_differences(k, n):
-    problem = FlowProblem(HirzebruchParams(k=k, n=n, L=4.0, grid_points=64),
-                          RunSettings())
+    problem = FlowProblem(HirzebruchParams(k=k, n=n, L=4.0, grid_points=64))
     f = k * (1.0 + 1.0 / (1.0 + np.exp(-problem.rho)))
 
     def rates(g):
@@ -317,10 +315,10 @@ def test_step_reusing_converged_phi_matches_fresh_problem(monkeypatch):
     params = HirzebruchParams(grid_points=128)
     # three Newton iterations are too few for dt = 0.2 from this state,
     # so step_flow halves once before it succeeds
-    settings = RunSettings(newton_max_iter=3)
+    monkeypatch.setattr(calabi_flow, "NEWTON_MAX_ITER", 3)
     start = init_hirzebruch_profile(params, "tanh")
 
-    warm = FlowProblem(params, settings)
+    warm = FlowProblem(params)
     state = step_flow(warm, start, 0.005)
     u = _increment_vector(state)
     phi_calls = []
@@ -332,12 +330,12 @@ def test_step_reusing_converged_phi_matches_fresh_problem(monkeypatch):
         warm.step_once(u, 0.2)
     retry = warm.step_once(u, 0.1)
     assert phi_calls == []  # both attempts reused phi from the last step
-    fresh = FlowProblem(params, settings)
+    fresh = FlowProblem(params)
     assert np.array_equal(retry, fresh.step_once(u, 0.1))
 
-    warm = FlowProblem(params, settings)
+    warm = FlowProblem(params)
     state = step_flow(warm, start, 0.005)
-    fresh = FlowProblem(params, settings)
+    fresh = FlowProblem(params)
     a = step_flow(warm, state, 0.2)
     b = step_flow(fresh, state, 0.2)
     assert a.t == b.t
@@ -348,7 +346,7 @@ def test_step_reusing_converged_phi_matches_fresh_problem(monkeypatch):
     v = warm.step_once(_increment_vector(a), 0.01)
     v[0] *= 1.001
     assert np.array_equal(warm.step_once(v, 0.01),
-                          FlowProblem(params, settings).step_once(v, 0.01))
+                          FlowProblem(params).step_once(v, 0.01))
 
 
 # -- the tridiagonal solve ---------------------------------------------------
@@ -509,15 +507,16 @@ def test_v_evolution_consistency(default_run, default_states):
 
 def test_step_flow_rejects_bad_dt():
     params = HirzebruchParams()
-    problem = FlowProblem(params, RunSettings())
+    problem = FlowProblem(params)
     st = init_hirzebruch_profile(params, "tanh")
     with pytest.raises(FlowError):
         step_flow(problem, st, 0.0)
 
 
-def test_oversized_step_is_rejected_not_silently_accepted():
+def test_oversized_step_is_rejected_not_silently_accepted(monkeypatch):
+    monkeypatch.setattr(calabi_flow, "MAX_HALVINGS", 0)
     params = HirzebruchParams()
-    problem = FlowProblem(params, RunSettings(max_halvings=0))
+    problem = FlowProblem(params)
     st = init_hirzebruch_profile(params, "tanh")
     with pytest.raises(StepRejected):
         step_flow(problem, st, 5.0)
@@ -530,31 +529,8 @@ def test_run_settings_validation():
         run_flow(HirzebruchParams(), RunSettings(stop_margin=0.0))
     with pytest.raises(ConfigError):
         run_flow(HirzebruchParams(), RunSettings(time_frac=1.5))
-    # either would reject every step, and fail only after all halvings
-    with pytest.raises(ConfigError, match="newton_max_iter"):
-        run_flow(HirzebruchParams(), RunSettings(newton_max_iter=0))
-    with pytest.raises(ConfigError, match="newton_tol"):
-        run_flow(HirzebruchParams(), RunSettings(newton_tol=0.0))
-
-
-@pytest.mark.parametrize("nodes", [(-1,), (600,), (3, 3)])
-def test_run_flow_rejects_bad_tracked_nodes_before_stepping(nodes,
-                                                            monkeypatch):
-    # off the 512-node grid, or a node listed twice: flow.csv would record
-    # f[-1] as f_node-1, index past the grid, or fold two columns into one
-    def no_steps(*args):
-        raise AssertionError("the run started stepping")
-
-    monkeypatch.setattr(calabi_flow, "recorded_states", no_steps)
-    with pytest.raises(ConfigError, match="nodes"):
-        run_flow(HirzebruchParams(), RunSettings(tracked_nodes=nodes))
-
-
-def test_support_threshold_above_one_rejected():
-    # the support mask v >= threshold * max v would be empty
-    with pytest.raises(ConfigError, match="support_threshold"):
-        RunSettings(support_threshold=1.5).validate()
-    RunSettings(support_threshold=1.0).validate()
+    with pytest.raises(ConfigError, match="dt_fixed"):
+        run_flow(HirzebruchParams(), RunSettings(dt_fixed=0.0))
 
 
 def test_non_finite_settings_rejected():
@@ -675,8 +651,9 @@ def test_max_v_of_the_v_floor_stop_equals_max_of_v_profile(k, shape):
     assert got == [np.max(s.v_profile(k)) for s in states]
 
 
-def test_v_floor_stop_reason():
-    run = run_flow(HirzebruchParams(), RunSettings(v_floor=0.3))
+def test_v_floor_stop_reason(monkeypatch):
+    monkeypatch.setattr(calabi_flow, "V_FLOOR", 0.3)
+    run = run_flow(HirzebruchParams(), RunSettings())
     assert run.stop_reason == "fiber_collapsed"
     assert run.diagnostics["t"][-1] < run.T_predicted - 0.05
 
@@ -693,15 +670,15 @@ def test_stop_margin_past_collapse_records_one_state(params):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_collapse_proxy_is_the_f_range_for_each_twist(k):
+def test_collapse_proxy_is_the_f_range_for_each_twist(k, monkeypatch):
     # 4 k max v = 4 max f_rho, the f-range k (b - a) of a logistic
     # profile; the v_floor stop compares that same proxy
     params = HirzebruchParams(k=k, grid_points=513)
     st = init_hirzebruch_profile(params, "tanh")
     proxy = 4.0 * k * float(np.max(st.v_profile(k)))
     assert proxy == pytest.approx(st.upper - st.lower, rel=1e-3)
-    run = run_flow(HirzebruchParams(k=k, grid_points=256),
-                   RunSettings(v_floor=0.3 * k))
+    monkeypatch.setattr(calabi_flow, "V_FLOOR", 0.3 * k)
+    run = run_flow(HirzebruchParams(k=k, grid_points=256), RunSettings())
     assert run.stop_reason == "fiber_collapsed"
     assert run.flow["upper"][-1] - run.flow["lower"][-1] == pytest.approx(
         0.3 * k, rel=0.02)
@@ -813,7 +790,7 @@ def test_profile_curvature_matches_chart_for_each_twist(k):
 
 
 @pytest.mark.parametrize("k, b0", [(1, 2.0), (2, 2.0), (3, 4.0)])
-def test_fiber_gauss_bonnet_for_each_twist(k, b0):
+def test_fiber_gauss_bonnet_for_each_twist(k, b0, monkeypatch):
     # The integral of K_v over the fiber sphere is 4 pi for any profile.
     # With dA = v drho dtheta, v = f_rho / k and K_v = -(ln v)''/v it
     # telescopes to 2 pi times the difference of (ln v)' at the two ends,
@@ -821,8 +798,10 @@ def test_fiber_gauss_bonnet_for_each_twist(k, b0):
     # carry one-sided stencils and are left out.
     params = HirzebruchParams(k=k, b0=b0)
     states = list(recorded_states(params, RunSettings(), "skew"))
+    # every node supported, so k_v is the raw stencil value everywhere
+    monkeypatch.setattr(calabi_flow, "SUPPORT_THRESHOLD", 0.0)
     for st in (states[0], states[len(states) // 2], states[-1]):
-        prof = curvature_profiles(st, params, support_threshold=0.0)
+        prof = curvature_profiles(st, params)
         h = st.rho[1] - st.rho[0]
         density = np.gradient(st.f, st.rho) / k
         assert 2.0 * np.pi * h * np.sum(density) == pytest.approx(
@@ -880,10 +859,8 @@ def test_product_closed_form_values():
 
 
 def test_predict_max_time_product_classes():
-    t_max, limit = predict_max_time(CohomologyClass(3.0, 1.0, -2.0, -2.0))
-    assert t_max == pytest.approx(0.5)
-    assert limit.fiber_coeff == 0.0
-    assert limit.base_coeff == pytest.approx(2.0)
+    assert predict_max_time(CohomologyClass(3.0, 1.0, -2.0, -2.0)) == 0.5
+    # the base coefficient would reach 1 - 2 * 1.5 < 0 at the collapse
     with pytest.raises(WrongRegime):
         predict_max_time(CohomologyClass(1.0, 3.0, -2.0, -2.0))
 
@@ -905,6 +882,6 @@ def test_class_builders_frozen_rates():
 
 
 def test_predicted_time_matches_observed(default_run):
-    t_max, _ = predict_max_time(hirzebruch_class(default_run.params))
+    t_max = predict_max_time(hirzebruch_class(default_run.params))
     assert t_max == default_run.T_predicted
     assert abs(default_run.T_observed - t_max) / t_max <= 0.02

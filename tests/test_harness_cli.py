@@ -1,6 +1,10 @@
 """Harness: config dialect, emission, exit codes, sweeps, re-checking."""
 
+import importlib.util
+import itertools
 import json
+import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,13 +14,17 @@ import pytest
 from fiberflow import calabi_flow, harness_cli
 from fiberflow.calabi_flow import (
     DIAG_COLUMNS,
+    FLOW_COLUMNS,
     HirzebruchParams,
     RunSettings,
-    flow_columns,
     run_flow,
 )
 from fiberflow.chart_geometry import calabi_sampler, point_to_complex
 from fiberflow.harness_cli import (
+    ANALYSIS_KEYS,
+    FLOW_KEYS,
+    PARAM_KEYS,
+    RUN_KEYS,
     ParseError,
     RunDirError,
     ValidationError,
@@ -33,7 +41,8 @@ from fiberflow.harness_cli import (
 
 from conftest import grid_member
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 PRODUCT_CFG = """\
 [run]
@@ -163,26 +172,103 @@ R_h =
 dt_fixed =
 shape = skew
 
-[recording]
-stride = 2
-tracked_nodes = 10, 200
-
 [analysis]
 mode = typeII_supremum
 heat_tol = 0.02
-seed = 11
 """
     cfg = parse_config(text)
     assert cfg.params.k == 2 and cfg.params.R_h is None
-    assert cfg.settings.record_stride == 2
     assert cfg.settings.dt_fixed is None
     assert cfg.shape == "skew"
-    assert cfg.settings.tracked_nodes == (10, 200)
     assert cfg.analysis.mode == "typeII_supremum"
     assert cfg.analysis.heat_tol == 0.02
-    assert cfg.analysis.seed == 11
     assert cfg.output_dir == "runs/custom"
     assert cfg.echo["params"]["k"] == "2"
+
+
+# Keys configs no longer take, each at its old default, by section: the
+# values are module constants now (calabi_flow, singularity_analyzer) and
+# the seed comes from --seed alone.
+RETIRED_KEYS = {
+    "flow": {"v_floor": "1e-06", "newton_tol": "1e-10",
+             "newton_max_iter": "12", "max_halvings": "10",
+             "support_threshold": "0.001"},
+    "recording": {"stride": "1", "tracked_nodes": "0"},
+    "analysis": {"span_decades": "1.0", "window_cap": "50.0",
+                 "slope_bounded": "0.05", "slope_diverging": "0.10",
+                 "burst_cap": "1.5", "seed": "0"},
+}
+
+
+@pytest.mark.parametrize("section,key", [
+    (section, key) for section, keys in RETIRED_KEYS.items()
+    for key in keys])
+def test_retired_key_is_a_config_error(tmp_path, capsys, section, key):
+    # an unknown key, or for [recording] an unknown section, named with
+    # its suggestion like any other
+    text = HZ_CFG + f"\n[{section}]\n{key} = {RETIRED_KEYS[section][key]}\n"
+    named = "recording" if section == "recording" else key
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    assert err.value.key == named
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    assert f"config error: {named}: unknown " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_benchmark_and_bundled_configs_parse(monkeypatch):
+    # the benchmark generates its configs from its own templates: each
+    # must still pass the schema; parsing runs no flow
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    wl = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, wl)
+    spec.loader.exec_module(wl)
+    texts = [wl.collapse_config(grid, k, b0, shape)
+             for k in (1, 2, 3) for shape in ("tanh", "skew")
+             for grid in wl.COLLAPSE_GRID for b0 in wl.COLLAPSE_B0[k]]
+    ctx = wl.Refine.prepare(0)
+    ladders = [wl.Refine.warmup(ctx)] + list(
+        itertools.islice(wl.Refine.ops(ctx), wl.REFINE_CYCLE))
+    texts += [wl.refine_config(grid) for ladder in ladders
+              for grid in ladder]
+    bundled = sorted(CONFIGS.glob("**/*.cfg"))
+    assert bundled
+    texts += [path.read_text() for path in bundled]
+    for text in texts:
+        parse_config(text)
+
+
+def _readme_key_tables() -> dict[str, list[str]]:
+    """The keys listed in the first column of each README table under a
+    ``### `[section]` `` heading, by section (`params.<scenario>` for the
+    parameter tables)."""
+    tables: dict[str, list[str]] = {}
+    name = None
+    for line in (ROOT / "README.md").read_text().splitlines():
+        head = re.fullmatch(r"### `\[(\w+)\]`(?: \(scenario `(\w+)`\))?",
+                            line)
+        if head:
+            name = ".".join(filter(None, head.groups()))
+            tables[name] = []
+        elif line.startswith("#"):
+            name = None
+        elif name and line.startswith("| `"):
+            tables[name] += re.findall(r"`(\w+)`", line.split("|")[1])
+    return tables
+
+
+def test_readme_key_tables_list_exactly_the_schema_keys():
+    want = {"run": RUN_KEYS, "flow": FLOW_KEYS, "analysis": ANALYSIS_KEYS}
+    want |= {f"params.{scenario}": keys
+             for scenario, keys in PARAM_KEYS.items()}
+    got = _readme_key_tables()
+    assert set(got) == set(want)
+    for name, keys in want.items():
+        assert sorted(got[name]) == sorted(keys), name
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +521,15 @@ def test_check_manifest_missing_entry_exits_3(hz_dir, tmp_path, capsys):
 @pytest.mark.parametrize("fixture,edit", [
     ("hz_dir", lambda m: m.pop("acceptance")),
     ("product_dir", lambda m: m["config"]["params"].update(R_h="abc")),
+    # keys and a section that configs no longer take, at their old defaults
     ("hz_dir", lambda m: m["config"].setdefault("analysis", {}).update(
-        slope_bounded="x")),
+        slope_bounded="0.05")),
+    ("hz_dir", lambda m: m["config"]["flow"].update(v_floor="1e-06")),
+    ("hz_dir", lambda m: m["config"].update(recording={"stride": "1"})),
     ("hz_dir", lambda m: m.update(T_predicted=0)),
     ("hz_dir", lambda m: m.update(T_observed=float("nan"))),
-], ids=["no-acceptance", "R_h", "slope_bounded", "T_predicted-zero",
-        "T_observed-nan"])
+], ids=["no-acceptance", "R_h", "slope_bounded", "v_floor", "recording",
+        "T_predicted-zero", "T_observed-nan"])
 def test_check_malformed_manifest_value_exits_3(request, tmp_path, capsys,
                                                 fixture, edit):
     out, _, _ = request.getfixturevalue(fixture)
@@ -456,6 +545,38 @@ def test_check_malformed_manifest_value_exits_3(request, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+FLOW_DAMAGE = [(fixture, how) for fixture in ("hz_dir", "product_dir")
+               for how in ("short", "t-edited", "size-edited")]
+FLOW_DAMAGE.append(("product_dir", "f-edited"))
+
+
+@pytest.mark.parametrize("fixture, how", FLOW_DAMAGE,
+                         ids=[f"{f}-{h}" for f, h in FLOW_DAMAGE])
+def test_check_flow_csv_apart_from_diagnostics_csv_exits_3(
+        request, tmp_path, capsys, fixture, how):
+    # a run writes the t and width (product: c) columns of flow.csv from
+    # the arrays of diagnostics.csv's t and width columns, and the product
+    # f column from the array of its min_f column
+    out, _, _ = request.getfixturevalue(fixture)
+    clone = _clone(out, tmp_path / "clone")
+    path = clone / "flow.csv"
+    if how == "short":
+        _damage(path, how)
+    else:
+        lines = path.read_text().splitlines()
+        column = {"t-edited": 0, "f-edited": 1,
+                  "size-edited": 3 if fixture == "hz_dir" else 2}[how]
+        fields = lines[len(lines) // 2].split(",")
+        fields[column] = repr(float(fields[column]) * (1.0 + 1e-15))
+        lines[len(lines) // 2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(RunDirError, match="flow.csv"):
+        check_run_dir(clone)
+    assert main(["check", str(clone)]) == 3
+    err = capsys.readouterr().err
+    assert "flow.csv" in err and "Traceback" not in err
+
+
 def test_check_crashed_run_exits_3_naming_the_error(tmp_path, capsys):
     text = PRODUCT_CFG + "dt_max = 1.0\ntime_frac = 1.0\n"
     manifest, code = execute(parse_config(text), tmp_path)
@@ -468,6 +589,21 @@ def test_check_crashed_run_exits_3_naming_the_error(tmp_path, capsys):
 
 def _middle_row(value):
     return lambda run_dir, header, lines: (len(lines) // 2, value)
+
+
+def _middle_f_with_min_f(value):
+    """The middle row of a product flow.csv, with the same value written
+    to diagnostics.csv's min_f, which `check` requires to equal f."""
+    def edit(run_dir, header, lines):
+        row = len(lines) // 2
+        path = run_dir / "diagnostics.csv"
+        diag = path.read_text().splitlines()
+        fields = diag[row].split(",")
+        fields[diag[1].split(",").index("min_f")] = value
+        diag[row] = ",".join(fields)
+        path.write_text("\n".join(diag) + "\n")
+        return row, value
+    return edit
 
 
 def _last_pick_row_rm_sup(run_dir, header, lines):
@@ -486,7 +622,8 @@ def _last_pick_row_rm_sup(run_dir, header, lines):
     ("hz_dir", "diagnostics.csv", "heat_residual",
      _middle_row(repr(2.0 * parse_config(HZ_CFG).analysis.heat_tol)),
      "monitors"),
-    ("product_dir", "flow.csv", "f", _middle_row("nan"), "closed_form"),
+    ("product_dir", "flow.csv", "f", _middle_f_with_min_f("nan"),
+     "closed_form"),
     ("hz_dir", "diagnostics.csv", "horiz_sup", _last_pick_row_rm_sup,
      "splitting"),
 ], ids=["heat_residual-above-heat_tol", "flow-f-nan",
@@ -625,9 +762,6 @@ ROUND_TRIP = {
     "bundled-hirzebruch": (CONFIGS / "hirzebruch.cfg").read_text(),
     "bundled-product": (CONFIGS / "product.cfg").read_text(),
     "k2-skew": _hz("k = 2") + "\n[flow]\nshape = skew\n",
-    "record-stride-3": ((CONFIGS / "hirzebruch.cfg").read_text()
-                        + "\n[recording]\nstride = 3\n"
-                          "tracked_nodes = 0, 256, 511\n"),
 }
 
 
@@ -653,7 +787,7 @@ def test_run_tables_equal_the_stored_csvs(tmp_path, name):
     _assert_same_table(run.diagnostics,
                        _read_csv(tmp_path / "diagnostics.csv", DIAG_COLUMNS))
     _assert_same_table(run.flow, _read_csv(
-        tmp_path / "flow.csv", flow_columns(config.scenario, config.settings)))
+        tmp_path / "flow.csv", FLOW_COLUMNS[config.scenario]))
 
 
 def test_rerun_with_fewer_picks_removes_the_stale_rescaled_files(tmp_path):
@@ -747,14 +881,6 @@ def test_non_finite_values_are_config_errors(tmp_path):
 @pytest.mark.parametrize("edit,key", [
     (("[params]\n", "[params]\nn = 2\n"), "n"),
     (("[params]\n", "[params]\nb0 = 3.5\n"), "params"),
-    (("[analysis]\n", "[recording]\ntracked_nodes = 0, 256\n\n[analysis]\n"),
-     "tracked_nodes"),
-    # flow.csv would fold the two f_node3 columns into one, and `check`
-    # would then reject the header it wrote
-    (("[analysis]\n", "[recording]\ntracked_nodes = 3, 3\n\n[analysis]\n"),
-     "tracked_nodes"),
-    # reported under the key the file holds, not as RunSettings.record_stride
-    (("[analysis]\n", "[recording]\nstride = 0\n\n[analysis]\n"), "stride"),
 ])
 def test_run_time_config_errors_found_at_parse(tmp_path, capsys, edit, key):
     text = HZ_CFG.replace(*edit)
@@ -768,7 +894,7 @@ def test_run_time_config_errors_found_at_parse(tmp_path, capsys, edit, key):
 
 
 @pytest.mark.parametrize("line", [
-    "dt_max = nan", "newton_tol = -1", "support_threshold = 2"])
+    "dt_max = nan", "time_frac = 1.5", "dt_fixed = 0"])
 def test_bad_flow_value_is_reported_under_flow(tmp_path, capsys, line):
     text = HZ_CFG.replace("[flow]\n", f"[flow]\n{line}\n")
     assert text != HZ_CFG
@@ -783,28 +909,12 @@ def test_bad_flow_value_is_reported_under_flow(tmp_path, capsys, line):
 
 
 @pytest.mark.parametrize("scenario,edit,key", [
-    # every step is rejected: exit 3 after the run's halvings
-    ("hirzebruch", ("[flow]\n", "[flow]\nnewton_max_iter = 0\n"),
-     "newton_max_iter"),
-    ("hirzebruch", ("[flow]\n", "[flow]\nnewton_tol = -1\n"), "newton_tol"),
-    # an IndexError in the analysis: exit 3
-    ("hirzebruch", ("[analysis]\n", "[analysis]\nwindow_cap = -1\n"),
-     "window_cap"),
     # no pick qualifies: an acceptance failure, exit 1
     ("hirzebruch", ("max_picks = 6", "max_picks = 0"), "max_picks"),
-    ("hirzebruch", ("[analysis]\n", "[analysis]\nspan_decades = 0\n"),
-     "span_decades"),
     # a NaN gate fails `monitors`: exit 1
     ("hirzebruch", ("heat_tol = 0.005", "heat_tol = nan"), "heat_tol"),
-    # accepted as given: exit 0
-    ("hirzebruch", ("[analysis]\n", "[analysis]\nburst_cap = inf\n"),
-     "burst_cap"),
-    ("product", ("[flow]\n", "[recording]\ntracked_nodes = 0\n\n[flow]\n"),
-     "tracked_nodes"),
-    # gates no run can pass: exit 1
+    # a gate no run can pass: exit 1
     ("hirzebruch", ("heat_tol = 0.005", "heat_tol = -1"), "heat_tol"),
-    ("hirzebruch", ("[analysis]\n", "[analysis]\nburst_cap = 0.5\n"),
-     "burst_cap"),
     # ignored: exit 0
     ("product", ("[flow]\n", "[flow]\nshape = tanh\n"), "shape"),
     # one recorded state, whose stop-time fit failed in np.polyfit: exit 3
@@ -825,6 +935,25 @@ def test_values_that_fail_only_after_a_run_are_rejected_at_parse(
     cfg.write_text(text)
     assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("L", ["8.0", "800.0"])
+@pytest.mark.parametrize("shape", ["tanh", "skew"])
+def test_half_width_without_a_valid_profile_is_rejected_at_parse(
+        tmp_path, capsys, shape, L):
+    # unchecked, the run would stop with BadProfile, exit 3, after making
+    # its directory: L = 8 is too short for the endpoint closure, and at
+    # L = 800 the tail increments underflow to zero
+    text = HZ_CFG.replace("[params]\n", f"[params]\nL = {L}\n").replace(
+        "[flow]\n", f"[flow]\nshape = {shape}\n")
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    assert err.value.key == "L"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    assert "config error: L: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -855,7 +984,6 @@ def test_empty_output_dir_is_rejected_at_parse(tmp_path, monkeypatch,
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
-    monkeypatch.delenv("FIBERFLOW_OUTPUT", raising=False)
     assert main(["run", str(cfg)]) == 2
     assert "config error: output_dir: " in capsys.readouterr().err
     assert list(work.iterdir()) == []
@@ -890,15 +1018,20 @@ def test_subcommands_refuse_flags_they_do_not_read(tmp_path, monkeypatch,
     assert not (tmp_path / "runs").exists()
 
 
-def test_env_and_flag_precedence(tmp_path, monkeypatch, capsys):
+def test_flag_and_config_precedence(tmp_path, monkeypatch, capsys):
+    # --output wins over [run] output_dir, which wins over the default
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "p.cfg"
     cfg.write_text(PRODUCT_CFG)
-    env_dir = tmp_path / "from_env"
-    monkeypatch.setenv("FIBERFLOW_OUTPUT", str(env_dir))
-    monkeypatch.setenv("FIBERFLOW_SEED", "21")
     assert main(["run", str(cfg)]) == 0
-    manifest = json.loads((env_dir / "manifest.json").read_text())
-    assert manifest["seed"] == 21
+    manifest = json.loads((tmp_path / "runs" / "p" / "manifest.json")
+                          .read_text())
+    assert manifest["seed"] == 0
+    file_dir = tmp_path / "from_file"
+    cfg.write_text(PRODUCT_CFG.replace(
+        "[params]\n", f"output_dir = {file_dir}\n\n[params]\n"))
+    assert main(["run", str(cfg)]) == 0
+    assert (file_dir / "manifest.json").exists()
     flag_dir = tmp_path / "from_flag"
     assert main(["run", str(cfg), "--output", str(flag_dir),
                  "--seed", "5"]) == 0
@@ -907,41 +1040,17 @@ def test_env_and_flag_precedence(tmp_path, monkeypatch, capsys):
     assert manifest["output_dir"] == str(flag_dir)
 
 
-@pytest.mark.parametrize("argv,name,value", [
-    (["run", str(CONFIGS / "product.cfg")], "FIBERFLOW_SEED", "abc"),
-    (["sweep", str(CONFIGS / "sweep" / "hz_grid_096.cfg")],
-     "FIBERFLOW_WORKERS", "two"),
-], ids=["seed", "workers"])
-def test_malformed_environment_value_is_a_config_error(
-        tmp_path, monkeypatch, capsys, argv, name, value):
-    monkeypatch.setenv(name, value)
-    out = tmp_path / "out"
-    assert main(argv + ["--output", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert name in err and repr(value) in err
-    assert "Traceback" not in err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("command", ["run", "sweep"])
-@pytest.mark.parametrize("route", ["config", "flag", "environment"])
-def test_negative_seed_is_a_config_error(tmp_path, monkeypatch, capsys,
-                                         command, route):
+def test_negative_seed_is_a_config_error(tmp_path, capsys, command):
     # np.random.default_rng rejects a negative seed, and only after the
     # flow has run and its files are written; reject it before the run
-    monkeypatch.delenv("FIBERFLOW_SEED", raising=False)
     cfg = tmp_path / "p.cfg"
-    cfg.write_text(PRODUCT_CFG + ("[analysis]\nseed = -1\n"
-                                  if route == "config" else ""))
-    if route == "environment":
-        monkeypatch.setenv("FIBERFLOW_SEED", "-3")
-    flag = ["--seed", "-1"] if route == "flag" else []
+    cfg.write_text(PRODUCT_CFG)
     out = tmp_path / "out"
-    assert main([command, str(cfg), "--output", str(out), *flag]) == 2
+    assert main([command, str(cfg), "--output", str(out),
+                 "--seed", "-1"]) == 2
     err = capsys.readouterr().err
-    named = {"config": "seed: ", "flag": "--seed: ",
-             "environment": "FIBERFLOW_SEED: "}[route]
-    assert f"config error: {named}" in err
+    assert "config error: seed: " in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -164,10 +164,9 @@ def _ref_monitors(states, params):
     return reports
 
 
-def _ref_flow(states, settings):
+def _ref_flow(states):
     return [dict(t=st.t, lower=st.lower, upper=st.upper,
-                 width=st.upper - st.lower,
-                 **{f"f_node{i}": st.f[i] for i in settings.tracked_nodes})
+                 width=st.upper - st.lower)
             for st in states]
 
 
@@ -212,12 +211,14 @@ def case(request):
 
 
 @pytest.mark.parametrize("thr", [1e-3, 0.05])
-def test_block_diagnostics_and_monitors_match_per_state(case, thr):
+def test_block_diagnostics_and_monitors_match_per_state(case, thr,
+                                                        monkeypatch):
+    monkeypatch.setattr(calabi_flow, "SUPPORT_THRESHOLD", thr)
     params, _, all_states = case
     assert BLOCK > 2 and len(all_states) > LENGTHS[-1]
     for m in LENGTHS + (len(all_states),):
         states = all_states[-m:]
-        table = diagnostics_series(states, params, thr)
+        table = diagnostics_series(states, params)
         table.update(build_monitors(
             params, table["t"], heat_residual_series(states, params),
             np.array([s.f[0] for s in states]),
@@ -231,12 +232,12 @@ def test_block_diagnostics_and_monitors_match_per_state(case, thr):
 def _assert_run_matches_per_state(params, settings, run, states):
     """The run's diagnostics and flow tables against the reference of the
     states, and its sample against the rule of `FlowRun.sample`."""
-    thr = settings.support_threshold
+    thr = calabi_flow.SUPPORT_THRESHOLD
     assert tuple(run.diagnostics) == DIAG_COLUMNS
     _assert_table_matches(run.diagnostics, [_ref_diagnostics(s, params, thr)
                                             for s in states])
     _assert_table_matches(run.diagnostics, _ref_monitors(states, params))
-    _assert_table_matches(run.flow, _ref_flow(states, settings))
+    _assert_table_matches(run.flow, _ref_flow(states))
     half = 0.5 * (run.T_predicted - settings.stop_margin)
     want = next((s for s in states if s.t >= half), states[-1])
     assert run.sample.t == want.t
@@ -254,31 +255,26 @@ def test_run_records_match_per_state(case):
 # stop placed half a step past (m - 2) DT, it records exactly m states.
 FLUSH = calabi_flow._FLUSH_NODES // 2048
 DT = 2e-3
-# name: (grid, settings, recorded states, stop reason)
+# name: (grid, settings, V_FLOOR, recorded states, stop reason)
 STREAMED = {
     f"{m}-states": (2048, RunSettings(dt_fixed=DT,
-                                      stop_margin=0.5 - (m - 1.5) * DT,
-                                      tracked_nodes=(0, 700, 2047)),
-                    m, "time_exhausted")
+                                      stop_margin=0.5 - (m - 1.5) * DT),
+                    calabi_flow.V_FLOOR, m, "time_exhausted")
     for m in (2, 3, FLUSH - 1, FLUSH, FLUSH + 1, 2 * FLUSH - 1, 2 * FLUSH,
               2 * FLUSH + 1)
 } | {
-    # 301 steps: the last state is off the stride and recorded on its own
-    "stride-2": (2048, RunSettings(dt_fixed=DT / 2,
-                                   stop_margin=0.5 - 150.25 * DT,
-                                   record_stride=2, tracked_nodes=(1024,)),
-                 152, "time_exhausted"),
     # 3 flushes of 128 states and part of a fourth; the run stops before
     # half its span, so its sample is its last state
     "v-floor": (1024, RunSettings(dt_fixed=0.35 * (40.0 / 1023) ** 2,
-                                  stop_margin=1e-3, v_floor=0.5),
-                461, "fiber_collapsed"),
+                                  stop_margin=1e-3),
+                0.5, 461, "fiber_collapsed"),
 }
 
 
 @pytest.mark.parametrize("name", list(STREAMED))
-def test_streamed_run_matches_per_state(name):
-    grid, settings, count, reason = STREAMED[name]
+def test_streamed_run_matches_per_state(name, monkeypatch):
+    grid, settings, v_floor, count, reason = STREAMED[name]
+    monkeypatch.setattr(calabi_flow, "V_FLOOR", v_floor)
     params = HirzebruchParams(grid_points=grid)
     states = list(recorded_states(params, settings))
     assert len(states) == count
@@ -288,12 +284,13 @@ def test_streamed_run_matches_per_state(name):
 
 
 @pytest.mark.parametrize("thr", [1e-3, 0.05])
-def test_one_row_functions_match_per_state(case, thr):
+def test_one_row_functions_match_per_state(case, thr, monkeypatch):
+    monkeypatch.setattr(calabi_flow, "SUPPORT_THRESHOLD", thr)
     params, _, states = case
     for st in (states[0], states[-1]):
-        _assert_table_matches(profile_diagnostics(st, params, thr),
+        _assert_table_matches(profile_diagnostics(st, params),
                               [_ref_diagnostics(st, params, thr)])
-        prof = curvature_profiles(st, params, thr)
+        prof = curvature_profiles(st, params)
         want = _ref_profiles(st, params, thr)
         for name, arr in want.items():
             got = prof[name]

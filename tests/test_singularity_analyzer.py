@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fiberflow import calabi_flow, singularity_analyzer
 from fiberflow.calabi_flow import (
     HirzebruchParams,
     ProductParams,
@@ -18,6 +19,7 @@ from fiberflow.calabi_flow import (
 from fiberflow.singularity_analyzer import (
     FIBER_LIMIT_TARGET,
     RESCALED_COLUMNS,
+    WINDOW_CAP,
     AnalysisError,
     TooFewSamples,
     WindowOutOfRange,
@@ -131,7 +133,7 @@ def test_typeII_picks_are_the_window_maximizers(htab):
     diag, T_obs = htab
     keep = diag["t"] < T_obs
     ts, rm, nodes = diag["t"][keep], diag["rm_sup"][keep], diag["node"][keep]
-    horizons = _horizon_ladder(T_obs - ts, 9, 1.0)
+    horizons = _horizon_ladder(T_obs - ts, 9)
     want = []
     for lo, hi in zip(horizons, horizons[1:]):
         best, best_val = None, -np.inf
@@ -145,10 +147,11 @@ def test_typeII_picks_are_the_window_maximizers(htab):
 
 
 @pytest.mark.parametrize("mode", ["typeI_max_curvature", "typeII_supremum"])
-def test_picks_use_the_run_support_threshold(mode):
+def test_picks_use_the_run_support_threshold(mode, monkeypatch):
     # each pick reads the support mask of the recorded diagnostics row at
     # its time, so its node and curvature are that row's argmax and max
-    run = run_flow(HirzebruchParams(), RunSettings(support_threshold=0.05))
+    monkeypatch.setattr(calabi_flow, "SUPPORT_THRESHOLD", 0.05)
+    run = run_flow(HirzebruchParams(), RunSettings())
     diag = run.diagnostics
     rows = pick_blowup_sequence(*_table(run), mode)
     for node, t, kk in _picks(diag, rows):
@@ -165,9 +168,11 @@ def test_product_picks_match_closed_form(ptab):
         assert kk == pytest.approx(4.0 / (1.0 - 2.0 * t), rel=1e-3)
 
 
-def test_downsampled_run_keeps_picks_monotone():
-    run = run_flow(HirzebruchParams(), RunSettings(record_stride=2))
-    ks = list(run.diagnostics["rm_sup"][pick_blowup_sequence(*_table(run))])
+def test_downsampled_run_keeps_picks_monotone(htab):
+    # every other row of the diagnostics table: a run recorded sparser
+    diag, T_obs = htab
+    sparse = {name: col[::2] for name, col in diag.items()}
+    ks = list(sparse["rm_sup"][pick_blowup_sequence(sparse, T_obs)])
     assert len(ks) >= 3
     assert all(b > a for a, b in zip(ks, ks[1:]))
 
@@ -236,16 +241,16 @@ def test_rescaling_laws_exact(hrun, htab):
 def test_window_shapes(hrun, htab):
     diag, T_obs = htab
     rows = pick_blowup_sequence(*htab)
-    for row, table in zip(rows, rescale_series(*htab, rows, window_cap=50.0)):
+    for row, table in zip(rows, rescale_series(*htab, rows)):
         t, kk = diag["t"][row], diag["rm_sup"][row]
-        beta = min(t * kk, 50.0)
-        alpha = min((T_obs - t) * kk * 0.9, 50.0)
+        beta = min(t * kk, WINDOW_CAP)
+        alpha = min((T_obs - t) * kk * 0.9, WINDOW_CAP)
         assert table["s"][0] >= -beta - 1e-9
         assert table["s"][-1] <= alpha + 1e-9
         assert table["s"].size >= 2
 
 
-def test_window_out_of_range(htab):
+def test_window_out_of_range(htab, monkeypatch):
     diag, T_obs = htab
     rows = pick_blowup_sequence(*htab)
     # the third pick does not precede this earlier stop time
@@ -253,8 +258,9 @@ def test_window_out_of_range(htab):
         rescale_series(diag, diag["t"][rows[2]], rows)
     # an uncapped first window reaches back before the first stored row
     late = {name: col[rows[0]:] for name, col in diag.items()}
+    monkeypatch.setattr(singularity_analyzer, "WINDOW_CAP", 1e9)
     with pytest.raises(WindowOutOfRange):
-        rescale_series(late, T_obs, rows - rows[0], window_cap=1e9)
+        rescale_series(late, T_obs, rows - rows[0])
 
 
 # ---------------------------------------------------------------------------
