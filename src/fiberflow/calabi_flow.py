@@ -93,18 +93,21 @@ def _require_finite(record, error: type[FlowError]) -> None:
     through; a NaN dt then never advances the flow."""
     for fld in fields(record):
         value = getattr(record, fld.name)
-        if value is None:
+        if value is None or isinstance(value, str):
             continue
         if not math.isfinite(value):
             raise error(f"{fld.name} must be finite, got {value!r}")
 
 
+# Run inputs check themselves when they are made, so no invalid record
+# reaches a run: the params raise BadProfile, the settings ConfigError.
 @dataclass(frozen=True)
 class HirzebruchParams:
     """Twisted-bundle collapse scenario over a Kahler-Einstein surface.
 
     f ranges over (k*a0, k*b0); R_h is the base scalar constant in the
-    normalization where the Fubini-Study base has R_h = n(n+1).
+    normalization where the Fubini-Study base has R_h = n(n+1).  `shape`
+    names the initial profile in `PROFILE_SHAPES`.
     """
 
     a0: float = 1.0
@@ -114,12 +117,13 @@ class HirzebruchParams:
     R_h: float | None = None
     L: float = 20.0
     grid_points: int = 512
+    shape: str = "tanh"
 
     @property
     def base_scalar(self) -> float:
         return float(self.n * (self.n + 1)) if self.R_h is None else self.R_h
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _require_finite(self, BadProfile)
         if not (0.0 < self.a0 < self.b0):
             raise BadProfile("need 0 < a0 < b0")
@@ -127,6 +131,8 @@ class HirzebruchParams:
             raise BadProfile("k and n must be positive integers")
         if self.L <= 0.0 or self.grid_points < 64:
             raise BadProfile("grid too small")
+        if self.shape not in PROFILE_SHAPES:
+            raise BadProfile(f"unknown shape {self.shape!r}")
 
 
 @dataclass(frozen=True)
@@ -143,10 +149,12 @@ class ProductParams:
     def base_scalar(self) -> float:
         return float(self.n * (self.n + 1)) if self.R_h is None else self.R_h
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _require_finite(self, BadProfile)
         if self.f0 <= 0.0 or self.c0 <= 0.0:
             raise BadProfile("need positive f0 and c0")
+        if self.n < 1:
+            raise BadProfile("n must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -156,7 +164,7 @@ class RunSettings:
     stop_margin: float = 1e-3
     dt_fixed: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _require_finite(self, ConfigError)
         if self.dt_max <= 0.0 or not (0.0 < self.time_frac <= 1.0):
             raise ConfigError("need dt_max > 0 and 0 < time_frac <= 1")
@@ -194,13 +202,6 @@ class FlowState:
             raise BadProfile("profile not strictly increasing")
         if self.f[0] <= 0.0:
             raise BadProfile("profile not positive")
-
-
-@dataclass(frozen=True)
-class ProductState:
-    t: float
-    f: float
-    c: float
 
 
 # The columns of a run's diagnostics table, in the order `diagnostics.csv`
@@ -249,45 +250,21 @@ class FlowRun:
 # cohomology bookkeeping
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
-    base_coeff: float
-    fiber_coeff: float
-    c1_base_rate: float
-    c1_fiber_rate: float
+def predict_max_time(params: HirzebruchParams | ProductParams) -> float:
+    """Collapse time of the fiber class, whose coefficient shrinks at rate
+    2; WrongRegime unless the base class is still positive then.
 
-    def validate(self) -> None:
-        if self.base_coeff <= 0.0 or self.fiber_coeff <= 0.0:
-            raise WrongRegime("class coefficients must start positive")
-
-
-def hirzebruch_class(params: HirzebruchParams) -> CohomologyClass:
-    rh = params.base_scalar
-    return CohomologyClass(
-        base_coeff=params.k * params.a0,
-        fiber_coeff=params.b0 - params.a0,
-        c1_base_rate=params.k - rh / params.n,
-        c1_fiber_rate=-2.0,
-    )
-
-
-def product_class(params: ProductParams) -> CohomologyClass:
-    return CohomologyClass(
-        base_coeff=params.f0,
-        fiber_coeff=params.c0,
-        c1_base_rate=-params.base_scalar / params.n,
-        c1_fiber_rate=-2.0,
-    )
-
-
-def predict_max_time(cls: CohomologyClass) -> float:
-    """Collapse time of the fiber coefficient under linear class evolution;
-    WrongRegime unless the base coefficient is still positive then."""
-    cls.validate()
-    if cls.c1_fiber_rate >= 0.0:
-        raise WrongRegime("fiber coefficient does not decay")
-    t_max = cls.fiber_coeff / abs(cls.c1_fiber_rate)
-    if cls.base_coeff + t_max * cls.c1_base_rate <= 0.0:
+    The classes are (base, fiber) = (k a0, b0 - a0) with base rate
+    k - R_h/n for the twisted bundle, (f0, c0) with rate -R_h/n for the
+    product.  Valid params start both coefficients positive."""
+    if isinstance(params, ProductParams):
+        base, fiber = params.f0, params.c0
+        base_rate = -params.base_scalar / params.n
+    else:
+        base, fiber = params.k * params.a0, params.b0 - params.a0
+        base_rate = params.k - params.base_scalar / params.n
+    t_max = fiber / 2.0
+    if base + t_max * base_rate <= 0.0:
         raise WrongRegime("base class collapses before the fiber")
     return t_max
 
@@ -314,12 +291,9 @@ PROFILE_SHAPES = {"tanh": ((1.0, 0.0),),
                   "skew": ((1.0 - 0.35, 0.0), (0.35, 1.2))}
 
 
-def init_hirzebruch_profile(params: HirzebruchParams,
-                            shape: str = "tanh") -> FlowState:
-    """The initial state of `shape`; f and `df` sum its steps in order."""
-    params.validate()
-    if shape not in PROFILE_SHAPES:
-        raise BadProfile(f"unknown shape {shape!r}")
+def init_hirzebruch_profile(params: HirzebruchParams) -> FlowState:
+    """The initial state of `params.shape`; f and `df` sum its steps in
+    order."""
     lower = params.k * params.a0
     upper = params.k * params.b0
     width = upper - lower
@@ -328,7 +302,7 @@ def init_hirzebruch_profile(params: HirzebruchParams,
     # where e^(+-rho) overflows, the logistic factors take their limits
     # 0 and 1 exactly; only a grid too wide for the profile gets there
     with np.errstate(over="ignore"):
-        for w, c in PROFILE_SHAPES[shape]:
+        for w, c in PROFILE_SHAPES[params.shape]:
             f = f + (w * width) * (1.0 / (1.0 + np.exp(-(rho - c))))
             df = df + (w * width) * _sigma_increments(rho, c)
     state = FlowState(t=0.0, rho=rho, f=f, lower=lower, upper=upper, df=df)
@@ -425,7 +399,6 @@ class FlowProblem:
     """
 
     def __init__(self, params: HirzebruchParams):
-        params.validate()
         self.params = params
         self.rho = np.linspace(-params.L, params.L, params.grid_points)
         self.drho = float(self.rho[1] - self.rho[0])
@@ -900,56 +873,59 @@ def _fit_stop_time(times: np.ndarray, widths: np.ndarray,
     return float(-coeffs[1] / coeffs[0])
 
 
+def _step_size(settings: RunSettings, t_pred: float,
+               t: float) -> float | None:
+    """The next step from time t of a run aiming at t_pred - stop_margin,
+    the one step rule of both scenarios; None once the run is there."""
+    remaining = t_pred - settings.stop_margin - t
+    if remaining <= 1e-12:
+        return None
+    if settings.dt_fixed is not None:
+        return min(settings.dt_fixed, remaining)
+    return min(settings.dt_max, settings.time_frac * (t_pred - t), remaining)
+
+
 def run_flow(params: HirzebruchParams | ProductParams,
-             settings: RunSettings | None = None,
-             shape: str = "tanh") -> FlowRun:
+             settings: RunSettings | None = None) -> FlowRun:
     settings = settings or RunSettings()
-    settings.validate()
     if isinstance(params, ProductParams):
         return _run_product(params, settings)
-    return _run_hirzebruch(params, settings, shape)
+    return _run_hirzebruch(params, settings)
 
 
 def _run_product(params: ProductParams, settings: RunSettings) -> FlowRun:
     """Oracle fixture: the product scenario's states are the closed form
     evaluated on the stepper's time grid, not an integration, so its
     `closed_form` check compares the formula with itself."""
-    params.validate()
-    t_pred = predict_max_time(product_class(params))
+    t_pred = predict_max_time(params)
     rh = params.base_scalar
-    states = [ProductState(t=0.0, f=params.f0, c=params.c0)]
     t = 0.0
+    times = [t]
+    # (f, c, 2/c) per state, as Python floats: the golden digests of
+    # configs/product.cfg pin the bytes of that arithmetic
+    rows = [product_closed_form(params.f0, params.c0, rh, params.n, t)]
     stop_reason = "time_exhausted"
-    while True:
-        remaining = t_pred - settings.stop_margin - t
-        if remaining <= 0.0:
-            break
-        dt = min(settings.dt_max, settings.time_frac * (t_pred - t), remaining)
-        # the closed form at the new time (no integration)
+    while (dt := _step_size(settings, t_pred, t)) is not None:
         t = t + dt
-        st = ProductState(t=t, f=params.f0 - (rh / params.n) * t,
-                          c=params.c0 - 2.0 * t)
-        states.append(st)
-        if st.c < V_FLOOR:
+        times.append(t)
+        rows.append(product_closed_form(params.f0, params.c0, rh, params.n,
+                                        t))
+        if rows[-1][1] < V_FLOOR:
             stop_reason = "fiber_collapsed"
             break
-    # per-state Python float arithmetic, whose bytes the golden digests
-    # of configs/product.cfg pin
-    k_v = [2.0 / s.c for s in states]
-    kappa_h = [rh / params.n / s.f for s in states]
-    zero = [0.0] * len(states)
-    f = [s.f for s in states]
-    c = [s.c for s in states]
+    f, c, k_v = zip(*rows)
+    kappa_h = [rh / params.n / x for x in f]
+    zero = [0.0] * len(rows)
     diags = {
-        "t": [s.t for s in states], "node": zero, "k_v_max": k_v,
+        "t": times, "node": zero, "k_v_max": k_v,
         "a_sq_sup": zero, "grad_ln_sq_sup": zero, "horiz_sup": kappa_h,
         "mixed_sup": zero,
         "rm_sup": [float(np.sqrt(4.0 * a ** 2 + 4.0 * b ** 2))
                    for a, b in zip(k_v, kappa_h)],
-        "fiber_area": [2.0 * np.pi * s.c for s in states],
-        "roundness": [1.0] * len(states), "width": c, "max_v": c,
+        "fiber_area": [2.0 * np.pi * x for x in c],
+        "roundness": [1.0] * len(rows), "width": c, "max_v": c,
         "heat_residual": zero, "min_f": f, "max_f": f, "max_f_slack": zero,
-        "grad_f_sq_sup": zero, "grad_bound_ok": [1.0] * len(states)}
+        "grad_f_sq_sup": zero, "grad_bound_ok": [1.0] * len(rows)}
     diags = {name: np.array(col, dtype=float) for name, col in diags.items()}
     t_obs = _fit_stop_time(diags["t"], diags["width"], t_pred)
     flow = {"t": diags["t"], "f": np.array(f, dtype=float),
@@ -960,29 +936,19 @@ def _run_product(params: ProductParams, settings: RunSettings) -> FlowRun:
 
 
 def recorded_states(params: HirzebruchParams,
-                    settings: RunSettings | None = None,
-                    shape: str = "tanh"
+                    settings: RunSettings | None = None
                     ) -> Generator[FlowState, None, str]:
     """The recorded states of a hirzebruch run, in order: the initial
     state and every stepped state.  Returns the stop reason.  This is the
     one stepping loop: `run_flow` consumes it, and tests that need the
     profiles of a run take them from it."""
     settings = settings or RunSettings()
-    settings.validate()
     problem = FlowProblem(params)
-    state = init_hirzebruch_profile(params, shape)
-    t_pred = predict_max_time(hirzebruch_class(params))
+    state = init_hirzebruch_profile(params)
+    t_pred = predict_max_time(params)
     yield state
     stop_reason = "time_exhausted"
-    while True:
-        remaining = t_pred - settings.stop_margin - state.t
-        if remaining <= 1e-12:
-            break
-        if settings.dt_fixed is not None:
-            dt = min(settings.dt_fixed, remaining)
-        else:
-            dt = min(settings.dt_max,
-                     settings.time_frac * (t_pred - state.t), remaining)
+    while (dt := _step_size(settings, t_pred, state.t)) is not None:
         try:
             new_state = step_flow(problem, state, dt)
         except StepRejected as exc:
@@ -999,17 +965,17 @@ def recorded_states(params: HirzebruchParams,
     return stop_reason
 
 
-def _run_hirzebruch(params: HirzebruchParams, settings: RunSettings,
-                    shape: str) -> FlowRun:
+def _run_hirzebruch(params: HirzebruchParams,
+                    settings: RunSettings) -> FlowRun:
     """Fill the run's tables while `recorded_states` steps.  Its states
     gather in a buffer; once `_FLUSH_NODES` nodes' worth are new, they go
     through `diagnostics_series`, and through `heat_residual_series` with
     one state of halo on each side, and all but the last two states are
     dropped: those are the halo of the next heat residuals.  The monitor
     columns are filled from the run's columns at the end."""
-    states = recorded_states(params, settings, shape)
+    states = recorded_states(params, settings)
     state = next(states)
-    t_pred = predict_max_time(hirzebruch_class(params))
+    t_pred = predict_max_time(params)
     half = 0.5 * (t_pred - settings.stop_margin)
     size = max(1, _FLUSH_NODES // params.grid_points)
     buf: list[FlowState] = []

@@ -45,11 +45,9 @@ from .calabi_flow import (
     HirzebruchParams,
     ProductParams,
     RunSettings,
-    hirzebruch_class,
     init_hirzebruch_profile,
     loglog_slope,
     predict_max_time,
-    product_class,
     product_closed_form,
     run_flow,
     sampler_from_state,
@@ -155,7 +153,6 @@ class RunConfig:
     scenario: str
     params: HirzebruchParams | ProductParams
     settings: RunSettings
-    shape: str
     analysis: AnalysisConfig
     output_dir: str | None
     echo: dict
@@ -244,23 +241,22 @@ def parse_config(text: str) -> RunConfig:
     flow_kv = _take(sections, "flow", FLOW_KEYS)
     ana_kv = _take(sections, "analysis", ANALYSIS_KEYS)
 
-    if "shape" in flow_kv and scenario != "hirzebruch":
-        raise ValidationError(
-            "shape", "only applies to the hirzebruch scenario")
-    shape = flow_kv.pop("shape", "tanh")
-    if shape not in PROFILE_SHAPES:
-        raise ValidationError(
-            "shape", f"unknown shape {shape!r}"
-                     f"{_suggestion(shape, list(PROFILE_SHAPES))}")
+    if "shape" in flow_kv:
+        if scenario != "hirzebruch":
+            raise ValidationError(
+                "shape", "only applies to the hirzebruch scenario")
+        shape = param_kv["shape"] = flow_kv.pop("shape")
+        if shape not in PROFILE_SHAPES:
+            raise ValidationError(
+                "shape", f"unknown shape {shape!r}"
+                         f"{_suggestion(shape, list(PROFILE_SHAPES))}")
     try:
         params = (HirzebruchParams(**param_kv) if scenario == "hirzebruch"
                   else ProductParams(**param_kv))
-        params.validate()
     except FlowError as exc:
         raise ValidationError("params", str(exc)) from exc
-    settings = RunSettings(**flow_kv)
     try:
-        settings.validate()
+        settings = RunSettings(**flow_kv)
     except ConfigError as exc:
         raise ValidationError("flow", str(exc)) from exc
     if scenario == "hirzebruch":
@@ -276,13 +272,11 @@ def parse_config(text: str) -> RunConfig:
         # endpoint closure, or so large that the increments underflow,
         # would stop the run with BadProfile after it had started
         try:
-            init_hirzebruch_profile(params, shape)
+            init_hirzebruch_profile(params)
         except FlowError as exc:
             raise ValidationError("L", str(exc)) from exc
     try:
-        t_pred = predict_max_time(
-            hirzebruch_class(params) if scenario == "hirzebruch"
-            else product_class(params))
+        t_pred = predict_max_time(params)
     except FlowError as exc:
         raise ValidationError("params", str(exc)) from exc
     if settings.stop_margin >= t_pred:
@@ -318,7 +312,7 @@ def parse_config(text: str) -> RunConfig:
     echo = {name: {k: v for k, (v, _) in kv.items()}
             for name, kv in sections.items()}
     return RunConfig(
-        scenario=scenario, params=params, settings=settings, shape=shape,
+        scenario=scenario, params=params, settings=settings,
         analysis=analysis, output_dir=run_kv.get("output_dir"), echo=echo)
 
 
@@ -575,7 +569,7 @@ def execute(config: RunConfig, out_dir: str | Path,
     }
     code = 3
     try:
-        run = run_flow(config.params, config.settings, shape=config.shape)
+        run = run_flow(config.params, config.settings)
         manifest["stop_reason"] = run.stop_reason
         manifest["T_predicted"] = run.T_predicted
         manifest["T_observed"] = run.T_observed
@@ -718,9 +712,16 @@ def run_sweep(configs: Sequence[tuple[str, RunConfig]], base_dir: str | Path,
               workers: int = 2, seed: int = 0) -> tuple[dict, int]:
     _require_seed(seed)
     base = Path(base_dir)
+    out_dirs = [str(base / Path(name).stem) for name, _ in configs]
+    writer: dict[str, str] = {}
+    for (name, _), out in zip(configs, out_dirs):
+        if out in writer:
+            # the later run would overwrite the earlier one's files
+            raise HarnessError(f"configs {writer[out]} and {name} would "
+                               f"both write {out}")
+        writer[out] = name
     base.mkdir(parents=True, exist_ok=True)
-    items = [(cfg, str(base / Path(name).stem), seed)
-             for name, cfg in configs]
+    items = [(cfg, out, seed) for (_, cfg), out in zip(configs, out_dirs)]
     if workers > 1 and len(items) > 1:
         # Deferred: this import costs ~20 ms at startup; only a parallel
         # sweep uses it.
@@ -732,10 +733,11 @@ def run_sweep(configs: Sequence[tuple[str, RunConfig]], base_dir: str | Path,
         outcomes = [_execute_member(it) for it in items]
 
     members = []
-    for (name, cfg), (manifest, code) in zip(configs, outcomes):
+    for (name, cfg), out, (manifest, code) in zip(configs, out_dirs,
+                                                   outcomes):
         entry = {
             "config": name,
-            "output_dir": str(base / Path(name).stem),
+            "output_dir": out,
             "exit_code": code,
             "passed": manifest.get("passed", False),
             "scenario": cfg.scenario,
@@ -850,6 +852,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if getattr(args, "output", None) == "":
+            # Path("") is the current directory, which the run would fill
+            raise ValidationError("--output", "empty value")
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "sweep":

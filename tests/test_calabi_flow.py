@@ -3,6 +3,7 @@
 import hashlib
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,6 @@ import pytest
 from fiberflow import calabi_flow
 from fiberflow.calabi_flow import (
     BadProfile,
-    CohomologyClass,
     ConfigError,
     FlowError,
     FlowProblem,
@@ -24,10 +24,8 @@ from fiberflow.calabi_flow import (
     _local_profile,
     build_monitors,
     curvature_profiles,
-    hirzebruch_class,
     init_hirzebruch_profile,
     predict_max_time,
-    product_class,
     product_closed_form,
     profile_diagnostics,
     recorded_states,
@@ -83,34 +81,34 @@ def product_run():
 
 def test_init_profile_midpoint_on_grid():
     params = HirzebruchParams(grid_points=501)
-    st = init_hirzebruch_profile(params, "tanh")
+    st = init_hirzebruch_profile(params)
     mid = np.argmin(np.abs(st.rho))
     assert st.rho[mid] == 0.0
     assert st.f[mid] == pytest.approx(1.5, abs=1e-12)
 
 
 def test_init_profile_endpoint_closure():
-    st = init_hirzebruch_profile(HirzebruchParams(L=20.0), "tanh")
+    st = init_hirzebruch_profile(HirzebruchParams(L=20.0))
     assert abs(st.f[0] - 1.0) <= 1e-6
     assert abs(st.f[-1] - 2.0) <= 1e-6
     with pytest.raises(BadProfile):
-        init_hirzebruch_profile(HirzebruchParams(L=10.0), "tanh")
+        init_hirzebruch_profile(HirzebruchParams(L=10.0))
 
 
 def test_init_profile_strictly_monotone():
-    st = init_hirzebruch_profile(HirzebruchParams(), "tanh")
+    st = init_hirzebruch_profile(HirzebruchParams())
     assert np.all(st.df > 0.0)
     assert np.all(st.v_profile(1) > 0.0)
 
 
 def test_init_profile_unknown_shape():
     with pytest.raises(BadProfile):
-        init_hirzebruch_profile(HirzebruchParams(), "sawtooth")
+        HirzebruchParams(shape="sawtooth")
 
 
 def test_skew_profile_runs_and_is_asymmetric():
-    params = HirzebruchParams(grid_points=501)
-    st = init_hirzebruch_profile(params, "skew")
+    params = HirzebruchParams(grid_points=501, shape="skew")
+    st = init_hirzebruch_profile(params)
     mid = np.argmin(np.abs(st.rho))
     assert np.all(st.df > 0.0)
     assert abs(st.f[0] - 1.0) <= 1e-6 and abs(st.f[-1] - 2.0) <= 1e-6
@@ -133,15 +131,15 @@ INIT_DIGESTS = {
 
 @pytest.mark.parametrize("shape, k, grid", sorted(INIT_DIGESTS))
 def test_init_profile_bytes_are_pinned(shape, k, grid):
-    st = init_hirzebruch_profile(HirzebruchParams(k=k, grid_points=grid),
-                                 shape)
+    st = init_hirzebruch_profile(
+        HirzebruchParams(k=k, grid_points=grid, shape=shape))
     digest = hashlib.sha256(st.f.tobytes() + st.df.tobytes()).hexdigest()
     assert digest == INIT_DIGESTS[shape, k, grid]
 
 
 def test_init_profile_chart_residuals():
     params = HirzebruchParams()
-    st = init_hirzebruch_profile(params, "tanh")
+    st = init_hirzebruch_profile(params)
     samp = sampler_from_state(st, params)
     rng = np.random.default_rng(3)
     for pt in samp.random_points(rng, 4):
@@ -174,7 +172,7 @@ def test_local_profile_is_continuous_across_nodes(shape):
     two sides differ only by the change over 2e-9 h, far below 1e-8 of
     each derivative's size.  A profile that switches its six-node window
     at a node jumps there in f' and f'''."""
-    st = init_hirzebruch_profile(HirzebruchParams(), shape)
+    st = init_hirzebruch_profile(HirzebruchParams(shape=shape))
     prof = _local_profile(st)
     eps = 1e-9 * (st.rho[1] - st.rho[0])
     below = np.array([prof(r - eps) for r in st.rho[1:-1]])
@@ -233,7 +231,7 @@ def test_local_profile_tracks_the_quintic_spline(grid_points):
 def test_single_step_endpoint_rates():
     params = HirzebruchParams()
     problem = FlowProblem(params)
-    st = init_hirzebruch_profile(params, "tanh")
+    st = init_hirzebruch_profile(params)
     s2 = step_flow(problem, st, 0.01)
     assert (s2.lower - st.lower) / 0.01 == pytest.approx(-1.0, rel=0.02)
     assert (s2.upper - st.upper) / 0.01 == pytest.approx(-3.0, rel=0.02)
@@ -316,7 +314,7 @@ def test_step_reusing_converged_phi_matches_fresh_problem(monkeypatch):
     # three Newton iterations are too few for dt = 0.2 from this state,
     # so step_flow halves once before it succeeds
     monkeypatch.setattr(calabi_flow, "NEWTON_MAX_ITER", 3)
-    start = init_hirzebruch_profile(params, "tanh")
+    start = init_hirzebruch_profile(params)
 
     warm = FlowProblem(params)
     state = step_flow(warm, start, 0.005)
@@ -412,7 +410,7 @@ def test_newton_solves_are_counted_through_module_solve_banded(monkeypatch):
     real = calabi_flow.solve_banded
     monkeypatch.setattr(calabi_flow, "solve_banded",
                         lambda *args: calls.append(1) or real(*args))
-    run_flow(config.params, config.settings, shape=config.shape)
+    run_flow(config.params, config.settings)
     assert len(calls) == 223
 
 
@@ -448,7 +446,7 @@ def test_direct_dgtsv_solves_the_bundled_newton_systems_like_scipy(
 
     monkeypatch.setattr(FlowProblem, "__init__", recording_init)
     config = load_config(CONFIGS / "hirzebruch.cfg")
-    run_flow(config.params, config.settings, shape=config.shape)
+    run_flow(config.params, config.settings)
     assert len(systems) == 223
     direct, lapack = calabi_flow._dgtsv(), _gtsv()
     assert direct is lapack
@@ -508,7 +506,7 @@ def test_v_evolution_consistency(default_run, default_states):
 def test_step_flow_rejects_bad_dt():
     params = HirzebruchParams()
     problem = FlowProblem(params)
-    st = init_hirzebruch_profile(params, "tanh")
+    st = init_hirzebruch_profile(params)
     with pytest.raises(FlowError):
         step_flow(problem, st, 0.0)
 
@@ -517,29 +515,32 @@ def test_oversized_step_is_rejected_not_silently_accepted(monkeypatch):
     monkeypatch.setattr(calabi_flow, "MAX_HALVINGS", 0)
     params = HirzebruchParams()
     problem = FlowProblem(params)
-    st = init_hirzebruch_profile(params, "tanh")
+    st = init_hirzebruch_profile(params)
     with pytest.raises(StepRejected):
         step_flow(problem, st, 5.0)
 
 
 def test_run_settings_validation():
+    # rejected when made, so no run can start from them
     with pytest.raises(ConfigError):
-        run_flow(HirzebruchParams(), RunSettings(dt_max=-0.1))
+        RunSettings(dt_max=-0.1)
     with pytest.raises(ConfigError):
-        run_flow(HirzebruchParams(), RunSettings(stop_margin=0.0))
+        RunSettings(stop_margin=0.0)
     with pytest.raises(ConfigError):
-        run_flow(HirzebruchParams(), RunSettings(time_frac=1.5))
+        RunSettings(time_frac=1.5)
     with pytest.raises(ConfigError, match="dt_fixed"):
-        run_flow(HirzebruchParams(), RunSettings(dt_fixed=0.0))
+        RunSettings(dt_fixed=0.0)
+    with pytest.raises(ConfigError, match="dt_fixed"):
+        replace(RunSettings(), dt_fixed=0.0)
 
 
 def test_non_finite_settings_rejected():
     with pytest.raises(ConfigError, match="dt_max"):
-        RunSettings(dt_max=float("nan")).validate()
+        RunSettings(dt_max=float("nan"))
     with pytest.raises(BadProfile, match="f0"):
-        ProductParams(f0=float("inf")).validate()
+        ProductParams(f0=float("inf"))
     with pytest.raises(BadProfile, match="b0"):
-        HirzebruchParams(b0=float("inf")).validate()
+        HirzebruchParams(b0=float("inf"))
 
 
 def test_run_memory_does_not_grow_with_the_recorded_states():
@@ -644,8 +645,8 @@ def test_width_decay_rate_k2():
 
 @pytest.mark.parametrize("k,shape", [(1, "tanh"), (2, "skew")])
 def test_max_v_of_the_v_floor_stop_equals_max_of_v_profile(k, shape):
-    states = list(recorded_states(HirzebruchParams(k=k), RunSettings(),
-                                  shape))
+    states = list(recorded_states(HirzebruchParams(k=k, shape=shape),
+                                  RunSettings()))
     d = states[0].rho[1] - states[0].rho[0]
     got = [calabi_flow._max_v(s.df, d, k) for s in states]
     assert got == [np.max(s.v_profile(k)) for s in states]
@@ -674,7 +675,7 @@ def test_collapse_proxy_is_the_f_range_for_each_twist(k, monkeypatch):
     # 4 k max v = 4 max f_rho, the f-range k (b - a) of a logistic
     # profile; the v_floor stop compares that same proxy
     params = HirzebruchParams(k=k, grid_points=513)
-    st = init_hirzebruch_profile(params, "tanh")
+    st = init_hirzebruch_profile(params)
     proxy = 4.0 * k * float(np.max(st.v_profile(k)))
     assert proxy == pytest.approx(st.upper - st.lower, rel=1e-3)
     monkeypatch.setattr(calabi_flow, "V_FLOOR", 0.3 * k)
@@ -691,7 +692,7 @@ def test_collapse_proxy_is_the_f_range_for_each_twist(k, monkeypatch):
 
 def test_initial_diagnostics_round_fiber():
     params = HirzebruchParams()
-    st = init_hirzebruch_profile(params, "tanh")
+    st = init_hirzebruch_profile(params)
     diag = {name: col.item()
             for name, col in profile_diagnostics(st, params).items()}
     assert diag["k_v_max"] == pytest.approx(2.0, rel=0.01)
@@ -714,7 +715,7 @@ def test_diagnostics_track_collapse(default_run):
 
 def test_diagnostics_require_surface_base():
     params = HirzebruchParams(n=2)
-    st = init_hirzebruch_profile(params, "tanh")
+    st = init_hirzebruch_profile(params)
     with pytest.raises(FlowError):
         profile_diagnostics(st, params)
 
@@ -750,8 +751,8 @@ def test_profile_curvature_matches_chart_for_each_twist(k):
     # computations and the curvature stencil on the chart of the same
     # analytic profile; the fine grid keeps the profile stencils' O(h^2)
     # error near 3e-5
-    params = HirzebruchParams(k=k, grid_points=4001)
-    st = init_hirzebruch_profile(params, "skew")
+    params = HirzebruchParams(k=k, grid_points=4001, shape="skew")
+    st = init_hirzebruch_profile(params)
     prof = curvature_profiles(st, params)
     # the skew shape: logistic steps of 0.65 and 0.35 of the width, the
     # second shifted by 1.2
@@ -797,7 +798,8 @@ def test_fiber_gauss_bonnet_for_each_twist(k, b0, monkeypatch):
     # which is +-1 in the exponential tails.  The two nodes at each end
     # carry one-sided stencils and are left out.
     params = HirzebruchParams(k=k, b0=b0)
-    states = list(recorded_states(params, RunSettings(), "skew"))
+    states = list(recorded_states(replace(params, shape="skew"),
+                                  RunSettings()))
     # every node supported, so k_v is the raw stencil value everywhere
     monkeypatch.setattr(calabi_flow, "SUPPORT_THRESHOLD", 0.0)
     for st in (states[0], states[len(states) // 2], states[-1]):
@@ -809,7 +811,7 @@ def test_fiber_gauss_bonnet_for_each_twist(k, b0, monkeypatch):
         total = 2.0 * np.pi * h * np.sum((prof["k_v"] * density)[2:-2])
         assert total == pytest.approx(4.0 * np.pi, rel=1e-6)
     # the logistic profile is the round sphere: area * K_v = 4 pi
-    tanh = init_hirzebruch_profile(params, "tanh")
+    tanh = init_hirzebruch_profile(params)
     assert profile_diagnostics(tanh, params)["roundness"][0] == (
         pytest.approx(1.0, abs=0.005))
 
@@ -859,29 +861,31 @@ def test_product_closed_form_values():
 
 
 def test_predict_max_time_product_classes():
-    assert predict_max_time(CohomologyClass(3.0, 1.0, -2.0, -2.0)) == 0.5
+    # classes (f0, c0), base rate -R_h/n = -2: the fiber class c0 - 2t
+    # collapses at c0 / 2
+    assert predict_max_time(ProductParams(f0=3.0, c0=1.0)) == 0.5
+    assert predict_max_time(ProductParams(f0=3.0, c0=1.0, n=2)) == 0.5
     # the base coefficient would reach 1 - 2 * 1.5 < 0 at the collapse
     with pytest.raises(WrongRegime):
-        predict_max_time(CohomologyClass(1.0, 3.0, -2.0, -2.0))
-
-
-def test_predict_requires_shrinking_fiber():
+        predict_max_time(ProductParams(f0=1.0, c0=3.0))
+    # and exactly 1 - 2 * 0.5 = 0 here
     with pytest.raises(WrongRegime):
-        predict_max_time(CohomologyClass(1.0, 1.0, -2.0, 2.0))
+        predict_max_time(ProductParams(f0=1.0, c0=1.0))
+    assert predict_max_time(ProductParams(f0=1.0, c0=1.0, R_h=1.0)) == 0.5
+
+
+def test_predict_max_time_hirzebruch_classes():
+    # classes (k a0, b0 - a0), base rate k - R_h/n: the fiber class
+    # collapses at (b0 - a0) / 2 whatever k
+    assert predict_max_time(HirzebruchParams()) == 0.5
+    assert predict_max_time(HirzebruchParams(k=3, b0=4.0)) == 1.5
+    # the base coefficient 1 + 0.5 (1 - R_h) is exactly 0 at R_h = 3
+    assert predict_max_time(HirzebruchParams(R_h=2.5)) == 0.5
     with pytest.raises(WrongRegime):
-        predict_max_time(CohomologyClass(-1.0, 1.0, -2.0, -2.0))
-
-
-def test_class_builders_frozen_rates():
-    cls = hirzebruch_class(HirzebruchParams())
-    assert (cls.base_coeff, cls.fiber_coeff) == (1.0, 1.0)
-    assert (cls.c1_base_rate, cls.c1_fiber_rate) == (-1.0, -2.0)
-    pcls = product_class(ProductParams())
-    assert (pcls.base_coeff, pcls.fiber_coeff) == (3.0, 1.0)
-    assert (pcls.c1_base_rate, pcls.c1_fiber_rate) == (-2.0, -2.0)
+        predict_max_time(HirzebruchParams(R_h=3.0))
 
 
 def test_predicted_time_matches_observed(default_run):
-    t_max = predict_max_time(hirzebruch_class(default_run.params))
+    t_max = predict_max_time(default_run.params)
     assert t_max == default_run.T_predicted
     assert abs(default_run.T_observed - t_max) / t_max <= 0.02

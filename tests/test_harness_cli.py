@@ -179,7 +179,7 @@ heat_tol = 0.02
     cfg = parse_config(text)
     assert cfg.params.k == 2 and cfg.params.R_h is None
     assert cfg.settings.dt_fixed is None
-    assert cfg.shape == "skew"
+    assert cfg.params.shape == "skew"
     assert cfg.analysis.mode == "typeII_supremum"
     assert cfg.analysis.heat_tol == 0.02
     assert cfg.output_dir == "runs/custom"
@@ -218,15 +218,21 @@ def test_retired_key_is_a_config_error(tmp_path, capsys, section, key):
     assert not (tmp_path / "out").exists()
 
 
-def test_benchmark_and_bundled_configs_parse(monkeypatch):
-    # the benchmark generates its configs from its own templates: each
-    # must still pass the schema; parsing runs no flow
+def _perfbench_workloads(monkeypatch):
+    """The benchmark's perfbench/workloads.py, loaded from its file."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     wl = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up by name
     monkeypatch.setitem(sys.modules, spec.name, wl)
     spec.loader.exec_module(wl)
+    return wl
+
+
+def test_benchmark_and_bundled_configs_parse(monkeypatch):
+    # the benchmark generates its configs from its own templates: each
+    # must still pass the schema; parsing runs no flow
+    wl = _perfbench_workloads(monkeypatch)
     texts = [wl.collapse_config(grid, k, b0, shape)
              for k in (1, 2, 3) for shape in ("tanh", "skew")
              for grid in wl.COLLAPSE_GRID for b0 in wl.COLLAPSE_B0[k]]
@@ -240,6 +246,25 @@ def test_benchmark_and_bundled_configs_parse(monkeypatch):
     texts += [path.read_text() for path in bundled]
     for text in texts:
         parse_config(text)
+
+
+BENCHMARK_WORKLOADS = [w["name"] for w in json.loads(
+    (ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("name", BENCHMARK_WORKLOADS)
+def test_benchmark_warmup_op_passes_its_own_check(monkeypatch, tmp_path,
+                                                   name):
+    # the op each benchmark run starts with, through the workload's own
+    # execute and check: a call the benchmark makes into the package that
+    # no longer works shows here, not only in a benchmark run
+    workload = _perfbench_workloads(monkeypatch).WORKLOADS[name]
+    ctx = workload.prepare(0)
+    op = workload.warmup(ctx)
+    out_dir = tmp_path / "warmup"
+    outcome = workload.check(op, ctx, workload.execute(op, ctx, out_dir),
+                             out_dir)
+    assert (outcome.error, outcome.wrong) == (None, None)
 
 
 def _readme_key_tables() -> dict[str, list[str]]:
@@ -304,8 +329,9 @@ def test_hirzebruch_execute_passes(hz_dir):
 @pytest.fixture(scope="module")
 def twist_runs():
     """A short run for each twist k and initial shape."""
-    return {(k, shape): run_flow(HirzebruchParams(k=k, grid_points=256),
-                                 RunSettings(), shape=shape)
+    return {(k, shape): run_flow(
+                HirzebruchParams(k=k, grid_points=256, shape=shape),
+                RunSettings())
             for k in (1, 2, 3) for shape in ("tanh", "skew")}
 
 
@@ -780,7 +806,7 @@ def _assert_same_table(got, want):
 @pytest.mark.parametrize("name", sorted(ROUND_TRIP))
 def test_run_tables_equal_the_stored_csvs(tmp_path, name):
     config = parse_config(ROUND_TRIP[name])
-    run = run_flow(config.params, config.settings, config.shape)
+    run = run_flow(config.params, config.settings)
     manifest, _ = execute(config, tmp_path)
     assert manifest["error"] is None
     assert list(run.diagnostics) == list(DIAG_COLUMNS)
@@ -987,6 +1013,72 @@ def test_empty_output_dir_is_rejected_at_parse(tmp_path, monkeypatch,
     assert main(["run", str(cfg)]) == 2
     assert "config error: output_dir: " in capsys.readouterr().err
     assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_empty_output_flag_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                             command):
+    # like an empty [run] output_dir: Path("") is the working directory
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(PRODUCT_CFG)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main([command, str(cfg), "--output", ""]) == 2
+    assert "config error: --output: " in capsys.readouterr().err
+    assert list(work.iterdir()) == []
+
+
+def test_sweep_configs_sharing_an_output_dir_are_a_config_error(
+        tmp_path, capsys):
+    # a/x.cfg and b/x.cfg both run into <output>/x: the second run would
+    # replace the first one's files while the summary lists both
+    names = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        names.append(str(tmp_path / sub / "x.cfg"))
+        Path(names[-1]).write_text(PRODUCT_CFG)
+    out = tmp_path / "out"
+    assert main(["sweep", *names, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: " in err
+    assert names[0] in err and names[1] in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_product_base_dimension_below_one_is_a_params_error(tmp_path, capsys,
+                                                           n):
+    # n = 0 raised ZeroDivisionError at parse, a traceback; n = -1 ran
+    # and passed
+    text = PRODUCT_CFG.replace("[params]\n", f"[params]\nn = {n}\n")
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    assert err.value.key == "params"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    assert "config error: params: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_product_run_takes_the_fixed_step(tmp_path):
+    # dt_fixed sets the step in both scenarios; the last step ends at
+    # T - stop_margin = 0.499.  Eleven states are too few for the
+    # splitting fit, so the run fails only that check: exit 1.
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(PRODUCT_CFG.replace("[flow]\n",
+                                       "[flow]\ndt_fixed = 0.05\n"))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--output", str(out)]) == 1
+    acceptance = json.loads((out / "manifest.json").read_text())[
+        "acceptance"]
+    assert [name for name, ok in acceptance.items() if not ok] == [
+        "splitting"]
+    t = _read_csv(out / "flow.csv", FLOW_COLUMNS["product"])["t"]
+    assert t.size == 11
+    assert np.diff(t)[:-1] == pytest.approx([0.05] * 9, abs=1e-15)
+    assert t[-1] == pytest.approx(0.499, abs=1e-15)
 
 
 def test_main_check_missing_dir_is_runtime_error(tmp_path):

@@ -205,9 +205,9 @@ LENGTHS = (1, 2, 3, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1,
                 ids=lambda p: f"k{p[0]}-{p[1]}")
 def case(request):
     k, shape = request.param
-    params = HirzebruchParams(k=k, grid_points=GRID)
-    return (params, run_flow(params, RunSettings(), shape),
-            list(recorded_states(params, RunSettings(), shape)))
+    params = HirzebruchParams(k=k, grid_points=GRID, shape=shape)
+    return (params, run_flow(params, RunSettings()),
+            list(recorded_states(params, RunSettings())))
 
 
 @pytest.mark.parametrize("thr", [1e-3, 0.05])
