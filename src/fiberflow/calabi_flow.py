@@ -316,17 +316,23 @@ def init_hirzebruch_profile(params: HirzebruchParams) -> FlowState:
 # discrete operators and the implicit stepper
 
 
-def _reconstruct(f0: float, inc: np.ndarray) -> np.ndarray:
-    out = np.empty(inc.size + 1)
+def _reconstruct(f0: float, inc: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """(f0, f0 + cumsum(inc)), into `out` when it is given."""
+    if out is None:
+        out = np.empty(inc.size + 1)
     out[0] = f0
     np.add.accumulate(inc, out=out[1:])
     out[1:] += f0
     return out
 
 
-def _to_increments(z: np.ndarray) -> np.ndarray:
-    """Inverse of `_reconstruct`: (z[0], diff(z))."""
-    out = np.empty_like(z)
+def _to_increments(z: np.ndarray, out: np.ndarray | None = None
+                   ) -> np.ndarray:
+    """Inverse of `_reconstruct`: (z[0], diff(z)), into `out` when it is
+    given."""
+    if out is None:
+        out = np.empty_like(z)
     out[0] = z[0]
     np.subtract(z[1:], z[:-1], out=out[1:])
     return out
@@ -394,8 +400,11 @@ class FlowProblem:
     still reduce to one banded solve:  with T = cumsum and D = diff its
     inverse, I - c D J T = D (I - c J) T.
 
-    `step_once` keeps the last converged step to reuse its rate, so one
-    FlowProblem must not step from several threads at once.
+    `step_once` keeps the last converged step to reuse its rate and its
+    nodal f, and the Newton kernel works in buffers allocated once per
+    problem, so one FlowProblem must not step from several threads at
+    once.  No buffer is handed out as a result: the rates, phi, the
+    iterates and their nodal f are fresh arrays, which a caller may keep.
     """
 
     def __init__(self, params: HirzebruchParams):
@@ -417,19 +426,31 @@ class FlowProblem:
         self.rate_upper_disc = -params.k * r_disc - self.sink
         self._two_h = 2.0 * h
         self._h_sq = h ** 2
+        nodes = params.grid_points
         # u and phi(u) at the last converged step: the next step starts
         # from that u, so its explicit trapezoid rate is already known.
         # Fixed buffers rather than fresh arrays, so the memo does not
         # interleave with the recorded states on the heap; the NaN start
-        # matches no u.
-        self._last_u = np.full(params.grid_points, np.nan)
-        self._last_phi = np.empty(params.grid_points)
+        # matches no u.  The nodal f of that u, which the Newton solve
+        # built, becomes the stepped state's f (`step_flow`).
+        self._last_u = np.full(nodes, np.nan)
+        self._last_phi = np.empty(nodes)
+        self._last_f = None
         # the LAPACK extension alone, not the ~0.3 s scipy.linalg import
         self._gtsv = _dgtsv()
         # The Newton matrix, refilled by `_newton_matrix` for every update
         # because `solve_banded` overwrites it.  ab[0, 0] and ab[2, -1] lie
         # outside the matrix, where gtsv never writes, and stay zero.
-        self._ab = np.zeros((3, params.grid_points))
+        self._ab = np.zeros((3, nodes))
+        # Work buffers of the Newton kernel: the interior stencils s1, n s1
+        # and s2, two temporaries, the residual and its absolute value,
+        # the banded right-hand side (solved in place) and the update.
+        self._s1, self._ns1, self._s2, self._tmp1, self._tmp2 = np.empty(
+            (5, nodes - 2))
+        self._resid = np.empty(nodes)
+        self._abs = np.empty(nodes - 1)
+        self._rhs = np.empty(nodes)
+        self._dx = np.empty(nodes)
 
     # -- the Newton kernel, in increment space --------------------------------
     #
@@ -441,17 +462,18 @@ class FlowProblem:
                ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Nodal rates F at (f, increments of f) and the interior stencils
         (s1 = f_rho, n s1, s2 = f_rhorho) they were built from.  Boundary
-        rows are the endpoint rates."""
-        s1 = np.add(inc[1:], inc[:-1])
+        rows are the endpoint rates.  The rates are a fresh array; the
+        stencils are the problem's buffers, valid until the next call."""
+        s1 = np.add(inc[1:], inc[:-1], out=self._s1)
         s1 /= self._two_h
-        s2 = np.subtract(inc[1:], inc[:-1])
+        s2 = np.subtract(inc[1:], inc[:-1], out=self._s2)
         s2 /= self._h_sq
-        ns1 = self.params.n * s1
+        ns1 = np.multiply(self.params.n, s1, out=self._ns1)
         rates = np.empty(f.size)
         rates[0] = self.rate_lower_disc
         # k (s2/s1 + n s1/f) - sink, one operation at a time in place
         mid = np.divide(s2, s1, out=rates[1:-1])
-        mid += ns1 / f[1:-1]
+        mid += np.divide(ns1, f[1:-1], out=self._tmp1)
         mid *= self.params.k
         mid -= self.sink
         rates[-1] = self.rate_upper_disc
@@ -474,14 +496,16 @@ class FlowProblem:
         k = self.params.k
         s1, ns1, s2 = stencils
         fi = f[1:-1]
-        curv = np.divide(1.0, s1)               # 1/s1, then (1/s1)/h^2
-        adv = np.square(curv)                   # s2 (1/s1)^2 / (2h)
+        ab = self._ab
+        curv = np.divide(1.0, s1, out=self._tmp1)  # 1/s1, then (1/s1)/h^2
+        adv = np.square(curv, out=self._tmp2)      # s2 (1/s1)^2 / (2h)
         adv *= s2
         adv /= self._two_h
         curv /= self._h_sq
-        geo = np.multiply(self._two_h, fi)      # n / (2h f)
+        # n / (2h f), held in the diagonal's storage until the off-diagonal
+        # bands are built
+        geo = np.multiply(self._two_h, fi, out=ab[1, 1:-1])
         np.divide(self.params.n, geo, out=geo)
-        ab = self._ab
         # the signed zeros are what -coeff times a zero boundary row of J
         # gives
         ab[0, 1] = ab[2, -2] = -coeff * 0.0
@@ -497,45 +521,51 @@ class FlowProblem:
         # 1 - coeff k (-2 curv - n s1/f^2).  -2.0 * curv equals
         # (-2.0 / s1) / h^2 bit for bit: scaling by a power of two commutes
         # with rounding.
-        diag = np.square(fi, out=ab[1, 1:-1])
+        diag = np.square(fi, out=geo)
         np.divide(ns1, diag, out=diag)
-        np.subtract(np.multiply(-2.0, curv, out=geo), diag, out=diag)
+        np.subtract(np.multiply(-2.0, curv, out=adv), diag, out=diag)
         diag *= k
         diag *= coeff
         np.subtract(1.0, diag, out=diag)
         return ab
 
     def _valid(self, u: np.ndarray) -> bool:
-        return bool(u.min() > 0.0 and u.max() < np.inf)
+        return bool(np.minimum.reduce(u) > 0.0
+                    and np.maximum.reduce(u) < np.inf)
 
     def _newton(self, coeff: float, rhs_const: np.ndarray,
-                guess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Solve u - coeff * phi(u) = rhs_const and return u with phi(u);
-        raises StepRejected on non-convergence.  Steps are halved while
-        they would leave the monotone cone (phi is not defined outside
-        it)."""
-        u = guess.copy()
+                guess: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Solve u - coeff * phi(u) = rhs_const and return u with phi(u)
+        and the nodal f of u; raises StepRejected on non-convergence.
+        Steps are halved while they would leave the monotone cone (phi is
+        not defined outside it).  The returned u may be `guess` or
+        `rhs_const` itself; neither is written to."""
+        u = guess
         if not self._valid(u):
-            u = rhs_const.copy()
+            u = rhs_const
         if not self._valid(u):
             raise StepRejected("no valid starting iterate")
-        scale = 1.0 + abs(rhs_const[0]) + float(np.sum(np.abs(rhs_const[1:])))
+        absr = self._abs
+        scale = (1.0 + abs(rhs_const[0])
+                 + float(np.add.reduce(np.abs(rhs_const[1:], out=absr))))
+        resid = self._resid
         for _ in range(NEWTON_MAX_ITER):
             f = _reconstruct(u[0], u[1:])
             rates, stencils = self._rates(f, u[1:])
             phi = _to_increments(rates)
-            resid = np.multiply(coeff, phi)     # u - coeff phi - rhs_const
+            np.multiply(coeff, phi, out=resid)  # u - coeff phi - rhs_const
             np.subtract(u, resid, out=resid)
             resid -= rhs_const
-            err = abs(resid[0]) + float(np.sum(np.abs(resid[1:])))
+            err = (abs(resid[0])
+                   + float(np.add.reduce(np.abs(resid[1:], out=absr))))
             if err <= NEWTON_TOL * scale:
-                return u, phi
+                return u, phi, f
             # (I - coeff D J T) x = resid is solved as the banded f-space
             # system (I - coeff J) z = T resid, then x = D z.
             z = solve_banded(self._gtsv,
                              self._newton_matrix(coeff, f, stencils),
-                             _reconstruct(resid[0], resid[1:]))
-            x = _to_increments(z)
+                             _reconstruct(resid[0], resid[1:], self._rhs))
+            x = _to_increments(z, self._dx)
             for _ in range(6):
                 candidate = u - x
                 if self._valid(candidate):
@@ -553,13 +583,22 @@ class FlowProblem:
             p0 = self._last_phi
         else:
             p0 = self._phi(u)
+        # Stage right-hand sides and guesses are fresh, since the solve
+        # may return one as its iterate; `_dx` holds their second terms
+        # (sums and products commute exactly).
         c1 = 0.5 * g * dt
-        u1, _ = self._newton(c1, u + c1 * p0, u + g * dt * p0)
+        rhs_const = np.multiply(c1, p0)
+        rhs_const += u
+        guess = np.multiply(g * dt, p0)
+        guess += u
+        u1, _, _ = self._newton(c1, rhs_const, guess)
         c2 = (1.0 - g) / (2.0 - g) * dt
-        rhs_const = (u1 / (g * (2.0 - g))
-                     - ((1.0 - g) ** 2 / (g * (2.0 - g))) * u)
-        guess = u1 / g - (1.0 - g) / g * u
-        u2, p2 = self._newton(c2, rhs_const, guess)
+        rhs_const = np.divide(u1, g * (2.0 - g))
+        rhs_const -= np.multiply((1.0 - g) ** 2 / (g * (2.0 - g)), u,
+                                 out=self._dx)
+        guess = np.divide(u1, g)
+        guess -= np.multiply((1.0 - g) / g, u, out=self._dx)
+        u2, p2, self._last_f = self._newton(c2, rhs_const, guess)
         self._last_u[:] = u2
         self._last_phi[:] = p2
         return u2
@@ -569,7 +608,8 @@ def step_flow(problem: FlowProblem, state: FlowState, dt: float) -> FlowState:
     """Advance one step; halves dt on solver failure and raises
     StepRejected once halvings are spent.  The new profile is strictly
     increasing: the Newton solve returns only iterates whose f[0] and
-    increments are all positive and finite."""
+    increments are all positive and finite.  Its f is the one the solve
+    built from its last iterate."""
     if dt <= 0.0:
         raise FlowError("need dt > 0")
     remaining = dt
@@ -591,7 +631,7 @@ def step_flow(problem: FlowProblem, state: FlowState, dt: float) -> FlowState:
             continue
         t += sub_dt
         remaining -= sub_dt
-    f = _reconstruct(u[0], u[1:])
+    f = problem._last_f
     return FlowState(t=t, rho=state.rho, f=f, lower=float(f[0]),
                      upper=float(f[-1]), df=u[1:].copy())
 
@@ -629,7 +669,8 @@ def _v_rows(df: np.ndarray, d: float, k: int) -> np.ndarray:
     """v = (d_rho f)/k at the nodes from increments of f along the last
     axis: centred inside, one-sided second order at the two ends."""
     v = np.empty(df.shape[:-1] + (df.shape[-1] + 1,))
-    v[..., 1:-1] = (df[..., 1:] + df[..., :-1]) / (2.0 * d * k)
+    mid = np.add(df[..., 1:], df[..., :-1], out=v[..., 1:-1])
+    mid /= 2.0 * d * k
     v[..., 0] = (1.5 * df[..., 0] - 0.5 * df[..., 1]) / (d * k)
     v[..., -1] = (1.5 * df[..., -1] - 0.5 * df[..., -2]) / (d * k)
     return v
@@ -639,14 +680,21 @@ def _max_v(df: np.ndarray, d: float, k: int) -> float:
     """max of `_v_rows(df, d, k)` for one state without building v: the
     largest centred sum is divided once, which gives the same value as
     dividing every sum first, because rounding is monotone."""
-    return max(float(np.max(df[1:] + df[:-1])) / (2.0 * d * k),
+    return max(float(np.maximum.reduce(df[1:] + df[:-1])) / (2.0 * d * k),
                (1.5 * df[0] - 0.5 * df[1]) / (d * k),
                (1.5 * df[-1] - 0.5 * df[-2]) / (d * k))
 
 
+# `_d1` and `_d2` take their interior stencils over the rows laid end to
+# end, in one contiguous pass: the values that straddle two rows land on
+# the end nodes, which the one-sided formulas then overwrite.
+
+
 def _d1(arr: np.ndarray, d: float) -> np.ndarray:
-    out = np.empty_like(arr)
-    out[..., 1:-1] = (arr[..., 2:] - arr[..., :-2]) / (2.0 * d)
+    out = np.empty(arr.shape)
+    flat, flat_out = arr.reshape(-1), out.reshape(-1)
+    mid = np.subtract(flat[2:], flat[:-2], out=flat_out[1:-1])
+    mid /= 2.0 * d
     out[..., 0] = (-1.5 * arr[..., 0] + 2.0 * arr[..., 1]
                    - 0.5 * arr[..., 2]) / d
     out[..., -1] = (1.5 * arr[..., -1] - 2.0 * arr[..., -2]
@@ -655,60 +703,111 @@ def _d1(arr: np.ndarray, d: float) -> np.ndarray:
 
 
 def _d2(arr: np.ndarray, d: float) -> np.ndarray:
-    out = np.empty_like(arr)
-    out[..., 1:-1] = (arr[..., 2:] - 2.0 * arr[..., 1:-1]
-                      + arr[..., :-2]) / d ** 2
+    """(arr[j+1] - 2 arr[j] + arr[j-1]) / d^2 inside, in that order; the
+    end values repeat their neighbours'."""
+    out = np.empty(arr.shape)
+    flat, flat_out = arr.reshape(-1), out.reshape(-1)
+    mid = np.multiply(2.0, flat[1:-1], out=flat_out[1:-1])
+    np.subtract(flat[2:], mid, out=mid)
+    mid += flat[:-2]
+    mid /= d ** 2
     out[..., 0] = out[..., 1]
     out[..., -1] = out[..., -2]
     return out
 
 
-def _curvature_rows(f: np.ndarray, v: np.ndarray, d: float,
-                    params: HirzebruchParams) -> dict[str, np.ndarray]:
+def _curvature_rows(f: np.ndarray, v: np.ndarray, v_max: np.ndarray,
+                    d: float, params: HirzebruchParams
+                    ) -> dict[str, np.ndarray]:
     """Per-node curvature arrays, keyed as returned, for rows of nodal f
-    and v; the support mask `supp` is v >= SUPPORT_THRESHOLD * (max v of
-    the row).  Outside it k_v, rm and the Hessian terms of vhc_r and vhc_t
-    are zeros rather than raw stencil values: fiber curvature divides
-    stencils of ln v by v, which amplifies noise where v underflows."""
+    and v whose maxima along the last axis are v_max.  The support mask
+    `supp` is v >= SUPPORT_THRESHOLD * v_max.  k_v and the Hessian terms
+    hess_rr and hess_tt of vhc_r and vhc_t are raw stencil values at every
+    node, which a caller reads on the support only: fiber curvature
+    divides stencils of ln v by v, which amplifies noise where v
+    underflows.  rm is zero outside the support."""
     if params.n != 1:
         raise FlowError("profile diagnostics implemented over surface bases")
     k = params.k
-    supp = v >= SUPPORT_THRESHOLD * np.max(v, axis=-1, keepdims=True)
-    lnv = np.log(np.where(v > 0.0, v, 1.0))
+    supp = v >= SUPPORT_THRESHOLD * v_max[..., None]
+    # Each array is built in place in the order of the formula in its
+    # comment; sums and products commute exactly, and so does negation
+    # with division, so the values are those of the formulas bit for bit.
+    lnv = np.where(v > 0.0, v, 1.0)             # ln v where v > 0, else 0
+    np.log(lnv, out=lnv)
     lv1 = _d1(lnv, d)
+    grad_ln_sq = np.multiply(2.0 * k ** 2, v)   # 2 k^2 v / f^2
+    grad_ln_sq /= np.square(f)
+    kappa_h = np.divide(params.base_scalar, f)  # R_h / f - grad_ln_sq
+    kappa_h -= grad_ln_sq
+    lf1 = np.multiply(k, v)                     # k v / f
+    lf1 /= f
+    lf2 = _d1(v, d)                             # k v_rho / f - lf1^2
+    lf2 *= k
+    lf2 /= f
+    lf2 -= np.square(lf1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        k_v = np.where(supp, -_d2(lnv, d) / v, 0.0)
-    grad_ln_sq = 2.0 * k ** 2 * v / f ** 2
-    a_sq = 2.0 * params.n * grad_ln_sq
-    kappa_h = params.base_scalar / f - grad_ln_sq
-    lf1 = k * v / f
-    lf2 = k * _d1(v, d) / f - lf1 ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hess_rr = np.where(supp, (2.0 / v) * (lf2 - 0.5 * lv1 * lf1), 0.0)
-        hess_tt = np.where(supp, (1.0 / v) * lv1 * lf1, 0.0)
+        k_v = _d2(lnv, d)                       # -(ln v)_rhorho / v
+        np.negative(k_v, out=k_v)
+        k_v /= v
+        scratch = np.multiply(0.5, lv1)         # (2/v) (lf2 - lv1 lf1 / 2)
+        scratch *= lf1
+        np.subtract(lf2, scratch, out=lf2)
+        hess_rr = np.divide(2.0, v)
+        hess_rr *= lf2
+        hess_tt = np.divide(1.0, v)             # (1/v) lv1 lf1
+        hess_tt *= lv1
+        hess_tt *= lf1
     # Freed early: these temporaries add to the peak memory of a run, on
     # top of the states it buffers.
     del lnv, lv1, lf1, lf2
-    vhc_r = -0.5 * (hess_rr + grad_ln_sq) + 0.25 * grad_ln_sq
-    vhc_t = -0.5 * hess_tt + 0.25 * grad_ln_sq
-    del hess_rr, hess_tt
-    rm = np.where(supp, np.sqrt(4.0 * k_v ** 2 + 4.0 * kappa_h ** 2), 0.0)
-    return {"v": v, "supp": supp, "k_v": k_v, "grad_ln_sq": grad_ln_sq,
-            "a_sq": a_sq, "kappa_h": kappa_h, "vhc_r": vhc_r,
-            "vhc_t": vhc_t, "rm": rm}
+    # sqrt(4 k_v^2 + 4 kappa_h^2) on the support; k_v is raw outside it,
+    # where its square may overflow
+    with np.errstate(over="ignore"):
+        rm = np.square(k_v)
+        rm *= 4.0
+        np.square(kappa_h, out=scratch)
+        scratch *= 4.0
+        rm += scratch
+        np.sqrt(rm, out=rm)
+    rm = np.where(supp, rm, 0.0)
+    return {"supp": supp, "k_v": k_v, "grad_ln_sq": grad_ln_sq,
+            "kappa_h": kappa_h, "hess_rr": hess_rr, "hess_tt": hess_tt,
+            "rm": rm}
+
+
+def _vhc(hess_rr: np.ndarray, hess_tt: np.ndarray,
+         grad_ln_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(vhc_r, vhc_t) = (-(hess_rr + g)/2 + g/4, -hess_tt/2 + g/4), with
+    g = grad_ln_sq; the sums and products commute exactly."""
+    quarter = np.multiply(0.25, grad_ln_sq)
+    vhc_r = np.add(hess_rr, grad_ln_sq)
+    vhc_r *= -0.5
+    vhc_r += quarter
+    vhc_t = np.multiply(-0.5, hess_tt)
+    vhc_t += quarter
+    return vhc_r, vhc_t
 
 
 def curvature_profiles(state: FlowState, params: HirzebruchParams
                        ) -> dict[str, np.ndarray | float]:
-    """The `_curvature_rows` arrays of one state, from the profile alone (no
-    chart reconstruction), with its time `t`, grid `rho`, fiber `width`
-    and fiber `area`."""
-    rows = _curvature_rows(state.f[None], state.v_profile(params.k)[None],
+    """Per-node curvature arrays of one state, from the profile alone (no
+    chart reconstruction): v, the support mask `supp`, k_v, grad_ln_sq,
+    a_sq, kappa_h, vhc_r, vhc_t and rm, with k_v, rm and the Hessian terms
+    of vhc_r and vhc_t zero outside the support; then its time `t`, grid
+    `rho`, fiber `width` and fiber `area`."""
+    v = state.v_profile(params.k)
+    rows = _curvature_rows(state.f, v, np.maximum.reduce(v),
                            state.rho[1] - state.rho[0], params)
+    supp, g = rows["supp"], rows["grad_ln_sq"]
+    vhc_r, vhc_t = _vhc(np.where(supp, rows["hess_rr"], 0.0),
+                        np.where(supp, rows["hess_tt"], 0.0), g)
     width = float(state.upper - state.lower)
-    return {name: arr[0] for name, arr in rows.items()} | {
-        "t": state.t, "rho": state.rho, "width": width,
-        "area": float(2.0 * np.pi * width / params.k)}
+    return {"v": v, "supp": supp, "k_v": np.where(supp, rows["k_v"], 0.0),
+            "grad_ln_sq": g, "a_sq": 2.0 * params.n * g,
+            "kappa_h": rows["kappa_h"], "vhc_r": vhc_r, "vhc_t": vhc_t,
+            "rm": rows["rm"], "t": state.t, "rho": state.rho,
+            "width": width, "area": float(2.0 * np.pi * width / params.k)}
 
 
 def diagnostics_series(states: Sequence[FlowState], params: HirzebruchParams
@@ -730,29 +829,39 @@ def diagnostics_series(states: Sequence[FlowState], params: HirzebruchParams
     for lo in range(0, len(states), rows):
         block = states[lo:lo + rows]
         v = _v_rows(np.stack([s.df for s in block]), d, k)
-        p = _curvature_rows(np.stack([s.f for s in block]), v, d, params)
+        v_max = np.maximum.reduce(v, axis=1)
+        p = _curvature_rows(np.stack([s.f for s in block]), v, v_max, d,
+                            params)
         supp = p["supp"]
-        mixed_r = np.max(np.where(supp, np.abs(p["vhc_r"]), -np.inf), axis=1)
-        mixed_t = np.max(np.where(supp, np.abs(p["vhc_t"]), -np.inf), axis=1)
+        vhc_r, vhc_t = _vhc(p["hess_rr"], p["hess_tt"], p["grad_ln_sq"])
+        mixed_r = np.maximum.reduce(
+            np.where(supp, np.abs(vhc_r, out=vhc_r), -np.inf), axis=1)
+        mixed_t = np.maximum.reduce(
+            np.where(supp, np.abs(vhc_t, out=vhc_t), -np.inf), axis=1)
+        grad_max = np.maximum.reduce(p["grad_ln_sq"], axis=1)
         width = np.array([s.upper - s.lower for s in block], dtype=float)
         area = 2.0 * np.pi * width / k
+        # the node of max v lies in the support: k_v there needs no mask
         center = np.argmax(v, axis=1)
         roundness = (p["k_v"][np.arange(len(block)), center] * area
                      / (4.0 * np.pi))
         at = slice(lo, lo + len(block))
         out["t"][at] = [s.t for s in block]
         out["node"][at] = np.argmax(p["rm"], axis=1)
-        out["k_v_max"][at] = np.max(np.where(supp, p["k_v"], -np.inf), axis=1)
-        out["a_sq_sup"][at] = np.max(p["a_sq"], axis=1)
-        out["grad_ln_sq_sup"][at] = np.max(p["grad_ln_sq"], axis=1)
-        out["horiz_sup"][at] = np.max(np.abs(p["kappa_h"]), axis=1)
+        out["k_v_max"][at] = np.maximum.reduce(
+            np.where(supp, p["k_v"], -np.inf), axis=1)
+        # max(c g) = c max(g) for c > 0: rounding is monotone
+        out["a_sq_sup"][at] = (2.0 * params.n) * grad_max
+        out["grad_ln_sq_sup"][at] = grad_max
+        out["horiz_sup"][at] = np.maximum.reduce(np.abs(p["kappa_h"]),
+                                                 axis=1)
         # the larger of the two, mixed_r on ties (Python's max)
         out["mixed_sup"][at] = np.where(mixed_t > mixed_r, mixed_t, mixed_r)
-        out["rm_sup"][at] = np.max(p["rm"], axis=1)
+        out["rm_sup"][at] = np.maximum.reduce(p["rm"], axis=1)
         out["fiber_area"][at] = area
         out["roundness"][at] = roundness
         out["width"][at] = width
-        out["max_v"][at] = np.max(v, axis=1)
+        out["max_v"][at] = v_max
     return out
 
 
@@ -813,7 +922,7 @@ def heat_residual_series(states: Sequence[FlowState],
         f2 = _d2_4th(now, d)
         with np.errstate(divide="ignore", invalid="ignore"):
             rhs = k * (f2 / f1 + n * f1 / now[:, 2:-2]) - sink
-        out[lo:hi] = np.nanmax(np.abs(ft - rhs), axis=1)
+        out[lo:hi] = np.fmax.reduce(np.abs(ft - rhs), axis=1)
     return out
 
 

@@ -625,9 +625,11 @@ def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
     from the same arrays.  The recomputed report.json and
     rescaled_<i>.csv texts must equal the stored files byte for byte, no
     other rescaled_<i>.csv may be stored, and the recomputed analysis
-    entries must equal the manifest's; `differs` names each that does
-    not.  Raises RunDirError naming the file when the recorded run ended
-    in error, or a stored file is missing, empty, cut short or malformed.
+    entries must equal the manifest's, as must its T_predicted (from the
+    config), time_ratio and heat_residual_max (from the stored columns);
+    `differs` names each that does not.  Raises RunDirError naming the
+    file when the recorded run ended in error, or a stored file is
+    missing, empty, cut short or malformed.
     """
     run_dir = Path(run_dir)
     manifest_path = run_dir / "manifest.json"
@@ -670,6 +672,10 @@ def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
                 f"{diag_path}: no analysis with T_observed = {T_observed} "
                 f"({type(exc).__name__}: {exc})") from exc
         results = _acceptance(config, manifest, diag, flow, analysis, stored)
+        T_predicted = predict_max_time(config.params)
+        run_numbers = {"T_predicted": T_predicted,
+                       "time_ratio": T_observed / T_predicted,
+                       "heat_residual_max": _heat_max(diag["heat_residual"])}
     except HarnessError as exc:
         raise RunDirError(f"{manifest_path}: config echo: {exc}") from exc
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
@@ -685,7 +691,8 @@ def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
                 if name not in rescaled]
     # JSON text compares NaN equal to NaN; floats round-trip through it
     differs += [f"manifest.json {key}"
-                for key, value in analysis.manifest_fields().items()
+                for key, value in (run_numbers
+                                   | analysis.manifest_fields()).items()
                 if key not in manifest
                 or json.dumps(manifest[key]) != json.dumps(value)]
     summary = {
@@ -820,7 +827,8 @@ def _cmd_check(args) -> int:
     for name, ok in summary["recheck"].items():
         print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
     for name in summary["differs"]:
-        print(f"  {name} differs from the analysis of diagnostics.csv")
+        print(f"  {name} differs from its value recomputed from the stored "
+              "files")
     print(f"{args.run_dir}: "
           f"{'pass' if code == 0 else 'FAIL'}"
           f" (consistent={summary['consistent']})")

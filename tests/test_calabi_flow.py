@@ -347,6 +347,46 @@ def test_step_reusing_converged_phi_matches_fresh_problem(monkeypatch):
                           FlowProblem(params).step_once(v, 0.01))
 
 
+def test_kept_results_survive_later_calls_on_the_same_problem():
+    # The Newton kernel works in buffers allocated once per FlowProblem;
+    # no array a caller keeps may be one of them.
+    params = HirzebruchParams(grid_points=128)
+    problem = FlowProblem(params)
+    start = init_hirzebruch_profile(params)
+    held = {}
+    rates, stencils = problem._rates(start.f, start.df)
+    held["rates"] = rates
+    held.update((f"stencil {i}", s) for i, s in enumerate(stencils))
+    copies = {name: arr.copy() for name, arr in held.items()}
+    # the Jacobian temporaries and bands are not the stencils they read
+    problem._newton_matrix(0.01, start.f, stencils)
+    assert all(np.array_equal(held[name], copies[name]) for name in held)
+    # the stencils are the kernel's buffers, valid until its next call
+    del held["stencil 0"], held["stencil 1"], held["stencil 2"]
+
+    held["step_once"] = problem.step_once(_increment_vector(start), 0.01)
+    # two consecutive stepped states of a run, and one of this problem
+    states = recorded_states(params)
+    next(states)  # the initial state
+    for i in range(2):
+        state = next(states)
+        held[f"recorded {i} f"], held[f"recorded {i} df"] = state.f, state.df
+    stepped = step_flow(problem, start, 0.01)
+    held["stepped f"], held["stepped df"] = stepped.f, stepped.df
+    copies = {name: arr.copy() for name, arr in held.items()}
+
+    next(states)
+    next(states)
+    state = stepped
+    for _ in range(3):
+        state = step_flow(problem, state, 0.01)
+        problem.step_once(_increment_vector(state), 0.02)
+        problem._rates(state.f, state.df)
+        problem._phi(_increment_vector(start))
+    for name, arr in held.items():
+        assert np.array_equal(arr, copies[name]), name
+
+
 # -- the tridiagonal solve ---------------------------------------------------
 
 

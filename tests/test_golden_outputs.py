@@ -92,6 +92,30 @@ DIGESTS = {
     },
 }
 
+# `configs/hirzebruch.cfg` off the k = 1 tanh path: its twist and shape
+# replaced and its grid_points line dropped, so the grid is the default
+# scaled by sqrt(k) (724 nodes at k = 2, 887 at k = 3).  Recorded with the
+# versions above, before the per-state stepping and diagnostics were
+# rewritten to make fewer array passes.
+TWIST_DIGESTS = {
+    (2, "skew"): {
+        "diagnostics.csv":
+            "b7cab1f76966b7ad5113f9d6fe364022361b0fa05bbc9ad1c0fb496f5c103e82",
+        "flow.csv":
+            "14bc91b45523cb4307e651c4b506cb8332a1005fb6b459d2aac5ec77b628440a",
+        "report.json":
+            "736ef088db3778f497c6c5d6b395eb2fd03d8ef5f5e6b5418f5d63468851bacf",
+    },
+    (3, "tanh"): {
+        "diagnostics.csv":
+            "59a8b298e359ce0a6142eadd39084f99a8babb4b959bfeefac0468e0aaf7275c",
+        "flow.csv":
+            "0cee08129f31eb6f727e542d074a8bf7488dd41db350606dfeabb91b8e1deb9a",
+        "report.json":
+            "5b6e5cf77287f66ebbdc1599b7359a2531a277bb5aedf980aacb8746925ceb1c",
+    },
+}
+
 
 def _digests(out: Path) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -112,3 +136,19 @@ def test_long_grid_member_csvs_match_recorded_digests(tmp_path):
     out = tmp_path / "grid_1024"
     assert main(["run", str(config), "--output", str(out)]) == 0
     assert _digests(out) == DIGESTS["grid_1024"]
+
+
+@pytest.mark.parametrize("k, shape", sorted(TWIST_DIGESTS))
+def test_twisted_runs_match_recorded_digests(tmp_path, k, shape):
+    text = (CONFIGS / "hirzebruch.cfg").read_text()
+    for old, new in (("k = 1\n", f"k = {k}\n"), ("grid_points = 512\n", ""),
+                     ("shape = tanh\n", f"shape = {shape}\n")):
+        assert old in text
+        text = text.replace(old, new)
+    config = tmp_path / f"k{k}.cfg"
+    config.write_text(text)
+    out = tmp_path / f"k{k}"
+    assert main(["run", str(config), "--output", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in TWIST_DIGESTS[k, shape]}
+    assert digests == TWIST_DIGESTS[k, shape]

@@ -715,7 +715,14 @@ def _edit_manifest(key, value):
     (_edit_manifest("plateau_value", 99.0), "manifest.json plateau_value"),
     (_edit_manifest("a_decay_exponent", 5.0),
      "manifest.json a_decay_exponent"),
-], ids=["rescaled_0-rm", "plateau_value", "a_decay_exponent"])
+    # check recomputes these three from the config and the stored columns;
+    # a T_predicted off by 1e-6 keeps the time_ratio verdict
+    (_edit_manifest("T_predicted", 0.5 + 1e-6), "manifest.json T_predicted"),
+    (_edit_manifest("time_ratio", 7.5), "manifest.json time_ratio"),
+    (_edit_manifest("heat_residual_max", 123.0),
+     "manifest.json heat_residual_max"),
+], ids=["rescaled_0-rm", "plateau_value", "a_decay_exponent", "T_predicted",
+        "time_ratio", "heat_residual_max"])
 def test_check_edited_analysis_output_fails_naming_it(hz_dir, tmp_path,
                                                       capsys, edit, name):
     # the verdicts still hold; only the stored analysis output is wrong
