@@ -7,6 +7,7 @@ drains relative to the fiber direction as the singular time approaches.
 """
 
 import argparse
+import json
 
 from fiberflow import (
     HirzebruchParams,
@@ -29,25 +30,26 @@ def main(argv=None) -> int:
 
     run = run_flow(HirzebruchParams(grid_points=args.grid), RunSettings())
     diag = run.diagnostics
-    result = analyze(diag, run.T_observed,
-                     AnalysisConfig(mode=args.mode, max_picks=args.picks))
-    split = result.report.get("splitting")
+    report, tables, note = analyze(
+        diag, run.T_observed,
+        AnalysisConfig(mode=args.mode, max_picks=args.picks))
+    split = report.get("splitting")
     if split is None:
-        raise SystemExit(f"no qualifying picks: {result.note}")
+        raise SystemExit(f"no qualifying picks: {note}")
 
     if args.json:
-        print(result.report_text(), end="")
+        print(json.dumps(report, indent=2, sort_keys=True))
         return 0
 
     rows = pick_blowup_sequence(diag, run.T_observed, args.mode,
                                 max_picks=args.picks)
     print(f"T_predicted {run.T_predicted:.6f}  T_observed "
           f"{run.T_observed:.6f}  class "
-          f"{result.report['type']['classification']}")
+          f"{report['type']['classification']}")
     print(f"{'t':>10} {'K':>12} {'a_norm':>10} {'horiz':>10} {'fiber/4pi':>10}")
     for t, kk, a_n, hz, tab in zip(diag["t"][rows], split["curvatures"],
                                    split["rescaled_a_norm"],
-                                   split["rescaled_horiz"], result.tables):
+                                   split["rescaled_horiz"], tables):
         z = tab["s"] == 0.0  # the picked row
         fib = (tab["k_v"][z] * tab["fiber_area"][z])[0]
         print(f"{t:10.6f} {kk:12.3f} {a_n:10.5f} "

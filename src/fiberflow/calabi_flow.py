@@ -964,14 +964,20 @@ def product_closed_form(f0: float, c0: float, R_h: float, n: int,
 # runs
 
 
-def _fit_stop_time(times: np.ndarray, widths: np.ndarray,
-                   t_pred: float) -> float:
-    """Root of a linear fit of the collapse proxy over the last decade of
-    remaining time (over all times if that decade holds one); falls back to
-    the last time if the fit degenerates or only one time is recorded."""
+def observed_stop_time(params: HirzebruchParams | ProductParams,
+                       diag: dict[str, np.ndarray]) -> float:
+    """T_observed of a run whose diagnostics table is `diag`, the one rule
+    of `run_flow` and `fiberflow check`: the root of a linear fit of the
+    collapse proxy (4 k max_v for hirzebruch, the fiber width for product)
+    over the last decade of remaining time (over all times if that decade
+    holds one); the last time if the fit degenerates or only one time is
+    recorded."""
+    times = diag["t"]
+    widths = (diag["width"] if isinstance(params, ProductParams)
+              else 4.0 * params.k * diag["max_v"])
     if times.size < 2:
         return float(times[-1])
-    remaining = t_pred - times
+    remaining = predict_max_time(params) - times
     cutoff = remaining[-1] * 10.0 if remaining[-1] > 0 else remaining[-1]
     sel = remaining <= max(cutoff, remaining[-1] + 1e-12)
     if np.count_nonzero(sel) < 2:
@@ -1036,12 +1042,12 @@ def _run_product(params: ProductParams, settings: RunSettings) -> FlowRun:
         "heat_residual": zero, "min_f": f, "max_f": f, "max_f_slack": zero,
         "grad_f_sq_sup": zero, "grad_bound_ok": [1.0] * len(rows)}
     diags = {name: np.array(col, dtype=float) for name, col in diags.items()}
-    t_obs = _fit_stop_time(diags["t"], diags["width"], t_pred)
     flow = {"t": diags["t"], "f": np.array(f, dtype=float),
             "c": np.array(c, dtype=float)}
     return FlowRun(scenario="product", params=params, diagnostics=diags,
                    flow=flow, sample=None, T_predicted=t_pred,
-                   T_observed=t_obs, stop_reason=stop_reason)
+                   T_observed=observed_stop_time(params, diags),
+                   stop_reason=stop_reason)
 
 
 def recorded_states(params: HirzebruchParams,
@@ -1124,11 +1130,10 @@ def _run_hirzebruch(params: HirzebruchParams,
                                 min_f, max_f, diags["max_v"]))
     flow = dict(zip(FLOW_COLUMNS["hirzebruch"],
                     (diags["t"], lower, upper, diags["width"])))
-    t_obs = _fit_stop_time(diags["t"], 4.0 * params.k * diags["max_v"],
-                           t_pred)
     return FlowRun(scenario="hirzebruch", params=params, diagnostics=diags,
                    flow=flow, sample=state if sample is None else sample,
-                   T_predicted=t_pred, T_observed=t_obs,
+                   T_predicted=t_pred,
+                   T_observed=observed_stop_time(params, diags),
                    stop_reason=stop_reason)
 
 

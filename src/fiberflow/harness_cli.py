@@ -47,6 +47,7 @@ from .calabi_flow import (
     RunSettings,
     init_hirzebruch_profile,
     loglog_slope,
+    observed_stop_time,
     predict_max_time,
     product_closed_form,
     run_flow,
@@ -71,6 +72,10 @@ SWEEP_SCHEMA = "fiberflow.sweep/1"
 FLOW_CSV_SCHEMA = "fiberflow.flow/1"
 DIAG_CSV_SCHEMA = "fiberflow.diagnostics/1"
 RESCALED_CSV_SCHEMA = "fiberflow.rescaled/1"
+# the manifest entries a run records; `_record` derives every other one
+RECORDED_ENTRIES = frozenset({"schema", "code_version", "config", "scenario",
+                              "seed", "output_dir", "error", "stop_reason",
+                              "wall_clock_s"})
 
 HEAT_RESIDUAL_TOL = 1e-3
 SLACK_TOL = 1e-6
@@ -428,86 +433,85 @@ def _stored_rescaled(run_dir: Path) -> list[str]:
 # analysis and acceptance checks
 
 
-@dataclass(frozen=True)
-class Analysis:
-    """The `report.json` object, with its `splitting` entry and a rescaled
-    table per pick when the picks qualify; otherwise `note` says why they
-    do not."""
-
-    report: dict
-    tables: list[dict[str, np.ndarray]]
-    note: str | None
-
-    def report_text(self) -> str:
-        """The `report.json` text of this analysis."""
-        return json.dumps(self.report, indent=2, sort_keys=True) + "\n"
-
-    def rescaled_texts(self) -> dict[str, str]:
-        """The text of each `rescaled_<i>.csv` file, by file name."""
-        return {f"rescaled_{i}.csv": _csv_text(RESCALED_CSV_SCHEMA, table)
-                for i, table in enumerate(self.tables)}
-
-    def manifest_fields(self) -> dict:
-        """The analysis entries of `manifest.json`."""
-        fields = {"plateau_value": self.report["type"]["plateau_value"]}
-        if "splitting" in self.report:
-            fields["a_decay_exponent"] = (
-                self.report["splitting"]["a_decay_exponent"])
-        else:
-            fields["analysis_note"] = self.note
-        return fields
-
-
 def analyze(diag: dict[str, np.ndarray], T_observed: float,
-            ana: AnalysisConfig) -> Analysis:
-    """Classify, pick, rescale and split one diagnostics table; the one
-    analysis behind `execute` and `check_run_dir`."""
+            ana: AnalysisConfig
+            ) -> tuple[dict, list[dict[str, np.ndarray]], str | None]:
+    """Classify, pick, rescale and split one diagnostics table: the
+    `report.json` object, with its `splitting` entry and a rescaled table
+    per pick when the picks qualify, else no tables and a note saying why
+    they do not."""
     report = {"type": classify_type(diag, T_observed)}
     try:
         rows = pick_blowup_sequence(diag, T_observed, ana.mode,
                                     max_picks=ana.max_picks)
         tables = rescale_series(diag, T_observed, rows)
     except AnalysisError as exc:
-        return Analysis(report, [], str(exc))
+        return report, [], str(exc)
     report["splitting"] = splitting_report(diag["rm_sup"][rows], tables,
                                            ana.mode)
-    return Analysis(report, tables, None)
+    return report, tables, None
 
 
-def _heat_max(resid: np.ndarray) -> float:
-    """Largest heat residual; NaN when no row has one."""
-    return (float("nan") if np.all(np.isnan(resid))
-            else float(np.nanmax(resid)))
+def _record(config: RunConfig, diag: dict[str, np.ndarray],
+            flow: dict[str, np.ndarray], chart_ok: bool | None,
+            record: dict) -> dict[str, str]:
+    """A run's record, derived from its diagnostics and flow tables: fills
+    `record` with every derived manifest entry and returns the text of
+    every derived file (`report.json`, each `rescaled_<i>.csv`) by name.
+    `execute` writes what it derives; `check_run_dir` derives it again
+    from the stored tables and compares.  `chart_ok` is the
+    `chart_residuals` verdict (None when the config leaves it out).  The
+    run's numbers land in `record` before the analysis runs, so a manifest
+    whose analysis raises keeps them."""
+    T_predicted = predict_max_time(config.params)
+    T_observed = observed_stop_time(config.params, diag)
+    resid = diag["heat_residual"]  # NaN where a row has no time stencil
+    record.update(T_predicted=T_predicted, T_observed=T_observed,
+                  time_ratio=T_observed / T_predicted,
+                  steps_recorded=len(diag["t"]),
+                  heat_residual_max=(float("nan") if np.all(np.isnan(resid))
+                                     else float(np.nanmax(resid))))
+    report, tables, note = analyze(diag, T_observed, config.analysis)
+    record["classification"] = report["type"]["classification"]
+    record["plateau_value"] = report["type"]["plateau_value"]
+    if "splitting" in report:
+        record["a_decay_exponent"] = report["splitting"]["a_decay_exponent"]
+    else:
+        record["analysis_note"] = note
+    record["acceptance"] = _acceptance(config, diag, flow, record, report,
+                                       chart_ok)
+    record["passed"] = all(record["acceptance"].values())
+    files = {"report.json": json.dumps(report, indent=2, sort_keys=True)
+             + "\n"}
+    for i, table in enumerate(tables):
+        files[f"rescaled_{i}.csv"] = _csv_text(RESCALED_CSV_SCHEMA, table)
+    return files
 
 
-def _acceptance(config: RunConfig, manifest: dict,
-                diag: dict[str, np.ndarray], flow: dict[str, np.ndarray],
-                analysis: Analysis, stored: dict) -> dict[str, bool]:
-    """The verdict of every check the config enables, shared by `execute`
-    and `check_run_dir`.
-
-    Verdicts come from the diagnostics and flow column tables, the
-    manifest's times and classification, and the analysis of the
-    diagnostics table.  `chart_residuals` needs a live profile, so its
-    verdict is read from `stored`.  A NaN in a column that `monitors` or
-    `closed_form` reads fails that check.
+def _acceptance(config: RunConfig, diag: dict[str, np.ndarray],
+                flow: dict[str, np.ndarray], record: dict, report: dict,
+                chart_ok: bool | None) -> dict[str, bool]:
+    """The verdict of every check the config enables, from the run's
+    diagnostics and flow tables and what `_record` derived from them: the
+    manifest entries in `record` and the `report.json` object.
+    `chart_residuals` needs a live profile, so its verdict is `chart_ok`.
+    A NaN in a column that `monitors` or `closed_form` reads fails that
+    check.
     """
     ana = config.analysis
     checks: dict[str, bool] = {}
     for name in ana.checks:
         if name == "monitors":
-            ok = (_heat_max(diag["heat_residual"]) <= ana.heat_tol
+            ok = (record["heat_residual_max"] <= ana.heat_tol
                   and np.max(diag["max_f_slack"]) <= SLACK_TOL
                   and np.all(diag["grad_bound_ok"] > 0.5)
                   and np.min(diag["min_f"]) > 0.0)
         elif name == "time_ratio":
-            ratio = manifest["T_observed"] / manifest["T_predicted"]
-            ok = abs(ratio - 1.0) <= TIME_RATIO_BAND
+            ok = abs(record["time_ratio"] - 1.0) <= TIME_RATIO_BAND
         elif name == "classification":
-            ok = (analysis.report["type"]["classification"] == "TypeI"
-                  == manifest["classification"])
+            ok = record["classification"] == "TypeI"
         elif name == "splitting":
-            ok = analysis.report.get("splitting", {}).get("splits", False)
+            ok = report.get("splitting", {}).get("splits", False)
         elif name == "closed_form":
             p = config.params
             exact = [product_closed_form(p.f0, p.c0, p.base_scalar, p.n,
@@ -515,7 +519,7 @@ def _acceptance(config: RunConfig, manifest: dict,
             got = np.column_stack((flow["f"], flow["c"]))
             ok = np.max(np.abs(got - exact)) <= CLOSED_FORM_TOL
         else:
-            ok = stored[name]
+            ok = chart_ok
         checks[name] = bool(ok)
     return checks
 
@@ -571,34 +575,18 @@ def execute(config: RunConfig, out_dir: str | Path,
     try:
         run = run_flow(config.params, config.settings)
         manifest["stop_reason"] = run.stop_reason
-        manifest["T_predicted"] = run.T_predicted
-        manifest["T_observed"] = run.T_observed
-        manifest["time_ratio"] = run.T_observed / run.T_predicted
-        flow = run.flow
-        diag = run.diagnostics
-        manifest["steps_recorded"] = len(diag["t"])
-        manifest["heat_residual_max"] = _heat_max(diag["heat_residual"])
-
-        (out / "flow.csv").write_text(_csv_text(FLOW_CSV_SCHEMA, flow))
+        (out / "flow.csv").write_text(_csv_text(FLOW_CSV_SCHEMA, run.flow))
         (out / "diagnostics.csv").write_text(
-            _csv_text(DIAG_CSV_SCHEMA, diag))
-
-        analysis = analyze(diag, run.T_observed, config.analysis)
-        manifest["classification"] = analysis.report["type"]["classification"]
-        manifest.update(analysis.manifest_fields())
-        rescaled = analysis.rescaled_texts()
+            _csv_text(DIAG_CSV_SCHEMA, run.diagnostics))
+        chart_ok = (_check_chart_residuals(run, seed)
+                    if "chart_residuals" in config.analysis.checks else None)
+        files = _record(config, run.diagnostics, run.flow, chart_ok,
+                        manifest)
         for name in _stored_rescaled(out):
-            if name not in rescaled:  # left by an earlier run with more picks
+            if name not in files:  # left by an earlier run with more picks
                 (out / name).unlink()
-        for name, text in rescaled.items():
+        for name, text in files.items():
             (out / name).write_text(text)
-        (out / "report.json").write_text(analysis.report_text())
-
-        live = ({"chart_residuals": _check_chart_residuals(run, seed)}
-                if "chart_residuals" in config.analysis.checks else {})
-        manifest["acceptance"] = _acceptance(config, manifest, diag, flow,
-                                             analysis, live)
-        manifest["passed"] = all(manifest["acceptance"].values())
         code = 0 if manifest["passed"] else 1
     except Exception as exc:  # recorded, not swallowed silently
         manifest["error"] = {"type": type(exc).__name__, "message": str(exc)}
@@ -614,20 +602,18 @@ def execute(config: RunConfig, out_dir: str | Path,
 
 
 def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
-    """Re-evaluate the acceptance map and the analysis from the stored files.
+    """Derive a stored run's record again, as `execute` did, and compare.
 
-    The config is parsed again from the manifest's echo, and `analyze` and
-    `_acceptance` run as in `execute`: every verdict is recomputed from
-    the CSVs and the manifest, except `chart_residuals`, whose stored
-    verdict is carried forward.  `flow.csv` must hold the `t` and
-    `width` columns of `diagnostics.csv` (in the product scenario its `c`
-    the `width` and its `f` the `min_f`) bit for bit: a run writes both
-    from the same arrays.  The recomputed report.json and
-    rescaled_<i>.csv texts must equal the stored files byte for byte, no
-    other rescaled_<i>.csv may be stored, and the recomputed analysis
-    entries must equal the manifest's, as must its T_predicted (from the
-    config), time_ratio and heat_residual_max (from the stored columns);
-    `differs` names each that does not.  Raises RunDirError naming the
+    The config is parsed again from the manifest's echo, and `_record`
+    runs on the stored diagnostics and flow tables, with the stored
+    `chart_residuals` verdict, the one input it does not derive.
+    `flow.csv` must hold the `t` and `width` columns of `diagnostics.csv`
+    (in the product scenario its `c` the `width` and its `f` the `min_f`)
+    bit for bit: a run writes both from the same arrays.  `differs` names
+    each derived file whose text is not the stored one, each stored
+    rescaled_<i>.csv that is not derived, each derived manifest entry
+    whose JSON text is not the stored one, and each stored entry that is
+    neither derived nor in RECORDED_ENTRIES.  Raises RunDirError naming the
     file when the recorded run ended in error, or a stored file is
     missing, empty, cut short or malformed.
     """
@@ -663,19 +649,17 @@ def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
                 raise RunDirError(
                     f"{flow_path}: column {name} differs from the "
                     f"{diag_name} column of {diag_path.name}")
-        _, report_text = _read_json(run_dir / "report.json")
-        T_observed = manifest["T_observed"]
+        _read_json(run_dir / "report.json")  # not JSON: exit 3, not 1
+        chart_ok = (stored["chart_residuals"]
+                    if "chart_residuals" in config.analysis.checks else None)
+        record: dict = {}
         try:
-            analysis = analyze(diag, T_observed, config.analysis)
+            files = _record(config, diag, flow, chart_ok, record)
         except (AnalysisError, ArithmeticError, ValueError) as exc:
             raise RunDirError(
-                f"{diag_path}: no analysis with T_observed = {T_observed} "
-                f"({type(exc).__name__}: {exc})") from exc
-        results = _acceptance(config, manifest, diag, flow, analysis, stored)
-        T_predicted = predict_max_time(config.params)
-        run_numbers = {"T_predicted": T_predicted,
-                       "time_ratio": T_observed / T_predicted,
-                       "heat_residual_max": _heat_max(diag["heat_residual"])}
+                f"{diag_path}: no analysis with T_observed = "
+                f"{record.get('T_observed')} ({type(exc).__name__}: {exc})"
+            ) from exc
     except HarnessError as exc:
         raise RunDirError(f"{manifest_path}: config echo: {exc}") from exc
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
@@ -683,25 +667,25 @@ def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
                           f"({type(exc).__name__}: {exc})") from exc
     except FlowError as exc:
         raise RunDirError(f"{run_dir}: {exc}") from exc
-    differs = [] if report_text == analysis.report_text() else ["report.json"]
-    rescaled = analysis.rescaled_texts()
-    differs += [name for name, text in rescaled.items()
-                if _read_text(run_dir / name) != text]
+    differs = [name for name, text in files.items()
+               if _read_text(run_dir / name) != text]
     differs += [name for name in _stored_rescaled(run_dir)
-                if name not in rescaled]
-    # JSON text compares NaN equal to NaN; floats round-trip through it
-    differs += [f"manifest.json {key}"
-                for key, value in (run_numbers
-                                   | analysis.manifest_fields()).items()
+                if name not in files]
+    # JSON text compares NaN equal to NaN and floats round-trip through
+    # it; sorted keys, as the manifest is written
+    differs += [f"manifest.json {key}" for key, value in record.items()
                 if key not in manifest
-                or json.dumps(manifest[key]) != json.dumps(value)]
+                or json.dumps(manifest[key], sort_keys=True)
+                != json.dumps(value, sort_keys=True)]
+    differs += [f"manifest.json {key}" for key in sorted(
+        manifest.keys() - record.keys() - RECORDED_ENTRIES)]
     summary = {
         "run_dir": str(run_dir),
-        "recheck": results,
+        "recheck": record["acceptance"],
         "stored": stored,
         "differs": differs,
-        "consistent": results == stored and not differs,
-        "passed": all(results.values()),
+        "consistent": not differs,
+        "passed": record["passed"],
     }
     return summary, 0 if summary["passed"] and summary["consistent"] else 1
 
@@ -718,6 +702,8 @@ def _execute_member(item: tuple[RunConfig, str, int]) -> tuple[dict, int]:
 def run_sweep(configs: Sequence[tuple[str, RunConfig]], base_dir: str | Path,
               workers: int = 2, seed: int = 0) -> tuple[dict, int]:
     _require_seed(seed)
+    if workers < 1:
+        raise ValidationError("workers", "must be at least 1")
     base = Path(base_dir)
     out_dirs = [str(base / Path(name).stem) for name, _ in configs]
     writer: dict[str, str] = {}
@@ -734,7 +720,8 @@ def run_sweep(configs: Sequence[tuple[str, RunConfig]], base_dir: str | Path,
         # sweep uses it.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
             outcomes = list(pool.map(_execute_member, items))
     else:
         outcomes = [_execute_member(it) for it in items]

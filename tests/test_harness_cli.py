@@ -452,20 +452,6 @@ def test_check_run_dir_consistent(hz_dir):
     assert all(summary["recheck"].values())
 
 
-def test_check_detects_tampering(hz_dir, tmp_path):
-    out, _, _ = hz_dir
-    clone = tmp_path / "clone"
-    clone.mkdir()
-    for f in out.iterdir():
-        (clone / f.name).write_bytes(f.read_bytes())
-    manifest = json.loads((clone / "manifest.json").read_text())
-    manifest["T_observed"] = 0.7
-    (clone / "manifest.json").write_text(json.dumps(manifest))
-    summary, code = check_run_dir(clone)
-    assert code == 1
-    assert not summary["recheck"]["time_ratio"]
-
-
 def _clone(src, dst):
     dst.mkdir()
     for f in src.iterdir():
@@ -721,8 +707,15 @@ def _edit_manifest(key, value):
     (_edit_manifest("time_ratio", 7.5), "manifest.json time_ratio"),
     (_edit_manifest("heat_residual_max", 123.0),
      "manifest.json heat_residual_max"),
+    # check derives these from diagnostics.csv and the verdicts, never
+    # from the manifest
+    (_edit_manifest("classification", "TypeII"),
+     "manifest.json classification"),
+    (_edit_manifest("passed", False), "manifest.json passed"),
+    (_edit_manifest("T_observed", 0.7), "manifest.json T_observed"),
 ], ids=["rescaled_0-rm", "plateau_value", "a_decay_exponent", "T_predicted",
-        "time_ratio", "heat_residual_max"])
+        "time_ratio", "heat_residual_max", "classification", "passed",
+        "T_observed"])
 def test_check_edited_analysis_output_fails_naming_it(hz_dir, tmp_path,
                                                       capsys, edit, name):
     # the verdicts still hold; only the stored analysis output is wrong
@@ -748,6 +741,87 @@ def test_check_edited_analysis_note_fails(tmp_path):
     _edit_manifest("analysis_note", "edited")(tmp_path)
     summary, code = check_run_dir(tmp_path)
     assert code == 1 and summary["differs"] == ["manifest.json analysis_note"]
+
+
+@pytest.fixture(scope="module")
+def grid96_dir(tmp_path_factory):
+    """A sweep member run, whose checks are monitors,time_ratio."""
+    out = tmp_path_factory.mktemp("grid96")
+    manifest, code = execute(parse_config(grid_member(96)), out)
+    return out, manifest, code
+
+
+@pytest.mark.parametrize("fixture,key,value", [
+    ("grid96_dir", "classification", "TypeII"),
+    ("grid96_dir", "passed", False),
+    ("product_dir", "passed", False),
+])
+def test_check_edited_entry_no_verdict_reads_fails_naming_it(
+        request, tmp_path, capsys, fixture, key, value):
+    out, manifest, code = request.getfixturevalue(fixture)
+    assert code == 0 and manifest[key] != value
+    clone = _clone(out, tmp_path / "clone")
+    _edit_manifest(key, value)(clone)
+    summary, code = check_run_dir(clone)
+    assert code == 1
+    assert summary["recheck"] == summary["stored"] == manifest["acceptance"]
+    assert summary["differs"] == [f"manifest.json {key}"]
+    assert main(["check", str(clone)]) == 1
+    assert f"  manifest.json {key} differs" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key", ["analysis_note", "made_up"])
+def test_check_manifest_entry_not_derived_fails_naming_it(hz_dir, tmp_path,
+                                                          key):
+    # the run derived a_decay_exponent, not an analysis_note
+    out, manifest, _ = hz_dir
+    assert key not in manifest
+    clone = _clone(out, tmp_path / "clone")
+    edited = dict(manifest, **{key: "edited"})
+    (clone / "manifest.json").write_text(json.dumps(edited))
+    summary, code = check_run_dir(clone)
+    assert code == 1 and summary["differs"] == [f"manifest.json {key}"]
+
+
+# the manifest entries a run records rather than derives from its tables
+RECORDED_INPUTS = {"schema", "code_version", "config", "scenario", "seed",
+                   "output_dir", "error", "stop_reason", "wall_clock_s"}
+
+
+@pytest.mark.parametrize("fixture", ["hz_dir", "product_dir"])
+def test_every_manifest_entry_is_recorded_or_derived_by_record(request,
+                                                               fixture):
+    # an entry `check` does not derive again would be carried on trust
+    out, manifest, _ = request.getfixturevalue(fixture)
+    config = parse_config(HZ_CFG if fixture == "hz_dir" else PRODUCT_CFG)
+    diag = _read_csv(out / "diagnostics.csv", DIAG_COLUMNS)
+    flow = _read_csv(out / "flow.csv", FLOW_COLUMNS[config.scenario])
+    derived: dict = {}
+    harness_cli._record(config, diag, flow, True, derived)
+    assert RECORDED_INPUTS == harness_cli.RECORDED_ENTRIES
+    assert not RECORDED_INPUTS & set(derived)
+    assert set(manifest) == RECORDED_INPUTS | set(derived)
+    assert json.dumps(derived, sort_keys=True) == json.dumps(
+        {key: manifest[key] for key in derived}, sort_keys=True)
+
+
+def test_error_manifest_keeps_the_run_numbers(tmp_path):
+    # the analysis raises TooFewSamples after the run's numbers are derived
+    text = PRODUCT_CFG + "dt_max = 1.0\ntime_frac = 1.0\n"
+    config = parse_config(text)
+    manifest, code = execute(config, tmp_path)
+    assert code == 3 and manifest["error"]["type"] == "TooFewSamples"
+    diag = _read_csv(tmp_path / "diagnostics.csv", DIAG_COLUMNS)
+    stored = json.loads((tmp_path / "manifest.json").read_text())
+    T_predicted = calabi_flow.predict_max_time(config.params)
+    T_observed = calabi_flow.observed_stop_time(config.params, diag)
+    assert {key: stored[key] for key in (
+        "T_predicted", "T_observed", "time_ratio", "steps_recorded",
+        "heat_residual_max")} == {
+        "T_predicted": T_predicted, "T_observed": T_observed,
+        "time_ratio": T_observed / T_predicted,
+        "steps_recorded": diag["t"].size, "heat_residual_max": 0.0}
+    assert stored["classification"] is None and stored["acceptance"] == {}
 
 
 def _hz(params: str) -> str:
@@ -879,6 +953,49 @@ def test_sweep_convergence_order(tmp_path):
     assert len(stored["members"]) == 3
     for n in (96, 128, 192):
         assert (tmp_path / "sweep" / f"grid_{n}" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_worker_count_below_one_is_a_config_error(tmp_path, capsys,
+                                                        workers):
+    # both ran the sweep in sequence before
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(PRODUCT_CFG)
+    out = tmp_path / "out"
+    assert main(["sweep", str(cfg), "--output", str(out),
+                 "--workers", workers]) == 2
+    err = capsys.readouterr().err
+    assert "config error: workers: must be at least 1" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sweep_pool_has_no_more_workers_than_configs(tmp_path, monkeypatch):
+    # a fork pool starts all max_workers processes at the first submit, so
+    # a fake records the size asked for and runs the members in process
+    import concurrent.futures
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    configs = [(f"{name}.cfg", parse_config(PRODUCT_CFG))
+               for name in ("a", "b")]
+    summary, code = run_sweep(configs, tmp_path, workers=64)
+    assert code == 0 and summary["all_passed"] is True
+    assert sizes == [2]
 
 
 # ---------------------------------------------------------------------------
