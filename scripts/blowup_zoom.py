@@ -15,7 +15,7 @@ from fiberflow import (
     pick_blowup_sequence,
     run_flow,
 )
-from fiberflow.harness_cli import AnalysisConfig, analyze
+from fiberflow.harness_cli import AnalysisConfig, ValidationError, analyze
 
 
 def main(argv=None) -> int:
@@ -27,12 +27,14 @@ def main(argv=None) -> int:
     ap.add_argument("--json", action="store_true",
                     help="emit the full report as JSON instead of a table")
     args = ap.parse_args(argv)
+    try:
+        analysis = AnalysisConfig(mode=args.mode, max_picks=args.picks)
+    except ValidationError as exc:
+        ap.error(str(exc))
 
     run = run_flow(HirzebruchParams(grid_points=args.grid), RunSettings())
     diag = run.diagnostics
-    report, tables, note = analyze(
-        diag, run.T_observed,
-        AnalysisConfig(mode=args.mode, max_picks=args.picks))
+    report, tables, note = analyze(diag, run.T_observed, analysis)
     split = report.get("splitting")
     if split is None:
         raise SystemExit(f"no qualifying picks: {note}")

@@ -34,7 +34,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 from importlib.machinery import PathFinder
-from typing import Callable, Generator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -229,7 +229,7 @@ class FlowRun:
     hirzebruch run keeps (None for the product scenario): its first
     recorded state at or past half the span the run aims to cover,
     t >= (T_predicted - stop_margin) / 2, or its last recorded state if it
-    stops earlier."""
+    stops earlier.  `stop_reason` is `stop_cause` of the table."""
 
     scenario: str
     params: HirzebruchParams | ProductParams
@@ -964,17 +964,22 @@ def product_closed_form(f0: float, c0: float, R_h: float, n: int,
 # runs
 
 
+def _collapse_proxy(params: HirzebruchParams | ProductParams,
+                    diag: dict[str, np.ndarray]) -> np.ndarray:
+    """4 k max_v per recorded state for hirzebruch, width for product."""
+    return (diag["width"] if isinstance(params, ProductParams)
+            else 4.0 * params.k * diag["max_v"])
+
+
 def observed_stop_time(params: HirzebruchParams | ProductParams,
                        diag: dict[str, np.ndarray]) -> float:
     """T_observed of a run whose diagnostics table is `diag`, the one rule
     of `run_flow` and `fiberflow check`: the root of a linear fit of the
-    collapse proxy (4 k max_v for hirzebruch, the fiber width for product)
-    over the last decade of remaining time (over all times if that decade
-    holds one); the last time if the fit degenerates or only one time is
-    recorded."""
+    collapse proxy over the last decade of remaining time (over all times
+    if that decade holds one); the last time if the fit degenerates or
+    only one time is recorded."""
     times = diag["t"]
-    widths = (diag["width"] if isinstance(params, ProductParams)
-              else 4.0 * params.k * diag["max_v"])
+    widths = _collapse_proxy(params, diag)
     if times.size < 2:
         return float(times[-1])
     remaining = predict_max_time(params) - times
@@ -1000,6 +1005,20 @@ def _step_size(settings: RunSettings, t_pred: float,
     return min(settings.dt_max, settings.time_frac * (t_pred - t), remaining)
 
 
+def stop_cause(params: HirzebruchParams | ProductParams,
+               settings: RunSettings, diag: dict[str, np.ndarray]) -> str:
+    """Why a run whose diagnostics table is `diag` stopped, by the rules of
+    the stepping loops: `fiber_collapsed` if it took a step and its last
+    collapse proxy is below V_FLOOR, else `time_exhausted` if the step
+    rule gives no next step, else `step_rejected`."""
+    t = diag["t"]
+    if t.size > 1 and _collapse_proxy(params, diag)[-1] < V_FLOOR:
+        return "fiber_collapsed"
+    if _step_size(settings, predict_max_time(params), float(t[-1])) is None:
+        return "time_exhausted"
+    return "step_rejected"
+
+
 def run_flow(params: HirzebruchParams | ProductParams,
              settings: RunSettings | None = None) -> FlowRun:
     settings = settings or RunSettings()
@@ -1019,14 +1038,12 @@ def _run_product(params: ProductParams, settings: RunSettings) -> FlowRun:
     # (f, c, 2/c) per state, as Python floats: the golden digests of
     # configs/product.cfg pin the bytes of that arithmetic
     rows = [product_closed_form(params.f0, params.c0, rh, params.n, t)]
-    stop_reason = "time_exhausted"
     while (dt := _step_size(settings, t_pred, t)) is not None:
         t = t + dt
         times.append(t)
         rows.append(product_closed_form(params.f0, params.c0, rh, params.n,
                                         t))
         if rows[-1][1] < V_FLOOR:
-            stop_reason = "fiber_collapsed"
             break
     f, c, k_v = zip(*rows)
     kappa_h = [rh / params.n / x for x in f]
@@ -1047,37 +1064,33 @@ def _run_product(params: ProductParams, settings: RunSettings) -> FlowRun:
     return FlowRun(scenario="product", params=params, diagnostics=diags,
                    flow=flow, sample=None, T_predicted=t_pred,
                    T_observed=observed_stop_time(params, diags),
-                   stop_reason=stop_reason)
+                   stop_reason=stop_cause(params, settings, diags))
 
 
 def recorded_states(params: HirzebruchParams,
                     settings: RunSettings | None = None
-                    ) -> Generator[FlowState, None, str]:
+                    ) -> Iterator[FlowState]:
     """The recorded states of a hirzebruch run, in order: the initial
-    state and every stepped state.  Returns the stop reason.  This is the
-    one stepping loop: `run_flow` consumes it, and tests that need the
-    profiles of a run take them from it."""
+    state and every stepped state.  This is the one stepping loop:
+    `run_flow` consumes it, and tests that need the profiles of a run take
+    them from it; `stop_cause` reads why it stopped off the run's table."""
     settings = settings or RunSettings()
     problem = FlowProblem(params)
     state = init_hirzebruch_profile(params)
     t_pred = predict_max_time(params)
     yield state
-    stop_reason = "time_exhausted"
     while (dt := _step_size(settings, t_pred, state.t)) is not None:
         try:
             new_state = step_flow(problem, state, dt)
         except StepRejected as exc:
-            stop_reason = "step_rejected"
             log.warning("run stopped early at t=%.6f: %s", state.t, exc)
-            break
+            return
         if not new_state.t > state.t:
             raise FlowError(f"step of dt={dt!r} did not advance t={state.t!r}")
         state = new_state
         yield state
         if 4.0 * params.k * _max_v(state.df, problem.drho, params.k) < V_FLOOR:
-            stop_reason = "fiber_collapsed"
-            break
-    return stop_reason
+            return
 
 
 def _run_hirzebruch(params: HirzebruchParams,
@@ -1088,8 +1101,6 @@ def _run_hirzebruch(params: HirzebruchParams,
     one state of halo on each side, and all but the last two states are
     dropped: those are the halo of the next heat residuals.  The monitor
     columns are filled from the run's columns at the end."""
-    states = recorded_states(params, settings)
-    state = next(states)
     t_pred = predict_max_time(params)
     half = 0.5 * (t_pred - settings.stop_margin)
     size = max(1, _FLUSH_NODES // params.grid_points)
@@ -1104,7 +1115,7 @@ def _run_hirzebruch(params: HirzebruchParams,
         heat.append(heat_residual_series(buf, params)[1:-1])
         del buf[:-2]
 
-    while True:
+    for state in recorded_states(params, settings):
         buf.append(state)
         # every recorded f is nondecreasing, so its min and max are its
         # ends: the initial f sums monotone logistic steps, a stepped f is
@@ -1114,11 +1125,6 @@ def _run_hirzebruch(params: HirzebruchParams,
             sample = state
         if len(rows) % size == 0:
             flush(size)
-        try:
-            state = next(states)
-        except StopIteration as stop:
-            stop_reason = stop.value
-            break
     if len(rows) % size:
         flush(len(rows) % size)
     if len(rows) > 1:
@@ -1134,7 +1140,7 @@ def _run_hirzebruch(params: HirzebruchParams,
                    flow=flow, sample=state if sample is None else sample,
                    T_predicted=t_pred,
                    T_observed=observed_stop_time(params, diags),
-                   stop_reason=stop_reason)
+                   stop_reason=stop_cause(params, settings, diags))
 
 
 def loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:

@@ -67,10 +67,6 @@ class BaseMetric:
     ricci: np.ndarray
     scalar: float
 
-    def einstein_residual(self) -> np.ndarray:
-        """(scalar/n) h - ricci, the pointwise Kahler-Einstein defect."""
-        return (self.scalar / self.n) * self.h - self.ricci
-
 
 def _fs_factor(z: np.ndarray) -> np.ndarray:
     """a = 1 / (1 + |z|^2) over the last axis of z."""
@@ -91,44 +87,6 @@ def fubini_study_base(z: np.ndarray) -> BaseMetric:
     return BaseMetric(n=n, h=h, ricci=(n + 1.0) * h, scalar=float(n * (n + 1)))
 
 
-def fubini_study_derivatives(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Holomorphic first and mixed second derivatives of the Fubini-Study h
-    at one chart point z (n,): dh[k,i,j] = d_k h_ij and
-    d2h[k,l,i,j] = d_k d_lbar h_ij.  Chart evaluation does not need them.
-
-    In d2h, `d_kl` is delta_kl, `d_il` delta_il and so on, each broadcast
-    over the two axes it does not carry.
-    """
-    z = np.asarray(z, dtype=complex)
-    n = z.size
-    a = float(_fs_factor(z))
-    eye = np.eye(n)
-    zb = z.conj()
-    zz = np.outer(zb, z)
-    # d_k h_ij = -a^2 (delta_ij zb_k + delta_jk zb_i) + 2 a^3 zb_i z_j zb_k,
-    # stacked over k on the leading axis
-    zk = zb[:, None, None]
-    dh = (-(a * a) * (eye * zk)
-          - (a * a) * (zb[:, None] * eye[:, None, :])
-          + 2.0 * a ** 3 * zz * zk)
-    d_ij = eye[None, None]
-    d_kl = eye[:, :, None, None]
-    d_il = eye.T[None, :, :, None]
-    d_kj = eye[:, None, None, :]
-    zb_k = zb[:, None, None, None]
-    z_l = z[None, :, None, None]
-    zz_kl = zz[:, :, None, None]
-    d2h = (-(a ** 2) * (d_ij * d_kl)
-           + 2.0 * a ** 3 * (d_ij * zz_kl))
-    d2h = d2h - (a ** 2) * (d_il * d_kj)
-    d2h = d2h + 2.0 * a ** 3 * (
-        (zb[:, None] * d_kj) * z_l
-        + (d_il * z) * zb_k
-        + d_kl * zz
-    )
-    return dh, d2h - 6.0 * a ** 4 * zz * zz_kl
-
-
 def flat_base(n: int) -> BaseMetric:
     """Flat base: identity h, zero curvature."""
     eye = np.eye(n, dtype=complex)
@@ -137,7 +95,7 @@ def flat_base(n: int) -> BaseMetric:
 
 
 def perturbed_fs_base(z: np.ndarray, amplitude: float = 0.1,
-                      step: float = 1e-3) -> BaseMetric:
+                      step: float = DEFAULT_FD_STEP) -> BaseMetric:
     """Fubini-Study base rescaled by a position-dependent factor.
 
     Keeps the unperturbed scalar constant in the declaration, so the
@@ -240,23 +198,16 @@ def assemble_block_metric(blocks: ChartMetricBlocks, check: bool = True) -> np.n
     return g
 
 
-def fiber_christoffel(blocks: ChartMetricBlocks) -> np.ndarray:
-    """Gamma^i_{xi xi} = (1/f) h^{i jbar} g_fiber d_xi conj(s_j).
-
-    Vanishes exactly when the fibers are totally geodesic.
-    """
+def check_totally_geodesic(blocks: ChartMetricBlocks) -> float:
+    """Max norm of the fiber Christoffel block
+    Gamma^i_{xi xi} = (1/f) h^{i jbar} g_fiber d_xi conj(s_j), which
+    vanishes exactly when the fibers are totally geodesic."""
     try:
         # h^{i jbar} w_j contracts with the conjugate-transposed inverse
         contr = np.linalg.solve(blocks.base.h.conj(), blocks.dsbar_dxi)
     except np.linalg.LinAlgError as exc:
         raise SingularBase("base metric numerically singular") from exc
-    return (blocks.g_fiber / blocks.f) * contr
-
-
-def check_totally_geodesic(blocks: ChartMetricBlocks) -> float:
-    """Max norm of the fiber Christoffel block; zero iff fibers are geodesic."""
-    gamma = fiber_christoffel(blocks)
-    return float(np.max(np.abs(gamma)))
+    return float(np.max(np.abs((blocks.g_fiber / blocks.f) * contr)))
 
 
 def check_kahler_compatibility(blocks: ChartMetricBlocks) -> float:
@@ -266,8 +217,9 @@ def check_kahler_compatibility(blocks: ChartMetricBlocks) -> float:
 
 
 def check_base_einstein(base: BaseMetric) -> float:
-    """Max-entry norm of (scalar/n) h - ricci against the declared constant."""
-    return float(np.max(np.abs(base.einstein_residual())))
+    """Max-entry norm of (scalar/n) h - ricci, the pointwise Kahler-Einstein
+    defect against the declared constant."""
+    return float(np.max(np.abs((base.scalar / base.n) * base.h - base.ricci)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +261,7 @@ def ricci_blocks(blocks: ChartMetricBlocks) -> RicciBlocks:
     """
     if blocks.horizontal_homothety_residual() > STRUCTURE_TOL:
         raise StructureViolation("gradient of f has a horizontal component")
-    if float(np.max(np.abs(blocks.dsbar_dxi), initial=0.0)) > STRUCTURE_TOL:
+    if check_totally_geodesic(blocks) > STRUCTURE_TOL:
         raise StructureViolation("fibers not totally geodesic")
     n = blocks.n
     g = blocks.g_fiber

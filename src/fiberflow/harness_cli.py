@@ -52,6 +52,7 @@ from .calabi_flow import (
     product_closed_form,
     run_flow,
     sampler_from_state,
+    stop_cause,
 )
 from .chart_geometry import (
     check_kahler_compatibility,
@@ -74,8 +75,7 @@ DIAG_CSV_SCHEMA = "fiberflow.diagnostics/1"
 RESCALED_CSV_SCHEMA = "fiberflow.rescaled/1"
 # the manifest entries a run records; `_record` derives every other one
 RECORDED_ENTRIES = frozenset({"schema", "code_version", "config", "scenario",
-                              "seed", "output_dir", "error", "stop_reason",
-                              "wall_clock_s"})
+                              "seed", "output_dir", "error", "wall_clock_s"})
 
 HEAT_RESIDUAL_TOL = 1e-3
 SLACK_TOL = 1e-6
@@ -151,6 +151,23 @@ class AnalysisConfig:
     max_picks: int = 8
     heat_tol: float = HEAT_RESIDUAL_TOL
     checks: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for name in self.checks:
+            if name not in CHECK_NAMES:
+                raise ValidationError(
+                    name, f"unknown check{_suggestion(name, CHECK_NAMES)}")
+        if self.max_picks < 1:
+            raise ValidationError("max_picks", "must be at least 1")
+        # a heat residual is never negative: the gate could then never pass
+        if not 0.0 <= self.heat_tol < math.inf:
+            raise ValidationError(
+                "heat_tol", f"must be finite and at least 0, got "
+                            f"{self.heat_tol!r}")
+        if self.mode not in PICK_MODES:
+            raise ValidationError(
+                "mode", f"unknown pick mode {self.mode!r}"
+                        f"{_suggestion(self.mode, PICK_MODES)}")
 
 
 @dataclass(frozen=True)
@@ -290,29 +307,14 @@ def parse_config(text: str) -> RunConfig:
             "stop_margin", f"must be below the predicted collapse time "
                            f"{t_pred!r} in [flow]")
 
-    if "checks" not in ana_kv:
-        ana_kv["checks"] = DEFAULT_CHECKS[scenario]
+    ana_kv.setdefault("checks", DEFAULT_CHECKS[scenario])
+    analysis = AnalysisConfig(**ana_kv)
     scenario_only = {"closed_form": "product", "chart_residuals": "hirzebruch"}
-    for name in ana_kv["checks"]:
-        if name not in CHECK_NAMES:
-            raise ValidationError(
-                name, f"unknown check{_suggestion(name, CHECK_NAMES)}")
+    for name in analysis.checks:
         needs = scenario_only.get(name)
         if needs is not None and needs != scenario:
             raise ValidationError(
                 name, f"check only applies to the {needs} scenario")
-    analysis = AnalysisConfig(**ana_kv)
-    if analysis.max_picks < 1:
-        raise ValidationError("max_picks", "must be at least 1")
-    # a heat residual is never negative: the gate could then never pass
-    if not 0.0 <= analysis.heat_tol < math.inf:
-        raise ValidationError(
-            "heat_tol", f"must be finite and at least 0, got "
-                        f"{analysis.heat_tol!r}")
-    if analysis.mode not in PICK_MODES:
-        raise ValidationError(
-            "mode", f"unknown pick mode {analysis.mode!r}"
-                    f"{_suggestion(analysis.mode, PICK_MODES)}")
 
     echo = {name: {k: v for k, (v, _) in kv.items()}
             for name, kv in sections.items()}
@@ -468,6 +470,8 @@ def _record(config: RunConfig, diag: dict[str, np.ndarray],
     resid = diag["heat_residual"]  # NaN where a row has no time stencil
     record.update(T_predicted=T_predicted, T_observed=T_observed,
                   time_ratio=T_observed / T_predicted,
+                  stop_reason=stop_cause(config.params, config.settings,
+                                         diag),
                   steps_recorded=len(diag["t"]),
                   heat_residual_max=(float("nan") if np.all(np.isnan(resid))
                                      else float(np.nanmax(resid))))
@@ -505,7 +509,8 @@ def _acceptance(config: RunConfig, diag: dict[str, np.ndarray],
             ok = (record["heat_residual_max"] <= ana.heat_tol
                   and np.max(diag["max_f_slack"]) <= SLACK_TOL
                   and np.all(diag["grad_bound_ok"] > 0.5)
-                  and np.min(diag["min_f"]) > 0.0)
+                  and np.min(diag["min_f"]) > 0.0
+                  and record["stop_reason"] != "step_rejected")
         elif name == "time_ratio":
             ok = abs(record["time_ratio"] - 1.0) <= TIME_RATIO_BAND
         elif name == "classification":
@@ -518,7 +523,7 @@ def _acceptance(config: RunConfig, diag: dict[str, np.ndarray],
                                          float(t))[:2] for t in flow["t"]]
             got = np.column_stack((flow["f"], flow["c"]))
             ok = np.max(np.abs(got - exact)) <= CLOSED_FORM_TOL
-        else:
+        elif name == "chart_residuals":
             ok = chart_ok
         checks[name] = bool(ok)
     return checks
@@ -574,7 +579,6 @@ def execute(config: RunConfig, out_dir: str | Path,
     code = 3
     try:
         run = run_flow(config.params, config.settings)
-        manifest["stop_reason"] = run.stop_reason
         (out / "flow.csv").write_text(_csv_text(FLOW_CSV_SCHEMA, run.flow))
         (out / "diagnostics.csv").write_text(
             _csv_text(DIAG_CSV_SCHEMA, run.diagnostics))

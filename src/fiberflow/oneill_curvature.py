@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart_geometry import (
+    DEFAULT_FD_STEP,
     ChartError,
     ChartMetricBlocks,
     ChartSampler,
@@ -203,7 +204,8 @@ def dilation_grad_norm_sq(fp: FramePoint) -> float:
 
 
 def sectional_residual(fp: FramePoint, x: np.ndarray, y: np.ndarray,
-                       kappa_base: float, step: float = 1e-3) -> float:
+                       kappa_base: float,
+                       step: float = DEFAULT_FD_STEP) -> float:
     """Defect of kappa_B / f = kappa_M + 3 |A_xy|^2 + |grad ln lambda|^2.
 
     `kappa_base` is the base sectional curvature of the projected plane;
@@ -225,7 +227,7 @@ def sectional_residual(fp: FramePoint, x: np.ndarray, y: np.ndarray,
 
 
 def base_sectional_fd(fp: FramePoint, x: np.ndarray, y: np.ndarray,
-                      step: float = 1e-3) -> float:
+                      step: float = DEFAULT_FD_STEP) -> float:
     """Base sectional curvature of the projected plane, by stencils on the
     base metric alone (the projection drops fiber coordinates)."""
     n = fp.n
@@ -264,7 +266,9 @@ def _hessian_ln_f(fp: FramePoint, step: float) -> np.ndarray:
 
 def _mixed_sectional(fp: FramePoint, u: np.ndarray, x: np.ndarray,
                      hess_ln_f: np.ndarray) -> float:
-    """Closed form of `mixed_sectional_closed` from a ready Hessian matrix."""
+    """<R(x, u) u, x> for unit vertical u, unit horizontal x, in closed form
+    -1/2 (Hess ln f (u, u) + (d ln f (u))^2) + |A_x u|^2 from a ready
+    Hessian matrix of ln f; the rest is frame algebra."""
     v = grad_ln_f(fp)
     du = inner(fp, v, u)
     au = a_tensor_mixed(fp, x, u)
@@ -272,18 +276,8 @@ def _mixed_sectional(fp: FramePoint, u: np.ndarray, x: np.ndarray,
     return -0.5 * (hess + du * du) + inner(fp, au, au)
 
 
-def mixed_sectional_closed(fp: FramePoint, u: np.ndarray, x: np.ndarray,
-                           step: float = 1e-3) -> float:
-    """<R(x, u) u, x> for unit vertical u, unit horizontal x.
-
-    Closed form -1/2 (Hess ln f (u, u) + (d ln f (u))^2) + |A_x u|^2; the
-    Hessian piece is stenciled, the rest is frame algebra.
-    """
-    return _mixed_sectional(fp, u, x, _hessian_ln_f(fp, step))
-
-
 def vertical_horizontal_curvature(fp: FramePoint,
-                                  step: float = 1e-3) -> np.ndarray:
+                                  step: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Closed-form R(v_i, x_j, v_i, x_j) over the adapted frames, (2, 2n).
 
     Each entry stays bounded while the fiber collapses, which is what
@@ -297,7 +291,7 @@ def vertical_horizontal_curvature(fp: FramePoint,
     return out
 
 
-def mixed_curvature_residuals(fp: FramePoint, step: float = 1e-3,
+def mixed_curvature_residuals(fp: FramePoint, step: float = DEFAULT_FD_STEP,
                               rlow: np.ndarray | None = None
                               ) -> tuple[float, float]:
     """Max |<R(h, h) h, v>| and |<R(v, v) v, h>| over the adapted frames.

@@ -5,8 +5,11 @@ The logistic profile here is written from scratch so tests do not lean on
 the library's own profile code when checking library output.
 """
 
+import itertools
+
 import numpy as np
 
+from fiberflow import calabi_flow
 from fiberflow.harness_cli import parse_config, run_sweep
 
 
@@ -18,6 +21,21 @@ def make_logistic(lower, width):
         s3 = s2 * (1.0 - 2.0 * sig) - 2.0 * s1 * s1
         return lower + width * sig, width * s1, width * s2, width * s3
     return prof
+
+
+def reject_steps_after(monkeypatch, calls):
+    """Make every step solve after the first `calls` raise StepRejected,
+    with no step halving to retry it, so a run stops at its next step."""
+    real = calabi_flow.FlowProblem.step_once
+    count = itertools.count()
+
+    def step_once(self, u, dt):
+        if next(count) >= calls:
+            raise calabi_flow.StepRejected("injected rejection")
+        return real(self, u, dt)
+
+    monkeypatch.setattr(calabi_flow.FlowProblem, "step_once", step_once)
+    monkeypatch.setattr(calabi_flow, "MAX_HALVINGS", 0)
 
 
 def grid_member(n):

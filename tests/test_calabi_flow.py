@@ -32,6 +32,7 @@ from fiberflow.calabi_flow import (
     run_flow,
     sampler_from_state,
     step_flow,
+    stop_cause,
 )
 from fiberflow.chart_geometry import (
     calabi_sampler,
@@ -53,7 +54,8 @@ from fiberflow.oneill_curvature import (
     vertical_sectional,
 )
 from fiberflow.harness_cli import load_config, main, parse_config
-from conftest import grid_member, grid_sweep, make_logistic
+from conftest import (grid_member, grid_sweep, make_logistic,
+                      reject_steps_after)
 from test_golden_outputs import DIGESTS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -697,6 +699,60 @@ def test_v_floor_stop_reason(monkeypatch):
     run = run_flow(HirzebruchParams(), RunSettings())
     assert run.stop_reason == "fiber_collapsed"
     assert run.diagnostics["t"][-1] < run.T_predicted - 0.05
+
+
+# name: (params, settings, V_FLOOR or None, step solves before every
+# further one is rejected or None, the cause the loop stopped for)
+STOP_CAUSES = {
+    "hirzebruch-time": (HirzebruchParams(grid_points=64), RunSettings(),
+                        None, None, "time_exhausted"),
+    "hirzebruch-collapse": (HirzebruchParams(grid_points=64), RunSettings(),
+                            0.3, None, "fiber_collapsed"),
+    "hirzebruch-rejected": (HirzebruchParams(grid_points=64), RunSettings(),
+                            None, 20, "step_rejected"),
+    "hirzebruch-rejected-first-step": (HirzebruchParams(grid_points=64),
+                                       RunSettings(), None, 0,
+                                       "step_rejected"),
+    "product-time": (ProductParams(), RunSettings(), None, None,
+                     "time_exhausted"),
+    # c = 2 (T - t) falls below V_FLOOR before the time runs out
+    "product-collapse": (ProductParams(), RunSettings(stop_margin=1e-7),
+                         None, None, "fiber_collapsed"),
+    # the last step both runs out of time and collapses c: the collapse
+    # rule comes first in the loop
+    "product-collapse-last-step": (
+        ProductParams(), RunSettings(dt_fixed=0.1, stop_margin=1e-7),
+        None, None, "fiber_collapsed"),
+}
+
+
+@pytest.mark.parametrize("name", list(STOP_CAUSES))
+def test_stop_cause_names_the_rule_that_stopped_the_loop(name, monkeypatch,
+                                                         caplog):
+    params, settings, v_floor, reject_after, cause = STOP_CAUSES[name]
+    if v_floor is not None:
+        monkeypatch.setattr(calabi_flow, "V_FLOOR", v_floor)
+    if reject_after is not None:
+        reject_steps_after(monkeypatch, reject_after)
+    run = run_flow(params, settings)
+    diag = run.diagnostics
+    assert stop_cause(params, settings, diag) == run.stop_reason == cause
+    # what each rule of the loop leaves in the table
+    t = diag["t"]
+    aim = run.T_predicted - settings.stop_margin
+    proxy = (diag["width"] if isinstance(params, ProductParams)
+             else 4.0 * params.k * diag["max_v"])
+    floor = calabi_flow.V_FLOOR
+    if cause == "step_rejected":
+        assert t.size == reject_after + 1 and t[-1] < aim
+        assert "run stopped early" in caplog.text
+    elif cause == "time_exhausted":
+        assert t[-1] == pytest.approx(aim, abs=1e-12)
+        assert np.all(proxy[1:] >= floor)
+    else:
+        assert proxy[-1] < floor and np.all(proxy[1:-1] >= floor)
+        assert (t[-1] == pytest.approx(aim, abs=1e-12)) == (
+            name == "product-collapse-last-step")
 
 
 @pytest.mark.parametrize("params", [HirzebruchParams(grid_points=64),

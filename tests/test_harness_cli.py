@@ -25,6 +25,7 @@ from fiberflow.harness_cli import (
     FLOW_KEYS,
     PARAM_KEYS,
     RUN_KEYS,
+    AnalysisConfig,
     ParseError,
     RunDirError,
     ValidationError,
@@ -39,7 +40,7 @@ from fiberflow.harness_cli import (
     run_sweep,
 )
 
-from conftest import grid_member
+from conftest import grid_member, reject_steps_after
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -126,6 +127,10 @@ def test_malformed_section_and_duplicates():
         parse_config("[run]\nscenario = product\nscenario = product\n")
     with pytest.raises(ParseError, match="before any"):
         parse_config("scenario = product\n")
+    with pytest.raises(ParseError, match="empty section name"):
+        parse_config("[ ]\nscenario = product\n")
+    with pytest.raises(ParseError, match="missing key before '='"):
+        parse_config("[run]\n= product\n")
 
 
 def test_unknown_section_suggestion():
@@ -138,6 +143,12 @@ def test_unknown_scenario_suggestion():
         parse_config("[run]\nscenario = prodcut\n")
 
 
+def test_missing_scenario_rejected():
+    with pytest.raises(ValidationError, match="required key missing") as err:
+        parse_config("[run]\noutput_dir = out\n")
+    assert err.value.key == "scenario"
+
+
 def test_bad_value_names_key_and_line():
     text = "[run]\nscenario = product\n\n[params]\nf0 = three\n"
     with pytest.raises(ValidationError, match="f0.*line 5"):
@@ -148,6 +159,25 @@ def test_unknown_check_rejected():
     text = "[run]\nscenario = product\n[analysis]\nchecks = classifcation\n"
     with pytest.raises(ValidationError, match="classification"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("kwargs,key,match", [
+    # a misspelt check would record a verdict that no check computed
+    ({"checks": ("montiors", "time_ratio")}, "montiors",
+     "did you mean 'monitors'"),
+    # no pick could qualify
+    ({"max_picks": 0}, "max_picks", "at least 1"),
+    # a gate no run can pass, and one that fails every run
+    ({"heat_tol": -1.0}, "heat_tol", "finite and at least 0"),
+    ({"heat_tol": float("nan")}, "heat_tol", "finite and at least 0"),
+    ({"mode": "typeI_max_curvatur"}, "mode",
+     "did you mean 'typeI_max_curvature'"),
+], ids=["checks-misspelt", "max_picks-0", "heat_tol-negative", "heat_tol-nan",
+        "mode-misspelt"])
+def test_analysis_config_rejects_bad_values_when_made(kwargs, key, match):
+    with pytest.raises(ValidationError, match=match) as err:
+        AnalysisConfig(**kwargs)
+    assert err.value.key == key
 
 
 def test_scenario_mismatched_check_rejected():
@@ -470,19 +500,29 @@ def _damage(path, how):
     elif how == "short":  # cut at a line boundary
         lines = data.splitlines(keepends=True)
         path.write_bytes(b"".join(lines[:len(lines) // 2]))
-    elif how in _NOT_INTEGER:  # a float where the file stores an integer
-        row, column, value = _NOT_INTEGER[how]
+    elif how == "header-only":  # schema line and header, no rows
+        path.write_bytes(b"".join(data.splitlines(keepends=True)[:2]))
+    elif how == "array":  # valid JSON, but not an object
+        path.write_text("[]\n")
+    elif how in _FIELD_DAMAGE:
+        rows, column, value = _FIELD_DAMAGE[how]
         lines = data.decode().splitlines()
-        fields = lines[row].split(",")
-        fields[lines[1].split(",").index(column)] = value
-        lines[row] = ",".join(fields)
+        col = lines[1].split(",").index(column)
+        for row in range(len(lines))[rows]:
+            fields = lines[row].split(",")
+            fields[col] = value
+            lines[row] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
 
 
-# (line index, column, value) of each integer-column damage
-_NOT_INTEGER = {"node-inf": (-1, "node", "inf"),
-                "node-2.5": (2, "node", "2.5"),
-                "grad_bound_ok-0.7": (2, "grad_bound_ok", "0.7")}
+# (line slice, column, value) of each field damage: a float where the
+# file stores an integer, a field that is not a number, and an rm_sup
+# column of zeros, which leaves classify_type no sample to analyse
+_FIELD_DAMAGE = {"node-inf": (slice(-1, None), "node", "inf"),
+                 "node-2.5": (slice(2, 3), "node", "2.5"),
+                 "grad_bound_ok-0.7": (slice(2, 3), "grad_bound_ok", "0.7"),
+                 "t-abc": (slice(2, 3), "t", "abc"),
+                 "rm_sup-zero": (slice(2, None), "rm_sup", "0")}
 
 
 @pytest.mark.parametrize("name,how", [
@@ -493,9 +533,13 @@ _NOT_INTEGER = {"node-inf": (-1, "node", "inf"),
     ("diagnostics.csv", "node-inf"),
     ("diagnostics.csv", "node-2.5"),
     ("diagnostics.csv", "grad_bound_ok-0.7"),
+    ("diagnostics.csv", "header-only"),
+    ("diagnostics.csv", "t-abc"),
+    ("diagnostics.csv", "rm_sup-zero"),
     ("manifest.json", "truncated"),
     ("manifest.json", "empty"),
     ("manifest.json", "missing"),
+    ("manifest.json", "array"),
     ("report.json", "truncated"),
     ("rescaled_0.csv", "missing"),
 ])
@@ -713,9 +757,11 @@ def _edit_manifest(key, value):
      "manifest.json classification"),
     (_edit_manifest("passed", False), "manifest.json passed"),
     (_edit_manifest("T_observed", 0.7), "manifest.json T_observed"),
+    (_edit_manifest("stop_reason", "fiber_collapsed"),
+     "manifest.json stop_reason"),
 ], ids=["rescaled_0-rm", "plateau_value", "a_decay_exponent", "T_predicted",
         "time_ratio", "heat_residual_max", "classification", "passed",
-        "T_observed"])
+        "T_observed", "stop_reason"])
 def test_check_edited_analysis_output_fails_naming_it(hz_dir, tmp_path,
                                                       capsys, edit, name):
     # the verdicts still hold; only the stored analysis output is wrong
@@ -785,7 +831,7 @@ def test_check_manifest_entry_not_derived_fails_naming_it(hz_dir, tmp_path,
 
 # the manifest entries a run records rather than derives from its tables
 RECORDED_INPUTS = {"schema", "code_version", "config", "scenario", "seed",
-                   "output_dir", "error", "stop_reason", "wall_clock_s"}
+                   "output_dir", "error", "wall_clock_s"}
 
 
 @pytest.mark.parametrize("fixture", ["hz_dir", "product_dir"])
@@ -862,6 +908,21 @@ def test_run_then_check_agree(tmp_path, name):
         assert manifest["acceptance"]["monitors"] is False
     else:
         assert all(manifest["acceptance"].values())
+
+
+def test_run_stopped_by_a_rejected_step_fails_monitors(tmp_path,
+                                                       monkeypatch):
+    reject_steps_after(monkeypatch, 55)
+    manifest, code = execute(load_config(CONFIGS / "hirzebruch.cfg"),
+                             tmp_path)
+    assert manifest["stop_reason"] == "step_rejected"
+    assert manifest["steps_recorded"] == 56
+    assert code == 1
+    assert [name for name, ok in manifest["acceptance"].items()
+            if not ok] == ["monitors"]
+    summary, check_code = check_run_dir(tmp_path)
+    assert check_code == 1 and summary["consistent"] is True
+    assert summary["recheck"] == manifest["acceptance"]
 
 
 # the tables a run holds in memory are the tables its CSVs store

@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from fiberflow.harness_cli import execute, parse_config
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -50,6 +52,16 @@ def test_blowup_zoom_table_has_a_row_per_pick_of_the_report(tmp_path,
     assert [row[1] for row in rows] == [f"{k:.3f}"
                                         for k in split["curvatures"]]
     assert lines[-1] == f"verdict: {split['verdict']}"
+
+
+def test_blowup_zoom_refuses_picks_below_one_before_running(capsys,
+                                                            monkeypatch):
+    zoom = _load("blowup_zoom")
+    monkeypatch.setattr(zoom, "run_flow", None)  # a run would raise
+    with pytest.raises(SystemExit) as exc:
+        zoom.main(["--picks", "0"])
+    assert exc.value.code == 2
+    assert "max_picks: must be at least 1" in capsys.readouterr().err
 
 
 def test_reproduce_all_checks_every_sweep_member(tmp_path):
