@@ -34,7 +34,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 from importlib.machinery import PathFinder
-from typing import Callable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -110,6 +110,7 @@ class HirzebruchParams:
     names the initial profile in `PROFILE_SHAPES`.
     """
 
+    scenario: ClassVar[str] = "hirzebruch"
     a0: float = 1.0
     b0: float = 2.0
     n: int = 1
@@ -140,6 +141,7 @@ class ProductParams:
     """Spatially constant dilation over a Kahler-Einstein surface with a
     round fiber factor of initial area 2*pi*c0."""
 
+    scenario: ClassVar[str] = "product"
     f0: float = 3.0
     c0: float = 1.0
     n: int = 1
@@ -224,26 +226,43 @@ class FlowRun:
     """A finished run.  `diagnostics` is its diagnostics table: one float64
     array per column of `DIAG_COLUMNS`, in that order, one entry per
     recorded state; `node` and `grad_bound_ok` hold integral floats.
-    `flow` is its `flow.csv` table, the columns of `FLOW_COLUMNS`, one
-    entry per recorded state too.  `sample` is the one profile a
-    hirzebruch run keeps (None for the product scenario): its first
-    recorded state at or past half the span the run aims to cover,
-    t >= (T_predicted - stop_margin) / 2, or its last recorded state if it
-    stops earlier.  `stop_reason` is `stop_cause` of the table."""
+    `sample` is the one profile a hirzebruch run keeps (None for the
+    product scenario): its first recorded state at or past half the span
+    the run aims to cover, t >= (T_predicted - stop_margin) / 2, or its
+    last recorded state if it stops earlier.  The rest is derived from
+    these fields by the rules `fiberflow check` applies to stored runs."""
 
-    scenario: str
     params: HirzebruchParams | ProductParams
+    settings: RunSettings
     diagnostics: dict[str, np.ndarray]
-    flow: dict[str, np.ndarray]
     sample: FlowState | None
-    T_predicted: float
-    T_observed: float
-    stop_reason: str
 
-    @property
-    def states(self) -> list[tuple[float, ...]]:
-        """The `flow.csv` row of each recorded state, in order."""
-        return list(zip(*self.flow.values()))
+    # the derived values, each one call of its one rule; `states` holds
+    # the `flow.csv` row of each recorded state, in order
+    scenario = property(lambda self: self.params.scenario)
+    flow = property(lambda self: flow_table(self.params, self.diagnostics))
+    states = property(lambda self: list(zip(*self.flow.values())))
+    T_predicted = property(lambda self: predict_max_time(self.params))
+    T_observed = property(
+        lambda self: observed_stop_time(self.params, self.diagnostics))
+    stop_reason = property(
+        lambda self: stop_cause(self.params, self.settings, self.diagnostics))
+
+
+def flow_table(params: HirzebruchParams | ProductParams,
+               diag: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The `flow.csv` table of a run whose diagnostics table is `diag`.  A
+    hirzebruch row holds t, the endpoint values k a(t), k b(t) of f (its
+    `min_f` and `max_f`: a recorded f is nondecreasing) and the width; the
+    initial f reaches k a0 and k b0 only to within e^(-L), so row 0 holds
+    them exactly.  A product row holds t, f (`min_f`) and c (`width`)."""
+    if isinstance(params, ProductParams):
+        columns = (diag["t"], diag["min_f"], diag["width"])
+    else:
+        lower, upper = diag["min_f"].copy(), diag["max_f"].copy()
+        lower[0], upper[0] = params.k * params.a0, params.k * params.b0
+        columns = (diag["t"], lower, upper, diag["width"])
+    return dict(zip(FLOW_COLUMNS[params.scenario], columns))
 
 
 # ---------------------------------------------------------------------------
@@ -1059,12 +1078,7 @@ def _run_product(params: ProductParams, settings: RunSettings) -> FlowRun:
         "heat_residual": zero, "min_f": f, "max_f": f, "max_f_slack": zero,
         "grad_f_sq_sup": zero, "grad_bound_ok": [1.0] * len(rows)}
     diags = {name: np.array(col, dtype=float) for name, col in diags.items()}
-    flow = {"t": diags["t"], "f": np.array(f, dtype=float),
-            "c": np.array(c, dtype=float)}
-    return FlowRun(scenario="product", params=params, diagnostics=diags,
-                   flow=flow, sample=None, T_predicted=t_pred,
-                   T_observed=observed_stop_time(params, diags),
-                   stop_reason=stop_cause(params, settings, diags))
+    return FlowRun(params, settings, diags, sample=None)
 
 
 def recorded_states(params: HirzebruchParams,
@@ -1107,7 +1121,7 @@ def _run_hirzebruch(params: HirzebruchParams,
     buf: list[FlowState] = []
     curvature = []  # the curvature columns of each flush
     heat = [np.full(1, np.nan)]  # no time stencil at the first state
-    rows = []  # per state: lower, upper, f[0], f[-1]
+    rows = []  # per state: f[0], f[-1]
     sample = None
 
     def flush(new: int) -> None:
@@ -1120,7 +1134,7 @@ def _run_hirzebruch(params: HirzebruchParams,
         # every recorded f is nondecreasing, so its min and max are its
         # ends: the initial f sums monotone logistic steps, a stepped f is
         # a cumulative sum of positive increments
-        rows.append((state.lower, state.upper, state.f[0], state.f[-1]))
+        rows.append((state.f[0], state.f[-1]))
         if sample is None and state.t >= half:
             sample = state
         if len(rows) % size == 0:
@@ -1129,18 +1143,13 @@ def _run_hirzebruch(params: HirzebruchParams,
         flush(len(rows) % size)
     if len(rows) > 1:
         heat.append(np.full(1, np.nan))  # nor at the last
-    lower, upper, min_f, max_f = np.array(rows).T.copy()
+    min_f, max_f = np.array(rows).T.copy()
     diags = {name: np.concatenate([c[name] for c in curvature])
              for name in _CURVATURE_COLUMNS}
     diags.update(build_monitors(params, diags["t"], np.concatenate(heat),
                                 min_f, max_f, diags["max_v"]))
-    flow = dict(zip(FLOW_COLUMNS["hirzebruch"],
-                    (diags["t"], lower, upper, diags["width"])))
-    return FlowRun(scenario="hirzebruch", params=params, diagnostics=diags,
-                   flow=flow, sample=state if sample is None else sample,
-                   T_predicted=t_pred,
-                   T_observed=observed_stop_time(params, diags),
-                   stop_reason=stop_cause(params, settings, diags))
+    return FlowRun(params, settings, diags,
+                   sample=state if sample is None else sample)
 
 
 def loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:

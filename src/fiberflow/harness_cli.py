@@ -37,7 +37,6 @@ import numpy as np
 from . import __version__
 from .calabi_flow import (
     DIAG_COLUMNS,
-    FLOW_COLUMNS,
     PROFILE_SHAPES,
     ConfigError,
     FlowError,
@@ -45,6 +44,7 @@ from .calabi_flow import (
     HirzebruchParams,
     ProductParams,
     RunSettings,
+    flow_table,
     init_hirzebruch_profile,
     loglog_slope,
     observed_stop_time,
@@ -114,7 +114,10 @@ def _to_opt_float(s: str) -> float | None:
 
 
 def _to_str_tuple(s: str) -> tuple[str, ...]:
-    return tuple(x.strip() for x in s.split(",") if x.strip())
+    names = tuple(x.strip() for x in s.split(",") if x.strip())
+    if not names:
+        raise ValueError("no names")
+    return names
 
 
 RUN_KEYS: dict[str, Callable] = {"scenario": str, "output_dir": str}
@@ -172,7 +175,6 @@ class AnalysisConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    scenario: str
     params: HirzebruchParams | ProductParams
     settings: RunSettings
     analysis: AnalysisConfig
@@ -319,8 +321,8 @@ def parse_config(text: str) -> RunConfig:
     echo = {name: {k: v for k, (v, _) in kv.items()}
             for name, kv in sections.items()}
     return RunConfig(
-        scenario=scenario, params=params, settings=settings,
-        analysis=analysis, output_dir=run_kv.get("output_dir"), echo=echo)
+        params=params, settings=settings, analysis=analysis,
+        output_dir=run_kv.get("output_dir"), echo=echo)
 
 
 def _require_seed(seed: int) -> None:
@@ -455,13 +457,12 @@ def analyze(diag: dict[str, np.ndarray], T_observed: float,
 
 
 def _record(config: RunConfig, diag: dict[str, np.ndarray],
-            flow: dict[str, np.ndarray], chart_ok: bool | None,
-            record: dict) -> dict[str, str]:
-    """A run's record, derived from its diagnostics and flow tables: fills
+            chart_ok: bool | None, record: dict) -> dict[str, str]:
+    """A run's record, derived from its diagnostics table: fills
     `record` with every derived manifest entry and returns the text of
     every derived file (`report.json`, each `rescaled_<i>.csv`) by name.
     `execute` writes what it derives; `check_run_dir` derives it again
-    from the stored tables and compares.  `chart_ok` is the
+    from the stored table and compares.  `chart_ok` is the
     `chart_residuals` verdict (None when the config leaves it out).  The
     run's numbers land in `record` before the analysis runs, so a manifest
     whose analysis raises keeps them."""
@@ -482,7 +483,7 @@ def _record(config: RunConfig, diag: dict[str, np.ndarray],
         record["a_decay_exponent"] = report["splitting"]["a_decay_exponent"]
     else:
         record["analysis_note"] = note
-    record["acceptance"] = _acceptance(config, diag, flow, record, report,
+    record["acceptance"] = _acceptance(config, diag, record, report,
                                        chart_ok)
     record["passed"] = all(record["acceptance"].values())
     files = {"report.json": json.dumps(report, indent=2, sort_keys=True)
@@ -493,10 +494,10 @@ def _record(config: RunConfig, diag: dict[str, np.ndarray],
 
 
 def _acceptance(config: RunConfig, diag: dict[str, np.ndarray],
-                flow: dict[str, np.ndarray], record: dict, report: dict,
+                record: dict, report: dict,
                 chart_ok: bool | None) -> dict[str, bool]:
     """The verdict of every check the config enables, from the run's
-    diagnostics and flow tables and what `_record` derived from them: the
+    diagnostics table and what `_record` derived from it: the
     manifest entries in `record` and the `report.json` object.
     `chart_residuals` needs a live profile, so its verdict is `chart_ok`.
     A NaN in a column that `monitors` or `closed_form` reads fails that
@@ -519,6 +520,7 @@ def _acceptance(config: RunConfig, diag: dict[str, np.ndarray],
             ok = report.get("splitting", {}).get("splits", False)
         elif name == "closed_form":
             p = config.params
+            flow = flow_table(p, diag)
             exact = [product_closed_form(p.f0, p.c0, p.base_scalar, p.n,
                                          float(t))[:2] for t in flow["t"]]
             got = np.column_stack((flow["f"], flow["c"]))
@@ -567,7 +569,7 @@ def execute(config: RunConfig, out_dir: str | Path,
         "schema": MANIFEST_SCHEMA,
         "code_version": __version__,
         "config": config.echo,
-        "scenario": config.scenario,
+        "scenario": config.params.scenario,
         "seed": seed,
         "output_dir": str(out),
         "acceptance": {},
@@ -584,8 +586,7 @@ def execute(config: RunConfig, out_dir: str | Path,
             _csv_text(DIAG_CSV_SCHEMA, run.diagnostics))
         chart_ok = (_check_chart_residuals(run, seed)
                     if "chart_residuals" in config.analysis.checks else None)
-        files = _record(config, run.diagnostics, run.flow, chart_ok,
-                        manifest)
+        files = _record(config, run.diagnostics, chart_ok, manifest)
         for name in _stored_rescaled(out):
             if name not in files:  # left by an earlier run with more picks
                 (out / name).unlink()
@@ -609,16 +610,16 @@ def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
     """Derive a stored run's record again, as `execute` did, and compare.
 
     The config is parsed again from the manifest's echo, and `_record`
-    runs on the stored diagnostics and flow tables, with the stored
+    runs on the stored diagnostics table, with the stored
     `chart_residuals` verdict, the one input it does not derive.
-    `flow.csv` must hold the `t` and `width` columns of `diagnostics.csv`
-    (in the product scenario its `c` the `width` and its `f` the `min_f`)
-    bit for bit: a run writes both from the same arrays.  `differs` names
-    each derived file whose text is not the stored one, each stored
-    rescaled_<i>.csv that is not derived, each derived manifest entry
-    whose JSON text is not the stored one, and each stored entry that is
-    neither derived nor in RECORDED_ENTRIES.  Raises RunDirError naming the
-    file when the recorded run ended in error, or a stored file is
+    `flow.csv` must hold the text of the table `flow_table` derives from
+    the stored diagnostics table, as a run writes it: with `%.17g`, every
+    column bit for bit.  `differs` names each derived file whose text is
+    not the stored one, each stored rescaled_<i>.csv that is not derived,
+    each derived manifest entry whose JSON text is not the stored one, and
+    each stored entry that is neither derived nor in RECORDED_ENTRIES.
+    Raises RunDirError naming the file when the recorded run ended in
+    error, flow.csv is not the derived table, or a stored file is
     missing, empty, cut short or malformed.
     """
     run_dir = Path(run_dir)
@@ -644,21 +645,16 @@ def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
             raise RunDirError(f"{diag_path}: {diag['t'].size} rows, the "
                               f"manifest records {recorded}")
         flow_path = run_dir / "flow.csv"
-        flow = _read_csv(flow_path, FLOW_COLUMNS[config.scenario])
-        same = ((("t", "t"), ("width", "width"))
-                if config.scenario == "hirzebruch" else
-                (("t", "t"), ("c", "width"), ("f", "min_f")))
-        for name, diag_name in same:
-            if flow[name].tobytes() != diag[diag_name].tobytes():
-                raise RunDirError(
-                    f"{flow_path}: column {name} differs from the "
-                    f"{diag_name} column of {diag_path.name}")
+        if _read_text(flow_path) != _csv_text(
+                FLOW_CSV_SCHEMA, flow_table(config.params, diag)):
+            raise RunDirError(f"{flow_path}: not the table derived from "
+                              f"{diag_path.name}")
         _read_json(run_dir / "report.json")  # not JSON: exit 3, not 1
         chart_ok = (stored["chart_residuals"]
                     if "chart_residuals" in config.analysis.checks else None)
         record: dict = {}
         try:
-            files = _record(config, diag, flow, chart_ok, record)
+            files = _record(config, diag, chart_ok, record)
         except (AnalysisError, ArithmeticError, ValueError) as exc:
             raise RunDirError(
                 f"{diag_path}: no analysis with T_observed = "
@@ -738,12 +734,12 @@ def run_sweep(configs: Sequence[tuple[str, RunConfig]], base_dir: str | Path,
             "output_dir": out,
             "exit_code": code,
             "passed": manifest.get("passed", False),
-            "scenario": cfg.scenario,
+            "scenario": cfg.params.scenario,
             "T_observed": manifest.get("T_observed"),
             "classification": manifest.get("classification"),
             "heat_residual_max": manifest.get("heat_residual_max"),
         }
-        if cfg.scenario == "hirzebruch":
+        if cfg.params.scenario == "hirzebruch":
             entry["grid_points"] = cfg.params.grid_points
             entry["drho"] = 2.0 * cfg.params.L / (cfg.params.grid_points - 1)
         members.append(entry)
@@ -772,19 +768,10 @@ def run_sweep(configs: Sequence[tuple[str, RunConfig]], base_dir: str | Path,
 # CLI plumbing
 
 
-def _resolve(flag_value, file_value, default):
-    """The flag value, else the config file's, else the default."""
-    if flag_value is not None:
-        return flag_value
-    if file_value is not None:
-        return file_value
-    return default
-
-
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    out = _resolve(args.output, config.output_dir,
-                   f"runs/{Path(args.config).stem}")
+    # empty values are config errors, so `or` takes the first one given
+    out = args.output or config.output_dir or f"runs/{Path(args.config).stem}"
     manifest, code = execute(config, out, args.seed)
     status = ("pass" if code == 0 else
               "acceptance-fail" if code == 1 else "error")
@@ -798,12 +785,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    names = sorted({n for pat in args.patterns for n in glob.glob(pat)})
-    if not names:
-        print("no config files matched", file=sys.stderr)
-        return 2
-    configs = [(name, load_config(name)) for name in names]
-    out = _resolve(args.output, None, "runs/sweep")
+    names = set()
+    for pattern in args.patterns:
+        if not (matched := glob.glob(pattern)):
+            raise ValidationError(pattern, "matches no config file")
+        names.update(matched)
+    configs = [(name, load_config(name)) for name in sorted(names)]
+    out = args.output or "runs/sweep"
     summary, code = run_sweep(configs, out, workers=args.workers,
                               seed=args.seed)
     for m in summary["members"]:

@@ -93,7 +93,7 @@ def hz_dir(tmp_path_factory):
 
 def test_minimal_product_defaults():
     cfg = parse_config(PRODUCT_CFG)
-    assert cfg.scenario == "product"
+    assert cfg.params.scenario == "product"
     assert cfg.params.f0 == 3.0 and cfg.params.c0 == 1.0
     assert cfg.params.n == 1 and cfg.params.R_h is None
     assert cfg.settings.dt_max == 0.01
@@ -603,16 +603,16 @@ def test_check_malformed_manifest_value_exits_3(request, tmp_path, capsys,
 
 FLOW_DAMAGE = [(fixture, how) for fixture in ("hz_dir", "product_dir")
                for how in ("short", "t-edited", "size-edited")]
-FLOW_DAMAGE.append(("product_dir", "f-edited"))
+FLOW_DAMAGE += [("product_dir", "f-edited"), ("hz_dir", "lower-edited"),
+                ("hz_dir", "upper-edited"), ("hz_dir", "lower-row-0-edited")]
 
 
 @pytest.mark.parametrize("fixture, how", FLOW_DAMAGE,
                          ids=[f"{f}-{h}" for f, h in FLOW_DAMAGE])
 def test_check_flow_csv_apart_from_diagnostics_csv_exits_3(
         request, tmp_path, capsys, fixture, how):
-    # a run writes the t and width (product: c) columns of flow.csv from
-    # the arrays of diagnostics.csv's t and width columns, and the product
-    # f column from the array of its min_f column
+    # a run writes every column of flow.csv as `flow_table` derives it from
+    # the diagnostics table; one entry edited by an ulp is caught
     out, _, _ = request.getfixturevalue(fixture)
     clone = _clone(out, tmp_path / "clone")
     path = clone / "flow.csv"
@@ -620,11 +620,14 @@ def test_check_flow_csv_apart_from_diagnostics_csv_exits_3(
         _damage(path, how)
     else:
         lines = path.read_text().splitlines()
-        column = {"t-edited": 0, "f-edited": 1,
+        column = {"t-edited": 0, "f-edited": 1, "lower-edited": 1,
+                  "lower-row-0-edited": 1, "upper-edited": 2,
                   "size-edited": 3 if fixture == "hz_dir" else 2}[how]
-        fields = lines[len(lines) // 2].split(",")
+        # the first data row follows the schema and header lines
+        row = 2 if how == "lower-row-0-edited" else len(lines) // 2
+        fields = lines[row].split(",")
         fields[column] = repr(float(fields[column]) * (1.0 + 1e-15))
-        lines[len(lines) // 2] = ",".join(fields)
+        lines[row] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
     with pytest.raises(RunDirError, match="flow.csv"):
         check_run_dir(clone)
@@ -841,9 +844,8 @@ def test_every_manifest_entry_is_recorded_or_derived_by_record(request,
     out, manifest, _ = request.getfixturevalue(fixture)
     config = parse_config(HZ_CFG if fixture == "hz_dir" else PRODUCT_CFG)
     diag = _read_csv(out / "diagnostics.csv", DIAG_COLUMNS)
-    flow = _read_csv(out / "flow.csv", FLOW_COLUMNS[config.scenario])
     derived: dict = {}
-    harness_cli._record(config, diag, flow, True, derived)
+    harness_cli._record(config, diag, True, derived)
     assert RECORDED_INPUTS == harness_cli.RECORDED_ENTRIES
     assert not RECORDED_INPUTS & set(derived)
     assert set(manifest) == RECORDED_INPUTS | set(derived)
@@ -955,7 +957,7 @@ def test_run_tables_equal_the_stored_csvs(tmp_path, name):
     _assert_same_table(run.diagnostics,
                        _read_csv(tmp_path / "diagnostics.csv", DIAG_COLUMNS))
     _assert_same_table(run.flow, _read_csv(
-        tmp_path / "flow.csv", FLOW_COLUMNS[config.scenario]))
+        tmp_path / "flow.csv", FLOW_COLUMNS[config.params.scenario]))
 
 
 def test_rerun_with_fewer_picks_removes_the_stale_rescaled_files(tmp_path):
@@ -1134,6 +1136,9 @@ def test_bad_flow_value_is_reported_under_flow(tmp_path, capsys, line):
     ("product", ("stop_margin = 0.001", "stop_margin = 0.6"), "stop_margin"),
     # the base collapses before the fiber, WrongRegime: exit 3
     ("product", ("f0 = 3.0", "f0 = 0.5"), "params"),
+    # no acceptance check, so the run passes whatever its numbers: exit 0
+    ("hirzebruch", ("max_picks = 6", "max_picks = 6\nchecks ="), "checks"),
+    ("hirzebruch", ("max_picks = 6", "max_picks = 6\nchecks = ,"), "checks"),
 ])
 def test_values_that_fail_only_after_a_run_are_rejected_at_parse(
         tmp_path, capsys, scenario, edit, key):
@@ -1272,6 +1277,19 @@ def test_main_check_missing_dir_is_runtime_error(tmp_path):
 
 def test_main_sweep_no_match(tmp_path, capsys):
     assert main(["sweep", str(tmp_path / "*.cfg")]) == 2
+
+
+def test_sweep_pattern_matching_no_file_is_a_config_error(tmp_path, capsys):
+    # a misspelt name among matching ones was dropped, and the sweep ran
+    # without it
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(PRODUCT_CFG)
+    missing = str(tmp_path / "q.cfg")
+    out = tmp_path / "out"
+    assert main(["sweep", str(cfg), missing, "--output", str(out)]) == 2
+    assert (f"config error: {missing}: matches no config file"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,flag", [
