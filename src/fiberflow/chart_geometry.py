@@ -609,10 +609,12 @@ def riem4(rlow: np.ndarray, x: np.ndarray, y: np.ndarray,
 def sectional_from_riemann(rlow: np.ndarray, g: np.ndarray,
                            x: np.ndarray, y: np.ndarray) -> float:
     """Sectional curvature of span(x, y)."""
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ChartError("plane vector is not finite")
     xx = float(x @ g @ x)
     yy = float(y @ g @ y)
     xy = float(x @ g @ y)
     denom = xx * yy - xy * xy
-    if denom <= 1e-12:
+    if not denom > 1e-12:
         raise ChartError("degenerate plane")
     return riem4(rlow, x, y, y, x) / denom

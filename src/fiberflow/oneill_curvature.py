@@ -112,11 +112,15 @@ def omega(fp: FramePoint, x: np.ndarray, y: np.ndarray) -> float:
     return float((fp.j @ x) @ fp.g_real @ y)
 
 
-def _require_horizontal(fp: FramePoint, x: np.ndarray) -> None:
-    nrm = np.sqrt(max(inner(fp, x, x), 1e-30))
-    for u in fp.vertical:
-        if abs(inner(fp, u, x)) > HORIZONTALITY_TOL * nrm:
-            raise NotHorizontal("vector has a vertical component")
+def _require_horizontal(fp: FramePoint, xs: np.ndarray) -> None:
+    """Refuse the rows x of `xs` unless each is finite and has
+    |g(u, x)| <= HORIZONTALITY_TOL |x| for both frame verticals u."""
+    if not np.all(np.isfinite(xs)):
+        raise NotHorizontal("vector is not finite")
+    xg = xs @ fp.g_real
+    nrm = np.sqrt(np.maximum(np.sum(xg * xs, axis=1), 1e-30))
+    if not np.all(np.abs(fp.vertical @ xg.T) <= HORIZONTALITY_TOL * nrm):
+        raise NotHorizontal("vector has a vertical component")
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +153,18 @@ def grad_ln_f_norm_sq(fp: FramePoint) -> float:
 # fundamental tensor of the horizontal distribution
 
 
+def _a_stack(fp: FramePoint, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """A(x_i, y_j), shape (k, m, d), on the horizontal rows of `xs` (k, d)
+    and `ys` (m, d), from G = xs g ys^T and Omega = (xs J^T) g ys^T."""
+    _require_horizontal(fp, xs)
+    _require_horizontal(fp, ys)
+    v = grad_ln_f(fp)
+    gy = fp.g_real @ ys.T
+    gram = xs @ gy
+    om = (xs @ fp.j.T) @ gy
+    return 0.5 * (om[..., None] * (fp.j @ v) - gram[..., None] * v)
+
+
 def a_tensor(fp: FramePoint, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Vertical value of the fundamental tensor on two horizontal vectors.
 
@@ -156,35 +172,25 @@ def a_tensor(fp: FramePoint, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     part is the obstruction to integrability, the symmetric part the mean
     curvature of the horizontal distribution.
     """
-    _require_horizontal(fp, x)
-    _require_horizontal(fp, y)
-    v = grad_ln_f(fp)
-    return 0.5 * (omega(fp, x, y) * (fp.j @ v) - inner(fp, x, y) * v)
+    return _a_stack(fp, np.array([x]), np.array([y]))[0, 0]
 
 
 def a_tensor_mixed(fp: FramePoint, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Horizontal value on (horizontal, vertical), via the duality
     g(A_x u, y) = -g(A_x y, u)."""
-    _require_horizontal(fp, x)
-    out = np.zeros(fp.dim)
-    for e in fp.horizontal:
-        out = out - inner(fp, a_tensor(fp, x, e), u) * e
-    return out
+    hor = fp.horizontal
+    return -((_a_stack(fp, np.array([x]), hor)[0] @ fp.g_real @ u) @ hor)
 
 
 def a_norm_sq(fp: FramePoint) -> float:
     """Full tensor norm |A|^2, both slots counted.
 
     The (horizontal, vertical) frame sum equals the (horizontal,
-    horizontal) one by duality, hence the factor two on a single brute
-    double sum.
+    horizontal) one by duality, hence the factor two on the one
+    (horizontal, horizontal) frame sum.
     """
-    tot = 0.0
-    for x in fp.horizontal:
-        for y in fp.horizontal:
-            w = a_tensor(fp, x, y)
-            tot += inner(fp, w, w)
-    return 2.0 * tot
+    a = _a_stack(fp, fp.horizontal, fp.horizontal).reshape(-1, fp.dim)
+    return 2.0 * float(np.sum((a @ fp.g_real) * a))
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +220,12 @@ def sectional_residual(fp: FramePoint, x: np.ndarray, y: np.ndarray,
     two routes together.  Zero within stencil tolerance for valid
     submersion metrics.
     """
-    _require_horizontal(fp, x)
-    _require_horizontal(fp, y)
+    w = a_tensor(fp, x, y)
     gram = inner(fp, x, x) * inner(fp, y, y) - inner(fp, x, y) ** 2
-    if gram <= 1e-12:
+    if not gram > 1e-12:
         raise DegeneratePlane("plane spanning vectors are parallel")
     rlow = riemann_fd(fp.sampler.metric_fn(), fp.point, step)
     ambient = sectional_from_riemann(rlow, fp.g_real, x, y)
-    w = a_tensor(fp, x, y)
     return (kappa_base / fp.blocks.f
             - ambient - 3.0 * inner(fp, w, w) - dilation_grad_norm_sq(fp))
 
@@ -264,31 +268,22 @@ def _hessian_ln_f(fp: FramePoint, step: float) -> np.ndarray:
     return _real_hessian(lnf, step) - np.einsum('cab,c->ab', gamma, grad1)
 
 
-def _mixed_sectional(fp: FramePoint, u: np.ndarray, x: np.ndarray,
-                     hess_ln_f: np.ndarray) -> float:
-    """<R(x, u) u, x> for unit vertical u, unit horizontal x, in closed form
-    -1/2 (Hess ln f (u, u) + (d ln f (u))^2) + |A_x u|^2 from a ready
-    Hessian matrix of ln f; the rest is frame algebra."""
-    v = grad_ln_f(fp)
-    du = inner(fp, v, u)
-    au = a_tensor_mixed(fp, x, u)
-    hess = float(u @ hess_ln_f @ u)
-    return -0.5 * (hess + du * du) + inner(fp, au, au)
-
-
 def vertical_horizontal_curvature(fp: FramePoint,
                                   step: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Closed-form R(v_i, x_j, v_i, x_j) over the adapted frames, (2, 2n).
 
+    For unit vertical u and unit horizontal x, <R(x, u) u, x> =
+    -1/2 (Hess ln f (u, u) + (d ln f (u))^2) + |A_x u|^2, the Hessian of
+    ln f stenciled once and |A_x u|^2 = sum_e g(A(x, e), u)^2 over the frame.
     Each entry stays bounded while the fiber collapses, which is what
     makes the vertical sectional term dominate the curvature blowup.
     """
     hess = _hessian_ln_f(fp, step)
-    out = np.zeros((2, 2 * fp.n))
-    for i, u in enumerate(fp.vertical):
-        for jdx, x in enumerate(fp.horizontal):
-            out[i, jdx] = _mixed_sectional(fp, u, x, hess)
-    return out
+    g, ver, hor = fp.g_real, fp.vertical, fp.horizontal
+    du = grad_ln_f(fp) @ g @ ver.T
+    hess_uu = np.sum((ver @ hess) * ver, axis=1)
+    au_sq = np.sum((_a_stack(fp, hor, hor) @ g @ ver.T) ** 2, axis=1)
+    return (-0.5 * (hess_uu + du * du))[:, None] + au_sq.T
 
 
 def mixed_curvature_residuals(fp: FramePoint, step: float = DEFAULT_FD_STEP,
@@ -305,8 +300,10 @@ def mixed_curvature_residuals(fp: FramePoint, step: float = DEFAULT_FD_STEP,
         rlow = riemann_fd(fp.sampler.metric_fn(), fp.point, step)
     # riem4(rlow, x, y, z, w) contracts rlow's slots with (w, z, x, y)
     hor, ver = fp.horizontal, fp.vertical
-    hhv = np.einsum('abcd,ua,zb,xc,yd->xyzu', rlow, ver, hor, hor, hor,
-                    optimize=True)
-    vvh = np.einsum('abcd,xa,zb,c,d->zx', rlow, hor, ver, ver[0], ver[1],
-                    optimize=True)
+    # hhv[u, z, x, y] = riem4(x, y, z, u), slots a, b, c, d in turn
+    hhv = np.tensordot(ver, rlow, axes=(1, 0))
+    for _ in range(3):
+        hhv = np.tensordot(hhv, hor, axes=(1, 1))
+    # vvh[x, z] = riem4(v0, v1, z, x)
+    vvh = hor @ (rlow @ ver[1] @ ver[0]) @ ver.T
     return float(np.max(np.abs(hhv))), float(np.max(np.abs(vvh)))
