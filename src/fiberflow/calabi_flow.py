@@ -1161,6 +1161,47 @@ def loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:
 # chart reconstruction
 
 
+# `_local_profile` keeps its blend as a table.  The rows of a grid interval
+# are the coefficients of s^0..s^14 of f less its anchor node and of f',
+# f'', f'''; they are linear in six increments of `df`.  On an interior
+# interval the two blended quintics differ by the sixth difference of the
+# node values over 5! times s (s^2 - 1) (s^2 - 4), the product over the
+# five nodes they share; that is the fifth difference of the increments,
+# with the weights over 5! of `_FIFTH_DIFF`.  It is taken once per row,
+# before the blend polynomial's large coefficients multiply it: folded
+# into the window maps it is rounded once per coefficient, and the
+# cancellation between them costs f' to f''' two to three digits.
+_FIFTH_DIFF = np.array([-1.0, 5.0, -10.0, 10.0, -5.0, 1.0]) / 120.0
+_POWERS = np.arange(15)
+
+
+@functools.cache
+def _window_basis() -> tuple[np.ndarray, np.ndarray]:
+    """The maps (5, 4, 15, 6) from the increments df[j..j + 5] to the rows
+    of the quintic through nodes j..j + 5 on the interval that starts at
+    node j + 2 + o, indexed by o + 2, and the rows (4, 15) of the blend
+    polynomial w(s) s (s^2 - 1) (s^2 - 4); both for h = 1.  Every sum is
+    of integers, so each entry is exact or rounded once.  Built on first
+    use, so that `import fiberflow` makes no LAPACK call."""
+    deriv = np.diag(np.arange(1.0, 15.0), 1)
+    ders = np.stack([np.linalg.matrix_power(deriv, d) for d in range(4)])
+    # node m of a window less its anchor node 2: df[j] + ... + df[j + m - 1]
+    # less df[j] + df[j + 1]
+    cum = np.tri(6, 6, -1)
+    cum = cum - cum[2]
+    # the inverse Vandermonde matrices of the windows' nodes in s map node
+    # values to coefficients; 120 times them are integer matrices (the
+    # Lagrange denominators m! (5 - m)! divide 5!), which rounding recovers
+    nodes = np.arange(6.0) - np.arange(0.0, 5.0)[:, None]
+    lagrange = np.zeros((5, 15, 6))
+    lagrange[:, :6] = np.rint(120.0 * np.linalg.inv(
+        nodes[..., None] ** np.arange(6.0)))
+    smooth = np.zeros(10)
+    smooth[5:] = (126.0, -420.0, 540.0, -315.0, 70.0)
+    blend = np.convolve(smooth, np.poly(np.arange(-2.0, 3.0))[::-1])
+    return ders @ (lagrange @ cum)[:, None] / 120.0, ders @ blend
+
+
 def _local_profile(state: FlowState
                    ) -> Callable[[np.ndarray], tuple[np.ndarray, ...]]:
     """f and its first three rho-derivatives from a C^4 blend of local
@@ -1175,67 +1216,60 @@ def _local_profile(state: FlowState
     both ends of the interval, so the profile interpolates every node, is
     exact on quintics and is C^4 across nodes: on either side of rho_i+1
     it agrees with the window from i - 2 to fourth order.  At a clipped
-    end the two windows coincide and nothing is blended.  A window's
-    values are summed from the increments `df`, so the derivatives keep
-    full relative precision in the tails; its coefficients are computed
-    on first use and kept for the life of the profile."""
+    end the two windows coincide and nothing is blended.
+
+    The blend on an interval is one polynomial of degree 14 in s.  Its
+    coefficients, and those of its first three rho-derivatives, are taken
+    relative to the anchor node f[j + 2] from the increments `df`, so the
+    derivatives keep full relative precision in the tails.  An interval's
+    row of that table is filled the first time a call reaches it; a call
+    then costs one contraction of the rows with the powers of s, and a
+    point's values do not depend on the other points of the call."""
     rho, f, df = state.rho, state.f, state.df
     rho0, h = float(rho[0]), float(rho[1] - rho[0])
     last = rho.size - 6
-    # A window has scaled offsets u = -2..3 from its anchor node j + 2; the
-    # inverse of their Vandermonde matrix maps its values to the
-    # coefficients of u^0..u^5, and `deriv` maps those to the coefficients
-    # of the rho-derivative.  Built per profile, so that `import fiberflow`
-    # makes no LAPACK call.
-    deriv = np.diag(np.arange(1.0, 6.0), 1) / h
-    lift = np.stack([np.linalg.matrix_power(deriv, d) for d in range(4)]
-                    ) @ np.linalg.inv(np.vander(np.arange(-2.0, 4.0),
-                                                increasing=True))
-    windows: list[np.ndarray | None] = [None] * (last + 1)
+    scale = h ** -np.arange(4.0)[:, None]
+    window, blend = _window_basis()
+    window, blend = window * scale[..., None], blend * scale
+    # the rows of interval i are table[slot[i]], in the order they were
+    # filled, so the table holds only the intervals that calls reached;
+    # slot -1 is an interval not reached yet
+    slot = np.full(rho.size - 1, -1)
+    table = np.empty((0, 4, _POWERS.size))
+    anchor = np.empty(rho.size - 1)
 
-    def window(j: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """(p, p', p'', p''') at offsets u of the quintics through nodes
-        j..j + 5 minus f[j + 2], by Horner's rule."""
-        lo, hi = int(j.min()), int(j.max()) + 1
-        for w in range(lo, hi):
-            if windows[w] is None:
-                y = np.zeros(6)
-                np.cumsum(df[w:w + 5], out=y[1:])
-                # rows: the coefficients of u^5 .. u^0 of each derivative;
-                # a derivative's vanishing top coefficients are exact zeros
-                windows[w] = (lift @ (y - y[2]))[:, ::-1].T
-        coeff = np.stack(windows[lo:hi], axis=-1)
-        acc = np.zeros((4,) + u.shape)
-        for c in coeff[..., j - lo]:
-            acc = acc * u + c
-        return acc
+    def fill(rows: np.ndarray) -> None:
+        nonlocal table
+        j = np.minimum(np.maximum(rows - 3, 0), last)
+        # the last window's sixth increment would lie past the grid; no
+        # unblended row reads it
+        inc = df[np.minimum(j[:, None] + np.arange(6), df.size - 1)]
+        # the clipped ends, where the windows from i - 3 and i - 2 are
+        # one, do not blend
+        diff = np.where((rows >= 3) & (rows <= last + 2), inc @ _FIFTH_DIFF,
+                        0.0)
+        slot[rows] = np.arange(len(table), len(table) + rows.size)
+        table = np.concatenate([
+            table, np.einsum('rdkm,rm->rdk', window[rows - j], inc)
+            + diff[:, None, None] * blend])
+        anchor[rows] = f[j + 2]
 
     def prof(r):
         r = np.asarray(r, dtype=float)
-        # np.minimum/np.maximum, not np.clip: the same integers, without the
-        # Python-level wrapper that makes np.clip slow on one-point arrays
-        i = np.minimum(np.maximum(np.floor((r - rho0) / h).astype(int), 0),
+        # truncation, not floor: the two differ below rho0 only, where the
+        # index is clipped to 0 either way
+        i = np.minimum(np.maximum(((r - rho0) / h).astype(int), 0),
                        rho.size - 2)
         s = (r - rho[i]) / h
-        j = np.minimum(np.maximum(i - 3, 0), last)
-        a0, a1, a2, a3 = window(j, s + (i - j - 2))
-        # p = a + w (b - a) by Leibniz's rule where the windows j and j + 1
-        # differ; their anchors differ by df[j + 2]
-        blend = j != np.minimum(np.maximum(i - 2, 0), last)
-        b0, b1, b2, b3 = window(np.minimum(j + 1, last), s + (i - j - 3))
-        d0, d1, d2, d3 = b0 - a0 + df[j + 2], b1 - a1, b2 - a2, b3 - a3
-        # w and its first three rho-derivatives
-        st = s * (1.0 - s)
-        w0 = s ** 5 * (126.0 + s * (-420.0 + s * (540.0 + s * (
-            -315.0 + s * 70.0))))
-        w1 = 630.0 * st ** 4 / h
-        w2 = 2520.0 * st ** 3 * (1.0 - 2.0 * s) / h ** 2
-        w3 = 2520.0 * st ** 2 * (3.0 - 14.0 * st) / h ** 3
-        return (f[j + 2] + np.where(blend, a0 + w0 * d0, a0),
-                np.where(blend, a1 + w0 * d1 + w1 * d0, a1),
-                np.where(blend, a2 + w0 * d2 + 2.0 * w1 * d1 + w2 * d0, a2),
-                np.where(blend, a3 + w0 * d3 + 3.0 * (w1 * d2 + w2 * d1)
-                         + w3 * d0, a3))
+        if (slot[i] < 0).any():
+            # not np.unique, whose hash path imports numpy.ma
+            reached = np.zeros(slot.size, dtype=bool)
+            reached[i] = True
+            fill(np.flatnonzero(reached & (slot < 0)))
+        out = np.einsum('...dk,...k->d...', table[slot[i]],
+                        s[..., None] ** _POWERS)
+        out[0] += anchor[i]
+        return out[0, ...], out[1, ...], out[2, ...], out[3, ...]
 
     return prof
 

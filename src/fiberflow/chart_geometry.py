@@ -360,10 +360,12 @@ class ChartSampler:
         return ld
 
     def check_point(self, point: np.ndarray, margin: float) -> None:
+        """Refuse `point` unless every coordinate lies at least `margin`
+        inside the domain; a NaN coordinate lies nowhere."""
         p = np.asarray(point, dtype=float)
         lo = self.domain[:, 0] + margin
         hi = self.domain[:, 1] - margin
-        if np.any(p < lo) or np.any(p > hi):
+        if not (np.all(p >= lo) and np.all(p <= hi)):
             raise DomainEdge("stencil leaves the sampler domain")
 
     def random_points(self, rng: np.random.Generator, count: int,

@@ -4,6 +4,7 @@ import hashlib
 import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,8 @@ from fiberflow.calabi_flow import (
     stop_cause,
 )
 from fiberflow.chart_geometry import (
+    _distinct,
+    _star,
     calabi_sampler,
     check_kahler_compatibility,
     check_totally_geodesic,
@@ -224,6 +227,163 @@ def test_local_profile_tracks_the_quintic_spline(grid_points):
     for d in range(4):
         err = np.max(np.abs(got[:, d] - spline.derivative(d)(where)))
         assert err <= h ** 3, d
+
+
+# The blend of `_local_profile` in exact rational arithmetic on the stored
+# floats, as its docstring states it: the quintic through the six nodes
+# from j, summed from `df` and less its anchor node j + 2, evaluated at the
+# offset u from that node; the smoothstep w; Leibniz's rule.  Coefficient
+# lists run from the constant term up.
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for p, x in enumerate(a):
+        for q, y in enumerate(b):
+            out[p + q] += x * y
+    return out
+
+
+def _derivatives(poly):
+    out = [poly]
+    for _ in range(3):
+        out.append([p * c for p, c in enumerate(out[-1])][1:])
+    return out
+
+
+def _value(poly, x):
+    acc = Fraction(0)
+    for c in reversed(poly):
+        acc = acc * x + c
+    return acc
+
+
+def _lagrange(m):
+    poly = [Fraction(1)]
+    for node in range(-2, 4):
+        if node != m:
+            poly = _poly_mul(poly, [Fraction(-node, m - node),
+                                    Fraction(1, m - node)])
+    return poly
+
+
+_LAGRANGE = [_derivatives(_lagrange(m)) for m in range(-2, 4)]
+_SMOOTHSTEP = _derivatives([Fraction(0)] * 5 + [Fraction(c) for c in
+                                                (126, -420, 540, -315, 70)])
+
+
+def _exact_blend(state, r):
+    """(f, f', f'', f''') of the blend at the float `r` as Fractions."""
+    rho, f, df = state.rho, state.f, state.df
+    last = rho.size - 6
+    h = float(rho[1] - rho[0])
+    i = min(max(int((r - rho[0]) / h), 0), rho.size - 2)
+    s = (Fraction(float(r)) - Fraction(float(rho[i]))) / Fraction(h)
+    j = min(max(i - 3, 0), last)
+
+    def window(w, u):
+        y = [Fraction(0)]
+        for inc in df[w:w + 5]:
+            y.append(y[-1] + Fraction(float(inc)))
+        return [sum((y[m] - y[2]) * _value(_LAGRANGE[m][d], u)
+                    for m in range(6)) / Fraction(h) ** d for d in range(4)]
+
+    a = window(j, s + (i - j - 2))
+    out = list(a)
+    if j != min(max(i - 2, 0), last):
+        b = window(j + 1, s + (i - j - 3))
+        d = [b[0] - a[0] + Fraction(float(df[j + 2]))] + [
+            b[p] - a[p] for p in (1, 2, 3)]
+        w = [_value(_SMOOTHSTEP[p], s) / Fraction(h) ** p for p in range(4)]
+        out = [a[0] + w[0] * d[0],
+               a[1] + w[0] * d[1] + w[1] * d[0],
+               a[2] + w[0] * d[2] + 2 * w[1] * d[1] + w[2] * d[0],
+               a[3] + w[0] * d[3] + 3 * (w[1] * d[2] + w[2] * d[1])
+               + w[3] * d[0]]
+    out[0] += Fraction(float(f[j + 2]))
+    return out
+
+
+# The largest error of the blend as it was evaluated before it became a
+# table (Horner's rule on two six-node windows, then Leibniz's rule), at
+# the points of the test below over both shapes and k = 1, 3: f, f', f'',
+# f''' per grid and region.  In the centre (|rho| <= 8) f is absolute and
+# each derivative is over its largest size on the grid; in the tails
+# (|rho| > 8) and on the clipped end intervals every error is relative.
+# The table may err by twice these.
+_BLEND_ERRORS_BEFORE = {
+    512: {"centre": (5.0e-16, 1.6e-15, 3.5e-13, 1.3e-11),
+          "tails": (9.7e-17, 2.9e-15, 1.4e-13, 1.2e-11),
+          "ends": (1.1e-16, 6.5e-15, 2.3e-13, 1.0e-11)},
+    2048: {"centre": (4.3e-16, 8.8e-16, 5.0e-13, 2.5e-10),
+           "tails": (1.1e-16, 1.9e-15, 5.0e-13, 1.6e-10),
+           "ends": (1.0e-16, 7.3e-15, 3.9e-13, 1.6e-10)},
+}
+
+
+@pytest.mark.parametrize("grid_points", [512, 2048])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("shape", ["tanh", "skew"])
+def test_local_profile_table_matches_the_exact_blend(shape, k, grid_points):
+    """The table's f and derivatives against the exact blend of the same
+    stored floats, within twice the error of the evaluation it replaced,
+    in the centre, in the tails and on the clipped end intervals."""
+    st = init_hirzebruch_profile(HirzebruchParams(shape=shape, k=k,
+                                                  grid_points=grid_points))
+    prof = _local_profile(st)
+    rng = np.random.default_rng(0)
+    h = st.rho[1] - st.rho[0]
+    last = grid_points - 2
+    points = {
+        "centre": rng.uniform(-8.0, 8.0, 20),
+        "tails": np.concatenate([rng.uniform(-19.9, -8.0, 10),
+                                 rng.uniform(8.0, 19.9, 10)]),
+        "ends": np.concatenate([st.rho[i] + h * np.array([0.1, 0.5, 0.9])
+                                for i in (0, 1, 2, last - 2, last - 1,
+                                          last)]),
+    }
+    size = [np.max(np.abs(col)) for col in prof(st.rho)]
+    for region, where in points.items():
+        for r, got in zip(where, np.array(prof(where)).T):
+            want = _exact_blend(st, r)
+            for d in range(4):
+                err = abs(Fraction(float(got[d])) - want[d])
+                if region != "centre":
+                    err /= abs(want[d])
+                elif d > 0:
+                    err /= Fraction(float(size[d]))
+                bound = 2.0 * _BLEND_ERRORS_BEFORE[grid_points][region][d]
+                assert err <= bound, (region, d, float(err))
+
+
+def test_local_profile_takes_a_float_to_zero_d_arrays():
+    prof = _local_profile(init_hirzebruch_profile(HirzebruchParams()))
+    for got, want in zip(prof(0.3), prof(np.array([0.3]))):
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert got == want[0]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_local_profile_row_is_the_same_alone_and_in_a_stencil(n):
+    """Each point of a curvature stencil gets the same bits alone as in
+    the stencil's batch, whether or not its interval's row was filled by
+    an earlier call."""
+    params = HirzebruchParams(n=n)
+    st = init_hirzebruch_profile(params)
+    samp = sampler_from_state(st, params)
+    point = samp.random_points(np.random.default_rng(n), 1)[0]
+    stencil = _distinct(_star(_star(point, 1e-3), 1e-3))[0]
+    z, xi = point_to_complex(stencil)
+    rho = np.log(np.abs(xi) ** 2) + np.log(1.0 + np.sum(np.abs(z) ** 2,
+                                                        axis=1))
+    batch = np.array(_local_profile(st)(rho))
+    warm = _local_profile(st)
+    warm(rho)
+    for p, r in enumerate(rho):
+        for prof in (_local_profile(st), warm):
+            assert np.array_equal(np.array(prof(r)), batch[:, p])
+            assert np.array_equal(np.array(prof(rho[p:p + 1]))[:, 0],
+                                  batch[:, p])
 
 
 # ---------------------------------------------------------------------------
@@ -855,14 +1015,18 @@ def test_profile_curvature_matches_chart_for_each_twist(k):
     width = st.upper - st.lower
     step0 = make_logistic(st.lower, (1.0 - 0.35) * width)
     step1 = make_logistic(0.0, 0.35 * width)
-    samp = calabi_sampler(
-        lambda rho: tuple(a + b for a, b in zip(step0(rho),
-                                                step1(rho - 1.2))),
-        n=1, k=k)
 
     def chart_frame(j):
-        return frame_point(samp, np.array([0.0, 0.0,
-                                           np.exp(st.rho[j] / 2.0), 0.0]))
+        # the chart of the shape translated by -rho_j, at xi = 1 (rho = 0,
+        # inside the sampler's box, where e^(rho_j / 2) need not be):
+        # xi -> e^(rho_j / 2) xi maps it isometrically onto the chart of
+        # the shape at rho_j
+        c = st.rho[j]
+        samp = calabi_sampler(
+            lambda rho: tuple(a + b for a, b in zip(step0(rho + c),
+                                                    step1(rho + c - 1.2))),
+            n=1, k=k)
+        return frame_point(samp, np.array([0.0, 0.0, 1.0, 0.0]))
 
     for j in (1800, 2040, 2300):
         fp = chart_frame(j)
@@ -875,7 +1039,7 @@ def test_profile_curvature_matches_chart_for_each_twist(k):
         want = np.sort(vertical_horizontal_curvature(fp)[:, 0])
         assert np.max(np.abs(got - want)) <= 1e-4
         # the ambient sectional curvature of the horizontal frame plane
-        rlow = riemann_fd(samp.metric_fn(), fp.point, 1e-3)
+        rlow = riemann_fd(fp.sampler.metric_fn(), fp.point, 1e-3)
         assert prof["kappa_h"][j] == pytest.approx(
             sectional_from_riemann(rlow, fp.g_real, *fp.horizontal), rel=1e-4)
     grad_sup = build_monitors(

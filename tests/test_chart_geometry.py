@@ -233,6 +233,21 @@ def test_domain_edge_guard():
         cg.fd_ricci_oracle(samp, edge)
 
 
+@pytest.mark.parametrize("coord", range(4))
+def test_domain_edge_guard_refuses_nan(coord):
+    """A NaN coordinate lies in no box: `check_point` and the oracle that
+    calls it refuse it as they refuse an infinite one."""
+    samp = twisted_sampler()
+    point = samp.random_points(np.random.default_rng(9), 1)[0]
+    samp.check_point(point, margin=2.5 * cg.DEFAULT_FD_STEP)
+    for bad in (np.inf, np.nan):
+        point[coord] = bad
+        with pytest.raises(cg.DomainEdge):
+            samp.check_point(point, margin=0.0)
+        with pytest.raises(cg.DomainEdge):
+            cg.fd_ricci_oracle(samp, point)
+
+
 def test_random_points_stay_inside():
     samp = twisted_sampler()
     rng = np.random.default_rng(5)

@@ -232,6 +232,46 @@ def test_oracle_evaluations_per_call(n, monkeypatch):
     assert len(calls) == 1
 
 
+def _vhc(fp):
+    return oc.vertical_horizontal_curvature(fp)
+
+
+def _mixed(fp):
+    return oc.mixed_curvature_residuals(fp)
+
+
+def _sectional(fp):
+    return oc.sectional_residual(fp, *fp.horizontal, 2.0)
+
+
+def _base_sectional(fp):
+    return oc.base_sectional_fd(fp, *fp.horizontal)
+
+
+# each stencil oracle with its widest offset in a coordinate: `step` for
+# the Hessian grid, 2 `step` for the star of stars of `riemann_fd`
+STENCIL_MARGINS = [(_vhc, 1.0), (_mixed, 2.0), (_sectional, 2.0),
+                   (_base_sectional, 2.0)]
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("coord", range(4))
+@pytest.mark.parametrize("oracle, widest", STENCIL_MARGINS)
+def test_stencil_oracles_refuse_the_domain_edge(oracle, widest, coord, side):
+    """Each oracle that stencils around a frame point refuses a point
+    half its stencil's reach from the domain's edge, and evaluates one
+    at one and a half times that reach."""
+    samp = twisted_sampler()
+    margin = widest * cg.DEFAULT_FD_STEP
+    inward = 1.0 - 2.0 * side
+    point = samp.domain.mean(axis=1)
+    point[coord] = samp.domain[coord, side] + inward * 0.5 * margin
+    with pytest.raises(cg.DomainEdge):
+        oracle(oc.frame_point(samp, point))
+    point[coord] = samp.domain[coord, side] + inward * 1.5 * margin
+    assert np.all(np.isfinite(oracle(oc.frame_point(samp, point))))
+
+
 def test_vertical_horizontal_zero_for_product():
     samp = cg.product_sampler(base_size=2.0, fiber_size=1.0)
     fp = oc.frame_point(samp, np.array([0.1, -0.2, 0.3, 0.1]))
