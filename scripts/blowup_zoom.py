@@ -9,12 +9,7 @@ drains relative to the fiber direction as the singular time approaches.
 import argparse
 import json
 
-from fiberflow import (
-    HirzebruchParams,
-    RunSettings,
-    pick_blowup_sequence,
-    run_flow,
-)
+from fiberflow import HirzebruchParams, RunSettings, run_flow
 from fiberflow.harness_cli import AnalysisConfig, ValidationError, analyze
 
 
@@ -34,7 +29,7 @@ def main(argv=None) -> int:
 
     run = run_flow(HirzebruchParams(grid_points=args.grid), RunSettings())
     diag = run.diagnostics
-    report, tables, note = analyze(diag, run.T_observed, analysis)
+    report, rows, tables, note = analyze(diag, run.T_observed, analysis)
     split = report.get("splitting")
     if split is None:
         raise SystemExit(f"no qualifying picks: {note}")
@@ -43,8 +38,6 @@ def main(argv=None) -> int:
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0
 
-    rows = pick_blowup_sequence(diag, run.T_observed, args.mode,
-                                max_picks=args.picks)
     print(f"T_predicted {run.T_predicted:.6f}  T_observed "
           f"{run.T_observed:.6f}  class "
           f"{report['type']['classification']}")

@@ -7,13 +7,12 @@ import; everything else is imported from its module."""
 __version__ = "0.1.0"
 
 from .calabi_flow import HirzebruchParams, RunSettings, run_flow
-from .singularity_analyzer import classify_type, pick_blowup_sequence
+from .singularity_analyzer import classify_type
 
 __all__ = [
     "HirzebruchParams",
     "RunSettings",
     "__version__",
     "classify_type",
-    "pick_blowup_sequence",
     "run_flow",
 ]

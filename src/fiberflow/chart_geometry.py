@@ -45,7 +45,7 @@ class StructureViolation(ChartError):
 
 
 class DomainEdge(ChartError):
-    """A finite-difference stencil would leave the sampler domain."""
+    """A chart point (a stencil point included) lies outside the domain."""
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +338,22 @@ class ChartSampler:
     `evaluate_batch` takes a (P, 2n+2) stack of points and returns one
     batch of blocks for them (see `ChartMetricBlocks`); `evaluate` is its
     one-row case.  `domain` is a (2n+2, 2) box of admissible real
-    coordinates; oracles refuse stencils that would leave it.
+    coordinates, and `blocks_fn` the sampler's own batch formula, which
+    `evaluate_batch` calls only on points inside the box.
     """
 
     n: int
-    evaluate_batch: Callable[[np.ndarray], ChartMetricBlocks]
+    blocks_fn: Callable[[np.ndarray], ChartMetricBlocks]
     domain: np.ndarray
+
+    def evaluate_batch(self, points: np.ndarray) -> ChartMetricBlocks:
+        """The blocks at `points`; `DomainEdge` unless every coordinate of
+        every point lies in `domain` (a NaN coordinate lies nowhere)."""
+        p = np.asarray(points, dtype=float)
+        if not ((p >= self.domain[:, 0]).all()
+                and (p <= self.domain[:, 1]).all()):
+            raise DomainEdge("point outside the sampler domain")
+        return self.blocks_fn(p)
 
     def evaluate(self, point: np.ndarray) -> ChartMetricBlocks:
         return self.evaluate_batch(np.asarray(point, dtype=float)[None]).row(0)
@@ -358,15 +368,6 @@ class ChartSampler:
             g = assemble_block_metric(self.evaluate_batch(points), check=False)
             return np.linalg.slogdet(g)[1]
         return ld
-
-    def check_point(self, point: np.ndarray, margin: float) -> None:
-        """Refuse `point` unless every coordinate lies at least `margin`
-        inside the domain; a NaN coordinate lies nowhere."""
-        p = np.asarray(point, dtype=float)
-        lo = self.domain[:, 0] + margin
-        hi = self.domain[:, 1] - margin
-        if not (np.all(p >= lo) and np.all(p <= hi)):
-            raise DomainEdge("stencil leaves the sampler domain")
 
     def random_points(self, rng: np.random.Generator, count: int,
                       margin: float | None = None) -> np.ndarray:
@@ -395,7 +396,7 @@ def product_sampler(base_size: float = 3.0, fiber_size: float = 1.0,
     2*pi*fiber_size and its Gauss curvature 2/fiber_size.
     """
 
-    def evaluate_batch(points: np.ndarray) -> ChartMetricBlocks:
+    def blocks(points: np.ndarray) -> ChartMetricBlocks:
         z, xi = point_to_complex(points)
         r2 = np.abs(xi) ** 2
         w = 1.0 + r2
@@ -409,12 +410,13 @@ def product_sampler(base_size: float = 3.0, fiber_size: float = 1.0,
             dg_dxi=-2.0 * fiber_size * np.conj(xi) / w ** 3,
             d2g=-2.0 * fiber_size * (1.0 - 2.0 * r2) / w ** 4)
 
-    return ChartSampler(n=n, evaluate_batch=evaluate_batch,
+    return ChartSampler(n=n, blocks_fn=blocks,
                         domain=_box(n, 0.5, (-0.9, 0.9), (-0.9, 0.9)))
 
 
 # The chart box of `calabi_sampler` as `_box` takes it after n: |Re z_i|,
-# |Im z_i| <= 0.35, Re xi in [0.65, 1.45] and Im xi in [-0.35, 0.35].
+# |Im z_i| <= 0.35, Re xi in [0.65, 1.45] and Im xi in [-0.35, 0.35]; so
+# xi keeps off the pole xi = 0, where rho = ln|xi|^2 has no value.
 _CALABI_BOX = (0.35, (0.65, 1.45), (-0.35, 0.35))
 
 
@@ -430,15 +432,13 @@ def calabi_sampler(profile: Callable[[np.ndarray], tuple[np.ndarray, ...]],
     Kahler-compatible and totally geodesic by construction.
     """
 
-    def evaluate_batch(points: np.ndarray) -> ChartMetricBlocks:
+    def blocks(points: np.ndarray) -> ChartMetricBlocks:
         z, xi = point_to_complex(points)
         base = fubini_study_base(z)
         a = _fs_factor(z)
         phi = np.log(1.0 / a)
         phi_d = z.conj() * a[:, None]
         r2 = np.abs(xi) ** 2
-        if np.any(r2 <= 0.0):
-            raise DomainEdge("fiber coordinate too close to the pole")
         rho = np.log(r2) + k * phi
         fval, f1, f2, f3 = profile(rho)
         v, v1, v2 = f1 / k, f2 / k, f3 / k
@@ -453,8 +453,7 @@ def calabi_sampler(profile: Callable[[np.ndarray], tuple[np.ndarray, ...]],
             dsbar_dxi=np.zeros(phi_d.shape, dtype=complex),
             dg_dxi=(v1 - v) * efac / xi, d2g=(v2 - 2.0 * v1 + v) * efac / r2)
 
-    return ChartSampler(n=n, evaluate_batch=evaluate_batch,
-                        domain=_box(n, *_CALABI_BOX))
+    return ChartSampler(n=n, blocks_fn=blocks, domain=_box(n, *_CALABI_BOX))
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +544,6 @@ def fd_ricci_oracle(sampler: ChartSampler, point: np.ndarray,
     to fourth order, which the tight ratio-structure checks need; both
     stencils go to the sampler in one call.
     """
-    sampler.check_point(point, 2.5 * step)
     p = np.asarray(point, dtype=float)
     steps = (step, step / 2.0) if richardson else (step,)
     values = _on_stencil(sampler.log_det_fn(),

@@ -439,21 +439,22 @@ def _stored_rescaled(run_dir: Path) -> list[str]:
 
 def analyze(diag: dict[str, np.ndarray], T_observed: float,
             ana: AnalysisConfig
-            ) -> tuple[dict, list[dict[str, np.ndarray]], str | None]:
+            ) -> tuple[dict, np.ndarray, list[dict[str, np.ndarray]],
+                       str | None]:
     """Classify, pick, rescale and split one diagnostics table: the
-    `report.json` object, with its `splitting` entry and a rescaled table
-    per pick when the picks qualify, else no tables and a note saying why
-    they do not."""
+    `report.json` object, with its `splitting` entry, the picked rows of
+    `diag` and a rescaled table per pick when the picks qualify, else no
+    rows, no tables and a note saying why they do not."""
     report = {"type": classify_type(diag, T_observed)}
     try:
         rows = pick_blowup_sequence(diag, T_observed, ana.mode,
                                     max_picks=ana.max_picks)
         tables = rescale_series(diag, T_observed, rows)
     except AnalysisError as exc:
-        return report, [], str(exc)
+        return report, np.zeros(0, dtype=int), [], str(exc)
     report["splitting"] = splitting_report(diag["rm_sup"][rows], tables,
                                            ana.mode)
-    return report, tables, None
+    return report, rows, tables, None
 
 
 def _record(config: RunConfig, diag: dict[str, np.ndarray],
@@ -476,7 +477,7 @@ def _record(config: RunConfig, diag: dict[str, np.ndarray],
                   steps_recorded=len(diag["t"]),
                   heat_residual_max=(float("nan") if np.all(np.isnan(resid))
                                      else float(np.nanmax(resid))))
-    report, tables, note = analyze(diag, T_observed, config.analysis)
+    report, _, tables, note = analyze(diag, T_observed, config.analysis)
     record["classification"] = report["type"]["classification"]
     record["plateau_value"] = report["type"]["plateau_value"]
     if "splitting" in report:
@@ -745,8 +746,10 @@ def run_sweep(configs: Sequence[tuple[str, RunConfig]], base_dir: str | Path,
         members.append(entry)
 
     order = None
+    # a member with no finite positive heat residual (a failed run, or one
+    # too short for a time stencil) has no point on the log-log line
     pts = [(m["drho"], m["heat_residual_max"]) for m in members
-           if m.get("drho") and m.get("heat_residual_max")]
+           if m.get("drho") and 0.0 < (m["heat_residual_max"] or 0.0) < np.inf]
     if len({d for d, _ in pts}) >= 2:
         d, r = np.array(sorted(pts)).T
         order = loglog_slope(d, r)

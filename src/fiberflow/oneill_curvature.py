@@ -224,7 +224,6 @@ def sectional_residual(fp: FramePoint, x: np.ndarray, y: np.ndarray,
     gram = inner(fp, x, x) * inner(fp, y, y) - inner(fp, x, y) ** 2
     if not gram > 1e-12:
         raise DegeneratePlane("plane spanning vectors are parallel")
-    fp.sampler.check_point(fp.point, 2.0 * step)
     rlow = riemann_fd(fp.sampler.metric_fn(), fp.point, step)
     ambient = sectional_from_riemann(rlow, fp.g_real, x, y)
     return (kappa_base / fp.blocks.f
@@ -238,7 +237,6 @@ def base_sectional_fd(fp: FramePoint, x: np.ndarray, y: np.ndarray,
     n = fp.n
     fiber_tail = fp.point[2 * n:]
     samp = fp.sampler
-    samp.check_point(fp.point, 2.0 * step)
 
     def base_fn(points: np.ndarray) -> np.ndarray:
         tails = np.broadcast_to(fiber_tail, (len(points), 2))
@@ -280,7 +278,6 @@ def vertical_horizontal_curvature(fp: FramePoint,
     Each entry stays bounded while the fiber collapses, which is what
     makes the vertical sectional term dominate the curvature blowup.
     """
-    fp.sampler.check_point(fp.point, step)
     hess = _hessian_ln_f(fp, step)
     g, ver, hor = fp.g_real, fp.vertical, fp.horizontal
     du = grad_ln_f(fp) @ g @ ver.T
@@ -300,7 +297,6 @@ def mixed_curvature_residuals(fp: FramePoint, step: float = DEFAULT_FD_STEP,
     splitting detector.
     """
     if rlow is None:
-        fp.sampler.check_point(fp.point, 2.0 * step)
         rlow = riemann_fd(fp.sampler.metric_fn(), fp.point, step)
     # riem4(rlow, x, y, z, w) contracts rlow's slots with (w, z, x, y)
     hor, ver = fp.horizontal, fp.vertical

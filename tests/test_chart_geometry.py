@@ -235,25 +235,28 @@ def test_domain_edge_guard():
 
 @pytest.mark.parametrize("coord", range(4))
 def test_domain_edge_guard_refuses_nan(coord):
-    """A NaN coordinate lies in no box: `check_point` and the oracle that
-    calls it refuse it as they refuse an infinite one."""
+    """A NaN coordinate lies in no box: `evaluate_batch` and the oracle
+    that stencils through it refuse it as they refuse an infinite one."""
     samp = twisted_sampler()
     point = samp.random_points(np.random.default_rng(9), 1)[0]
-    samp.check_point(point, margin=2.5 * cg.DEFAULT_FD_STEP)
+    samp.evaluate_batch(point[None])
     for bad in (np.inf, np.nan):
         point[coord] = bad
         with pytest.raises(cg.DomainEdge):
-            samp.check_point(point, margin=0.0)
+            samp.evaluate_batch(point[None])
         with pytest.raises(cg.DomainEdge):
             cg.fd_ricci_oracle(samp, point)
 
 
 def test_random_points_stay_inside():
+    """Every coordinate of a random point lies at least 2.5 steps inside
+    the box: the points shifted that far up, or down, in all coordinates
+    at once still evaluate."""
     samp = twisted_sampler()
     rng = np.random.default_rng(5)
     pts = samp.random_points(rng, 50)
-    for p in pts:
-        samp.check_point(p, margin=2.5 * cg.DEFAULT_FD_STEP)
+    for shift in (2.5 * cg.DEFAULT_FD_STEP, -2.5 * cg.DEFAULT_FD_STEP):
+        samp.evaluate_batch(pts + shift)
 
 
 # ---------------------------------------------------------------------------

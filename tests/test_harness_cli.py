@@ -17,6 +17,7 @@ from fiberflow.calabi_flow import (
     FLOW_COLUMNS,
     HirzebruchParams,
     RunSettings,
+    loglog_slope,
     run_flow,
 )
 from fiberflow.chart_geometry import calabi_sampler, point_to_complex
@@ -392,10 +393,10 @@ def test_chart_residuals_fail_on_a_mutated_connection(
     def mutated_sampler(profile, n, k):
         sampler = calabi_sampler(profile, n=n, k=k)
 
-        def evaluate_batch(points):
+        def blocks(points):
             xi = point_to_complex(points)[1][:, None]
-            return MUTATIONS[mutation](sampler.evaluate_batch(points), xi)
-        return replace(sampler, evaluate_batch=evaluate_batch)
+            return MUTATIONS[mutation](sampler.blocks_fn(points), xi)
+        return replace(sampler, blocks_fn=blocks)
 
     # the chart of `sampler_from_state`, which `_check_chart_residuals` uses
     monkeypatch.setattr(calabi_flow, "calabi_sampler", mutated_sampler)
@@ -1016,6 +1017,24 @@ def test_sweep_convergence_order(tmp_path):
     assert len(stored["members"]) == 3
     for n in (96, 128, 192):
         assert (tmp_path / "sweep" / f"grid_{n}" / "manifest.json").exists()
+
+
+def test_sweep_order_leaves_out_a_member_without_a_heat_residual(tmp_path):
+    """A member that records fewer than three states has no time stencil,
+    so its `heat_residual_max` is NaN; the order is the slope of the
+    other members alone."""
+    short = grid_member(128).replace("stop_margin = 0.25",
+                                     "stop_margin = 0.49")
+    configs = [("grid_96.cfg", parse_config(grid_member(96))),
+               ("short_128.cfg", parse_config(short)),
+               ("grid_192.cfg", parse_config(grid_member(192)))]
+    summary, _ = run_sweep(configs, tmp_path, workers=1)
+    good, bad = summary["members"][::2], summary["members"][1]
+    assert np.isnan(bad["heat_residual_max"])
+    assert summary["heat_residual_order"] == loglog_slope(
+        [m["drho"] for m in good[::-1]],
+        [m["heat_residual_max"] for m in good[::-1]])
+    assert summary["heat_residual_order"] >= 1.9
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

@@ -110,7 +110,7 @@ def test_a_norm_hand_value():
         df_dxi=np.full(1, np.sqrt(0.045), complex), d2f=np.zeros(1),
         df_dz=zero, dsbar_dz=np.zeros((1, 1, 1), complex), dsbar_dxi=zero,
         dg_dxi=np.zeros(1, complex), d2g=np.zeros(1))
-    samp = cg.ChartSampler(n=1, evaluate_batch=lambda points: blocks,
+    samp = cg.ChartSampler(n=1, blocks_fn=lambda points: blocks,
                            domain=np.array([[-1.0, 1.0]] * 4))
     fp = oc.frame_point(samp, np.zeros(4))
     assert oc.grad_ln_f_norm_sq(fp) == pytest.approx(0.09, rel=1e-12)
@@ -248,28 +248,60 @@ def _base_sectional(fp):
     return oc.base_sectional_fd(fp, *fp.horizontal)
 
 
-# each stencil oracle with its widest offset in a coordinate: `step` for
-# the Hessian grid, 2 `step` for the star of stars of `riemann_fd`
-STENCIL_MARGINS = [(_vhc, 1.0), (_mixed, 2.0), (_sectional, 2.0),
-                   (_base_sectional, 2.0)]
+def _ricci(fp):
+    return cg.fd_ricci_oracle(fp.sampler, fp.point, richardson=True).assemble()
+
+
+def _reach(oracle, widest, base_only=False):
+    """An oracle with its stencil's widest offset in each coordinate, in
+    steps: `step` for the Hessian grid (the Richardson one included, whose
+    second grid is half as wide), 2 `step` for the star of stars of
+    `riemann_fd`; `base_sectional_fd` never moves the fiber coordinates."""
+    reach = np.full(4, widest)
+    if base_only:
+        reach[2:] = 0.0
+    return pytest.param(oracle, reach, id=f"{oracle.__name__}-{widest}")
+
+
+STENCIL_MARGINS = [_reach(_vhc, 1.0), _reach(_mixed, 2.0),
+                   _reach(_sectional, 2.0),
+                   _reach(_base_sectional, 2.0, base_only=True),
+                   _reach(_ricci, 1.0)]
 
 
 @pytest.mark.parametrize("side", [0, 1])
 @pytest.mark.parametrize("coord", range(4))
-@pytest.mark.parametrize("oracle, widest", STENCIL_MARGINS)
-def test_stencil_oracles_refuse_the_domain_edge(oracle, widest, coord, side):
+@pytest.mark.parametrize("oracle, reach", STENCIL_MARGINS)
+def test_stencil_oracles_refuse_the_domain_edge(oracle, reach, coord, side):
     """Each oracle that stencils around a frame point refuses a point
     half its stencil's reach from the domain's edge, and evaluates one
-    at one and a half times that reach."""
+    at one and a half times that reach; with no reach in a coordinate,
+    it evaluates a point on the edge."""
     samp = twisted_sampler()
-    margin = widest * cg.DEFAULT_FD_STEP
+    margin = reach[coord] * cg.DEFAULT_FD_STEP
     inward = 1.0 - 2.0 * side
     point = samp.domain.mean(axis=1)
     point[coord] = samp.domain[coord, side] + inward * 0.5 * margin
-    with pytest.raises(cg.DomainEdge):
-        oracle(oc.frame_point(samp, point))
+    if margin > 0.0:
+        with pytest.raises(cg.DomainEdge):
+            oracle(oc.frame_point(samp, point))
+    else:
+        assert np.all(np.isfinite(oracle(oc.frame_point(samp, point))))
     point[coord] = samp.domain[coord, side] + inward * 1.5 * margin
     assert np.all(np.isfinite(oracle(oc.frame_point(samp, point))))
+
+
+@pytest.mark.parametrize("bad", ["outside", "nan"])
+@pytest.mark.parametrize("coord", range(4))
+def test_frame_point_refuses_points_off_the_domain(coord, bad):
+    """The frame point itself goes through the sampler's box: a
+    coordinate just outside it, or a NaN one, raises."""
+    samp = twisted_sampler()
+    point = samp.domain.mean(axis=1)
+    point[coord] = (np.nextafter(samp.domain[coord, 1], np.inf)
+                    if bad == "outside" else np.nan)
+    with pytest.raises(cg.DomainEdge):
+        oc.frame_point(samp, point)
 
 
 def test_vertical_horizontal_zero_for_product():
