@@ -18,6 +18,7 @@ y_fiber) with z = x + i*y.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields, replace
 from typing import Callable
 
@@ -460,55 +461,88 @@ def calabi_sampler(profile: Callable[[np.ndarray], tuple[np.ndarray, ...]],
 # finite-difference oracles
 
 
-# Every oracle lays out its whole stencil first, evaluates the distinct
-# points of it in one batch call and reads the values back through an
-# index table.  Overlapping stencils share points: (p + e_c) + e_a is
-# bitwise (p + e_a) + e_c, and p + e_c - e_c usually rounds back to p.
+# Every oracle evaluates the distinct points of its whole stencil in one
+# batch call and reads the values back through an index table.  The
+# stencil of a step h is the grid (p + h s_i) + h s_j over the star shifts
+# s_0 = 0, s_1 = +e_0, s_2 = -e_0, s_3 = +e_1, ...
 
 
-def _star(points: np.ndarray, step: float) -> np.ndarray:
-    """p, p + step e_0, p - step e_0, p + step e_1, ... for every p of
-    `points` (..., d): shape (..., 2d + 1, d)."""
-    d = points.shape[-1]
-    shifts = np.zeros((2 * d + 1, d))
-    axis = np.arange(d)
-    shifts[1 + 2 * axis, axis] = step
-    shifts[2 + 2 * axis, axis] = -step
-    return points[..., None, :] + shifts
+@functools.cache
+def _stencil_plan(d: int, hessian: bool, count: int
+                  ) -> tuple[np.ndarray, ...]:
+    """The layout of `count` stencil grids in dimension d, one per step:
+    rows `first`, `second` (m, d) of +-1 and 0 and `step_of` (m,), so
+    that (p + h first) + h second with h = steps[step_of] is each point
+    of the grids once; the table (count, 2d + 1, 2d + 1) of their rows;
+    and for the round trips (p + h s_i) - h s_i, the last rows, the
+    coordinate `trip_axis` each shifts and the flat position `trip_at` in
+    the table, which reads it as the centre until `_stencil` compares.
+
+    Shifts of two different coordinates commute bitwise, x + 0.0 + h being
+    x + h + 0.0, so a pair is one row, and so is the centre p + 0.0 + 0.0
+    of every grid.  With `hessian` the entries that shift one coordinate
+    twice, which `_real_hessian` never reads, are the centre; else double
+    shifts and round trips are rows.  For steps well above the ulp of p,
+    only a round trip can then be another point of the grids, except that
+    without `hessian` a double shift of one step can be a single shift of
+    another, and is evaluated twice."""
+    star = np.zeros((2 * d + 1, d))
+    star[1 + 2 * np.arange(d), np.arange(d)] = 1.0
+    star[2 + 2 * np.arange(d), np.arange(d)] = -1.0
+    axis = (np.arange(2 * d + 1) + 1) // 2  # 0 at the centre
+    # (round trip, step, i, j) per grid entry: sorted, the centre comes
+    # first and the round trips last
+    keys = [(0, 0, 0, 0) if a == b and (hessian or a == 0) else
+            (int(i != j), s, i, j) if a == b else
+            (0, s, min(i, j), max(i, j))
+            for s in range(count)
+            for i, a in enumerate(axis) for j, b in enumerate(axis)]
+    rows = sorted(set(keys))
+    row = {key: 0 if key[0] else r for r, key in enumerate(rows)}
+    at = {key: k for k, key in enumerate(keys)}
+    trips, step_of, i, j = np.array(rows).T
+    plan = (star[i], star[j], step_of,
+            np.array([row[key] for key in keys]).reshape(
+                count, 2 * d + 1, 2 * d + 1),
+            axis[i[trips == 1]] - 1,
+            np.array([at[key] for key in rows if key[0]], dtype=int))
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
 
 
-def _hessian_grid(point: np.ndarray, step: float) -> np.ndarray:
-    """`_star` of `_star(point)`, (2d + 1, 2d + 1, d), with the entries
-    that shift one coordinate twice set to `point`: they are not used,
-    and the point is on the stencil anyway."""
-    grid = _star(_star(point, step), step)
-    axis = (np.arange(grid.shape[0]) + 1) // 2  # 0 at the centre
-    grid[(axis[:, None] == axis) & (axis[:, None] > 0)] = point
-    return grid
-
-
-def _distinct(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct points of `points` (..., d) by their exact bytes, and
-    the index table (...) that reads values computed at them back in the
-    shape of `points`."""
-    flat = np.ascontiguousarray(points, dtype=float).reshape(
-        -1, points.shape[-1])
-    keys = flat.view(np.dtype((np.void, flat.strides[0]))).ravel()
-    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-    return flat[first], index.reshape(points.shape[:-1])
-
-
-def _on_stencil(fn: Callable[[np.ndarray], np.ndarray],
-                points: np.ndarray) -> np.ndarray:
-    """The values of the batch function `fn` at `points` (..., d), from one
-    call on their distinct points."""
-    rows, index = _distinct(points)
-    return fn(rows)[index]
+def _stencil(point: np.ndarray, steps: tuple[float, ...],
+             hessian: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct points of the stencil grids of `point` (d,), one per
+    step of `steps`, and the index table (len(steps), 2d + 1, 2d + 1)
+    that reads values computed at them back on each grid.  A round trip
+    is the centre, or an earlier round trip, if its bits are."""
+    p = np.asarray(point, dtype=float)
+    first, second, step_of, index, trip_axis, trip_at = _stencil_plan(
+        p.shape[-1], hessian, len(steps))
+    h = np.asarray(steps, dtype=float)[step_of, None]
+    points = (p + h * first) + h * second
+    k = len(trip_at)
+    if not k:
+        return points, index
+    # a round trip differs from the centre row in its own coordinate at
+    # most; the row, not p, whose -0.0 it holds as +0.0
+    bits = points[-k:][np.arange(k), trip_axis].view(np.int64)
+    off = bits != points[0, trip_axis].view(np.int64)
+    if not off.any():
+        return points[:-k], index
+    same = (bits[:, None] == bits) & (trip_axis[:, None] == trip_axis)
+    earliest = same.argmax(axis=0)
+    kept = off & (earliest == np.arange(k))
+    index = index.copy()
+    index.flat[trip_at[off]] = (len(points) - k + np.cumsum(kept)
+                                - 1)[earliest[off]]
+    return np.concatenate([points[:-k], points[-k:][kept]]), index
 
 
 def _real_hessian(values: np.ndarray, step: float) -> np.ndarray:
     """Real Hessian (d, d) of a scalar by central differences, from its
-    values (2d + 1, 2d + 1) on `_hessian_grid`."""
+    values (2d + 1, 2d + 1) on a `_stencil` grid."""
     h2 = step ** 2
     diag = (values[0, 1::2] - 2.0 * values[0, 0] + values[0, 2::2]) / h2
     mixed = (values[1::2, 1::2] - values[1::2, 2::2]
@@ -531,8 +565,8 @@ def hermitian_hessian_fd(fn: Callable[[np.ndarray], np.ndarray],
                          point: np.ndarray, step: float) -> np.ndarray:
     """Mixed complex Hessian d_A d_Bbar of a real scalar by central
     stencils; `fn` maps a (P, 2m) stack of points to (P,) values."""
-    grid = _hessian_grid(np.asarray(point, dtype=float), step)
-    return _complex_hessian(_real_hessian(_on_stencil(fn, grid), step))
+    rows, index = _stencil(point, (step,), hessian=True)
+    return _complex_hessian(_real_hessian(fn(rows)[index[0]], step))
 
 
 def fd_ricci_oracle(sampler: ChartSampler, point: np.ndarray,
@@ -544,10 +578,9 @@ def fd_ricci_oracle(sampler: ChartSampler, point: np.ndarray,
     to fourth order, which the tight ratio-structure checks need; both
     stencils go to the sampler in one call.
     """
-    p = np.asarray(point, dtype=float)
     steps = (step, step / 2.0) if richardson else (step,)
-    values = _on_stencil(sampler.log_det_fn(),
-                         np.stack([_hessian_grid(p, hh) for hh in steps]))
+    rows, index = _stencil(point, steps, hessian=True)
+    values = sampler.log_det_fn()(rows)[index]
     mats = [_complex_hessian(_real_hessian(v, hh))
             for v, hh in zip(values, steps)]
     mat = (4.0 * mats[1] - mats[0]) / 3.0 if richardson else mats[0]
@@ -561,7 +594,8 @@ def fd_ricci_oracle(sampler: ChartSampler, point: np.ndarray,
 
 def _christoffel(g: np.ndarray, step: float) -> np.ndarray:
     """Christoffel symbols Gamma^a_{bc} (..., d, d, d) of a real metric by
-    central differences, from its values g (..., 2d + 1, d, d) on `_star`."""
+    central differences, from its values g (..., 2d + 1, d, d) at p, p + step
+    e_0, p - step e_0, p + step e_1, ..., a row of a `_stencil` grid."""
     # dg[..., a, :, :] is the metric derivative in direction a
     dg = (g[..., 1::2, :, :] - g[..., 2::2, :, :]) / (2.0 * step)
     ginv = np.linalg.inv(g[..., 0, :, :])
@@ -579,12 +613,13 @@ def riemann_fd(metric_fn: Callable[[np.ndarray], np.ndarray],
     accurate in `step`.  Sign convention fixed so that the sectional
     curvature of a round sphere comes out positive via
     `sectional_from_riemann`.  `metric_fn` maps a (P, d) stack of points
-    to their (P, d, d) real metrics; it is called once, on the 2d^2 + 2d + 1
-    distinct points of the Christoffel stencils around p and p +- e_c
-    (more only if a shift x + h - h does not round back to x).
+    to their (P, d, d) real metrics; it is called once, on the distinct
+    points of the Christoffel stencils around p and p +- e_c: 2d^2 + 2d + 1
+    of them, and one more for each round trip x + h - h that rounds to
+    neither x nor an earlier round trip.
     """
-    p = np.asarray(point, dtype=float)
-    g = _on_stencil(metric_fn, _star(_star(p, step), step))
+    rows, index = _stencil(point, (step,))
+    g = metric_fn(rows)[index[0]]
     gamma = _christoffel(g, step)
     gamma0 = gamma[0]
     # dgamma[c] is the derivative of Gamma in direction c

@@ -44,6 +44,7 @@ from .calabi_flow import (
     HirzebruchParams,
     ProductParams,
     RunSettings,
+    _step_size,
     flow_table,
     init_hirzebruch_profile,
     loglog_slope,
@@ -59,6 +60,7 @@ from .chart_geometry import (
     check_totally_geodesic,
 )
 from .singularity_analyzer import (
+    MIN_SAMPLES,
     PICK_MODES,
     AnalysisError,
     classify_sup_series,  # no caller here; perfbench/tracing.py wraps it
@@ -303,11 +305,20 @@ def parse_config(text: str) -> RunConfig:
         t_pred = predict_max_time(params)
     except FlowError as exc:
         raise ValidationError("params", str(exc)) from exc
-    if settings.stop_margin >= t_pred:
-        # the run would stop before its first step
+    # the states the step rule schedules, counted up to the analysis'
+    # minimum; a run records no more (a stop margin at or above the
+    # predicted time leaves the initial state alone)
+    states, t = 1, 0.0
+    while states < MIN_SAMPLES and (
+            dt := _step_size(settings, t_pred, t)) is not None:
+        states, t = states + 1, t + dt
+    if states < MIN_SAMPLES:
         raise ValidationError(
-            "stop_margin", f"must be below the predicted collapse time "
-                           f"{t_pred!r} in [flow]")
+            "stop_margin", f"the step rule (dt_max, time_frac, dt_fixed) "
+                           f"leaves {states} recorded state(s) before the "
+                           f"predicted collapse time {t_pred!r} less "
+                           f"stop_margin; the analysis needs at least "
+                           f"{MIN_SAMPLES}, in [flow]")
 
     ana_kv.setdefault("checks", DEFAULT_CHECKS[scenario])
     analysis = AnalysisConfig(**ana_kv)
@@ -411,12 +422,27 @@ def _read_json(path: Path) -> tuple[dict, str]:
     return payload, text
 
 
+def _json_text(payload) -> str:
+    """`payload` as RFC 8259 JSON text with sorted keys, each float that is
+    not finite, which JSON has no token for, written as null."""
+    def finite(value):
+        if isinstance(value, float) and not math.isfinite(value):
+            return None
+        if isinstance(value, dict):
+            return {k: finite(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [finite(v) for v in value]
+        return value
+
+    return json.dumps(finite(payload), indent=2, sort_keys=True,
+                      allow_nan=False)
+
+
 def _atomic_json(path: Path, payload: dict) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_json_text(payload) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -487,8 +513,7 @@ def _record(config: RunConfig, diag: dict[str, np.ndarray],
     record["acceptance"] = _acceptance(config, diag, record, report,
                                        chart_ok)
     record["passed"] = all(record["acceptance"].values())
-    files = {"report.json": json.dumps(report, indent=2, sort_keys=True)
-             + "\n"}
+    files = {"report.json": _json_text(report) + "\n"}
     for i, table in enumerate(tables):
         files[f"rescaled_{i}.csv"] = _csv_text(RESCALED_CSV_SCHEMA, table)
     return files
@@ -672,12 +697,11 @@ def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
                if _read_text(run_dir / name) != text]
     differs += [name for name in _stored_rescaled(run_dir)
                 if name not in files]
-    # JSON text compares NaN equal to NaN and floats round-trip through
-    # it; sorted keys, as the manifest is written
+    # floats round-trip through JSON text, and a derived NaN is the null
+    # the manifest stores for it
     differs += [f"manifest.json {key}" for key, value in record.items()
                 if key not in manifest
-                or json.dumps(manifest[key], sort_keys=True)
-                != json.dumps(value, sort_keys=True)]
+                or _json_text(manifest[key]) != _json_text(value)]
     differs += [f"manifest.json {key}" for key in sorted(
         manifest.keys() - record.keys() - RECORDED_ENTRIES)]
     summary = {

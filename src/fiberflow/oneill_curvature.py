@@ -21,9 +21,8 @@ from .chart_geometry import (
     ChartMetricBlocks,
     ChartSampler,
     _christoffel,
-    _distinct,
-    _hessian_grid,
     _real_hessian,
+    _stencil,
     complex_structure,
     real_metric,
     real_metric_from_hermitian,
@@ -259,12 +258,13 @@ def _hessian_ln_f(fp: FramePoint, step: float) -> np.ndarray:
     """Covariant Hessian matrix of ln f at the frame point via metric-only
     stencils.  One sampler call on the distinct stencil points feeds both
     the ln f stencil and the Christoffel stencil."""
-    rows, index = _distinct(_hessian_grid(fp.point, step))
+    rows, index = _stencil(fp.point, (step,), hessian=True)
     blocks = fp.sampler.evaluate_batch(rows)
-    lnf = np.log(blocks.f)[index]
+    lnf = np.log(blocks.f)[index[0]]
     grad1 = (lnf[0, 1::2] - lnf[0, 2::2]) / (2.0 * step)
-    # the first row of the grid is the Christoffel stencil of `_star`
-    gamma = _christoffel(real_metric(blocks)[index[0]], step)
+    # the grid's first row, p and its single shifts, is the stencil that
+    # `_christoffel` reads at p
+    gamma = _christoffel(real_metric(blocks)[index[0, 0]], step)
     return _real_hessian(lnf, step) - np.einsum('cab,c->ab', gamma, grad1)
 
 

@@ -32,6 +32,10 @@ HORIZ_TOL = 0.05
 FIBER_TOL = 0.05
 
 PICK_MODES = ("typeI_max_curvature", "typeII_supremum")
+# classify_sup_series reads at least MIN_SAMPLES samples before the stop
+# time, and fits its trend to at least as many; parse_config refuses a
+# config whose step rule leaves a run fewer states
+MIN_SAMPLES = 4
 
 # Analysis constants, read when used so that a test can monkeypatch one.
 # The pick ladder spans the last SPAN_DECADES decades of remaining time;
@@ -200,14 +204,15 @@ def classify_sup_series(times: np.ndarray, rm_sup: np.ndarray,
     rem = T_observed - times
     ok = (rem > 0.0) & (rm_sup > 0.0)
     rem, rm_sup = rem[ok], rm_sup[ok]
-    if rem.size < 4:
-        raise TooFewSamples("need at least 4 samples before the stop time")
+    if rem.size < MIN_SAMPLES:
+        raise TooFewSamples(f"need at least {MIN_SAMPLES} samples before "
+                            f"the stop time")
     vals = rem * rm_sup
 
     tail = rem <= rem[-1] * 10.0
-    if tail.sum() < 4:
+    if tail.sum() < MIN_SAMPLES:
         tail = np.zeros_like(tail)
-        tail[-4:] = True
+        tail[-MIN_SAMPLES:] = True
     tv, tr = vals[tail], rem[tail]
     plateau = float(np.median(tv))
     burst = float(np.max(tv) / plateau)

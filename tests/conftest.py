@@ -23,14 +23,16 @@ def make_logistic(lower, width):
     return prof
 
 
-def reject_steps_after(monkeypatch, calls):
+def reject_steps_after(monkeypatch, calls, grid_points=None):
     """Make every step solve after the first `calls` raise StepRejected,
-    with no step halving to retry it, so a run stops at its next step."""
+    with no step halving to retry it, so a run stops at its next step;
+    with `grid_points`, only the solves on grids of that many nodes."""
     real = calabi_flow.FlowProblem.step_once
     count = itertools.count()
 
     def step_once(self, u, dt):
-        if next(count) >= calls:
+        if (grid_points in (None, self.params.grid_points)
+                and next(count) >= calls):
             raise calabi_flow.StepRejected("injected rejection")
         return real(self, u, dt)
 

@@ -36,8 +36,7 @@ from fiberflow.calabi_flow import (
     stop_cause,
 )
 from fiberflow.chart_geometry import (
-    _distinct,
-    _star,
+    _stencil,
     calabi_sampler,
     check_kahler_compatibility,
     check_totally_geodesic,
@@ -372,7 +371,7 @@ def test_local_profile_row_is_the_same_alone_and_in_a_stencil(n):
     st = init_hirzebruch_profile(params)
     samp = sampler_from_state(st, params)
     point = samp.random_points(np.random.default_rng(n), 1)[0]
-    stencil = _distinct(_star(_star(point, 1e-3), 1e-3))[0]
+    stencil = _stencil(point, (1e-3,))[0]
     z, xi = point_to_complex(stencil)
     rho = np.log(np.abs(xi) ** 2) + np.log(1.0 + np.sum(np.abs(z) ** 2,
                                                         axis=1))

@@ -2,6 +2,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_logistic
 from fiberflow import chart_geometry as cg
@@ -178,6 +180,85 @@ def test_scalar_curvature_fd_product():
     g = cg.assemble_block_metric(samp.evaluate(p), check=False)
     val = float(np.trace(ric @ np.linalg.inv(g)).real)
     assert val == pytest.approx(2.0 / f0 + 2.0 / size, rel=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# stencil plans
+
+
+def _star(points, step):
+    """p, p + step e_0, p - step e_0, p + step e_1, ... for every p of
+    `points` (..., d): the naive stencil layout, (..., 2d + 1, d)."""
+    d = points.shape[-1]
+    shifts = np.zeros((2 * d + 1, d))
+    axis = np.arange(d)
+    shifts[1 + 2 * axis, axis] = step
+    shifts[2 + 2 * axis, axis] = -step
+    return points[..., None, :] + shifts
+
+
+def _naive_stencil(point, steps, hessian):
+    """The grids `_star` of `_star(point)` per step, (S, 2d + 1, 2d + 1,
+    d), and their distinct points by their bytes, from np.unique.  With
+    `hessian` the entries that shift one coordinate twice are the centre
+    (`_real_hessian` never reads them)."""
+    grids = np.stack([_star(_star(point, h), h) for h in steps])
+    if hessian:
+        axis = (np.arange(grids.shape[1]) + 1) // 2
+        twice = (axis[:, None] == axis) & (axis[:, None] > 0)
+        grids[:, twice] = grids[:, :1, 0]
+    flat = grids.reshape(-1, grids.shape[-1])
+    keys = flat.view(np.dtype((np.void, flat.strides[0]))).ravel()
+    return grids, flat[np.unique(keys, return_index=True)[1]]
+
+
+def _assert_plan_is_naive(point, steps, hessian):
+    grids, distinct = _naive_stencil(point, steps, hessian)
+    rows, index = cg._stencil(point, steps, hessian)
+    assert np.array_equal(rows[index].view(np.int64), grids.view(np.int64))
+    assert len(rows) == len(distinct)
+    assert {r.tobytes() for r in rows} == {r.tobytes() for r in distinct}
+
+
+# the layouts of riemann_fd, of the Hessians and of the Richardson pair
+STENCIL_LAYOUTS = [((1e-3,), False), ((1e-3,), True), ((1e-3, 5e-4), True)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(coords=st.sampled_from([2, 4, 6, 8]).flatmap(
+           lambda d: st.lists(st.floats(-10.0, 10.0), min_size=d,
+                              max_size=d)),
+       layout=st.sampled_from(STENCIL_LAYOUTS))
+def test_stencil_plan_is_the_naive_stencil_at_random_points(coords, layout):
+    _assert_plan_is_naive(np.array(coords), *layout)
+
+
+def _round_trip_off(h=1e-3):
+    """A coordinate x whose round trip (x + h) - h is not x."""
+    xs = np.linspace(0.1, 0.2, 1001)
+    return xs[(xs + h) - h != xs][0]
+
+
+@pytest.mark.parametrize("layout", STENCIL_LAYOUTS)
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+@pytest.mark.parametrize("special", [
+    -0.0,  # the centre is p + 0.0 + 0.0, whose zero is +0.0
+    _round_trip_off(),  # one round trip stays a point of its own
+    1e-20,  # both round trips land on 0.0, one point
+])
+def test_stencil_plan_is_the_naive_stencil_at_special_points(special, d,
+                                                              layout):
+    point = np.random.default_rng(d).uniform(-1.0, 1.0, d)
+    point[d // 2] = special
+    _assert_plan_is_naive(point, *layout)
+
+
+def test_stencil_keeps_a_round_trip_off_the_centre_as_its_own_row():
+    d = 4
+    point = np.full(d, 0.3)
+    assert len(cg._stencil(point, (1e-3,))[0]) == 2 * d * d + 2 * d + 1
+    point[1] = _round_trip_off()
+    assert len(cg._stencil(point, (1e-3,))[0]) == 2 * d * d + 2 * d + 2
 
 
 # ---------------------------------------------------------------------------

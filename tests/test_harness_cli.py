@@ -40,6 +40,7 @@ from fiberflow.harness_cli import (
     parse_config,
     run_sweep,
 )
+from fiberflow.singularity_analyzer import MIN_SAMPLES, classify_type
 
 from conftest import grid_member, reject_steps_after
 
@@ -460,10 +461,18 @@ def test_byte_determinism(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def _past_parse(text, **flow):
+    """The config of `text` with the [flow] values `flow`, which leave the
+    analysis too few states: parse_config refuses them, and a run that
+    takes them stops with TooFewSamples, exit 3."""
+    config = parse_config(text)
+    return replace(config, settings=replace(config.settings, **flow))
+
+
 def test_manifest_written_on_runtime_error(tmp_path):
-    text = ("[run]\nscenario = hirzebruch\n\n"
-            "[flow]\ndt_fixed = 0.25\nstop_margin = 0.3\n")
-    manifest, code = execute(parse_config(text), tmp_path)
+    config = _past_parse("[run]\nscenario = hirzebruch\n",
+                         dt_fixed=0.25, stop_margin=0.3)
+    manifest, code = execute(config, tmp_path)
     assert code == 3
     assert manifest["error"] is not None
     stored = json.loads((tmp_path / "manifest.json").read_text())
@@ -585,8 +594,9 @@ def test_check_manifest_missing_entry_exits_3(hz_dir, tmp_path, capsys):
     ("hz_dir", lambda m: m["config"].update(recording={"stride": "1"})),
     ("hz_dir", lambda m: m.update(T_predicted=0)),
     ("hz_dir", lambda m: m.update(T_observed=float("nan"))),
+    ("hz_dir", lambda m: m.update(T_observed=None)),
 ], ids=["no-acceptance", "R_h", "slope_bounded", "v_floor", "recording",
-        "T_predicted-zero", "T_observed-nan"])
+        "T_predicted-zero", "T_observed-nan", "T_observed-null"])
 def test_check_malformed_manifest_value_exits_3(request, tmp_path, capsys,
                                                 fixture, edit):
     out, _, _ = request.getfixturevalue(fixture)
@@ -638,8 +648,8 @@ def test_check_flow_csv_apart_from_diagnostics_csv_exits_3(
 
 
 def test_check_crashed_run_exits_3_naming_the_error(tmp_path, capsys):
-    text = PRODUCT_CFG + "dt_max = 1.0\ntime_frac = 1.0\n"
-    manifest, code = execute(parse_config(text), tmp_path)
+    config = _past_parse(PRODUCT_CFG, dt_max=1.0, time_frac=1.0)
+    manifest, code = execute(config, tmp_path)
     assert code == 3 and manifest["acceptance"] == {}
     assert (tmp_path / "diagnostics.csv").exists()
     assert main(["check", str(tmp_path)]) == 3
@@ -856,8 +866,7 @@ def test_every_manifest_entry_is_recorded_or_derived_by_record(request,
 
 def test_error_manifest_keeps_the_run_numbers(tmp_path):
     # the analysis raises TooFewSamples after the run's numbers are derived
-    text = PRODUCT_CFG + "dt_max = 1.0\ntime_frac = 1.0\n"
-    config = parse_config(text)
+    config = _past_parse(PRODUCT_CFG, dt_max=1.0, time_frac=1.0)
     manifest, code = execute(config, tmp_path)
     assert code == 3 and manifest["error"]["type"] == "TooFewSamples"
     diag = _read_csv(tmp_path / "diagnostics.csv", DIAG_COLUMNS)
@@ -1019,14 +1028,14 @@ def test_sweep_convergence_order(tmp_path):
         assert (tmp_path / "sweep" / f"grid_{n}" / "manifest.json").exists()
 
 
-def test_sweep_order_leaves_out_a_member_without_a_heat_residual(tmp_path):
+def test_sweep_order_leaves_out_a_member_without_a_heat_residual(
+        tmp_path, monkeypatch):
     """A member that records fewer than three states has no time stencil,
     so its `heat_residual_max` is NaN; the order is the slope of the
     other members alone."""
-    short = grid_member(128).replace("stop_margin = 0.25",
-                                     "stop_margin = 0.49")
+    reject_steps_after(monkeypatch, 1, grid_points=128)
     configs = [("grid_96.cfg", parse_config(grid_member(96))),
-               ("short_128.cfg", parse_config(short)),
+               ("short_128.cfg", parse_config(grid_member(128))),
                ("grid_192.cfg", parse_config(grid_member(192)))]
     summary, _ = run_sweep(configs, tmp_path, workers=1)
     good, bad = summary["members"][::2], summary["members"][1]
@@ -1035,6 +1044,54 @@ def test_sweep_order_leaves_out_a_member_without_a_heat_residual(tmp_path):
         [m["drho"] for m in good[::-1]],
         [m["heat_residual_max"] for m in good[::-1]])
     assert summary["heat_residual_order"] >= 1.9
+
+
+def _strict_json(path):
+    """The JSON object at `path`, which must be RFC 8259 JSON: no NaN or
+    Infinity token."""
+    def refuse(token):
+        raise ValueError(f"{path.name}: {token} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_files_are_strict_json_when_the_heat_residual_is_undefined(
+        tmp_path, monkeypatch):
+    """A run stopped by a rejected second step records two states, so no
+    heat residual and too few samples to classify; its manifest and the
+    sweep's summary still land, as JSON that writes the undefined heat
+    residual as null."""
+    reject_steps_after(monkeypatch, 1)
+    config = parse_config(grid_member(128))
+    summary, code = run_sweep([("short_128.cfg", config)], tmp_path,
+                              workers=1)
+    assert code == 3
+    manifest = _strict_json(tmp_path / "short_128" / "manifest.json")
+    assert manifest["error"]["type"] == "TooFewSamples"
+    assert manifest["steps_recorded"] == 2
+    assert manifest["heat_residual_max"] is None
+    stored = _strict_json(tmp_path / "sweep_summary.json")
+    assert stored["members"][0]["heat_residual_max"] is None
+    assert np.isnan(summary["members"][0]["heat_residual_max"])
+
+
+def test_run_without_a_heat_residual_fails_monitors_and_checks_consistent(
+        tmp_path, monkeypatch):
+    """With no heat residual at any state, `monitors` fails; the manifest
+    stores null for the undefined maximum, and `check` derives the NaN
+    again from the stored table and calls the record consistent."""
+    monkeypatch.setattr(
+        calabi_flow, "heat_residual_series",
+        lambda states, params: np.full(len(states), np.nan))
+    manifest, code = execute(parse_config(HZ_CFG), tmp_path, seed=3)
+    assert code == 1
+    assert [name for name, ok in manifest["acceptance"].items()
+            if not ok] == ["monitors"]
+    assert _strict_json(tmp_path / "manifest.json")[
+        "heat_residual_max"] is None
+    summary, check_code = check_run_dir(tmp_path)
+    assert check_code == 1 and summary["consistent"] is True
+    assert summary["recheck"] == manifest["acceptance"]
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -1158,6 +1215,11 @@ def test_bad_flow_value_is_reported_under_flow(tmp_path, capsys, line):
     # no acceptance check, so the run passes whatever its numbers: exit 0
     ("hirzebruch", ("max_picks = 6", "max_picks = 6\nchecks ="), "checks"),
     ("hirzebruch", ("max_picks = 6", "max_picks = 6\nchecks = ,"), "checks"),
+    # two recorded states, too few for the classification: exit 3
+    ("hirzebruch", ("stop_margin = 0.001", "stop_margin = 0.49"),
+     "stop_margin"),
+    ("product", ("[flow]\n", "[flow]\ndt_max = 1.0\ntime_frac = 1.0\n"),
+     "stop_margin"),
 ])
 def test_values_that_fail_only_after_a_run_are_rejected_at_parse(
         tmp_path, capsys, scenario, edit, key):
@@ -1171,6 +1233,28 @@ def test_values_that_fail_only_after_a_run_are_rejected_at_parse(
     assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("stop_margin,states", [
+    ("0.2", 4), ("0.31", 3), ("0.49", 2)])
+def test_stop_margin_must_leave_the_analysis_its_states(stop_margin,
+                                                        states):
+    """The step rule's states are counted at parse: with dt_fixed = 0.1
+    before T_predicted = 0.5, a margin of 0.2 leaves the states at t = 0,
+    0.1, 0.2 and 0.3, which a run records and classifies, and a wider one
+    fewer."""
+    text = _hz("grid_points = 128") + (f"\n[flow]\ndt_fixed = 0.1\n"
+                                        f"stop_margin = {stop_margin}\n")
+    if states < MIN_SAMPLES:
+        with pytest.raises(ValidationError,
+                           match=f"stop_margin: .* leaves {states} "):
+            parse_config(text)
+    else:
+        config = parse_config(text)
+        diag = run_flow(config.params, config.settings).diagnostics
+        assert diag["t"].size == states
+        classify_type(diag, calabi_flow.observed_stop_time(config.params,
+                                                           diag))
 
 
 @pytest.mark.parametrize("L", ["8.0", "800.0"])
