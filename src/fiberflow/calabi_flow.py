@@ -1280,5 +1280,10 @@ def sampler_from_state(state: FlowState,
     the stored nodes (`_local_profile`); numpy only.  That metric is an
     honest member of the ansatz family (any smooth increasing profile is),
     so chart-level identity checks and finite-difference oracles on it are
-    valid regardless of PDE accuracy."""
+    valid regardless of PDE accuracy.  Its base is Fubini-Study, so
+    `ChartError` unless `params.base_scalar` is n(n+1)."""
+    if params.base_scalar != params.n * (params.n + 1):
+        raise ChartError(f"the chart's base is Fubini-Study, whose scalar is "
+                         f"{params.n * (params.n + 1)}, not R_h = "
+                         f"{params.base_scalar!r}")
     return calabi_sampler(_local_profile(state), n=params.n, k=params.k)

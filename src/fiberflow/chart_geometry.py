@@ -463,49 +463,37 @@ def calabi_sampler(profile: Callable[[np.ndarray], tuple[np.ndarray, ...]],
 
 # Every oracle evaluates the distinct points of its whole stencil in one
 # batch call and reads the values back through an index table.  The
-# stencil of a step h is the grid (p + h s_i) + h s_j over the star shifts
+# stencil of a step h is the grid p + h (s_i + s_j) over the star shifts
 # s_0 = 0, s_1 = +e_0, s_2 = -e_0, s_3 = +e_1, ...
 
 
 @functools.cache
 def _stencil_plan(d: int, hessian: bool, count: int
-                  ) -> tuple[np.ndarray, ...]:
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The layout of `count` stencil grids in dimension d, one per step:
-    rows `first`, `second` (m, d) of +-1 and 0 and `step_of` (m,), so
-    that (p + h first) + h second with h = steps[step_of] is each point
-    of the grids once; the table (count, 2d + 1, 2d + 1) of their rows;
-    and for the round trips (p + h s_i) - h s_i, the last rows, the
-    coordinate `trip_axis` each shifts and the flat position `trip_at` in
-    the table, which reads it as the centre until `_stencil` compares.
+    the shifts (m, d) and `step_of` (m,) of their distinct points
+    p + h shift with h = steps[step_of], and the table (count, 2d + 1,
+    2d + 1) of the rows that hold each grid entry p + h (s_i + s_j).
 
-    Shifts of two different coordinates commute bitwise, x + 0.0 + h being
-    x + h + 0.0, so a pair is one row, and so is the centre p + 0.0 + 0.0
-    of every grid.  With `hessian` the entries that shift one coordinate
-    twice, which `_real_hessian` never reads, are the centre; else double
-    shifts and round trips are rows.  For steps well above the ulp of p,
-    only a round trip can then be another point of the grids, except that
-    without `hessian` a double shift of one step can be a single shift of
-    another, and is evaluated twice."""
+    Entries whose shifts cancel are the centre p + 0.0, which all grids
+    share; with `hessian` so are the entries that shift one coordinate
+    twice, which `_real_hessian` never reads.  The layout depends on
+    (d, hessian, count) alone, and so does the number of rows."""
     star = np.zeros((2 * d + 1, d))
     star[1 + 2 * np.arange(d), np.arange(d)] = 1.0
     star[2 + 2 * np.arange(d), np.arange(d)] = -1.0
     axis = (np.arange(2 * d + 1) + 1) // 2  # 0 at the centre
-    # (round trip, step, i, j) per grid entry: sorted, the centre comes
-    # first and the round trips last
-    keys = [(0, 0, 0, 0) if a == b and (hessian or a == 0) else
-            (int(i != j), s, i, j) if a == b else
-            (0, s, min(i, j), max(i, j))
+    # (step, i, j) per grid entry; sorted, the centre comes first
+    keys = [(0, 0, 0) if a == b and (hessian or i != j or a == 0) else
+            (s, min(i, j), max(i, j))
             for s in range(count)
             for i, a in enumerate(axis) for j, b in enumerate(axis)]
     rows = sorted(set(keys))
-    row = {key: 0 if key[0] else r for r, key in enumerate(rows)}
-    at = {key: k for k, key in enumerate(keys)}
-    trips, step_of, i, j = np.array(rows).T
-    plan = (star[i], star[j], step_of,
+    row = {key: r for r, key in enumerate(rows)}
+    step_of, i, j = np.array(rows).T
+    plan = (star[i] + star[j], step_of,
             np.array([row[key] for key in keys]).reshape(
-                count, 2 * d + 1, 2 * d + 1),
-            axis[i[trips == 1]] - 1,
-            np.array([at[key] for key in rows if key[0]], dtype=int))
+                count, 2 * d + 1, 2 * d + 1))
     for arr in plan:
         arr.flags.writeable = False
     return plan
@@ -515,29 +503,15 @@ def _stencil(point: np.ndarray, steps: tuple[float, ...],
              hessian: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The distinct points of the stencil grids of `point` (d,), one per
     step of `steps`, and the index table (len(steps), 2d + 1, 2d + 1)
-    that reads values computed at them back on each grid.  A round trip
-    is the centre, or an earlier round trip, if its bits are."""
+    that reads values computed at them back on each grid; `ChartError`
+    unless every step is finite and positive."""
+    for step in steps:
+        if not 0.0 < step < np.inf:
+            raise ChartError(f"finite-difference step {step!r} is not "
+                             f"finite and positive")
     p = np.asarray(point, dtype=float)
-    first, second, step_of, index, trip_axis, trip_at = _stencil_plan(
-        p.shape[-1], hessian, len(steps))
-    h = np.asarray(steps, dtype=float)[step_of, None]
-    points = (p + h * first) + h * second
-    k = len(trip_at)
-    if not k:
-        return points, index
-    # a round trip differs from the centre row in its own coordinate at
-    # most; the row, not p, whose -0.0 it holds as +0.0
-    bits = points[-k:][np.arange(k), trip_axis].view(np.int64)
-    off = bits != points[0, trip_axis].view(np.int64)
-    if not off.any():
-        return points[:-k], index
-    same = (bits[:, None] == bits) & (trip_axis[:, None] == trip_axis)
-    earliest = same.argmax(axis=0)
-    kept = off & (earliest == np.arange(k))
-    index = index.copy()
-    index.flat[trip_at[off]] = (len(points) - k + np.cumsum(kept)
-                                - 1)[earliest[off]]
-    return np.concatenate([points[:-k], points[-k:][kept]]), index
+    shift, step_of, index = _stencil_plan(p.shape[-1], hessian, len(steps))
+    return p + np.asarray(steps, dtype=float)[step_of, None] * shift, index
 
 
 def _real_hessian(values: np.ndarray, step: float) -> np.ndarray:
@@ -613,10 +587,8 @@ def riemann_fd(metric_fn: Callable[[np.ndarray], np.ndarray],
     accurate in `step`.  Sign convention fixed so that the sectional
     curvature of a round sphere comes out positive via
     `sectional_from_riemann`.  `metric_fn` maps a (P, d) stack of points
-    to their (P, d, d) real metrics; it is called once, on the distinct
-    points of the Christoffel stencils around p and p +- e_c: 2d^2 + 2d + 1
-    of them, and one more for each round trip x + h - h that rounds to
-    neither x nor an earlier round trip.
+    to their (P, d, d) real metrics; it is called once, on the 2d^2 + 2d + 1
+    distinct points of the Christoffel stencils around p and p +- h e_c.
     """
     rows, index = _stencil(point, (step,))
     g = metric_fn(rows)[index[0]]

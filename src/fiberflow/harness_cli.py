@@ -328,6 +328,12 @@ def parse_config(text: str) -> RunConfig:
         if needs is not None and needs != scenario:
             raise ValidationError(
                 name, f"check only applies to the {needs} scenario")
+    fs_scalar = params.n * (params.n + 1)
+    if "chart_residuals" in analysis.checks and params.base_scalar != fs_scalar:
+        raise ValidationError(
+            "R_h", f"chart_residuals evaluates a chart over the Fubini-Study "
+                   f"base, R_h = {fs_scalar}; leave R_h out or chart_residuals "
+                   f"out of checks")
 
     echo = {name: {k: v for k, (v, _) in kv.items()}
             for name, kv in sections.items()}

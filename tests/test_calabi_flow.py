@@ -36,6 +36,7 @@ from fiberflow.calabi_flow import (
     stop_cause,
 )
 from fiberflow.chart_geometry import (
+    ChartError,
     _stencil,
     calabi_sampler,
     check_kahler_compatibility,
@@ -150,6 +151,15 @@ def test_init_profile_chart_residuals():
         blocks = samp.evaluate(pt)
         assert check_kahler_compatibility(blocks) <= 1e-8
         assert check_totally_geodesic(blocks) <= 1e-8
+
+
+@pytest.mark.parametrize("R_h", [-2.0, 0.0, 3.0])
+def test_sampler_refuses_a_base_scalar_other_than_fubini_study(R_h):
+    params = HirzebruchParams(R_h=R_h)
+    st = init_hirzebruch_profile(HirzebruchParams())
+    with pytest.raises(ChartError, match="R_h"):
+        sampler_from_state(st, params)
+    sampler_from_state(st, HirzebruchParams(R_h=2.0))
 
 
 def test_local_profile_reproduces_a_quintic():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_logistic
 from fiberflow import chart_geometry as cg
+from fiberflow import oneill_curvature as oc
 from fiberflow.calabi_flow import (HirzebruchParams, _local_profile,
                                    init_hirzebruch_profile)
 
@@ -147,16 +148,32 @@ def test_product_ricci_closed_relations():
     assert np.max(np.abs(ric.mixed)) <= 1e-15
 
 
-def test_fd_oracle_second_order_convergence():
+def _ricci_errors(h):
+    """Max error of the Ricci oracle on the twisted chart at step h."""
     samp = twisted_sampler()
     p = np.array([0.11, -0.07, 1.02, 0.13])
     ric = cg.ricci_blocks(samp.evaluate(p)).assemble()
-    err = []
-    for h in (4e-3, 2e-3):
-        oracle = cg.fd_ricci_oracle(samp, p, step=h).assemble()
-        err.append(np.max(np.abs(oracle - ric)))
-    order = np.log2(err[0] / err[1])
-    assert order >= 1.9
+    return [np.max(np.abs(cg.fd_ricci_oracle(samp, p, step=h).assemble()
+                          - ric))]
+
+
+def _sectional_errors(h):
+    """Errors of the base and fiber sectional curvatures from `riemann_fd`
+    on a product, whose factors have Gauss curvature 2 / size."""
+    samp = cg.product_sampler(base_size=2.5, fiber_size=0.7)
+    p = np.array([0.2, -0.1, 0.3, 0.25])
+    g = cg.real_metric(samp.evaluate(p))
+    rlow = cg.riemann_fd(samp.metric_fn(), p, h)
+    e = np.eye(4)
+    return [abs(cg.sectional_from_riemann(rlow, g, e[0], e[1]) - 2.0 / 2.5),
+            abs(cg.sectional_from_riemann(rlow, g, e[2], e[3]) - 2.0 / 0.7)]
+
+
+@pytest.mark.parametrize("errors", [_ricci_errors, _sectional_errors],
+                         ids=["fd_ricci_oracle", "riemann_fd"])
+def test_fd_oracle_second_order_convergence(errors):
+    order = np.log2(np.divide(errors(4e-3), errors(2e-3)))
+    assert np.all(order >= 1.9)
 
 
 def test_mixed_to_fiber_ratio_is_connection():
@@ -186,28 +203,23 @@ def test_scalar_curvature_fd_product():
 # stencil plans
 
 
-def _star(points, step):
-    """p, p + step e_0, p - step e_0, p + step e_1, ... for every p of
-    `points` (..., d): the naive stencil layout, (..., 2d + 1, d)."""
-    d = points.shape[-1]
-    shifts = np.zeros((2 * d + 1, d))
-    axis = np.arange(d)
-    shifts[1 + 2 * axis, axis] = step
-    shifts[2 + 2 * axis, axis] = -step
-    return points[..., None, :] + shifts
-
-
 def _naive_stencil(point, steps, hessian):
-    """The grids `_star` of `_star(point)` per step, (S, 2d + 1, 2d + 1,
-    d), and their distinct points by their bytes, from np.unique.  With
-    `hessian` the entries that shift one coordinate twice are the centre
-    (`_real_hessian` never reads them)."""
-    grids = np.stack([_star(_star(point, h), h) for h in steps])
+    """The grids p + h (s_i + s_j) over the star shifts s_0 = 0,
+    s_1 = +e_0, s_2 = -e_0, s_3 = +e_1, ... per step h, (S, 2d + 1,
+    2d + 1, d), and their distinct points by their bytes, from np.unique.
+    With `hessian` the entries that shift one coordinate twice are the
+    centre (`_real_hessian` never reads them)."""
+    d = len(point)
+    star = np.zeros((2 * d + 1, d))
+    axis = np.arange(d)
+    star[1 + 2 * axis, axis] = 1.0
+    star[2 + 2 * axis, axis] = -1.0
+    grids = np.stack([point + h * (star[:, None] + star) for h in steps])
     if hessian:
-        axis = (np.arange(grids.shape[1]) + 1) // 2
+        axis = (np.arange(2 * d + 1) + 1) // 2
         twice = (axis[:, None] == axis) & (axis[:, None] > 0)
         grids[:, twice] = grids[:, :1, 0]
-    flat = grids.reshape(-1, grids.shape[-1])
+    flat = grids.reshape(-1, d)
     keys = flat.view(np.dtype((np.void, flat.strides[0]))).ravel()
     return grids, flat[np.unique(keys, return_index=True)[1]]
 
@@ -242,9 +254,9 @@ def _round_trip_off(h=1e-3):
 @pytest.mark.parametrize("layout", STENCIL_LAYOUTS)
 @pytest.mark.parametrize("d", [2, 4, 6, 8])
 @pytest.mark.parametrize("special", [
-    -0.0,  # the centre is p + 0.0 + 0.0, whose zero is +0.0
-    _round_trip_off(),  # one round trip stays a point of its own
-    1e-20,  # both round trips land on 0.0, one point
+    -0.0,  # the centre is p + 0.0, whose zero is +0.0
+    _round_trip_off(),  # (x + h) - h is not x, but x + (h - h) is
+    1e-20,  # below the ulp of h
 ])
 def test_stencil_plan_is_the_naive_stencil_at_special_points(special, d,
                                                               layout):
@@ -253,12 +265,18 @@ def test_stencil_plan_is_the_naive_stencil_at_special_points(special, d,
     _assert_plan_is_naive(point, *layout)
 
 
-def test_stencil_keeps_a_round_trip_off_the_centre_as_its_own_row():
-    d = 4
-    point = np.full(d, 0.3)
-    assert len(cg._stencil(point, (1e-3,))[0]) == 2 * d * d + 2 * d + 1
-    point[1] = _round_trip_off()
-    assert len(cg._stencil(point, (1e-3,))[0]) == 2 * d * d + 2 * d + 2
+def test_stencil_rows_are_a_function_of_the_layout_alone():
+    """2d^2 + 2d + 1 rows for riemann_fd, 2d^2 + 1 for a Hessian and
+    4d^2 + 1 for the Richardson pair, at every point: the special ones
+    included, a coordinate whose round trip (x + h) - h is not x too."""
+    for d in (2, 4, 6, 8):
+        want = [2 * d * d + 2 * d + 1, 2 * d * d + 1, 4 * d * d + 1]
+        for special in (0.3, -0.0, _round_trip_off(), 1e-20):
+            point = np.full(d, 0.3)
+            point[d // 2] = special
+            got = [len(cg._stencil(point, *layout)[0])
+                   for layout in STENCIL_LAYOUTS]
+            assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +323,26 @@ def test_riemann_fd_flat_chart():
     rlow = cg.riemann_fd(lambda p: np.broadcast_to(g, (len(p), 4, 4)),
                          np.array([0.1, 0.2, -0.1, 0.3]), 1e-3)
     assert np.max(np.abs(rlow)) <= 1e-8
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])
+@pytest.mark.parametrize("oracle", [
+    lambda samp, p, h: cg.riemann_fd(samp.metric_fn(), p, h),
+    lambda samp, p, h: cg.fd_ricci_oracle(samp, p, h),
+    lambda samp, p, h: cg.hermitian_hessian_fd(samp.log_det_fn(), p, h),
+    lambda samp, p, h: oc.vertical_horizontal_curvature(
+        oc.frame_point(samp, p), h),
+], ids=["riemann_fd", "fd_ricci_oracle", "hermitian_hessian_fd",
+        "vertical_horizontal_curvature"])
+def test_oracles_refuse_a_step_that_is_not_finite_and_positive(oracle,
+                                                               step):
+    """A zero step would give NaN arrays and a NaN or infinite one would
+    blame the point; the step is refused, by name."""
+    samp = twisted_sampler()
+    point = samp.random_points(np.random.default_rng(4), 1)[0]
+    with pytest.raises(cg.ChartError, match="step") as err:
+        oracle(samp, point, step)
+    assert not isinstance(err.value, cg.DomainEdge)
 
 
 def test_domain_edge_guard():

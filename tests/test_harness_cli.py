@@ -1182,6 +1182,29 @@ def test_run_time_config_errors_found_at_parse(tmp_path, capsys, edit, key):
     assert not (tmp_path / "out").exists()
 
 
+def test_chart_residuals_refuse_a_base_the_chart_does_not_have(tmp_path,
+                                                               capsys):
+    """The chart of `chart_residuals` has a Fubini-Study base: R_h = -2
+    exits 2 naming R_h; without that check the config runs, and an
+    explicit R_h = n(n+1) keeps it."""
+    text = HZ_CFG.replace("[params]\n", "[params]\nR_h = -2\n")
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    assert err.value.key == "R_h"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--output", str(tmp_path / "bad")]) == 2
+    assert "R_h" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+    cfg.write_text(text.replace("max_picks = 6", "max_picks = 6\nchecks = "
+                                "monitors, time_ratio, classification"))
+    assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 0
+    assert "] chart_residuals" not in capsys.readouterr().out
+    cfg.write_text(HZ_CFG.replace("[params]\n", "[params]\nR_h = 2.0\n"))
+    assert main(["run", str(cfg), "--output", str(tmp_path / "fs")]) == 0
+    assert "[PASS] chart_residuals" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("line", [
     "dt_max = nan", "time_frac = 1.5", "dt_fixed = 0"])
 def test_bad_flow_value_is_reported_under_flow(tmp_path, capsys, line):
