@@ -1221,38 +1221,20 @@ def _local_profile(state: FlowState
     The blend on an interval is one polynomial of degree 14 in s.  Its
     coefficients, and those of its first three rho-derivatives, are taken
     relative to the anchor node f[j + 2] from the increments `df`, so the
-    derivatives keep full relative precision in the tails.  An interval's
-    row of that table is filled the first time a call reaches it; a call
-    then costs one contraction of the rows with the powers of s, and a
-    point's values do not depend on the other points of the call."""
+    derivatives keep full relative precision in the tails.  They are row
+    i of a table indexed by interval, filled the first time a call reaches
+    interval i; a call then costs one contraction of the rows with the
+    powers of s.  A row's arithmetic does not depend on how many rows a
+    call fills, so a point's values depend only on the state and rho, not
+    on the other points of the call or on earlier calls."""
     rho, f, df = state.rho, state.f, state.df
     rho0, h = float(rho[0]), float(rho[1] - rho[0])
     last = rho.size - 6
     scale = h ** -np.arange(4.0)[:, None]
     window, blend = _window_basis()
     window, blend = window * scale[..., None], blend * scale
-    # the rows of interval i are table[slot[i]], in the order they were
-    # filled, so the table holds only the intervals that calls reached;
-    # slot -1 is an interval not reached yet
-    slot = np.full(rho.size - 1, -1)
-    table = np.empty((0, 4, _POWERS.size))
-    anchor = np.empty(rho.size - 1)
-
-    def fill(rows: np.ndarray) -> None:
-        nonlocal table
-        j = np.minimum(np.maximum(rows - 3, 0), last)
-        # the last window's sixth increment would lie past the grid; no
-        # unblended row reads it
-        inc = df[np.minimum(j[:, None] + np.arange(6), df.size - 1)]
-        # the clipped ends, where the windows from i - 3 and i - 2 are
-        # one, do not blend
-        diff = np.where((rows >= 3) & (rows <= last + 2), inc @ _FIFTH_DIFF,
-                        0.0)
-        slot[rows] = np.arange(len(table), len(table) + rows.size)
-        table = np.concatenate([
-            table, np.einsum('rdkm,rm->rdk', window[rows - j], inc)
-            + diff[:, None, None] * blend])
-        anchor[rows] = f[j + 2]
+    table = np.empty((rho.size - 1, 4, _POWERS.size))
+    filled = np.zeros(rho.size - 1, dtype=bool)
 
     def prof(r):
         r = np.asarray(r, dtype=float)
@@ -1261,14 +1243,26 @@ def _local_profile(state: FlowState
         i = np.minimum(np.maximum(((r - rho0) / h).astype(int), 0),
                        rho.size - 2)
         s = (r - rho[i]) / h
-        if (slot[i] < 0).any():
+        if not filled[i].all():
             # not np.unique, whose hash path imports numpy.ma
-            reached = np.zeros(slot.size, dtype=bool)
+            reached = np.zeros(filled.size, dtype=bool)
             reached[i] = True
-            fill(np.flatnonzero(reached & (slot < 0)))
-        out = np.einsum('...dk,...k->d...', table[slot[i]],
+            rows = np.flatnonzero(reached & ~filled)
+            j = np.minimum(np.maximum(rows - 3, 0), last)
+            # the last window's sixth increment would lie past the grid;
+            # no unblended row reads it
+            inc = df[np.minimum(j[:, None] + np.arange(6), df.size - 1)]
+            # einsum, not a matrix product, whose BLAS kernel rounds one
+            # row and many rows differently; the clipped ends, where the
+            # windows from i - 3 and i - 2 are one, do not blend
+            diff = np.where((rows >= 3) & (rows <= last + 2),
+                            np.einsum('rm,m->r', inc, _FIFTH_DIFF), 0.0)
+            table[rows] = (np.einsum('rdkm,rm->rdk', window[rows - j], inc)
+                           + diff[:, None, None] * blend)
+            filled[rows] = True
+        out = np.einsum('...dk,...k->d...', table[i],
                         s[..., None] ** _POWERS)
-        out[0] += anchor[i]
+        out[0] += f[np.minimum(np.maximum(i - 3, 0), last) + 2]
         return out[0, ...], out[1, ...], out[2, ...], out[3, ...]
 
     return prof

@@ -45,6 +45,7 @@ from .calabi_flow import (
     ProductParams,
     RunSettings,
     _step_size,
+    build_monitors,
     flow_table,
     init_hirzebruch_profile,
     loglog_slope,
@@ -638,6 +639,34 @@ def execute(config: RunConfig, out_dir: str | Path,
 # stored-run re-checking
 
 
+def _check_derived_columns(params: HirzebruchParams | ProductParams,
+                           diag: dict[str, np.ndarray], path: Path) -> None:
+    """RunDirError naming `path` unless every `node` of a diagnostics
+    table is a grid node (0 for the product scenario) and its monitor
+    columns are, bit for bit, the ones a run derives: `build_monitors` of
+    the stored t, heat_residual, min_f, max_f and max_v, or the constants
+    `_run_product` writes."""
+    if isinstance(params, ProductParams):
+        nodes, rows = 1, diag["t"].size
+        derived = {"max_f_slack": np.zeros(rows),
+                   "grad_f_sq_sup": np.zeros(rows),
+                   "grad_bound_ok": np.ones(rows)}
+    else:
+        nodes = params.grid_points
+        derived = build_monitors(params, diag["t"], diag["heat_residual"],
+                                 diag["min_f"], diag["max_f"], diag["max_v"])
+    node = diag["node"]
+    bad = np.flatnonzero((node < 0) | (node >= nodes))
+    if bad.size:
+        raise RunDirError(f"{path}: line {bad[0] + 3}: node = "
+                          f"{float(node[bad[0]])} is not one of the "
+                          f"{nodes} grid nodes")
+    for name in ("max_f_slack", "grad_f_sq_sup", "grad_bound_ok"):
+        if not np.array_equal(diag[name], derived[name], equal_nan=True):
+            raise RunDirError(f"{path}: {name} is not the column derived "
+                              f"from the stored columns")
+
+
 def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
     """Derive a stored run's record again, as `execute` did, and compare.
 
@@ -646,13 +675,15 @@ def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
     `chart_residuals` verdict, the one input it does not derive.
     `flow.csv` must hold the text of the table `flow_table` derives from
     the stored diagnostics table, as a run writes it: with `%.17g`, every
-    column bit for bit.  `differs` names each derived file whose text is
-    not the stored one, each stored rescaled_<i>.csv that is not derived,
-    each derived manifest entry whose JSON text is not the stored one, and
-    each stored entry that is neither derived nor in RECORDED_ENTRIES.
-    Raises RunDirError naming the file when the recorded run ended in
-    error, flow.csv is not the derived table, or a stored file is
-    missing, empty, cut short or malformed.
+    column bit for bit; so must the monitor columns of diagnostics.csv
+    (`_check_derived_columns`).  `differs` names each derived file whose
+    text is not the stored one, each stored rescaled_<i>.csv that is not
+    derived, each derived manifest entry whose JSON text is not the stored
+    one, and each stored entry that is neither derived nor in
+    RECORDED_ENTRIES.  Raises RunDirError naming the file when the
+    recorded run ended in error, flow.csv or a monitor column is not the
+    derived one, a `node` is off the grid, or a stored file is missing,
+    empty, cut short or malformed.
     """
     run_dir = Path(run_dir)
     manifest_path = run_dir / "manifest.json"
@@ -676,6 +707,7 @@ def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
         if recorded is not None and recorded != diag["t"].size:
             raise RunDirError(f"{diag_path}: {diag['t'].size} rows, the "
                               f"manifest records {recorded}")
+        _check_derived_columns(config.params, diag, diag_path)
         flow_path = run_dir / "flow.csv"
         if _read_text(flow_path) != _csv_text(
                 FLOW_CSV_SCHEMA, flow_table(config.params, diag)):

@@ -214,7 +214,9 @@ def classify_sup_series(times: np.ndarray, rm_sup: np.ndarray,
         tail = np.zeros_like(tail)
         tail[-MIN_SAMPLES:] = True
     tv, tr = vals[tail], rem[tail]
-    plateau = float(np.median(tv))
+    # np.median's bits without its NaN check, which imports numpy.ma
+    mid = np.sort(tv)[(tv.size - 1) // 2:tv.size // 2 + 1]
+    plateau = float(np.mean(mid))
     burst = float(np.max(tv) / plateau)
     trend = -float(np.polyfit(np.log(tr), np.log(tv), 1)[0])
 

@@ -395,6 +395,29 @@ def test_local_profile_row_is_the_same_alone_and_in_a_stencil(n):
                                   batch[:, p])
 
 
+def test_local_profile_values_do_not_depend_on_call_history():
+    """Seeded points get the same bits from a fresh profile one at a time,
+    in one batch, in shuffled batches and after a warm-up batch that
+    fills every interval's row: a row's arithmetic does not depend on how
+    many rows the call that fills it fills."""
+    st = init_hirzebruch_profile(HirzebruchParams(grid_points=512))
+    rng = np.random.default_rng(5)
+    rho = rng.uniform(-21.0, 21.0, 300)
+    batch = np.array(_local_profile(st)(rho))
+    alone = _local_profile(st)
+    assert np.array_equal(np.array([alone(r) for r in rho]).T, batch)
+    shuffled = _local_profile(st)
+    got = np.empty_like(batch)
+    for part in np.array_split(rng.permutation(rho.size), 7):
+        got[:, part] = shuffled(rho[part])
+    assert np.array_equal(got, batch)
+    warm = _local_profile(st)
+    warm(np.linspace(-21.0, 21.0, 4096))
+    assert np.array_equal(np.array(warm(rho)), batch)
+    assert np.array_equal(np.array([warm(r) for r in rho[:20]]).T,
+                          batch[:, :20])
+
+
 # ---------------------------------------------------------------------------
 # stepping
 

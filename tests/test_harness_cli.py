@@ -526,10 +526,14 @@ def _damage(path, how):
 
 
 # (line slice, column, value) of each field damage: a float where the
-# file stores an integer, a field that is not a number, and an rm_sup
-# column of zeros, which leaves classify_type no sample to analyse
+# file stores an integer, a node off the 256-point grid of HZ_CFG, a field
+# that is not a number, and an rm_sup column of zeros, which leaves
+# classify_type no sample to analyse
 _FIELD_DAMAGE = {"node-inf": (slice(-1, None), "node", "inf"),
                  "node-2.5": (slice(2, 3), "node", "2.5"),
+                 "node-1e300": (slice(2, 3), "node", "1e300"),
+                 "node-grid_points": (slice(2, 3), "node", "256"),
+                 "node-negative": (slice(2, 3), "node", "-1"),
                  "grad_bound_ok-0.7": (slice(2, 3), "grad_bound_ok", "0.7"),
                  "t-abc": (slice(2, 3), "t", "abc"),
                  "rm_sup-zero": (slice(2, None), "rm_sup", "0")}
@@ -542,6 +546,9 @@ _FIELD_DAMAGE = {"node-inf": (slice(-1, None), "node", "inf"),
     ("diagnostics.csv", "short"),
     ("diagnostics.csv", "node-inf"),
     ("diagnostics.csv", "node-2.5"),
+    ("diagnostics.csv", "node-1e300"),
+    ("diagnostics.csv", "node-grid_points"),
+    ("diagnostics.csv", "node-negative"),
     ("diagnostics.csv", "grad_bound_ok-0.7"),
     ("diagnostics.csv", "header-only"),
     ("diagnostics.csv", "t-abc"),
@@ -645,6 +652,51 @@ def test_check_flow_csv_apart_from_diagnostics_csv_exits_3(
     assert main(["check", str(clone)]) == 3
     err = capsys.readouterr().err
     assert "flow.csv" in err and "Traceback" not in err
+
+
+DIAG_EDITS = [
+    ("hz_dir", {"grad_f_sq_sup": "1e9", "max_f_slack": "-5"},
+     "max_f_slack"),
+    ("hz_dir", {"grad_f_sq_sup": "1e9"}, "grad_f_sq_sup"),
+    ("hz_dir", {"grad_bound_ok": "2"}, "grad_bound_ok"),
+    ("hz_dir", {"grad_bound_ok": "0"}, "grad_bound_ok"),
+    ("hz_dir", {"max_v": "ulp"}, "grad_f_sq_sup"),
+    ("hz_dir", {"max_f_slack": "ulp"}, "max_f_slack"),
+    ("product_dir", {"max_f_slack": "-5"}, "max_f_slack"),
+    ("product_dir", {"grad_f_sq_sup": "1e-300"}, "grad_f_sq_sup"),
+    ("product_dir", {"grad_bound_ok": "0"}, "grad_bound_ok"),
+    ("product_dir", {"node": "1"}, "node"),
+]
+
+
+@pytest.mark.parametrize("fixture, edits, column", DIAG_EDITS,
+                         ids=[f"{f}-" + "-".join(f"{k}={v}" for k, v in e.items())
+                              for f, e, _ in DIAG_EDITS])
+def test_check_monitor_column_apart_from_its_derivation_exits_3(
+        request, tmp_path, capsys, fixture, edits, column):
+    # a run writes max_f_slack, grad_f_sq_sup and grad_bound_ok as
+    # `build_monitors` derives them from the other stored columns (the
+    # product scenario's as constants), and each node on the grid; "ulp"
+    # scales the stored value by 1 + 1e-15
+    out, _, _ = request.getfixturevalue(fixture)
+    clone = _clone(out, tmp_path / "clone")
+    path = clone / "diagnostics.csv"
+    lines = path.read_text().splitlines()
+    header = lines[1].split(",")
+    row = len(lines) // 2
+    fields = lines[row].split(",")
+    for name, value in edits.items():
+        i = header.index(name)
+        fields[i] = (repr(float(fields[i]) * (1.0 + 1e-15))
+                     if value == "ulp" else value)
+    lines[row] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(RunDirError, match=f"diagnostics.csv: .*{column}"):
+        check_run_dir(clone)
+    assert main(["check", str(clone)]) == 3
+    err = capsys.readouterr().err
+    assert "diagnostics.csv" in err and column in err
+    assert "Traceback" not in err
 
 
 def test_check_crashed_run_exits_3_naming_the_error(tmp_path, capsys):

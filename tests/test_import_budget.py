@@ -1,4 +1,5 @@
-"""Import budget: scipy and the process pool load only where they are used.
+"""Import budget: scipy and the process pool load only where they are used,
+numpy.ma nowhere.
 
 No module of the package imports scipy.interpolate (about 0.8 s): the
 chart of `sampler_from_state`, which the finite-difference oracles, the
@@ -10,7 +11,10 @@ not `import fiberflow`, not `fiberflow check`, not `execute` or
 `fiberflow run` of a config, not `sampler_from_state` and one oracle
 point on its chart.  `concurrent.futures.process` (about 20 ms) is for
 parallel sweeps only: `import fiberflow` and a one-worker `run_sweep`
-must not load it.  The stages run in one fresh interpreter, in order,
+must not load it.  No stage loads `numpy.ma` (about 15 ms and 1.2 MB),
+which `np.median` and `np.unique` import: the classification takes its
+median from a sort, and the chart profile dedupes the intervals a call
+reaches with a mask.  The stages run in one fresh interpreter, in order,
 and each looks at `sys.modules`, so the test does not depend on
 timings.
 """
@@ -33,7 +37,7 @@ from pathlib import Path
 
 def loaded():
     return [name for name in ("scipy", "scipy.linalg", "scipy.interpolate",
-                              "concurrent.futures.process")
+                              "concurrent.futures.process", "numpy.ma")
             if name in sys.modules]
 
 
