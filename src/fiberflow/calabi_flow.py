@@ -419,11 +419,11 @@ class FlowProblem:
     still reduce to one banded solve:  with T = cumsum and D = diff its
     inverse, I - c D J T = D (I - c J) T.
 
-    `step_once` keeps the last converged step to reuse its rate and its
-    nodal f, and the Newton kernel works in buffers allocated once per
-    problem, so one FlowProblem must not step from several threads at
-    once.  No buffer is handed out as a result: the rates, phi, the
-    iterates and their nodal f are fresh arrays, which a caller may keep.
+    A step reads no state that an earlier one left.  The Newton kernel
+    works in buffers allocated once per problem, so one FlowProblem must
+    not step from several threads at once.  No buffer is handed out as a
+    result: the rates, phi, the iterates and their nodal f are fresh
+    arrays, which a caller may keep.
     """
 
     def __init__(self, params: HirzebruchParams):
@@ -446,15 +446,6 @@ class FlowProblem:
         self._two_h = 2.0 * h
         self._h_sq = h ** 2
         nodes = params.grid_points
-        # u and phi(u) at the last converged step: the next step starts
-        # from that u, so its explicit trapezoid rate is already known.
-        # Fixed buffers rather than fresh arrays, so the memo does not
-        # interleave with the recorded states on the heap; the NaN start
-        # matches no u.  The nodal f of that u, which the Newton solve
-        # built, becomes the stepped state's f (`step_flow`).
-        self._last_u = np.full(nodes, np.nan)
-        self._last_phi = np.empty(nodes)
-        self._last_f = None
         # the LAPACK extension alone, not the ~0.3 s scipy.linalg import
         self._gtsv = _dgtsv()
         # The Newton matrix, refilled by `_newton_matrix` for every update
@@ -595,13 +586,14 @@ class FlowProblem:
             u = candidate
         raise StepRejected("implicit solve did not converge")
 
-    def step_once(self, u: np.ndarray, dt: float) -> np.ndarray:
-        """One TR-BDF2 step (trapezoid to t + gamma dt, then BDF2)."""
+    def step_once(self, u: np.ndarray, p0: np.ndarray, dt: float
+                  ) -> tuple[np.ndarray, ...]:
+        """One TR-BDF2 step (trapezoid to t + gamma dt, then BDF2) from u,
+        whose rates p0 = phi(u) the caller holds: the stepped u', phi(u')
+        and the nodal f of u', as stage 2's Newton solve built them.
+        StepRejected if either stage fails; nothing is written to u or
+        p0."""
         g = GAMMA
-        if np.array_equal(u, self._last_u):
-            p0 = self._last_phi
-        else:
-            p0 = self._phi(u)
         # Stage right-hand sides and guesses are fresh, since the solve
         # may return one as its iterate; `_dx` holds their second terms
         # (sums and products commute exactly).
@@ -617,31 +609,26 @@ class FlowProblem:
                                  out=self._dx)
         guess = np.divide(u1, g)
         guess -= np.multiply((1.0 - g) / g, u, out=self._dx)
-        u2, p2, self._last_f = self._newton(c2, rhs_const, guess)
-        self._last_u[:] = u2
-        self._last_phi[:] = p2
-        return u2
+        return self._newton(c2, rhs_const, guess)
 
 
-def step_flow(problem: FlowProblem, state: FlowState, dt: float) -> FlowState:
-    """Advance one step; halves dt on solver failure and raises
+def step_flow(problem: FlowProblem, t: float, u: np.ndarray, p: np.ndarray,
+              dt: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Advance (t, u = (f[0], increments of f), p = phi(u)) by dt and
+    return (t, u, p, f) there, f the nodal profile of u.  Halves dt on
+    solver failure, retrying from the same u and p, and raises
     StepRejected once halvings are spent.  The new profile is strictly
     increasing: the Newton solve returns only iterates whose f[0] and
-    increments are all positive and finite.  Its f is the one the solve
-    built from its last iterate."""
+    increments are all positive and finite."""
     if dt <= 0.0:
         raise FlowError("need dt > 0")
     remaining = dt
-    u = np.empty(state.f.size)
-    u[0] = state.f[0]
-    u[1:] = state.df
-    t = state.t
     halvings_left = MAX_HALVINGS
     sub_dt = dt
     while remaining > 1e-15 * dt:
         sub_dt = min(sub_dt, remaining)
         try:
-            u = problem.step_once(u, sub_dt)
+            u, p, f = problem.step_once(u, p, sub_dt)
         except StepRejected:
             halvings_left -= 1
             if halvings_left < 0:
@@ -650,9 +637,7 @@ def step_flow(problem: FlowProblem, state: FlowState, dt: float) -> FlowState:
             continue
         t += sub_dt
         remaining -= sub_dt
-    f = problem._last_f
-    return FlowState(t=t, rho=state.rho, f=f, lower=float(f[0]),
-                     upper=float(f[-1]), df=u[1:].copy())
+    return t, u, p, f
 
 
 # ---------------------------------------------------------------------------
@@ -1087,21 +1072,28 @@ def recorded_states(params: HirzebruchParams,
     """The recorded states of a hirzebruch run, in order: the initial
     state and every stepped state.  This is the one stepping loop:
     `run_flow` consumes it, and tests that need the profiles of a run take
-    them from it; `stop_cause` reads why it stopped off the run's table."""
+    them from it; `stop_cause` reads why it stopped off the run's table.
+    From step to step it carries u = (f[0], increments of f) and its
+    rates p = phi(u), which each `step_flow` returns for the next, so
+    phi is evaluated once, at the initial state."""
     settings = settings or RunSettings()
     problem = FlowProblem(params)
     state = init_hirzebruch_profile(params)
     t_pred = predict_max_time(params)
     yield state
-    while (dt := _step_size(settings, t_pred, state.t)) is not None:
+    t, u = state.t, np.concatenate(([state.f[0]], state.df))
+    p = problem._phi(u)
+    while (dt := _step_size(settings, t_pred, t)) is not None:
         try:
-            new_state = step_flow(problem, state, dt)
+            t_new, u, p, f = step_flow(problem, t, u, p, dt)
         except StepRejected as exc:
-            log.warning("run stopped early at t=%.6f: %s", state.t, exc)
+            log.warning("run stopped early at t=%.6f: %s", t, exc)
             return
-        if not new_state.t > state.t:
-            raise FlowError(f"step of dt={dt!r} did not advance t={state.t!r}")
-        state = new_state
+        if not t_new > t:
+            raise FlowError(f"step of dt={dt!r} did not advance t={t!r}")
+        t = t_new
+        state = FlowState(t=t, rho=state.rho, f=f, lower=float(f[0]),
+                          upper=float(f[-1]), df=u[1:].copy())
         yield state
         if 4.0 * params.k * _max_v(state.df, problem.drho, params.k) < V_FLOOR:
             return

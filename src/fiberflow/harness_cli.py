@@ -77,8 +77,8 @@ FLOW_CSV_SCHEMA = "fiberflow.flow/1"
 DIAG_CSV_SCHEMA = "fiberflow.diagnostics/1"
 RESCALED_CSV_SCHEMA = "fiberflow.rescaled/1"
 # the manifest entries a run records; `_record` derives every other one
-RECORDED_ENTRIES = frozenset({"schema", "code_version", "config", "scenario",
-                              "seed", "output_dir", "error", "wall_clock_s"})
+RECORDED_ENTRIES = frozenset({"schema", "code_version", "config", "seed",
+                              "output_dir", "error", "wall_clock_s"})
 
 HEAT_RESIDUAL_TOL = 1e-3
 SLACK_TOL = 1e-6
@@ -367,13 +367,19 @@ def load_config(path: str | Path) -> RunConfig:
 INT_COLUMNS = frozenset({"node", "grad_bound_ok"})
 
 
+def _csv_header(schema: str, columns: Sequence[str]) -> list[str]:
+    """The two header lines of a CSV of `_csv_text`: schema line, then
+    the column names."""
+    return [f"# {schema} columns: {','.join(columns)}", ",".join(columns)]
+
+
 def _csv_text(schema: str, table: dict[str, np.ndarray]) -> str:
-    """The text of the CSV file of a column table: schema line, the
-    table's keys as header, one line per row."""
+    """The text of the CSV file of a column table: `_csv_header` of the
+    table's keys, one line per row."""
     columns = list(table)
     row_fmt = ",".join("%d" if c in INT_COLUMNS else "%.17g"
                        for c in columns)
-    lines = [f"# {schema} columns: {','.join(columns)}", ",".join(columns)]
+    lines = _csv_header(schema, columns)
     rows = np.column_stack(list(table.values())).tolist()
     lines.extend(row_fmt % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
@@ -386,15 +392,18 @@ def _read_text(path: Path) -> str:
         raise RunDirError(f"{path}: {exc.strerror or exc}") from exc
 
 
-def _read_csv(path: Path, columns: Sequence[str]) -> dict[str, np.ndarray]:
-    """The column table a CSV of `_csv_text` stores, one float64 array per
-    column; RunDirError naming the file if it is unreadable, has another
-    header or a short or bad row, or a value in an INT_COLUMNS column that
-    is not a finite integer.  `%.17g` round-trips float64, so the table
-    equals the one the file was written from."""
+def _read_csv(path: Path, schema: str,
+              columns: Sequence[str]) -> dict[str, np.ndarray]:
+    """The column table a CSV of `_csv_text` with `schema` and `columns`
+    stores, one float64 array per column; RunDirError naming the file if
+    it is unreadable, has another schema or header or a short or bad row,
+    or a value in an INT_COLUMNS column that is not a finite integer.
+    `%.17g` round-trips float64, so the table equals the one the file was
+    written from."""
     lines = _read_text(path).splitlines()
-    if len(lines) < 2 or lines[1].split(",") != list(columns):
-        raise RunDirError(f"{path}: missing or unexpected column header")
+    if lines[:2] != _csv_header(schema, columns):
+        raise RunDirError(f"{path}: missing or unexpected schema or column "
+                          f"header")
     if len(lines) < 3:
         raise RunDirError(f"{path}: no data rows")
     rows = []
@@ -503,8 +512,8 @@ def _record(config: RunConfig, diag: dict[str, np.ndarray],
     T_predicted = predict_max_time(config.params)
     T_observed = observed_stop_time(config.params, diag)
     resid = diag["heat_residual"]  # NaN where a row has no time stencil
-    record.update(T_predicted=T_predicted, T_observed=T_observed,
-                  time_ratio=T_observed / T_predicted,
+    record.update(scenario=config.params.scenario, T_predicted=T_predicted,
+                  T_observed=T_observed, time_ratio=T_observed / T_predicted,
                   stop_reason=stop_cause(config.params, config.settings,
                                          diag),
                   steps_recorded=len(diag["t"]),
@@ -682,14 +691,17 @@ def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
     one, and each stored entry that is neither derived nor in
     RECORDED_ENTRIES.  Raises RunDirError naming the file when the
     recorded run ended in error, flow.csv or a monitor column is not the
-    derived one, a `node` is off the grid, or a stored file is missing,
-    empty, cut short or malformed.
+    derived one, a `node` is off the grid, or a stored file is of another
+    schema, missing, empty, cut short or malformed.
     """
     run_dir = Path(run_dir)
     manifest_path = run_dir / "manifest.json"
     diag_path = run_dir / "diagnostics.csv"
     manifest, _ = _read_json(manifest_path)
     try:
+        if manifest["schema"] != MANIFEST_SCHEMA:
+            raise RunDirError(f"{manifest_path}: schema is not "
+                              f"{MANIFEST_SCHEMA}")
         error = manifest["error"]
         if error is not None:
             raise RunDirError(f"{manifest_path}: the run ended in error "
@@ -702,7 +714,7 @@ def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
         config = parse_config("".join(
             f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
             for name, kv in manifest["config"].items()))
-        diag = _read_csv(diag_path, DIAG_COLUMNS)
+        diag = _read_csv(diag_path, DIAG_CSV_SCHEMA, DIAG_COLUMNS)
         recorded = manifest.get("steps_recorded")
         if recorded is not None and recorded != diag["t"].size:
             raise RunDirError(f"{diag_path}: {diag['t'].size} rows, the "

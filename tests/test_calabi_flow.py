@@ -1,6 +1,7 @@
 """Flow module: profiles, implicit stepping, monitors, closed forms."""
 
 import hashlib
+import itertools
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -16,6 +17,7 @@ from fiberflow.calabi_flow import (
     ConfigError,
     FlowError,
     FlowProblem,
+    FlowState,
     HirzebruchParams,
     PastSingularTime,
     ProductParams,
@@ -422,11 +424,23 @@ def test_local_profile_values_do_not_depend_on_call_history():
 # stepping
 
 
+def _increment_vector(state):
+    return np.concatenate(([state.f[0]], state.df))
+
+
+def _step(problem, state, dt):
+    """`step_flow` by dt from a FlowState, to the FlowState it reaches."""
+    u = _increment_vector(state)
+    t, u, _, f = step_flow(problem, state.t, u, problem._phi(u), dt)
+    return FlowState(t=t, rho=state.rho, f=f, lower=float(f[0]),
+                     upper=float(f[-1]), df=u[1:])
+
+
 def test_single_step_endpoint_rates():
     params = HirzebruchParams()
     problem = FlowProblem(params)
     st = init_hirzebruch_profile(params)
-    s2 = step_flow(problem, st, 0.01)
+    s2 = _step(problem, st, 0.01)
     assert (s2.lower - st.lower) / 0.01 == pytest.approx(-1.0, rel=0.02)
     assert (s2.upper - st.upper) / 0.01 == pytest.approx(-3.0, rel=0.02)
     assert np.all(s2.df > 0.0)
@@ -499,46 +513,70 @@ def test_newton_jacobian_matches_central_differences(k, n):
     assert err <= 1e-6 * np.max(np.abs(jac_fd[interior]))
 
 
-def _increment_vector(state):
-    return np.concatenate(([state.f[0]], state.df))
-
-
-def test_step_reusing_converged_phi_matches_fresh_problem(monkeypatch):
+def test_a_step_is_a_function_of_its_inputs(monkeypatch):
+    # Two runs stepped in turn on one problem, a rejected attempt between
+    # them, take the bits each takes alone on a fresh problem.
     params = HirzebruchParams(grid_points=128)
-    # three Newton iterations are too few for dt = 0.2 from this state,
-    # so step_flow halves once before it succeeds
+    # three Newton iterations are too few for dt = 0.2 from these states,
+    # so step_flow halves before it succeeds
     monkeypatch.setattr(calabi_flow, "NEWTON_MAX_ITER", 3)
-    start = init_hirzebruch_profile(params)
+    starts = [_increment_vector(init_hirzebruch_profile(params)),
+              _increment_vector(init_hirzebruch_profile(
+                  replace(params, shape="skew")))]
 
-    warm = FlowProblem(params)
-    state = step_flow(warm, start, 0.005)
-    u = _increment_vector(state)
-    phi_calls = []
-    real_phi = warm._phi
-    monkeypatch.setattr(warm, "_phi",
-                        lambda v: phi_calls.append(1) or real_phi(v))
+    def steps(problems):
+        """Per run: u, phi(u), then (t, u, p, f) after a step of 0.005,
+        then a rejected step_once of 0.2, and (t, u, p, f) after a step of
+        0.2; the problem of each call is next(problems)."""
+        out = [[u, next(problems)._phi(u)] for u in starts]
+        for run in out:
+            run += step_flow(next(problems), 0.0, run[0], run[1], 0.005)
+        for run in out:
+            with pytest.raises(StepRejected):
+                next(problems).step_once(run[3], run[4], 0.2)
+        for run in out:
+            run += step_flow(next(problems), *run[2:5], 0.2)
+        return out
 
-    with pytest.raises(StepRejected):
-        warm.step_once(u, 0.2)
-    retry = warm.step_once(u, 0.1)
-    assert phi_calls == []  # both attempts reused phi from the last step
-    fresh = FlowProblem(params)
-    assert np.array_equal(retry, fresh.step_once(u, 0.1))
+    shared = FlowProblem(params)
+    interleaved = steps(itertools.repeat(shared))
+    alone = steps(FlowProblem(params) for _ in itertools.count())
+    for got, want in zip(interleaved, alone):
+        assert got[2] == want[2] and got[6] == want[6]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)
+                   if isinstance(a, np.ndarray))
+        # the rates a step returns are phi of the u it returns
+        for u, p in ((got[3], got[4]), (got[7], got[8])):
+            assert np.array_equal(p, shared._phi(u))
 
-    warm = FlowProblem(params)
-    state = step_flow(warm, start, 0.005)
-    fresh = FlowProblem(params)
-    a = step_flow(warm, state, 0.2)
-    b = step_flow(fresh, state, 0.2)
-    assert a.t == b.t
-    assert np.array_equal(a.f, b.f) and np.array_equal(a.df, b.df)
 
-    # an input that differs from the last converged u is not served from
-    # it, even when it is the returned array changed in place
-    v = warm.step_once(_increment_vector(a), 0.01)
-    v[0] *= 1.001
-    assert np.array_equal(warm.step_once(v, 0.01),
-                          FlowProblem(params).step_once(v, 0.01))
+def test_a_run_evaluates_phi_once(monkeypatch, tmp_path):
+    # each step starts from the rates that the step before returned
+    calls = []
+    real = FlowProblem._phi
+    monkeypatch.setattr(FlowProblem, "_phi",
+                        lambda self, u: calls.append(1) or real(self, u))
+    assert main(["run", str(CONFIGS / "hirzebruch.cfg"),
+                 "--output", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+def test_stepper_is_second_order_in_time():
+    # TR-BDF2 is second order: the profiles at t = 0.04 after m = 2, 4,
+    # ..., 32 equal steps from the initial state differ by a quarter as
+    # much at each doubling of m
+    params = HirzebruchParams(grid_points=128)
+    start = _increment_vector(init_hirzebruch_profile(params))
+    ends = []
+    for m in (2, 4, 8, 16, 32):
+        problem = FlowProblem(params)
+        t, u, p = 0.0, start, problem._phi(start)
+        for _ in range(m):
+            t, u, p, f = step_flow(problem, t, u, p, 0.04 / m)
+        ends.append(f)
+    diffs = [np.max(np.abs(a - b)) for a, b in zip(ends, ends[1:])]
+    ratios = np.divide(diffs[:-1], diffs[1:])
+    assert np.all((3.9 <= ratios) & (ratios <= 4.1)), ratios
 
 
 def test_kept_results_survive_later_calls_on_the_same_problem():
@@ -558,14 +596,16 @@ def test_kept_results_survive_later_calls_on_the_same_problem():
     # the stencils are the kernel's buffers, valid until its next call
     del held["stencil 0"], held["stencil 1"], held["stencil 2"]
 
-    held["step_once"] = problem.step_once(_increment_vector(start), 0.01)
+    u = _increment_vector(start)
+    held.update(zip(("step_once u", "step_once p", "step_once f"),
+                    problem.step_once(u, problem._phi(u), 0.01)))
     # two consecutive stepped states of a run, and one of this problem
     states = recorded_states(params)
     next(states)  # the initial state
     for i in range(2):
         state = next(states)
         held[f"recorded {i} f"], held[f"recorded {i} df"] = state.f, state.df
-    stepped = step_flow(problem, start, 0.01)
+    stepped = _step(problem, start, 0.01)
     held["stepped f"], held["stepped df"] = stepped.f, stepped.df
     copies = {name: arr.copy() for name, arr in held.items()}
 
@@ -573,8 +613,9 @@ def test_kept_results_survive_later_calls_on_the_same_problem():
     next(states)
     state = stepped
     for _ in range(3):
-        state = step_flow(problem, state, 0.01)
-        problem.step_once(_increment_vector(state), 0.02)
+        state = _step(problem, state, 0.01)
+        u = _increment_vector(state)
+        problem.step_once(u, problem._phi(u), 0.02)
         problem._rates(state.f, state.df)
         problem._phi(_increment_vector(start))
     for name, arr in held.items():
@@ -742,7 +783,7 @@ def test_step_flow_rejects_bad_dt():
     problem = FlowProblem(params)
     st = init_hirzebruch_profile(params)
     with pytest.raises(FlowError):
-        step_flow(problem, st, 0.0)
+        _step(problem, st, 0.0)
 
 
 def test_oversized_step_is_rejected_not_silently_accepted(monkeypatch):
@@ -751,7 +792,7 @@ def test_oversized_step_is_rejected_not_silently_accepted(monkeypatch):
     problem = FlowProblem(params)
     st = init_hirzebruch_profile(params)
     with pytest.raises(StepRejected):
-        step_flow(problem, st, 5.0)
+        _step(problem, st, 5.0)
 
 
 def test_run_settings_validation():
@@ -800,11 +841,11 @@ def test_run_memory_does_not_grow_with_the_recorded_states():
 def test_run_loop_raises_when_a_step_does_not_advance(monkeypatch):
     calls = []
 
-    def stalled(problem, state, dt):
+    def stalled(problem, t, u, p, dt):
         calls.append(dt)
         if len(calls) == 3:
             raise AssertionError("run loop kept stepping a stalled state")
-        return state
+        return t, u, p, None
 
     monkeypatch.setattr(calabi_flow, "step_flow", stalled)
     with pytest.raises(FlowError, match="did not advance"):

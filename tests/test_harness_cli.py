@@ -23,6 +23,8 @@ from fiberflow.calabi_flow import (
 from fiberflow.chart_geometry import calabi_sampler, point_to_complex
 from fiberflow.harness_cli import (
     ANALYSIS_KEYS,
+    DIAG_CSV_SCHEMA,
+    FLOW_CSV_SCHEMA,
     FLOW_KEYS,
     PARAM_KEYS,
     RUN_KEYS,
@@ -579,6 +581,32 @@ def test_check_damaged_product_flow_exits_3(product_dir, tmp_path, capsys):
     assert "flow.csv" in capsys.readouterr().err
 
 
+def _other_schema(clone, name):
+    """Give the stored file `name` the schema version 9 of its kind."""
+    path = clone / name
+    if name == "manifest.json":
+        manifest = json.loads(path.read_text())
+        manifest["schema"] = "fiberflow.manifest/9"
+        path.write_text(json.dumps(manifest))
+    else:
+        lines = path.read_text().splitlines(keepends=True)
+        lines[0] = lines[0].replace("/1 columns:", "/9 columns:")
+        path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "diagnostics.csv"])
+def test_check_file_of_another_schema_exits_3_naming_it(hz_dir, tmp_path,
+                                                        capsys, name):
+    out, _, _ = hz_dir
+    clone = _clone(out, tmp_path / "clone")
+    _other_schema(clone, name)
+    with pytest.raises(RunDirError, match="schema"):
+        check_run_dir(clone)
+    assert main(["check", str(clone)]) == 3
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+
+
 def test_check_manifest_missing_entry_exits_3(hz_dir, tmp_path, capsys):
     out, _, _ = hz_dir
     clone = _clone(out, tmp_path / "clone")
@@ -867,6 +895,8 @@ def grid96_dir(tmp_path_factory):
     ("grid96_dir", "classification", "TypeII"),
     ("grid96_dir", "passed", False),
     ("product_dir", "passed", False),
+    # the config echo makes the run a hirzebruch run
+    ("hz_dir", "scenario", "product"),
 ])
 def test_check_edited_entry_no_verdict_reads_fails_naming_it(
         request, tmp_path, capsys, fixture, key, value):
@@ -896,8 +926,8 @@ def test_check_manifest_entry_not_derived_fails_naming_it(hz_dir, tmp_path,
 
 
 # the manifest entries a run records rather than derives from its tables
-RECORDED_INPUTS = {"schema", "code_version", "config", "scenario", "seed",
-                   "output_dir", "error", "wall_clock_s"}
+RECORDED_INPUTS = {"schema", "code_version", "config", "seed", "output_dir",
+                   "error", "wall_clock_s"}
 
 
 @pytest.mark.parametrize("fixture", ["hz_dir", "product_dir"])
@@ -906,7 +936,7 @@ def test_every_manifest_entry_is_recorded_or_derived_by_record(request,
     # an entry `check` does not derive again would be carried on trust
     out, manifest, _ = request.getfixturevalue(fixture)
     config = parse_config(HZ_CFG if fixture == "hz_dir" else PRODUCT_CFG)
-    diag = _read_csv(out / "diagnostics.csv", DIAG_COLUMNS)
+    diag = _read_csv(out / "diagnostics.csv", DIAG_CSV_SCHEMA, DIAG_COLUMNS)
     derived: dict = {}
     harness_cli._record(config, diag, True, derived)
     assert RECORDED_INPUTS == harness_cli.RECORDED_ENTRIES
@@ -921,7 +951,8 @@ def test_error_manifest_keeps_the_run_numbers(tmp_path):
     config = _past_parse(PRODUCT_CFG, dt_max=1.0, time_frac=1.0)
     manifest, code = execute(config, tmp_path)
     assert code == 3 and manifest["error"]["type"] == "TooFewSamples"
-    diag = _read_csv(tmp_path / "diagnostics.csv", DIAG_COLUMNS)
+    diag = _read_csv(tmp_path / "diagnostics.csv", DIAG_CSV_SCHEMA,
+                     DIAG_COLUMNS)
     stored = json.loads((tmp_path / "manifest.json").read_text())
     T_predicted = calabi_flow.predict_max_time(config.params)
     T_observed = calabi_flow.observed_stop_time(config.params, diag)
@@ -1016,10 +1047,11 @@ def test_run_tables_equal_the_stored_csvs(tmp_path, name):
     manifest, _ = execute(config, tmp_path)
     assert manifest["error"] is None
     assert list(run.diagnostics) == list(DIAG_COLUMNS)
-    _assert_same_table(run.diagnostics,
-                       _read_csv(tmp_path / "diagnostics.csv", DIAG_COLUMNS))
+    _assert_same_table(run.diagnostics, _read_csv(
+        tmp_path / "diagnostics.csv", DIAG_CSV_SCHEMA, DIAG_COLUMNS))
     _assert_same_table(run.flow, _read_csv(
-        tmp_path / "flow.csv", FLOW_COLUMNS[config.params.scenario]))
+        tmp_path / "flow.csv", FLOW_CSV_SCHEMA,
+        FLOW_COLUMNS[config.params.scenario]))
 
 
 def test_rerun_with_fewer_picks_removes_the_stale_rescaled_files(tmp_path):
@@ -1443,7 +1475,7 @@ def test_product_run_takes_the_fixed_step(tmp_path):
         "acceptance"]
     assert [name for name, ok in acceptance.items() if not ok] == [
         "splitting"]
-    t = _read_csv(out / "flow.csv", FLOW_COLUMNS["product"])["t"]
+    t = _read_csv(out / "flow.csv", FLOW_CSV_SCHEMA, FLOW_COLUMNS["product"])["t"]
     assert t.size == 11
     assert np.diff(t)[:-1] == pytest.approx([0.05] * 9, abs=1e-15)
     assert t[-1] == pytest.approx(0.499, abs=1e-15)
