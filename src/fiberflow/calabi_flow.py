@@ -407,8 +407,90 @@ def solve_banded(gtsv, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-class FlowProblem:
-    """Grid, operators and parameters for one PDE run.
+class _TRBDF2:
+    """TR-BDF2 (Hosea & Shampine, Appl. Numer. Math. 20, 1996) for
+    u' = phi(u): a trapezoid stage to t + gamma dt, then a BDF2 stage to
+    t + dt, each solved by Newton's method; second order and L-stable.
+
+    A problem subclasses it with the size of u and gives three methods.
+    `_eval(u)` returns (phi(u), aux): phi(u) a fresh array, aux what
+    `_correction` needs at u, which may lean on the problem's buffers
+    until the next `_eval`.  `_correction(coeff, aux, resid)` returns x
+    with (I - coeff dphi/du) x = resid; the core may halve it in place.
+    `_valid(u)` says whether phi is defined at u; every iterate is valid.
+    The work buffers are allocated once, so one problem must not step
+    from several threads at once."""
+
+    def __init__(self, size: int):
+        # the stage right-hand sides' second terms, the Newton residual and
+        # the absolute value of its entries past the first
+        self._scratch = np.empty(size)
+        self._resid = np.empty(size)
+        self._abs = np.empty(size - 1)
+
+    def _newton(self, coeff: float, rhs_const: np.ndarray,
+                guess: np.ndarray) -> tuple:
+        """Solve u - coeff * phi(u) = rhs_const and return (u, phi(u), aux)
+        of the converged iterate; raises StepRejected on non-convergence.
+        An update that would leave the valid region is halved, at most six
+        times.  The returned u may be `guess` or `rhs_const` itself;
+        neither is written to."""
+        u = guess
+        if not self._valid(u):
+            u = rhs_const
+        if not self._valid(u):
+            raise StepRejected("no valid starting iterate")
+        absr = self._abs
+        scale = (1.0 + abs(rhs_const[0])
+                 + float(np.add.reduce(np.abs(rhs_const[1:], out=absr))))
+        resid = self._resid
+        for _ in range(NEWTON_MAX_ITER):
+            phi, aux = self._eval(u)
+            np.multiply(coeff, phi, out=resid)  # u - coeff phi - rhs_const
+            np.subtract(u, resid, out=resid)
+            resid -= rhs_const
+            err = (abs(resid[0])
+                   + float(np.add.reduce(np.abs(resid[1:], out=absr))))
+            if err <= NEWTON_TOL * scale:
+                return u, phi, aux
+            x = self._correction(coeff, aux, resid)
+            for _ in range(6):
+                candidate = u - x
+                if self._valid(candidate):
+                    break
+                x *= 0.5
+            else:
+                raise StepRejected("iterate left the valid region")
+            u = candidate
+        raise StepRejected("implicit solve did not converge")
+
+    def step_once(self, u: np.ndarray, p0: np.ndarray, dt: float) -> tuple:
+        """One TR-BDF2 step from u, whose rates p0 = phi(u) the caller
+        holds: the stepped u', phi(u') and the aux of u', as stage 2's
+        Newton solve built them.  StepRejected if either stage fails;
+        nothing is written to u or p0."""
+        g = GAMMA
+        # Stage right-hand sides and guesses are fresh, since the solve
+        # may return one as its iterate; `_scratch` holds their second
+        # terms (sums and products commute exactly).
+        c1 = 0.5 * g * dt
+        rhs_const = np.multiply(c1, p0)
+        rhs_const += u
+        guess = np.multiply(g * dt, p0)
+        guess += u
+        u1, _, _ = self._newton(c1, rhs_const, guess)
+        c2 = (1.0 - g) / (2.0 - g) * dt
+        rhs_const = np.divide(u1, g * (2.0 - g))
+        rhs_const -= np.multiply((1.0 - g) ** 2 / (g * (2.0 - g)), u,
+                                 out=self._scratch)
+        guess = np.divide(u1, g)
+        guess -= np.multiply((1.0 - g) / g, u, out=self._scratch)
+        return self._newton(c2, rhs_const, guess)
+
+
+class FlowProblem(_TRBDF2):
+    """Grid, operators and parameters for one PDE run: the rho equation on
+    the TR-BDF2 core.
 
     The implicit solve works on u = (f[0], increments of f) rather than
     nodal values.  In the tails the increments are e^(-|rho|) times
@@ -427,8 +509,10 @@ class FlowProblem:
     """
 
     def __init__(self, params: HirzebruchParams):
+        nodes = params.grid_points
+        super().__init__(nodes)
         self.params = params
-        self.rho = np.linspace(-params.L, params.L, params.grid_points)
+        self.rho = np.linspace(-params.L, params.L, nodes)
         self.drho = float(self.rho[1] - self.rho[0])
         rh = params.base_scalar
         self.sink = rh / params.n
@@ -445,24 +529,31 @@ class FlowProblem:
         self.rate_upper_disc = -params.k * r_disc - self.sink
         self._two_h = 2.0 * h
         self._h_sq = h ** 2
-        nodes = params.grid_points
         # the LAPACK extension alone, not the ~0.3 s scipy.linalg import
         self._gtsv = _dgtsv()
         # The Newton matrix, refilled by `_newton_matrix` for every update
         # because `solve_banded` overwrites it.  ab[0, 0] and ab[2, -1] lie
         # outside the matrix, where gtsv never writes, and stay zero.
         self._ab = np.zeros((3, nodes))
-        # Work buffers of the Newton kernel: the interior stencils s1, n s1
-        # and s2, two temporaries, the residual and its absolute value,
-        # the banded right-hand side (solved in place) and the update.
+        # Work buffers: the interior stencils s1, n s1 and s2, two
+        # temporaries, the banded right-hand side (solved in place) and
+        # the update.
         self._s1, self._ns1, self._s2, self._tmp1, self._tmp2 = np.empty(
             (5, nodes - 2))
-        self._resid = np.empty(nodes)
-        self._abs = np.empty(nodes - 1)
         self._rhs = np.empty(nodes)
         self._dx = np.empty(nodes)
 
-    # -- the Newton kernel, in increment space --------------------------------
+    @staticmethod
+    def _pack(state: FlowState) -> np.ndarray:
+        """u = (f[0], increments of f) of a state."""
+        return np.concatenate(([state.f[0]], state.df))
+
+    def _unpack(self, t: float, u: np.ndarray, f: np.ndarray) -> FlowState:
+        """The state at t of u and its nodal profile f."""
+        return FlowState(t=t, rho=self.rho, f=f, lower=float(f[0]),
+                         upper=float(f[-1]), df=u[1:].copy())
+
+    # -- the rho equation, in increment space ---------------------------------
     #
     # One iterate costs one stencil pass: `_rates` gives the nodal rates
     # and the interior stencils, and the Jacobian is built from the same
@@ -489,10 +580,16 @@ class FlowProblem:
         rates[-1] = self.rate_upper_disc
         return rates, (s1, ns1, s2)
 
+    def _eval(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """phi(u) = (F[0], diff(F)) for the rates F of u, and the nodal f
+        of u; the stencils stay in the problem's buffers for
+        `_correction`."""
+        f = _reconstruct(u[0], u[1:])
+        return _to_increments(self._rates(f, u[1:])[0]), f
+
     def _phi(self, u: np.ndarray) -> np.ndarray:
         """Rates of (f[0], increments): (F[0], diff(F))."""
-        return _to_increments(
-            self._rates(_reconstruct(u[0], u[1:]), u[1:])[0])
+        return self._eval(u)[0]
 
     def _newton_matrix(self, coeff: float, f: np.ndarray,
                        stencils: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -543,73 +640,16 @@ class FlowProblem:
         return bool(np.minimum.reduce(u) > 0.0
                     and np.maximum.reduce(u) < np.inf)
 
-    def _newton(self, coeff: float, rhs_const: np.ndarray,
-                guess: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Solve u - coeff * phi(u) = rhs_const and return u with phi(u)
-        and the nodal f of u; raises StepRejected on non-convergence.
-        Steps are halved while they would leave the monotone cone (phi is
-        not defined outside it).  The returned u may be `guess` or
-        `rhs_const` itself; neither is written to."""
-        u = guess
-        if not self._valid(u):
-            u = rhs_const
-        if not self._valid(u):
-            raise StepRejected("no valid starting iterate")
-        absr = self._abs
-        scale = (1.0 + abs(rhs_const[0])
-                 + float(np.add.reduce(np.abs(rhs_const[1:], out=absr))))
-        resid = self._resid
-        for _ in range(NEWTON_MAX_ITER):
-            f = _reconstruct(u[0], u[1:])
-            rates, stencils = self._rates(f, u[1:])
-            phi = _to_increments(rates)
-            np.multiply(coeff, phi, out=resid)  # u - coeff phi - rhs_const
-            np.subtract(u, resid, out=resid)
-            resid -= rhs_const
-            err = (abs(resid[0])
-                   + float(np.add.reduce(np.abs(resid[1:], out=absr))))
-            if err <= NEWTON_TOL * scale:
-                return u, phi, f
-            # (I - coeff D J T) x = resid is solved as the banded f-space
-            # system (I - coeff J) z = T resid, then x = D z.
-            z = solve_banded(self._gtsv,
-                             self._newton_matrix(coeff, f, stencils),
-                             _reconstruct(resid[0], resid[1:], self._rhs))
-            x = _to_increments(z, self._dx)
-            for _ in range(6):
-                candidate = u - x
-                if self._valid(candidate):
-                    break
-                x *= 0.5
-            else:
-                raise StepRejected("iterate left the monotone cone")
-            u = candidate
-        raise StepRejected("implicit solve did not converge")
-
-    def step_once(self, u: np.ndarray, p0: np.ndarray, dt: float
-                  ) -> tuple[np.ndarray, ...]:
-        """One TR-BDF2 step (trapezoid to t + gamma dt, then BDF2) from u,
-        whose rates p0 = phi(u) the caller holds: the stepped u', phi(u')
-        and the nodal f of u', as stage 2's Newton solve built them.
-        StepRejected if either stage fails; nothing is written to u or
-        p0."""
-        g = GAMMA
-        # Stage right-hand sides and guesses are fresh, since the solve
-        # may return one as its iterate; `_dx` holds their second terms
-        # (sums and products commute exactly).
-        c1 = 0.5 * g * dt
-        rhs_const = np.multiply(c1, p0)
-        rhs_const += u
-        guess = np.multiply(g * dt, p0)
-        guess += u
-        u1, _, _ = self._newton(c1, rhs_const, guess)
-        c2 = (1.0 - g) / (2.0 - g) * dt
-        rhs_const = np.divide(u1, g * (2.0 - g))
-        rhs_const -= np.multiply((1.0 - g) ** 2 / (g * (2.0 - g)), u,
-                                 out=self._dx)
-        guess = np.divide(u1, g)
-        guess -= np.multiply((1.0 - g) / g, u, out=self._dx)
-        return self._newton(c2, rhs_const, guess)
+    def _correction(self, coeff: float, f: np.ndarray,
+                    resid: np.ndarray) -> np.ndarray:
+        """x with (I - coeff D J T) x = resid at the u of nodal f, solved as
+        the banded f-space system (I - coeff J) z = T resid, then x = D z;
+        x is the problem's buffer."""
+        z = solve_banded(self._gtsv,
+                         self._newton_matrix(coeff, f, (self._s1, self._ns1,
+                                                        self._s2)),
+                         _reconstruct(resid[0], resid[1:], self._rhs))
+        return _to_increments(z, self._dx)
 
 
 def step_flow(problem: FlowProblem, t: float, u: np.ndarray, p: np.ndarray,
@@ -620,8 +660,8 @@ def step_flow(problem: FlowProblem, t: float, u: np.ndarray, p: np.ndarray,
     StepRejected once halvings are spent.  The new profile is strictly
     increasing: the Newton solve returns only iterates whose f[0] and
     increments are all positive and finite."""
-    if dt <= 0.0:
-        raise FlowError("need dt > 0")
+    if not 0.0 < dt < math.inf:
+        raise FlowError(f"need a finite dt > 0, got {dt!r}")
     remaining = dt
     halvings_left = MAX_HALVINGS
     sub_dt = dt
@@ -1081,7 +1121,7 @@ def recorded_states(params: HirzebruchParams,
     state = init_hirzebruch_profile(params)
     t_pred = predict_max_time(params)
     yield state
-    t, u = state.t, np.concatenate(([state.f[0]], state.df))
+    t, u = state.t, problem._pack(state)
     p = problem._phi(u)
     while (dt := _step_size(settings, t_pred, t)) is not None:
         try:
@@ -1092,8 +1132,7 @@ def recorded_states(params: HirzebruchParams,
         if not t_new > t:
             raise FlowError(f"step of dt={dt!r} did not advance t={t!r}")
         t = t_new
-        state = FlowState(t=t, rho=state.rho, f=f, lower=float(f[0]),
-                          upper=float(f[-1]), df=u[1:].copy())
+        state = problem._unpack(t, u, f)
         yield state
         if 4.0 * params.k * _max_v(state.df, problem.drho, params.k) < V_FLOOR:
             return

@@ -17,7 +17,6 @@ from fiberflow.calabi_flow import (
     ConfigError,
     FlowError,
     FlowProblem,
-    FlowState,
     HirzebruchParams,
     PastSingularTime,
     ProductParams,
@@ -424,16 +423,11 @@ def test_local_profile_values_do_not_depend_on_call_history():
 # stepping
 
 
-def _increment_vector(state):
-    return np.concatenate(([state.f[0]], state.df))
-
-
 def _step(problem, state, dt):
     """`step_flow` by dt from a FlowState, to the FlowState it reaches."""
-    u = _increment_vector(state)
+    u = problem._pack(state)
     t, u, _, f = step_flow(problem, state.t, u, problem._phi(u), dt)
-    return FlowState(t=t, rho=state.rho, f=f, lower=float(f[0]),
-                     upper=float(f[-1]), df=u[1:])
+    return problem._unpack(t, u, f)
 
 
 def test_single_step_endpoint_rates():
@@ -520,8 +514,8 @@ def test_a_step_is_a_function_of_its_inputs(monkeypatch):
     # three Newton iterations are too few for dt = 0.2 from these states,
     # so step_flow halves before it succeeds
     monkeypatch.setattr(calabi_flow, "NEWTON_MAX_ITER", 3)
-    starts = [_increment_vector(init_hirzebruch_profile(params)),
-              _increment_vector(init_hirzebruch_profile(
+    starts = [FlowProblem._pack(init_hirzebruch_profile(params)),
+              FlowProblem._pack(init_hirzebruch_profile(
                   replace(params, shape="skew")))]
 
     def steps(problems):
@@ -566,7 +560,7 @@ def test_stepper_is_second_order_in_time():
     # ..., 32 equal steps from the initial state differ by a quarter as
     # much at each doubling of m
     params = HirzebruchParams(grid_points=128)
-    start = _increment_vector(init_hirzebruch_profile(params))
+    start = FlowProblem._pack(init_hirzebruch_profile(params))
     ends = []
     for m in (2, 4, 8, 16, 32):
         problem = FlowProblem(params)
@@ -577,6 +571,50 @@ def test_stepper_is_second_order_in_time():
     diffs = [np.max(np.abs(a - b)) for a, b in zip(ends, ends[1:])]
     ratios = np.divide(diffs[:-1], diffs[1:])
     assert np.all((3.9 <= ratios) & (ratios <= 4.1)), ratios
+
+
+class _HeatProblem(calabi_flow._TRBDF2):
+    """The semi-discrete heat equation u_t = u_xx on the 32 interior nodes
+    of (0, pi), zero at both ends: phi(u) = A u, A the tridiagonal
+    second difference."""
+
+    def __init__(self, nodes=32):
+        super().__init__(nodes)
+        self.h = np.pi / (nodes + 1)
+        self.x = self.h * np.arange(1, nodes + 1)
+        off = np.ones(nodes - 1)
+        self.a = (np.diag(np.full(nodes, -2.0)) + np.diag(off, 1)
+                  + np.diag(off, -1)) / self.h ** 2
+
+    def _eval(self, u):
+        return self.a @ u, None
+
+    def _correction(self, coeff, aux, resid):
+        return np.linalg.solve(np.eye(resid.size) - coeff * self.a, resid)
+
+    def _valid(self, u):
+        return bool(np.isfinite(u).all())
+
+
+def test_trbdf2_core_on_the_heat_equation():
+    # The core alone, on a linear problem with a closed form: sin x is an
+    # eigenvector of the second difference, so u = e^(lam t) sin x.
+    heat = _HeatProblem()
+    lam = -4.0 / heat.h ** 2 * np.sin(heat.h / 2.0) ** 2
+    start = np.sin(heat.x)
+    errors = []
+    for m in (4, 8, 16, 32):
+        u, p = start, heat._eval(start)[0]
+        for _ in range(m):
+            u, p, _ = heat.step_once(u, p, 0.5 / m)
+        errors.append(np.max(np.abs(u - np.exp(lam * 0.5) * start)))
+    ratios = np.divide(errors[:-1], errors[1:])
+    assert np.all((3.9 <= ratios) & (ratios <= 4.1)), ratios
+    # L-stable: one step at dt |lam| = 1e4 damps the mode; a trapezoid
+    # second stage would leave it near its size
+    u, _, _ = heat.step_once(start, heat._eval(start)[0], -1e4 / lam)
+    damping = np.max(np.abs(u)) / np.max(np.abs(start))
+    assert damping <= 1e-3, damping
 
 
 def test_kept_results_survive_later_calls_on_the_same_problem():
@@ -596,7 +634,7 @@ def test_kept_results_survive_later_calls_on_the_same_problem():
     # the stencils are the kernel's buffers, valid until its next call
     del held["stencil 0"], held["stencil 1"], held["stencil 2"]
 
-    u = _increment_vector(start)
+    u = problem._pack(start)
     held.update(zip(("step_once u", "step_once p", "step_once f"),
                     problem.step_once(u, problem._phi(u), 0.01)))
     # two consecutive stepped states of a run, and one of this problem
@@ -614,10 +652,10 @@ def test_kept_results_survive_later_calls_on_the_same_problem():
     state = stepped
     for _ in range(3):
         state = _step(problem, state, 0.01)
-        u = _increment_vector(state)
+        u = problem._pack(state)
         problem.step_once(u, problem._phi(u), 0.02)
         problem._rates(state.f, state.df)
-        problem._phi(_increment_vector(start))
+        problem._phi(problem._pack(start))
     for name, arr in held.items():
         assert np.array_equal(arr, copies[name]), name
 
@@ -778,12 +816,13 @@ def test_v_evolution_consistency(default_run, default_states):
     assert np.nanmax(np.abs(resid[mask])) <= 2e-3
 
 
-def test_step_flow_rejects_bad_dt():
+@pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), float("inf")])
+def test_step_flow_rejects_bad_dt(dt):
     params = HirzebruchParams()
     problem = FlowProblem(params)
     st = init_hirzebruch_profile(params)
     with pytest.raises(FlowError):
-        _step(problem, st, 0.0)
+        _step(problem, st, dt)
 
 
 def test_oversized_step_is_rejected_not_silently_accepted(monkeypatch):
