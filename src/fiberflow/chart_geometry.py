@@ -19,7 +19,7 @@ y_fiber) with z = x + i*y.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -155,12 +155,14 @@ class ChartMetricBlocks:
     def n(self) -> int:
         return self.base.n
 
-    def row(self, i: int) -> ChartMetricBlocks:
-        """Point i of a batch, its scalar fields as Python numbers."""
+    def row(self, i: int | np.ndarray) -> ChartMetricBlocks:
+        """Point i of a batch, its scalar fields as Python numbers; an
+        index array i gives the batch of those points."""
         def take(value):
             if isinstance(value, BaseMetric):
                 return replace(value, h=value.h[i], ricci=value.ricci[i])
-            return value[i].item() if value.ndim == 1 else value[i]
+            value = value[i]
+            return value.item() if value.ndim == 0 else value
 
         return ChartMetricBlocks(**{fld.name: take(getattr(self, fld.name))
                                     for fld in fields(self)})
@@ -340,21 +342,38 @@ class ChartSampler:
     batch of blocks for them (see `ChartMetricBlocks`); `evaluate` is its
     one-row case.  `domain` is a (2n+2, 2) box of admissible real
     coordinates, and `blocks_fn` the sampler's own batch formula, which
-    `evaluate_batch` calls only on points inside the box.
+    `evaluate_batch` calls only on points inside the box.  The sampler
+    keeps its last batch, so the stencil oracles at one point share one
+    `blocks_fn` call; a sampler made by `dataclasses.replace` starts with
+    none.
     """
 
     n: int
     blocks_fn: Callable[[np.ndarray], ChartMetricBlocks]
     domain: np.ndarray
+    # [(shape, bytes) of the last batch's points, its read-only blocks]
+    _last: list = field(default_factory=list, init=False, compare=False,
+                        repr=False)
 
     def evaluate_batch(self, points: np.ndarray) -> ChartMetricBlocks:
-        """The blocks at `points`; `DomainEdge` unless every coordinate of
-        every point lies in `domain` (a NaN coordinate lies nowhere)."""
+        """The blocks at `points`, their arrays read-only; `DomainEdge`
+        unless every coordinate of every point lies in `domain` (a NaN
+        coordinate lies nowhere).  Points with the shape and bytes of the
+        last batch, which lay in the box, get its blocks again."""
         p = np.asarray(points, dtype=float)
+        key = (p.shape, p.tobytes())
+        if self._last and self._last[0] == key:
+            return self._last[1]
         if not ((p >= self.domain[:, 0]).all()
                 and (p <= self.domain[:, 1]).all()):
             raise DomainEdge("point outside the sampler domain")
-        return self.blocks_fn(p)
+        blocks = self.blocks_fn(p)
+        for value in (blocks.base.h, blocks.base.ricci,
+                      *(getattr(blocks, fld.name) for fld in fields(blocks))):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        self._last[:] = (key, blocks)
+        return blocks
 
     def evaluate(self, point: np.ndarray) -> ChartMetricBlocks:
         return self.evaluate_batch(np.asarray(point, dtype=float)[None]).row(0)
@@ -461,62 +480,54 @@ def calabi_sampler(profile: Callable[[np.ndarray], tuple[np.ndarray, ...]],
 # finite-difference oracles
 
 
-# Every oracle evaluates the distinct points of its whole stencil in one
+# Every oracle evaluates the distinct points of one stencil layout in one
 # batch call and reads the values back through an index table.  The
-# stencil of a step h is the grid p + h (s_i + s_j) over the star shifts
-# s_0 = 0, s_1 = +e_0, s_2 = -e_0, s_3 = +e_1, ...
+# layout of a step h holds two grids, p + h (s_i + s_j) and
+# p + (h/2) (s_i + s_j), over the star shifts s_0 = 0, s_1 = +e_0,
+# s_2 = -e_0, s_3 = +e_1, ...; so the oracles at one point and step ask
+# their sampler for the same points, which it evaluates once.
 
 
 @functools.cache
-def _stencil_plan(d: int, hessian: bool, count: int
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The layout of `count` stencil grids in dimension d, one per step:
-    the shifts (m, d) and `step_of` (m,) of their distinct points
-    p + h shift with h = steps[step_of], and the table (count, 2d + 1,
-    2d + 1) of the rows that hold each grid entry p + h (s_i + s_j).
+def _stencil_plan(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one stencil layout in dimension d: the shifts (m, d) of its
+    distinct points p + h shift, and the table (2, 2d + 1, 2d + 1) of the
+    rows that hold each entry of its two grids, the one of step h and the
+    one of step h/2.
 
-    Entries whose shifts cancel are the centre p + 0.0, which all grids
-    share; with `hessian` so are the entries that shift one coordinate
-    twice, which `_real_hessian` never reads.  The layout depends on
-    (d, hessian, count) alone, and so does the number of rows."""
+    Entries with equal shifts share a row: the centre p + 0.0, which every
+    entry whose shifts cancel is, and p + h e_a, which the h/2 grid's
+    double shift p + (h/2) 2 e_a is too.  That leaves 4d^2 + 2d + 1 rows,
+    reaching 2h from p (the h grid's double shifts), in every coordinate."""
     star = np.zeros((2 * d + 1, d))
     star[1 + 2 * np.arange(d), np.arange(d)] = 1.0
     star[2 + 2 * np.arange(d), np.arange(d)] = -1.0
-    axis = (np.arange(2 * d + 1) + 1) // 2  # 0 at the centre
-    # (step, i, j) per grid entry; sorted, the centre comes first
-    keys = [(0, 0, 0) if a == b and (hessian or i != j or a == 0) else
-            (s, min(i, j), max(i, j))
-            for s in range(count)
-            for i, a in enumerate(axis) for j, b in enumerate(axis)]
-    rows = sorted(set(keys))
-    row = {key: r for r, key in enumerate(rows)}
-    step_of, i, j = np.array(rows).T
-    plan = (star[i] + star[j], step_of,
-            np.array([row[key] for key in keys]).reshape(
-                count, 2 * d + 1, 2 * d + 1))
+    pairs = star[:, None] + star
+    rows: dict[tuple, int] = {}
+    index = np.array([rows.setdefault(tuple(shift), len(rows)) for shift in
+                      np.stack([pairs, 0.5 * pairs]).reshape(-1, d)])
+    plan = (np.array(list(rows)), index.reshape(2, 2 * d + 1, 2 * d + 1))
     for arr in plan:
         arr.flags.writeable = False
     return plan
 
 
-def _stencil(point: np.ndarray, steps: tuple[float, ...],
-             hessian: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct points of the stencil grids of `point` (d,), one per
-    step of `steps`, and the index table (len(steps), 2d + 1, 2d + 1)
-    that reads values computed at them back on each grid; `ChartError`
-    unless every step is finite and positive."""
-    for step in steps:
-        if not 0.0 < step < np.inf:
-            raise ChartError(f"finite-difference step {step!r} is not "
-                             f"finite and positive")
+def _stencil(point: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct points of the stencil layout of `point` (d,) and
+    `step`, and the index table (2, 2d + 1, 2d + 1) that reads values
+    computed at them back on its grids of step `step` and `step`/2;
+    `ChartError` unless the step is finite and positive."""
+    if not 0.0 < step < np.inf:
+        raise ChartError(f"finite-difference step {step!r} is not "
+                         f"finite and positive")
     p = np.asarray(point, dtype=float)
-    shift, step_of, index = _stencil_plan(p.shape[-1], hessian, len(steps))
-    return p + np.asarray(steps, dtype=float)[step_of, None] * shift, index
+    shift, index = _stencil_plan(p.shape[-1])
+    return p + step * shift, index
 
 
 def _real_hessian(values: np.ndarray, step: float) -> np.ndarray:
     """Real Hessian (d, d) of a scalar by central differences, from its
-    values (2d + 1, 2d + 1) on a `_stencil` grid."""
+    values (2d + 1, 2d + 1) on a `_stencil` grid of that step."""
     h2 = step ** 2
     diag = (values[0, 1::2] - 2.0 * values[0, 0] + values[0, 2::2]) / h2
     mixed = (values[1::2, 1::2] - values[1::2, 2::2]
@@ -539,7 +550,7 @@ def hermitian_hessian_fd(fn: Callable[[np.ndarray], np.ndarray],
                          point: np.ndarray, step: float) -> np.ndarray:
     """Mixed complex Hessian d_A d_Bbar of a real scalar by central
     stencils; `fn` maps a (P, 2m) stack of points to (P,) values."""
-    rows, index = _stencil(point, (step,), hessian=True)
+    rows, index = _stencil(point, step)
     return _complex_hessian(_real_hessian(fn(rows)[index[0]], step))
 
 
@@ -549,15 +560,15 @@ def fd_ricci_oracle(sampler: ChartSampler, point: np.ndarray,
     """Ricci blocks from R_AB = -d_A d_Bbar ln det g, oblivious to structure.
 
     With `richardson` the `step` and `step`/2 evaluations are extrapolated
-    to fourth order, which the tight ratio-structure checks need; both
-    stencils go to the sampler in one call.
+    to fourth order, which the tight ratio-structure checks need; the
+    values come from one sampler call on the stencil layout either way.
     """
-    steps = (step, step / 2.0) if richardson else (step,)
-    rows, index = _stencil(point, steps, hessian=True)
+    rows, index = _stencil(point, step)
     values = sampler.log_det_fn()(rows)[index]
-    mats = [_complex_hessian(_real_hessian(v, hh))
-            for v, hh in zip(values, steps)]
-    mat = (4.0 * mats[1] - mats[0]) / 3.0 if richardson else mats[0]
+    mat = _complex_hessian(_real_hessian(values[0], step))
+    if richardson:
+        half = _complex_hessian(_real_hessian(values[1], step / 2.0))
+        mat = (4.0 * half - mat) / 3.0
     ric = -mat
     return RicciBlocks(base=ric[:-1, :-1], mixed=ric[:-1, -1],
                        fiber=float(ric[-1, -1].real))
@@ -587,10 +598,11 @@ def riemann_fd(metric_fn: Callable[[np.ndarray], np.ndarray],
     accurate in `step`.  Sign convention fixed so that the sectional
     curvature of a round sphere comes out positive via
     `sectional_from_riemann`.  `metric_fn` maps a (P, d) stack of points
-    to their (P, d, d) real metrics; it is called once, on the 2d^2 + 2d + 1
-    distinct points of the Christoffel stencils around p and p +- h e_c.
+    to their (P, d, d) real metrics; it is called once, on the points of
+    the stencil layout (`_stencil_plan`), and its grid of step h holds the
+    Christoffel stencils around p and p +- h e_c.
     """
-    rows, index = _stencil(point, (step,))
+    rows, index = _stencil(point, step)
     g = metric_fn(rows)[index[0]]
     gamma = _christoffel(g, step)
     gamma0 = gamma[0]

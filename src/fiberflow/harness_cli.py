@@ -651,10 +651,12 @@ def execute(config: RunConfig, out_dir: str | Path,
 def _check_derived_columns(params: HirzebruchParams | ProductParams,
                            diag: dict[str, np.ndarray], path: Path) -> None:
     """RunDirError naming `path` unless every `node` of a diagnostics
-    table is a grid node (0 for the product scenario) and its monitor
-    columns are, bit for bit, the ones a run derives: `build_monitors` of
-    the stored t, heat_residual, min_f, max_f and max_v, or the constants
-    `_run_product` writes."""
+    table is a grid node (0 for the product scenario) and its derived
+    columns are, bit for bit, the ones a run derives: the monitor columns,
+    `build_monitors` of the stored t, heat_residual, min_f, max_f and
+    max_v, or the constants `_run_product` writes; and for a hirzebruch
+    run `width`, the upper less the lower end of f in `flow_table`,
+    `fiber_area` = 2 pi width / k and `a_sq_sup` = 2n grad_ln_sq_sup."""
     if isinstance(params, ProductParams):
         nodes, rows = 1, diag["t"].size
         derived = {"max_f_slack": np.zeros(rows),
@@ -662,18 +664,39 @@ def _check_derived_columns(params: HirzebruchParams | ProductParams,
                    "grad_bound_ok": np.ones(rows)}
     else:
         nodes = params.grid_points
-        derived = build_monitors(params, diag["t"], diag["heat_residual"],
-                                 diag["min_f"], diag["max_f"], diag["max_v"])
+        monitors = build_monitors(params, diag["t"], diag["heat_residual"],
+                                  diag["min_f"], diag["max_f"],
+                                  diag["max_v"])
+        flow = flow_table(params, diag)
+        derived = {name: monitors[name] for name in
+                   ("max_f_slack", "grad_f_sq_sup", "grad_bound_ok")}
+        derived.update(
+            width=flow["upper"] - flow["lower"],
+            fiber_area=2.0 * np.pi * diag["width"] / params.k,
+            a_sq_sup=(2.0 * params.n) * diag["grad_ln_sq_sup"])
     node = diag["node"]
     bad = np.flatnonzero((node < 0) | (node >= nodes))
     if bad.size:
         raise RunDirError(f"{path}: line {bad[0] + 3}: node = "
                           f"{float(node[bad[0]])} is not one of the "
                           f"{nodes} grid nodes")
-    for name in ("max_f_slack", "grad_f_sq_sup", "grad_bound_ok"):
-        if not np.array_equal(diag[name], derived[name], equal_nan=True):
+    for name, column in derived.items():
+        if not np.array_equal(diag[name], column, equal_nan=True):
             raise RunDirError(f"{path}: {name} is not the column derived "
                               f"from the stored columns")
+
+
+def _replayed_columns(config: RunConfig,
+                      diag: dict[str, np.ndarray]) -> list[str]:
+    """The columns of a product run's diagnostics table that are not, bit
+    for bit (NaN equal to NaN), the ones `run_flow` computes again from
+    its config: a product run is a closed form that costs microseconds.
+    A hirzebruch run is not run again here."""
+    if not isinstance(config.params, ProductParams):
+        return []
+    replay = run_flow(config.params, config.settings).diagnostics
+    return [name for name in DIAG_COLUMNS
+            if not np.array_equal(diag[name], replay[name], equal_nan=True)]
 
 
 def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
@@ -684,15 +707,17 @@ def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
     `chart_residuals` verdict, the one input it does not derive.
     `flow.csv` must hold the text of the table `flow_table` derives from
     the stored diagnostics table, as a run writes it: with `%.17g`, every
-    column bit for bit; so must the monitor columns of diagnostics.csv
-    (`_check_derived_columns`).  `differs` names each derived file whose
-    text is not the stored one, each stored rescaled_<i>.csv that is not
-    derived, each derived manifest entry whose JSON text is not the stored
-    one, and each stored entry that is neither derived nor in
-    RECORDED_ENTRIES.  Raises RunDirError naming the file when the
-    recorded run ended in error, flow.csv or a monitor column is not the
-    derived one, a `node` is off the grid, or a stored file is of another
-    schema, missing, empty, cut short or malformed.
+    column bit for bit; so must the derived columns of diagnostics.csv
+    (`_check_derived_columns`).  A product run is run again from the
+    config.  `differs` names each column of a product run's
+    diagnostics.csv that is not the replayed one (`_replayed_columns`),
+    each derived file whose text is not the stored one, each stored
+    rescaled_<i>.csv that is not derived, each derived manifest entry
+    whose JSON text is not the stored one, and each stored entry that is
+    neither derived nor in RECORDED_ENTRIES.  Raises RunDirError naming
+    the file when the recorded run ended in error, flow.csv or a derived
+    column is not the derived one, a `node` is off the grid, or a stored
+    file is of another schema, missing, empty, cut short or malformed.
     """
     run_dir = Path(run_dir)
     manifest_path = run_dir / "manifest.json"
@@ -726,6 +751,7 @@ def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
             raise RunDirError(f"{flow_path}: not the table derived from "
                               f"{diag_path.name}")
         _read_json(run_dir / "report.json")  # not JSON: exit 3, not 1
+        replayed = _replayed_columns(config, diag)
         chart_ok = (stored["chart_residuals"]
                     if "chart_residuals" in config.analysis.checks else None)
         record: dict = {}
@@ -743,8 +769,9 @@ def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
                           f"({type(exc).__name__}: {exc})") from exc
     except FlowError as exc:
         raise RunDirError(f"{run_dir}: {exc}") from exc
-    differs = [name for name, text in files.items()
-               if _read_text(run_dir / name) != text]
+    differs = [f"{diag_path.name} {name}" for name in replayed]
+    differs += [name for name, text in files.items()
+                if _read_text(run_dir / name) != text]
     differs += [name for name in _stored_rescaled(run_dir)
                 if name not in files]
     # floats round-trip through JSON text, and a derived NaN is the null
@@ -884,7 +911,7 @@ def _cmd_check(args) -> int:
         print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
     for name in summary["differs"]:
         print(f"  {name} differs from its value recomputed from the stored "
-              "files")
+              "files and the config")
     print(f"{args.run_dir}: "
           f"{'pass' if code == 0 else 'FAIL'}"
           f" (consistent={summary['consistent']})")

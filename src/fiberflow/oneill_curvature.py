@@ -256,15 +256,15 @@ def vertical_sectional(blocks: ChartMetricBlocks) -> float:
 
 def _hessian_ln_f(fp: FramePoint, step: float) -> np.ndarray:
     """Covariant Hessian matrix of ln f at the frame point via metric-only
-    stencils.  One sampler call on the distinct stencil points feeds both
-    the ln f stencil and the Christoffel stencil."""
-    rows, index = _stencil(fp.point, (step,), hessian=True)
+    stencils.  One sampler call on the stencil layout feeds both the ln f
+    stencil and the Christoffel stencil, the grid of step `step`."""
+    rows, index = _stencil(fp.point, step)
     blocks = fp.sampler.evaluate_batch(rows)
     lnf = np.log(blocks.f)[index[0]]
     grad1 = (lnf[0, 1::2] - lnf[0, 2::2]) / (2.0 * step)
     # the grid's first row, p and its single shifts, is the stencil that
     # `_christoffel` reads at p
-    gamma = _christoffel(real_metric(blocks)[index[0, 0]], step)
+    gamma = _christoffel(real_metric(blocks.row(index[0, 0])), step)
     return _real_hessian(lnf, step) - np.einsum('cab,c->ab', gamma, grad1)
 
 

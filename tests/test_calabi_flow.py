@@ -382,7 +382,7 @@ def test_local_profile_row_is_the_same_alone_and_in_a_stencil(n):
     st = init_hirzebruch_profile(params)
     samp = sampler_from_state(st, params)
     point = samp.random_points(np.random.default_rng(n), 1)[0]
-    stencil = _stencil(point, (1e-3,))[0]
+    stencil = _stencil(point, 1e-3)[0]
     z, xi = point_to_complex(stencil)
     rho = np.log(np.abs(xi) ** 2) + np.log(1.0 + np.sum(np.abs(z) ** 2,
                                                         axis=1))

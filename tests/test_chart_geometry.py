@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -203,46 +203,38 @@ def test_scalar_curvature_fd_product():
 # stencil plans
 
 
-def _naive_stencil(point, steps, hessian):
+def _naive_stencil(point, step):
     """The grids p + h (s_i + s_j) over the star shifts s_0 = 0,
-    s_1 = +e_0, s_2 = -e_0, s_3 = +e_1, ... per step h, (S, 2d + 1,
-    2d + 1, d), and their distinct points by their bytes, from np.unique.
-    With `hessian` the entries that shift one coordinate twice are the
-    centre (`_real_hessian` never reads them)."""
+    s_1 = +e_0, s_2 = -e_0, s_3 = +e_1, ... for h = step and h = step / 2,
+    (2, 2d + 1, 2d + 1, d), and their distinct points by their bytes, from
+    np.unique."""
     d = len(point)
     star = np.zeros((2 * d + 1, d))
     axis = np.arange(d)
     star[1 + 2 * axis, axis] = 1.0
     star[2 + 2 * axis, axis] = -1.0
-    grids = np.stack([point + h * (star[:, None] + star) for h in steps])
-    if hessian:
-        axis = (np.arange(2 * d + 1) + 1) // 2
-        twice = (axis[:, None] == axis) & (axis[:, None] > 0)
-        grids[:, twice] = grids[:, :1, 0]
+    grids = np.stack([point + h * (star[:, None] + star)
+                      for h in (step, step / 2.0)])
     flat = grids.reshape(-1, d)
     keys = flat.view(np.dtype((np.void, flat.strides[0]))).ravel()
     return grids, flat[np.unique(keys, return_index=True)[1]]
 
 
-def _assert_plan_is_naive(point, steps, hessian):
-    grids, distinct = _naive_stencil(point, steps, hessian)
-    rows, index = cg._stencil(point, steps, hessian)
+def _assert_plan_is_naive(point, step):
+    grids, distinct = _naive_stencil(point, step)
+    rows, index = cg._stencil(point, step)
     assert np.array_equal(rows[index].view(np.int64), grids.view(np.int64))
     assert len(rows) == len(distinct)
     assert {r.tobytes() for r in rows} == {r.tobytes() for r in distinct}
-
-
-# the layouts of riemann_fd, of the Hessians and of the Richardson pair
-STENCIL_LAYOUTS = [((1e-3,), False), ((1e-3,), True), ((1e-3, 5e-4), True)]
 
 
 @settings(deadline=None, max_examples=200)
 @given(coords=st.sampled_from([2, 4, 6, 8]).flatmap(
            lambda d: st.lists(st.floats(-10.0, 10.0), min_size=d,
                               max_size=d)),
-       layout=st.sampled_from(STENCIL_LAYOUTS))
-def test_stencil_plan_is_the_naive_stencil_at_random_points(coords, layout):
-    _assert_plan_is_naive(np.array(coords), *layout)
+       step=st.sampled_from([1e-3, 3e-3]) | st.floats(1e-4, 1e-1))
+def test_stencil_plan_is_the_naive_stencil_at_random_points(coords, step):
+    _assert_plan_is_naive(np.array(coords), step)
 
 
 def _round_trip_off(h=1e-3):
@@ -251,7 +243,7 @@ def _round_trip_off(h=1e-3):
     return xs[(xs + h) - h != xs][0]
 
 
-@pytest.mark.parametrize("layout", STENCIL_LAYOUTS)
+@pytest.mark.parametrize("step", [1e-3, 3e-3])
 @pytest.mark.parametrize("d", [2, 4, 6, 8])
 @pytest.mark.parametrize("special", [
     -0.0,  # the centre is p + 0.0, whose zero is +0.0
@@ -259,24 +251,30 @@ def _round_trip_off(h=1e-3):
     1e-20,  # below the ulp of h
 ])
 def test_stencil_plan_is_the_naive_stencil_at_special_points(special, d,
-                                                              layout):
+                                                              step):
     point = np.random.default_rng(d).uniform(-1.0, 1.0, d)
     point[d // 2] = special
-    _assert_plan_is_naive(point, *layout)
+    _assert_plan_is_naive(point, step)
 
 
-def test_stencil_rows_are_a_function_of_the_layout_alone():
-    """2d^2 + 2d + 1 rows for riemann_fd, 2d^2 + 1 for a Hessian and
-    4d^2 + 1 for the Richardson pair, at every point: the special ones
+def test_stencil_rows_are_a_function_of_the_dimension_alone():
+    """4d^2 + 2d + 1 rows at every point: the h grid's 2d^2 + 2d + 1 and
+    the h/2 grid's 2d^2 + 1, less the 2d double shifts of the h/2 grid,
+    which are the single shifts of the h grid; the special points
     included, a coordinate whose round trip (x + h) - h is not x too."""
     for d in (2, 4, 6, 8):
-        want = [2 * d * d + 2 * d + 1, 2 * d * d + 1, 4 * d * d + 1]
         for special in (0.3, -0.0, _round_trip_off(), 1e-20):
             point = np.full(d, 0.3)
             point[d // 2] = special
-            got = [len(cg._stencil(point, *layout)[0])
-                   for layout in STENCIL_LAYOUTS]
-            assert got == want
+            assert len(cg._stencil(point, 1e-3)[0]) == 4 * d * d + 2 * d + 1
+
+
+def test_stencil_reaches_two_steps_in_every_coordinate():
+    """The layout's widest offset, the h grid's double shifts, is 2h in
+    each coordinate; so every oracle refuses a point closer to the box."""
+    for d in (2, 4, 6, 8):
+        shift, _ = cg._stencil_plan(d)
+        assert np.array_equal(np.max(np.abs(shift), axis=0), np.full(d, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +363,83 @@ def test_domain_edge_guard_refuses_nan(coord):
             samp.evaluate_batch(point[None])
         with pytest.raises(cg.DomainEdge):
             cg.fd_ricci_oracle(samp, point)
+
+
+def _blocks_bits(blocks):
+    """The bytes of every array of a batch of blocks, in field order."""
+    arrays = [blocks.base.h, blocks.base.ricci]
+    arrays += [getattr(blocks, fld.name) for fld in fields(blocks)[1:]]
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+def test_sampler_keeps_its_last_batch_only():
+    """Batches A, B, A: each call after a different batch evaluates again
+    and gets the bits of a fresh sampler; A twice in a row evaluates once
+    and returns the same blocks."""
+    plain = twisted_sampler(n=2)
+    calls = []
+
+    def counted(points):
+        calls.append(points.copy())
+        return plain.blocks_fn(points)
+
+    samp = replace(plain, blocks_fn=counted)
+    rng = np.random.default_rng(11)
+    a, b = samp.random_points(rng, 5), samp.random_points(rng, 5)
+    first = samp.evaluate_batch(a)
+    assert samp.evaluate_batch(a.copy()) is first and len(calls) == 1
+    for points in (b, a):
+        got = samp.evaluate_batch(points)
+        fresh = replace(plain, blocks_fn=plain.blocks_fn)
+        assert _blocks_bits(got) == _blocks_bits(fresh.evaluate_batch(points))
+    assert [c.tobytes() for c in calls] == [p.tobytes() for p in (a, b, a)]
+
+
+def test_replaced_sampler_starts_with_no_batch():
+    """`dataclasses.replace(sampler, blocks_fn=...)` makes a sampler that
+    evaluates its own formula, even on the last batch of the sampler it
+    came from; the two compare equal but share no batch."""
+    samp = twisted_sampler()
+    points = samp.random_points(np.random.default_rng(12), 4)
+    before = samp.evaluate_batch(points)
+
+    def doubled(p):
+        blocks = samp.blocks_fn(p)
+        return replace(blocks, f=2.0 * blocks.f)
+
+    other = replace(samp, blocks_fn=doubled)
+    assert np.array_equal(other.evaluate_batch(points).f, 2.0 * before.f)
+    same = replace(samp)
+    assert same == samp
+    assert same.evaluate_batch(points) is not before
+    assert samp.evaluate_batch(points) is before
+
+
+def test_sampler_batches_are_read_only():
+    """The blocks a sampler keeps cannot be written through: every array
+    of a batch, and of a row taken from it, is read-only (an index array
+    takes copies, which share no memory with the batch)."""
+    samp = twisted_sampler(n=2)
+    batch = samp.evaluate_batch(
+        samp.random_points(np.random.default_rng(13), 3))
+    for blocks in (batch, batch.row(1)):
+        arrays = [blocks.base.h, blocks.base.ricci]
+        arrays += [v for v in (getattr(blocks, fld.name)
+                               for fld in fields(blocks)[1:])
+                   if isinstance(v, np.ndarray)]
+        assert arrays
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+
+
+def test_row_with_an_index_array_is_the_batch_of_those_points():
+    samp = twisted_sampler(n=2)
+    points = samp.random_points(np.random.default_rng(14), 5)
+    picked = samp.evaluate_batch(points).row(np.array([3, 1]))
+    fresh = replace(samp, blocks_fn=samp.blocks_fn)
+    assert _blocks_bits(picked) == _blocks_bits(
+        fresh.evaluate_batch(points[[3, 1]]))
 
 
 def test_random_points_stay_inside():

@@ -694,6 +694,11 @@ DIAG_EDITS = [
     ("product_dir", {"grad_f_sq_sup": "1e-300"}, "grad_f_sq_sup"),
     ("product_dir", {"grad_bound_ok": "0"}, "grad_bound_ok"),
     ("product_dir", {"node": "1"}, "node"),
+    ("hz_dir", {"fiber_area": "1e9"}, "fiber_area"),
+    ("hz_dir", {"fiber_area": "ulp"}, "fiber_area"),
+    ("hz_dir", {"a_sq_sup": "1e9"}, "a_sq_sup"),
+    ("hz_dir", {"a_sq_sup": "ulp"}, "a_sq_sup"),
+    ("hz_dir", {"width": "ulp"}, "width"),
 ]
 
 
@@ -725,6 +730,62 @@ def test_check_monitor_column_apart_from_its_derivation_exits_3(
     err = capsys.readouterr().err
     assert "diagnostics.csv" in err and column in err
     assert "Traceback" not in err
+
+
+def _edit_cell(path, row, column, value):
+    """Write `value` into `column` of data row `row` of a CSV file."""
+    lines = path.read_text().splitlines()
+    i = lines[1].split(",").index(column)
+    fields = lines[row + 2].split(",")
+    fields[i] = value
+    lines[row + 2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_check_ties_width_to_the_flow_ends(hz_dir, tmp_path, capsys):
+    """A width edited in diagnostics.csv and flow.csv alike keeps
+    flow.csv the table `flow_table` derives; it is still not the upper
+    less the lower end of f, and check names it (exit 3)."""
+    out, _, _ = hz_dir
+    clone = _clone(out, tmp_path / "clone")
+    row = (len((clone / "flow.csv").read_text().splitlines()) - 2) // 2
+    for name in ("diagnostics.csv", "flow.csv"):
+        _edit_cell(clone / name, row, "width", "1e9")
+    with pytest.raises(RunDirError, match="diagnostics.csv: .*width"):
+        check_run_dir(clone)
+    assert main(["check", str(clone)]) == 3
+    err = capsys.readouterr().err
+    assert "width" in err and "Traceback" not in err
+
+
+# the columns of a product run that no verdict and no derived file reads
+# in its second row
+PRODUCT_UNREAD = ["k_v_max", "a_sq_sup", "grad_ln_sq_sup", "horiz_sup",
+                  "mixed_sup", "rm_sup", "fiber_area", "roundness", "max_v",
+                  "max_f"]
+
+
+@pytest.mark.parametrize("column", PRODUCT_UNREAD)
+def test_check_replays_a_product_run(product_dir, tmp_path, capsys, column):
+    """A product run is a closed form that costs microseconds, so check
+    runs it again from the config echo: a diagnostics.csv column edited in
+    a row that no verdict and no derived file reads is named in `differs`
+    (exit 1)."""
+    out, manifest, _ = product_dir
+    clone = _clone(out, tmp_path / "clone")
+    _edit_cell(clone / "diagnostics.csv", 1, column, "1e9")
+    summary, code = check_run_dir(clone)
+    assert summary["recheck"] == manifest["acceptance"] == summary["stored"]
+    assert summary["differs"] == [f"diagnostics.csv {column}"]
+    assert summary["consistent"] is False and code == 1
+    assert main(["check", str(clone)]) == 1
+    assert f"diagnostics.csv {column} differs" in capsys.readouterr().out
+
+
+def test_check_replay_matches_an_untouched_product_run(product_dir):
+    out, _, _ = product_dir
+    summary, code = check_run_dir(out)
+    assert summary["differs"] == [] and code == 0
 
 
 def test_check_crashed_run_exits_3_naming_the_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,11 +201,11 @@ def test_vertical_horizontal_closed_vs_fd():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_oracle_evaluations_per_call(n, monkeypatch):
-    """Each oracle hands its whole stencil to the sampler in one batch
-    call: riemann_fd evaluates each distinct stencil point once, the
-    covariant Hessian behind vertical_horizontal_curvature is stenciled
-    once per frame point, and fd_ricci_oracle evaluates both Richardson
-    stencils together.  `calls` holds the rows of each sampler call."""
+    """The stencil oracles at one point share one stencil layout, which
+    the sampler evaluates once: fd_ricci_oracle, riemann_fd and
+    vertical_horizontal_curvature together make one sampler call, on the
+    4d^2 + 2d + 1 distinct points of the layout (73 / 157 / 273 at
+    n = 1 / 2 / 3).  `calls` holds the rows of each sampler call."""
     calls = []
     real = cg.fubini_study_base
 
@@ -221,15 +223,50 @@ def test_oracle_evaluations_per_call(n, monkeypatch):
         return fp.sampler.metric_fn()(points)
 
     calls.clear()
-    cg.riemann_fd(metric, fp.point, 1e-3)
-    assert calls == [2 * d * d + 2 * d + 1]
-    assert len(np.unique(seen[0], axis=0)) == len(seen[0])
-    calls.clear()
-    oc.vertical_horizontal_curvature(fp)
-    assert len(calls) == 1 and calls[0] <= 2 * d * d + 1
-    calls.clear()
     cg.fd_ricci_oracle(fp.sampler, fp.point, richardson=True)
-    assert len(calls) == 1
+    cg.riemann_fd(metric, fp.point, 1e-3)
+    oc.vertical_horizontal_curvature(fp)
+    assert calls == [4 * d * d + 2 * d + 1] == [{1: 73, 2: 157, 3: 273}[n]]
+    assert len(np.unique(seen[0], axis=0)) == len(seen[0])
+
+
+# every stencil oracle at a frame point, at the default step
+STENCIL_ORACLES = [
+    lambda fp: cg.fd_ricci_oracle(fp.sampler, fp.point,
+                                  richardson=True).assemble(),
+    lambda fp: cg.fd_ricci_oracle(fp.sampler, fp.point).assemble(),
+    lambda fp: cg.riemann_fd(fp.sampler.metric_fn(), fp.point,
+                             cg.DEFAULT_FD_STEP),
+    lambda fp: np.array(oc.mixed_curvature_residuals(fp)),
+    lambda fp: oc.vertical_horizontal_curvature(fp),
+    lambda fp: cg.hermitian_hessian_fd(fp.sampler.log_det_fn(), fp.point,
+                                       cg.DEFAULT_FD_STEP),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_shared_sampler_gives_the_bits_of_a_fresh_sampler_per_oracle(n):
+    """At seeded points, the stencil oracles on one sampler, which they
+    share through its last batch (one stencil call after the frame
+    point's), give the bits each gives on a sampler of its own, made with
+    `dataclasses.replace` (which keeps no batch)."""
+    plain = twisted_sampler(n=n)
+    rows = []
+
+    def counted(points):
+        rows.append(len(points))
+        return plain.blocks_fn(points)
+
+    shared = replace(plain, blocks_fn=counted)
+    d = 2 * n + 2
+    for point in plain.random_points(np.random.default_rng(40 + n), 3):
+        rows.clear()
+        fp = oc.frame_point(shared, point)
+        got = [oracle(fp) for oracle in STENCIL_ORACLES]
+        assert rows == [1, 4 * d * d + 2 * d + 1]
+        for oracle, want in zip(STENCIL_ORACLES, got):
+            fresh = replace(plain, blocks_fn=plain.blocks_fn)
+            assert np.array_equal(oracle(oc.frame_point(fresh, point)), want)
 
 
 def _vhc(fp):
@@ -254,19 +291,19 @@ def _ricci(fp):
 
 def _reach(oracle, widest, base_only=False):
     """An oracle with its stencil's widest offset in each coordinate, in
-    steps: `step` for the Hessian grid (the Richardson one included, whose
-    second grid is half as wide), 2 `step` for the star of stars of
-    `riemann_fd`; `base_sectional_fd` never moves the fiber coordinates."""
+    steps: 2 `step` for every oracle, whose one stencil layout holds the
+    double shifts of `riemann_fd`; `base_sectional_fd` never moves the
+    fiber coordinates."""
     reach = np.full(4, widest)
     if base_only:
         reach[2:] = 0.0
     return pytest.param(oracle, reach, id=f"{oracle.__name__}-{widest}")
 
 
-STENCIL_MARGINS = [_reach(_vhc, 1.0), _reach(_mixed, 2.0),
+STENCIL_MARGINS = [_reach(_vhc, 2.0), _reach(_mixed, 2.0),
                    _reach(_sectional, 2.0),
                    _reach(_base_sectional, 2.0, base_only=True),
-                   _reach(_ricci, 1.0)]
+                   _reach(_ricci, 2.0)]
 
 
 @pytest.mark.parametrize("side", [0, 1])
