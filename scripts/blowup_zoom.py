@@ -11,14 +11,14 @@ import json
 
 from fiberflow import HirzebruchParams, RunSettings, run_flow
 from fiberflow.harness_cli import AnalysisConfig, ValidationError, analyze
+from fiberflow.singularity_analyzer import PICK_MODES
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--grid", type=int, default=512)
     ap.add_argument("--picks", type=int, default=8)
-    ap.add_argument("--mode", default="typeI_max_curvature",
-                    choices=["typeI_max_curvature", "typeII_supremum"])
+    ap.add_argument("--mode", default=PICK_MODES[0], choices=PICK_MODES)
     ap.add_argument("--json", action="store_true",
                     help="emit the full report as JSON instead of a table")
     args = ap.parse_args(argv)

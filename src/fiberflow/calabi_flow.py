@@ -423,34 +423,35 @@ class _TRBDF2:
 
     def __init__(self, size: int):
         # the stage right-hand sides' second terms, the Newton residual and
-        # the absolute value of its entries past the first
+        # the absolute values that the Newton test's l1 norms sum
         self._scratch = np.empty(size)
         self._resid = np.empty(size)
-        self._abs = np.empty(size - 1)
+        self._abs = np.empty(size)
+
+    def _phi(self, u: np.ndarray) -> np.ndarray:
+        """phi(u), a fresh array."""
+        return self._eval(u)[0]
 
     def _newton(self, coeff: float, rhs_const: np.ndarray,
                 guess: np.ndarray) -> tuple:
-        """Solve u - coeff * phi(u) = rhs_const and return (u, phi(u), aux)
-        of the converged iterate; raises StepRejected on non-convergence.
-        An update that would leave the valid region is halved, at most six
-        times.  The returned u may be `guess` or `rhs_const` itself;
-        neither is written to."""
+        """Solve u - coeff * phi(u) = rhs_const until |resid|_1 <=
+        NEWTON_TOL (1 + |rhs_const|_1) over all of u; return (u, phi(u), aux)
+        there, or raise StepRejected.  An update that would leave the valid
+        region is halved, at most six times.  The returned u may be `guess`
+        or `rhs_const` itself; neither is written to."""
         u = guess
         if not self._valid(u):
             u = rhs_const
         if not self._valid(u):
             raise StepRejected("no valid starting iterate")
-        absr = self._abs
-        scale = (1.0 + abs(rhs_const[0])
-                 + float(np.add.reduce(np.abs(rhs_const[1:], out=absr))))
+        scale = 1.0 + float(np.add.reduce(np.abs(rhs_const, out=self._abs)))
         resid = self._resid
         for _ in range(NEWTON_MAX_ITER):
             phi, aux = self._eval(u)
             np.multiply(coeff, phi, out=resid)  # u - coeff phi - rhs_const
             np.subtract(u, resid, out=resid)
             resid -= rhs_const
-            err = (abs(resid[0])
-                   + float(np.add.reduce(np.abs(resid[1:], out=absr))))
+            err = float(np.add.reduce(np.abs(resid, out=self._abs)))
             if err <= NEWTON_TOL * scale:
                 return u, phi, aux
             x = self._correction(coeff, aux, resid)
@@ -587,10 +588,6 @@ class FlowProblem(_TRBDF2):
         f = _reconstruct(u[0], u[1:])
         return _to_increments(self._rates(f, u[1:])[0]), f
 
-    def _phi(self, u: np.ndarray) -> np.ndarray:
-        """Rates of (f[0], increments): (F[0], diff(F))."""
-        return self._eval(u)[0]
-
     def _newton_matrix(self, coeff: float, f: np.ndarray,
                        stencils: tuple[np.ndarray, ...]) -> np.ndarray:
         """I - coeff * J in `solve_banded` (1, 1) storage, written into the
@@ -652,14 +649,14 @@ class FlowProblem(_TRBDF2):
         return _to_increments(z, self._dx)
 
 
-def step_flow(problem: FlowProblem, t: float, u: np.ndarray, p: np.ndarray,
-              dt: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Advance (t, u = (f[0], increments of f), p = phi(u)) by dt and
-    return (t, u, p, f) there, f the nodal profile of u.  Halves dt on
-    solver failure, retrying from the same u and p, and raises
-    StepRejected once halvings are spent.  The new profile is strictly
-    increasing: the Newton solve returns only iterates whose f[0] and
-    increments are all positive and finite."""
+def step_flow(problem: _TRBDF2, t: float, u: np.ndarray, p: np.ndarray,
+              dt: float) -> tuple:
+    """Advance (t, u, p = phi(u)) of a problem on the TR-BDF2 core by dt
+    and return (t, u, p, aux) there, aux stage 2's aux of u (the nodal f
+    for a FlowProblem).  Halves dt on solver failure, retrying from the
+    same u and p, and raises StepRejected once halvings are spent.  The
+    returned u is `_valid`: the Newton solve returns only valid
+    iterates."""
     if not 0.0 < dt < math.inf:
         raise FlowError(f"need a finite dt > 0, got {dt!r}")
     remaining = dt
@@ -668,7 +665,7 @@ def step_flow(problem: FlowProblem, t: float, u: np.ndarray, p: np.ndarray,
     while remaining > 1e-15 * dt:
         sub_dt = min(sub_dt, remaining)
         try:
-            u, p, f = problem.step_once(u, p, sub_dt)
+            u, p, aux = problem.step_once(u, p, sub_dt)
         except StepRejected:
             halvings_left -= 1
             if halvings_left < 0:
@@ -677,7 +674,7 @@ def step_flow(problem: FlowProblem, t: float, u: np.ndarray, p: np.ndarray,
             continue
         t += sub_dt
         remaining -= sub_dt
-    return t, u, p, f
+    return t, u, p, aux
 
 
 # ---------------------------------------------------------------------------

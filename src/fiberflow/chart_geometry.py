@@ -95,9 +95,8 @@ def flat_base(n: int) -> BaseMetric:
     return BaseMetric(n=n, h=eye, ricci=zero, scalar=0.0)
 
 
-def perturbed_fs_base(z: np.ndarray, amplitude: float = 0.1,
-                      step: float = DEFAULT_FD_STEP) -> BaseMetric:
-    """Fubini-Study base rescaled by a position-dependent factor.
+def perturbed_fs_base(z: np.ndarray) -> BaseMetric:
+    """Fubini-Study base rescaled by the factor 1 + 0.1 Re z_0.
 
     Keeps the unperturbed scalar constant in the declaration, so the
     Einstein residual acts as a detector for the broken symmetry.  The
@@ -107,7 +106,7 @@ def perturbed_fs_base(z: np.ndarray, amplitude: float = 0.1,
     n = z.size
 
     def h_at(zz: np.ndarray) -> np.ndarray:
-        scale = 1.0 + amplitude * zz[..., 0].real
+        scale = 1.0 + 0.1 * zz[..., 0].real
         return scale[..., None, None] * fubini_study_base(zz).h
 
     def logdet(points: np.ndarray) -> np.ndarray:
@@ -117,7 +116,7 @@ def perturbed_fs_base(z: np.ndarray, amplitude: float = 0.1,
     p0 = np.empty(2 * n)
     p0[0::2] = z.real
     p0[1::2] = z.imag
-    ric = -hermitian_hessian_fd(logdet, p0, step)
+    ric = -hermitian_hessian_fd(logdet, p0, DEFAULT_FD_STEP)
     return BaseMetric(n=n, h=h_at(z), ricci=ric, scalar=float(n * (n + 1)))
 
 

@@ -426,16 +426,15 @@ def _read_csv(path: Path, schema: str,
     return table
 
 
-def _read_json(path: Path) -> tuple[dict, str]:
-    """The JSON object stored at path and the text it was parsed from."""
-    text = _read_text(path)
+def _read_json(path: Path) -> dict:
+    """The JSON object stored at path."""
     try:
-        payload = json.loads(text)
+        payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise RunDirError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise RunDirError(f"{path}: expected a JSON object")
-    return payload, text
+    return payload
 
 
 def _json_text(payload) -> str:
@@ -722,7 +721,7 @@ def check_run_dir(run_dir: str | Path) -> tuple[dict, int]:
     run_dir = Path(run_dir)
     manifest_path = run_dir / "manifest.json"
     diag_path = run_dir / "diagnostics.csv"
-    manifest, _ = _read_json(manifest_path)
+    manifest = _read_json(manifest_path)
     try:
         if manifest["schema"] != MANIFEST_SCHEMA:
             raise RunDirError(f"{manifest_path}: schema is not "

@@ -617,6 +617,38 @@ def test_trbdf2_core_on_the_heat_equation():
     assert damping <= 1e-3, damping
 
 
+class _RejectingHeatProblem(_HeatProblem):
+    """The heat problem whose first stage solve is rejected."""
+
+    rejections = 1
+
+    def _newton(self, coeff, rhs_const, guess):
+        if self.rejections:
+            self.rejections -= 1
+            raise StepRejected("forced")
+        return super()._newton(coeff, rhs_const, guess)
+
+
+def _same_bits(got, want):
+    return all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+def test_step_flow_serves_any_problem_on_the_core():
+    # step_flow knows the problem only through the core: on the heat
+    # problem it is one step_once, or two at dt/2 after a rejected stage
+    start = np.sin(_HeatProblem().x)
+    p = _HeatProblem()._phi(start)
+    dt = 0.01
+    t, *stepped = step_flow(_HeatProblem(), 0.5, start, p, dt)
+    assert t == 0.5 + dt
+    assert _same_bits(stepped, _HeatProblem().step_once(start, p, dt))
+    heat = _RejectingHeatProblem()
+    t, *stepped = step_flow(heat, 0.5, start, p, dt)
+    assert heat.rejections == 0 and t == 0.5 + dt
+    u, q, _ = _HeatProblem().step_once(start, p, dt / 2)
+    assert _same_bits(stepped, _HeatProblem().step_once(u, q, dt / 2))
+
+
 def test_kept_results_survive_later_calls_on_the_same_problem():
     # The Newton kernel works in buffers allocated once per FlowProblem;
     # no array a caller keeps may be one of them.

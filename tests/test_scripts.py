@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from fiberflow.harness_cli import execute, parse_config
+from fiberflow.singularity_analyzer import PICK_MODES
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 README = SCRIPTS.parent / "README.md"
@@ -62,6 +63,16 @@ def test_blowup_zoom_refuses_picks_below_one_before_running(capsys,
         zoom.main(["--picks", "0"])
     assert exc.value.code == 2
     assert "max_picks: must be at least 1" in capsys.readouterr().err
+
+
+def test_blowup_zoom_offers_the_analyzer_pick_modes(capsys, monkeypatch):
+    zoom = _load("blowup_zoom")
+    monkeypatch.setattr(zoom, "run_flow", None)  # a run would raise
+    with pytest.raises(SystemExit) as exc:
+        zoom.main(["--mode", "typeIII"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert all(repr(mode) in err for mode in PICK_MODES)
 
 
 def test_reproduce_all_checks_every_sweep_member(tmp_path):
