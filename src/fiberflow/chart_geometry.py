@@ -342,24 +342,33 @@ class ChartSampler:
     one-row case.  `domain` is a (2n+2, 2) box of admissible real
     coordinates, and `blocks_fn` the sampler's own batch formula, which
     `evaluate_batch` calls only on points inside the box.  The sampler
-    keeps its last batch, so the stencil oracles at one point share one
-    `blocks_fn` call; a sampler made by `dataclasses.replace` starts with
-    none.
+    keeps its last batch, so the frame point and the stencil oracles at
+    one point share one `blocks_fn` call; with the batch it keeps the
+    Hermitian metric stack and its real form, each assembled the first
+    time `log_det_fn` or `metric_fn` reads it, read-only, and dropped
+    with the batch.  A sampler made by `dataclasses.replace` starts with
+    no batch.
     """
 
     n: int
     blocks_fn: Callable[[np.ndarray], ChartMetricBlocks]
     domain: np.ndarray
-    # [(shape, bytes) of the last batch's points, its read-only blocks]
+    # [(shape, bytes) of the last batch's points, its read-only blocks,
+    #  [its Hermitian metric stack, their real form], None until read]
     _last: list = field(default_factory=list, init=False, compare=False,
                         repr=False)
 
     def evaluate_batch(self, points: np.ndarray) -> ChartMetricBlocks:
-        """The blocks at `points`, their arrays read-only; `DomainEdge`
-        unless every coordinate of every point lies in `domain` (a NaN
-        coordinate lies nowhere).  Points with the shape and bytes of the
-        last batch, which lay in the box, get its blocks again."""
+        """The blocks at `points`, their arrays read-only; `ChartError`
+        unless `points` is a (P, 2n+2) stack, and `DomainEdge` unless
+        every coordinate of every point lies in `domain` (a NaN coordinate
+        lies nowhere).  Points with the shape and bytes of the last batch,
+        which lay in the box, get its blocks again."""
         p = np.asarray(points, dtype=float)
+        d = self.domain.shape[0]
+        if p.ndim != 2 or p.shape[1] != d:
+            raise ChartError(f"points of shape {p.shape} are not a "
+                             f"(P, {d}) stack")
         key = (p.shape, p.tobytes())
         if self._last and self._last[0] == key:
             return self._last[1]
@@ -371,22 +380,34 @@ class ChartSampler:
                       *(getattr(blocks, fld.name) for fld in fields(blocks))):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-        self._last[:] = (key, blocks)
+        self._last[:] = (key, blocks, [None, None])
         return blocks
 
     def evaluate(self, point: np.ndarray) -> ChartMetricBlocks:
         return self.evaluate_batch(np.asarray(point, dtype=float)[None]).row(0)
 
+    def _metric_stack(self, points: np.ndarray, real: bool) -> np.ndarray:
+        """The Hermitian metric stack (P, n+1, n+1) of the blocks at
+        `points`, or with `real` its real form (P, d, d): the batch's own,
+        assembled the first time it is read."""
+        blocks = self.evaluate_batch(points)
+        stacks = self._last[2]
+        if stacks[0] is None:
+            stacks[0] = assemble_block_metric(blocks, check=False)
+            stacks[0].flags.writeable = False
+        if real and stacks[1] is None:
+            stacks[1] = real_metric_from_hermitian(stacks[0])
+            stacks[1].flags.writeable = False
+        return stacks[1] if real else stacks[0]
+
     def metric_fn(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Real metrics (P, d, d) at a (P, d) stack of points."""
-        return lambda points: real_metric(self.evaluate_batch(points))
+        """Real metrics (P, d, d) at a (P, d) stack of points, read-only."""
+        return lambda points: self._metric_stack(points, real=True)
 
     def log_det_fn(self) -> Callable[[np.ndarray], np.ndarray]:
         """ln det of the Hermitian metrics (P,) at a (P, d) stack of points."""
-        def ld(points: np.ndarray) -> np.ndarray:
-            g = assemble_block_metric(self.evaluate_batch(points), check=False)
-            return np.linalg.slogdet(g)[1]
-        return ld
+        return lambda points: np.linalg.slogdet(
+            self._metric_stack(points, real=False))[1]
 
     def random_points(self, rng: np.random.Generator, count: int,
                       margin: float | None = None) -> np.ndarray:

@@ -12,6 +12,7 @@ routines from `chart_geometry` act as the independent cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .chart_geometry import (
     _real_hessian,
     _stencil,
     complex_structure,
-    real_metric,
     real_metric_from_hermitian,
     real_partials,
     riemann_fd,
@@ -49,7 +49,11 @@ class FramePoint:
 
     `vertical` has shape (2, d) and spans the fiber tangent; `horizontal`
     has shape (2n, d).  Rows are orthonormal for `g_real`.  `sampler` is
-    kept so curvature oracles can stencil around the point.
+    kept so curvature oracles can stencil around the point; `blocks` and
+    `g_real` are row 0 of its batch (see `frame_point`), read-only.  The
+    fundamental tensor on the horizontal frame, which
+    `vertical_horizontal_curvature` and `a_norm_sq` both read, is built
+    once per frame point.
     """
 
     blocks: ChartMetricBlocks
@@ -69,6 +73,13 @@ class FramePoint:
     def dim(self) -> int:
         return 2 * self.blocks.n + 2
 
+    @cached_property
+    def _a_horizontal(self) -> np.ndarray:
+        """`_a_stack` on (horizontal, horizontal), (2n, 2n, d), read-only."""
+        a = _a_stack(self, self.horizontal, self.horizontal)
+        a.flags.writeable = False
+        return a
+
 
 def _gram_schmidt(g: np.ndarray, seeds: list[np.ndarray],
                   against: list[np.ndarray]) -> np.ndarray:
@@ -85,12 +96,26 @@ def _gram_schmidt(g: np.ndarray, seeds: list[np.ndarray],
 
 
 def frame_point(sampler: ChartSampler, point: np.ndarray) -> FramePoint:
-    """The blocks of `sampler` at `point` with their adapted frames."""
+    """The blocks of `sampler` at `point` with their adapted frames.
+
+    The point is evaluated as the centre, row 0, of its stencil layout at
+    `DEFAULT_FD_STEP`, whose shift is exactly 0; so the stencil oracles
+    at the point find their batch, and its metric stacks, in the
+    sampler's last batch.  A point whose stencil the sampler refuses
+    (within two steps of its box) is evaluated alone, and the frame point
+    refuses what `evaluate` refuses.
+    """
     point = np.asarray(point, dtype=float)
-    blocks = sampler.evaluate(point)
+    rows, _ = _stencil(point, DEFAULT_FD_STEP)
+    try:
+        batch = sampler.evaluate_batch(rows)
+    except ChartError:
+        rows = point[None]
+        batch = sampler.evaluate_batch(rows)
+    blocks = batch.row(0)
     n = blocks.n
     d = 2 * n + 2
-    g = real_metric(blocks)
+    g = sampler.metric_fn()(rows)[0]
     ginv = np.linalg.inv(g)
     j = complex_structure(n + 1)
     eye = np.eye(d)
@@ -188,7 +213,7 @@ def a_norm_sq(fp: FramePoint) -> float:
     horizontal) one by duality, hence the factor two on the one
     (horizontal, horizontal) frame sum.
     """
-    a = _a_stack(fp, fp.horizontal, fp.horizontal).reshape(-1, fp.dim)
+    a = fp._a_horizontal.reshape(-1, fp.dim)
     return 2.0 * float(np.sum((a @ fp.g_real) * a))
 
 
@@ -259,12 +284,11 @@ def _hessian_ln_f(fp: FramePoint, step: float) -> np.ndarray:
     stencils.  One sampler call on the stencil layout feeds both the ln f
     stencil and the Christoffel stencil, the grid of step `step`."""
     rows, index = _stencil(fp.point, step)
-    blocks = fp.sampler.evaluate_batch(rows)
-    lnf = np.log(blocks.f)[index[0]]
+    lnf = np.log(fp.sampler.evaluate_batch(rows).f)[index[0]]
     grad1 = (lnf[0, 1::2] - lnf[0, 2::2]) / (2.0 * step)
     # the grid's first row, p and its single shifts, is the stencil that
     # `_christoffel` reads at p
-    gamma = _christoffel(real_metric(blocks.row(index[0, 0])), step)
+    gamma = _christoffel(fp.sampler.metric_fn()(rows)[index[0, 0]], step)
     return _real_hessian(lnf, step) - np.einsum('cab,c->ab', gamma, grad1)
 
 
@@ -279,10 +303,10 @@ def vertical_horizontal_curvature(fp: FramePoint,
     makes the vertical sectional term dominate the curvature blowup.
     """
     hess = _hessian_ln_f(fp, step)
-    g, ver, hor = fp.g_real, fp.vertical, fp.horizontal
+    g, ver = fp.g_real, fp.vertical
     du = grad_ln_f(fp) @ g @ ver.T
     hess_uu = np.sum((ver @ hess) * ver, axis=1)
-    au_sq = np.sum((_a_stack(fp, hor, hor) @ g @ ver.T) ** 2, axis=1)
+    au_sq = np.sum((fp._a_horizontal @ g @ ver.T) ** 2, axis=1)
     return (-0.5 * (hess_uu + du * du))[:, None] + au_sq.T
 
 

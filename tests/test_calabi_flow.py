@@ -1,5 +1,6 @@
 """Flow module: profiles, implicit stepping, monitors, closed forms."""
 
+import functools
 import hashlib
 import itertools
 import sys
@@ -13,6 +14,8 @@ import pytest
 
 from fiberflow import calabi_flow
 from fiberflow.calabi_flow import (
+    DIAG_COLUMNS,
+    NEWTON_TOL,
     BadProfile,
     ConfigError,
     FlowError,
@@ -1293,3 +1296,70 @@ def test_predicted_time_matches_observed(default_run):
     t_max = predict_max_time(default_run.params)
     assert t_max == default_run.T_predicted
     assert abs(default_run.T_observed - t_max) / t_max <= 0.02
+
+
+# The flow's parabolic scaling.  If f(rho, t) solves
+# f_t = k (f_rhorho/f_rho + n f_rho/f) - R_h/n, so does lam f(rho, t/lam):
+# both fractions are homogeneous of degree 0 in f.  So does the product
+# scenario's closed form.  In config terms a0, b0 (f0, c0), dt_max and
+# stop_margin scale by lam and everything else stays; then each
+# diagnostics column scales by its power of lam below, heat_residual
+# (a difference of O(1) rates) aside.
+SCALING_POWERS = {
+    **dict.fromkeys(("t", "min_f", "max_f", "width", "fiber_area", "max_v",
+                     "grad_f_sq_sup", "max_f_slack"), 1),
+    **dict.fromkeys(("k_v_max", "a_sq_sup", "grad_ln_sq_sup", "horiz_sup",
+                     "mixed_sup", "rm_sup"), -1),
+    **dict.fromkeys(("node", "roundness", "grad_bound_ok"), 0),
+}
+# Newton stops at an l1 residual of NEWTON_TOL (1 + |rhs|_1), whose scale
+# is not homogeneous in lam, so a scaled run keeps its digits only to a
+# multiple of NEWTON_TOL: the worst column read 8.8e-9 relative (roundness,
+# lam = 1/2); 1e3 NEWTON_TOL = 1e-7 leaves 11x.  The floor serves entries
+# at 0 (the product's A-tensor and gradient columns).
+SCALING_RTOL = 1e3 * NEWTON_TOL
+SCALING_ATOL = 1e-12
+# heat_residual divides that Newton noise by dt: it moved by up to
+# 1.5e-6 absolute against values up to 1.5e-3 (tanh, k = 3), far beyond
+# the relative tolerance and 100x below the 1e-3 monitor gate.
+SCALING_HEAT_ATOL = 1e-5
+SCALING_CASES = [HirzebruchParams(shape="tanh", k=1),
+                 HirzebruchParams(shape="skew", k=2),
+                 HirzebruchParams(shape="tanh", k=3),
+                 ProductParams()]
+
+
+@functools.cache
+def _unscaled_run(params):
+    return run_flow(params, RunSettings())
+
+
+@pytest.mark.parametrize("lam", [2.0, 0.5, 4.0, 3.0])
+@pytest.mark.parametrize("params", SCALING_CASES,
+                         ids=["tanh-k1", "skew-k2", "tanh-k3", "product"])
+def test_flow_is_invariant_under_parabolic_scaling(params, lam):
+    """A run with a0, b0 (f0, c0), dt_max and stop_margin scaled by lam
+    records the same states with every diagnostics column scaled by its
+    power of lam, and T_predicted and T_observed by lam."""
+    assert set(SCALING_POWERS) | {"heat_residual"} == set(DIAG_COLUMNS)
+    base = _unscaled_run(params)
+    if isinstance(params, ProductParams):
+        scaled = replace(params, f0=lam * params.f0, c0=lam * params.c0)
+    else:
+        scaled = replace(params, a0=lam * params.a0, b0=lam * params.b0)
+    settings = base.settings
+    run = run_flow(scaled, replace(settings, dt_max=lam * settings.dt_max,
+                                   stop_margin=lam * settings.stop_margin))
+    assert len(run.diagnostics["t"]) == len(base.diagnostics["t"]) > 2
+    for name, power in SCALING_POWERS.items():
+        np.testing.assert_allclose(run.diagnostics[name],
+                                   lam ** power * base.diagnostics[name],
+                                   rtol=SCALING_RTOL, atol=SCALING_ATOL,
+                                   err_msg=name)
+    np.testing.assert_allclose(run.diagnostics["heat_residual"],
+                               base.diagnostics["heat_residual"], rtol=0.0,
+                               atol=SCALING_HEAT_ATOL, equal_nan=True)
+    np.testing.assert_allclose(
+        [run.T_predicted, run.T_observed],
+        [lam * base.T_predicted, lam * base.T_observed], rtol=SCALING_RTOL,
+        atol=0.0)

@@ -372,10 +372,24 @@ def _blocks_bits(blocks):
     return [np.asarray(a).tobytes() for a in arrays]
 
 
+def _metric_stacks(samp, points):
+    """The Hermitian and the real metric stack that `samp` keeps with the
+    batch at `points`, each checked read-only."""
+    stacks = (samp._metric_stack(points, real=False), samp.metric_fn()(points))
+    for stack in stacks:
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 0.0
+    return stacks
+
+
 def test_sampler_keeps_its_last_batch_only():
     """Batches A, B, A: each call after a different batch evaluates again
     and gets the bits of a fresh sampler; A twice in a row evaluates once
-    and returns the same blocks."""
+    and returns the same blocks.  The metric stacks derived from a batch
+    go with it: read-only, the same arrays while it is the last batch,
+    built anew for the next batch, with the bits of an assembly from
+    scratch."""
     plain = twisted_sampler(n=2)
     calls = []
 
@@ -388,10 +402,19 @@ def test_sampler_keeps_its_last_batch_only():
     a, b = samp.random_points(rng, 5), samp.random_points(rng, 5)
     first = samp.evaluate_batch(a)
     assert samp.evaluate_batch(a.copy()) is first and len(calls) == 1
+    stacks = _metric_stacks(samp, a)
+    assert all(x is y for x, y in zip(_metric_stacks(samp, a.copy()), stacks))
     for points in (b, a):
         got = samp.evaluate_batch(points)
         fresh = replace(plain, blocks_fn=plain.blocks_fn)
         assert _blocks_bits(got) == _blocks_bits(fresh.evaluate_batch(points))
+        new = _metric_stacks(samp, points)
+        assert all(x is not y for x, y in zip(new, stacks))
+        blocks = fresh.evaluate_batch(points)
+        assert [x.tobytes() for x in new] == [
+            cg.assemble_block_metric(blocks, check=False).tobytes(),
+            cg.real_metric(blocks).tobytes()]
+        stacks = new
     assert [c.tobytes() for c in calls] == [p.tobytes() for p in (a, b, a)]
 
 

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -201,32 +201,44 @@ def test_vertical_horizontal_closed_vs_fd():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_oracle_evaluations_per_call(n, monkeypatch):
-    """The stencil oracles at one point share one stencil layout, which
-    the sampler evaluates once: fd_ricci_oracle, riemann_fd and
-    vertical_horizontal_curvature together make one sampler call, on the
-    4d^2 + 2d + 1 distinct points of the layout (73 / 157 / 273 at
-    n = 1 / 2 / 3).  `calls` holds the rows of each sampler call."""
-    calls = []
-    real = cg.fubini_study_base
+    """The frame point is the centre of its stencil layout, which the
+    stencil oracles at it share: frame_point, the Richardson
+    fd_ricci_oracle, riemann_fd, mixed_curvature_residuals,
+    vertical_horizontal_curvature and a_norm_sq together make one sampler
+    call, on the 4d^2 + 2d + 1 distinct points of the layout (73 / 157 /
+    273 at n = 1 / 2 / 3), and assemble its Hermitian metrics once.
+    `calls` holds the rows of each sampler call, `assemblies` those of
+    each Hermitian assembly."""
+    calls, assemblies = [], []
+    real_base, real_assemble = cg.fubini_study_base, cg.assemble_block_metric
 
     def counted(z):
         calls.append(len(z))
-        return real(z)
+        return real_base(z)
+
+    def assembled(blocks, check=True):
+        assemblies.append(len(blocks.f))
+        return real_assemble(blocks, check)
 
     monkeypatch.setattr(cg, "fubini_study_base", counted)
-    fp = twisted_frame(n=n, seed=5)
-    d = fp.dim
+    monkeypatch.setattr(cg, "assemble_block_metric", assembled)
+    samp = twisted_sampler(n=n)
+    point = samp.random_points(np.random.default_rng(5), 1)[0]
+    d = 2 * n + 2
     seen = []
 
     def metric(points):
         seen.append(points)
-        return fp.sampler.metric_fn()(points)
+        return samp.metric_fn()(points)
 
-    calls.clear()
-    cg.fd_ricci_oracle(fp.sampler, fp.point, richardson=True)
-    cg.riemann_fd(metric, fp.point, 1e-3)
+    fp = oc.frame_point(samp, point)
+    cg.fd_ricci_oracle(samp, point, richardson=True)
+    cg.riemann_fd(metric, point, 1e-3)
+    oc.mixed_curvature_residuals(fp)
     oc.vertical_horizontal_curvature(fp)
-    assert calls == [4 * d * d + 2 * d + 1] == [{1: 73, 2: 157, 3: 273}[n]]
+    oc.a_norm_sq(fp)
+    rows = [4 * d * d + 2 * d + 1]
+    assert calls == assemblies == rows == [{1: 73, 2: 157, 3: 273}[n]]
     assert len(np.unique(seen[0], axis=0)) == len(seen[0])
 
 
@@ -247,8 +259,8 @@ STENCIL_ORACLES = [
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_shared_sampler_gives_the_bits_of_a_fresh_sampler_per_oracle(n):
     """At seeded points, the stencil oracles on one sampler, which they
-    share through its last batch (one stencil call after the frame
-    point's), give the bits each gives on a sampler of its own, made with
+    share through its last batch (one stencil call, the frame point's),
+    give the bits each gives on a sampler of its own, made with
     `dataclasses.replace` (which keeps no batch)."""
     plain = twisted_sampler(n=n)
     rows = []
@@ -263,7 +275,7 @@ def test_shared_sampler_gives_the_bits_of_a_fresh_sampler_per_oracle(n):
         rows.clear()
         fp = oc.frame_point(shared, point)
         got = [oracle(fp) for oracle in STENCIL_ORACLES]
-        assert rows == [1, 4 * d * d + 2 * d + 1]
+        assert rows == [4 * d * d + 2 * d + 1]
         for oracle, want in zip(STENCIL_ORACLES, got):
             fresh = replace(plain, blocks_fn=plain.blocks_fn)
             assert np.array_equal(oracle(oc.frame_point(fresh, point)), want)
@@ -326,6 +338,80 @@ def test_stencil_oracles_refuse_the_domain_edge(oracle, reach, coord, side):
         assert np.all(np.isfinite(oracle(oc.frame_point(samp, point))))
     point[coord] = samp.domain[coord, side] + inward * 1.5 * margin
     assert np.all(np.isfinite(oracle(oc.frame_point(samp, point))))
+
+
+def _frame_alone(sampler, point):
+    """The blocks, real metric, its inverse and the frames at `point`
+    evaluated on its own, by `evaluate` and `real_metric`."""
+    blocks = sampler.evaluate(point)
+    g = cg.real_metric(blocks)
+    n = blocks.n
+    eye = np.eye(2 * n + 2)
+    vertical = oc._gram_schmidt(g, [eye[2 * n], eye[2 * n + 1]], [])
+    horizontal = oc._gram_schmidt(g, list(eye[:2 * n]), list(vertical))
+    return blocks, g, np.linalg.inv(g), vertical, horizontal
+
+
+def _frame_bits(blocks, *arrays):
+    """The bytes of every array of `blocks`, in field order, then of
+    `arrays`."""
+    out = [blocks.base.h, blocks.base.ricci]
+    out += [getattr(blocks, fld.name) for fld in fields(blocks)[1:]]
+    return [np.asarray(a).tobytes() for a in out + list(arrays)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_frame_point_is_its_stencil_centre(n):
+    """At seeded interior points the frame point comes from one sampler
+    call on its stencil layout, whose centre it is, and its blocks,
+    `g_real`, `g_real_inv` and frames carry the bits of the point
+    evaluated alone.  So do they at a point half a step from the box in
+    any coordinate, whose stencil the sampler refuses: that point is
+    evaluated alone, in one call of one row."""
+    plain = twisted_sampler(n=n)
+    rows = []
+
+    def counted(points):
+        rows.append(len(points))
+        return plain.blocks_fn(points)
+
+    samp = replace(plain, blocks_fn=counted)
+    d = 2 * n + 2
+    cases = [(p, 4 * d * d + 2 * d + 1)
+             for p in plain.random_points(np.random.default_rng(60 + n), 4)]
+    for coord in range(d):
+        edge = plain.domain.mean(axis=1)
+        edge[coord] = plain.domain[coord, 1] - 0.5 * cg.DEFAULT_FD_STEP
+        cases.append((edge, 1))
+    for point, calls in cases:
+        rows.clear()
+        fp = oc.frame_point(samp, point)
+        assert rows == [calls]
+        fresh = replace(plain, blocks_fn=plain.blocks_fn)
+        assert (_frame_bits(fp.blocks, fp.g_real, fp.g_real_inv, fp.vertical,
+                            fp.horizontal)
+                == _frame_bits(*_frame_alone(fresh, point)))
+
+
+@pytest.mark.parametrize("width", [3, 5])
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda samp, p: oc.frame_point(samp, p), id="frame_point"),
+    pytest.param(lambda samp, p: cg.fd_ricci_oracle(samp, p),
+                 id="fd_ricci_oracle"),
+    pytest.param(lambda samp, p: cg.riemann_fd(samp.metric_fn(), p,
+                                               cg.DEFAULT_FD_STEP),
+                 id="riemann_fd"),
+])
+def test_points_of_another_width_are_refused(entry, width):
+    """At n = 1 a chart point has 4 coordinates: one with 3 or 5 is
+    refused by the sampler with a `ChartError` naming the shape of the
+    stack it was handed, whichever entry point it came through."""
+    samp = twisted_sampler()
+    point = np.resize(samp.domain.mean(axis=1), width)
+    with pytest.raises(cg.ChartError,
+                       match=rf"shape \(\d+, {width}\) .*\(P, 4\)") as err:
+        entry(samp, point)
+    assert not isinstance(err.value, cg.DomainEdge)
 
 
 @pytest.mark.parametrize("bad", ["outside", "nan"])
