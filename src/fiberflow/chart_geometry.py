@@ -301,12 +301,14 @@ def real_metric_from_hermitian(g: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.cache
 def complex_structure(m: int) -> np.ndarray:
-    """Matrix of J with J d/dx = d/dy per complex coordinate, size 2m."""
+    """Read-only matrix of J, J d/dx = d/dy per complex coordinate, 2m."""
     j = np.zeros((2 * m, 2 * m))
     for a in range(m):
         j[2 * a + 1, 2 * a] = 1.0
         j[2 * a, 2 * a + 1] = -1.0
+    j.flags.writeable = False
     return j
 
 
@@ -518,7 +520,9 @@ def _stencil_plan(d: int) -> tuple[np.ndarray, np.ndarray]:
     Entries with equal shifts share a row: the centre p + 0.0, which every
     entry whose shifts cancel is, and p + h e_a, which the h/2 grid's
     double shift p + (h/2) 2 e_a is too.  That leaves 4d^2 + 2d + 1 rows,
-    reaching 2h from p (the h grid's double shifts), in every coordinate."""
+    reaching 2h from p (the h grid's double shifts), in every coordinate.
+    No oracle result depends on those now; the layout, and with it the
+    refusal within 2h of the box, is kept as it is on purpose."""
     star = np.zeros((2 * d + 1, d))
     star[1 + 2 * np.arange(d), np.arange(d)] = 1.0
     star[2 + 2 * np.arange(d), np.arange(d)] = -1.0
@@ -545,25 +549,35 @@ def _stencil(point: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
     return p + step * shift, index
 
 
-def _real_hessian(values: np.ndarray, step: float) -> np.ndarray:
-    """Real Hessian (d, d) of a scalar by central differences, from its
-    values (2d + 1, 2d + 1) on a `_stencil` grid of that step."""
+@functools.cache
+def _triangle_plan(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns of an m x m strict upper triangle; diagonal; read-only."""
+    plan = (*np.triu_indices(m, 1), np.arange(m))
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
+
+
+def _real_hessian(values: np.ndarray, step) -> np.ndarray:
+    """Real Hessian (d, d, ...) by central differences, from values
+    (2d + 1, 2d + 1, ...) on a `_stencil` grid of that step: trailing value
+    axes are carried along, and `step` broadcasts against them."""
     h2 = step ** 2
-    diag = (values[0, 1::2] - 2.0 * values[0, 0] + values[0, 2::2]) / h2
-    mixed = (values[1::2, 1::2] - values[1::2, 2::2]
-             - values[2::2, 1::2] + values[2::2, 2::2]) / (4.0 * h2)
-    upper = np.triu(mixed, 1)
-    return upper + upper.T + np.diag(diag)
+    out = (values[1::2, 1::2] - values[1::2, 2::2]
+           - values[2::2, 1::2] + values[2::2, 2::2]) / (4.0 * h2)
+    upper, lower, diag = _triangle_plan(len(out))
+    out[lower, upper] = out[upper, lower]
+    out[diag, diag] = (values[0, 1::2] - 2.0 * values[0, 0]
+                       + values[0, 2::2]) / h2
+    return out
 
 
 def _complex_hessian(real: np.ndarray) -> np.ndarray:
-    """d_A d_Bbar of a real scalar from its real Hessian in the chart order
-    (x^1, y^1, ...): d_A d_Abar = (d_xx + d_yy)/4 on the diagonal, and off
-    it the four real mixed partials combine into (real + i imag)/4."""
+    """d_A d_Bbar (m, m, ...) of a real scalar from its symmetric real
+    Hessian (2m, 2m, ...) in the chart order (x^1, y^1, ...): the four real
+    mixed partials combine into (real + i imag)/4, exactly Hermitian."""
     xx, yy = real[0::2, 0::2], real[1::2, 1::2]
-    upper = np.triu(0.25 * ((xx + yy) + 1j * (real[0::2, 1::2]
-                                              - real[1::2, 0::2])), 1)
-    return upper + upper.conj().T + np.diag(0.25 * (np.diag(xx) + np.diag(yy)))
+    return 0.25 * ((xx + yy) + 1j * (real[0::2, 1::2] - real[1::2, 0::2]))
 
 
 def hermitian_hessian_fd(fn: Callable[[np.ndarray], np.ndarray],
@@ -580,15 +594,17 @@ def fd_ricci_oracle(sampler: ChartSampler, point: np.ndarray,
     """Ricci blocks from R_AB = -d_A d_Bbar ln det g, oblivious to structure.
 
     With `richardson` the `step` and `step`/2 evaluations are extrapolated
-    to fourth order, which the tight ratio-structure checks need; the
-    values come from one sampler call on the stencil layout either way.
+    to fourth order, which the tight ratio-structure checks need; one
+    sampler call on the stencil layout and one Hessian pass serve both.
     """
     rows, index = _stencil(point, step)
-    values = sampler.log_det_fn()(rows)[index]
-    mat = _complex_hessian(_real_hessian(values[0], step))
+    grids = 2 if richardson else 1
+    values = np.moveaxis(sampler.log_det_fn()(rows)[index[:grids]], 0, -1)
+    mats = _complex_hessian(_real_hessian(
+        values, np.array([step, step / 2.0])[:grids]))
+    mat = mats[..., 0]
     if richardson:
-        half = _complex_hessian(_real_hessian(values[1], step / 2.0))
-        mat = (4.0 * half - mat) / 3.0
+        mat = (4.0 * mats[..., 1] - mat) / 3.0
     ric = -mat
     return RicciBlocks(base=ric[:-1, :-1], mixed=ric[:-1, -1],
                        fiber=float(ric[-1, -1].real))
@@ -597,46 +613,42 @@ def fd_ricci_oracle(sampler: ChartSampler, point: np.ndarray,
 # --- real-geometry oracles (Christoffel, Riemann) --------------------------
 
 
-def _christoffel(g: np.ndarray, step: float) -> np.ndarray:
-    """Christoffel symbols Gamma^a_{bc} (..., d, d, d) of a real metric by
-    central differences, from its values g (..., 2d + 1, d, d) at p, p + step
-    e_0, p - step e_0, p + step e_1, ..., a row of a `_stencil` grid."""
-    # dg[..., a, :, :] is the metric derivative in direction a
-    dg = (g[..., 1::2, :, :] - g[..., 2::2, :, :]) / (2.0 * step)
-    ginv = np.linalg.inv(g[..., 0, :, :])
-    # Gamma^a_{bc} = 1/2 g^{ad} (d_b g_dc + d_c g_db - d_d g_bc); T[b,d,c]
-    # collects the parenthesis.
-    term = dg + np.swapaxes(dg, -3, -1) - np.swapaxes(dg, -3, -2)
-    return 0.5 * np.einsum('...ad,...bdc->...abc', ginv, term)
+def _christoffel_at(g: np.ndarray, step: float) -> tuple[np.ndarray, ...]:
+    """Christoffel symbols Gamma_{e,ca} and Gamma^e_{ca} (d, d, d) at p by
+    central differences, from metric values g (2d + 1, d, d) at p, p + step
+    e_0, p - step e_0, p + step e_1, ..., a `_stencil` grid's first row."""
+    # dg[c, a, b] = d_c g_ab
+    dg = (g[1::2] - g[2::2]) / (2.0 * step)
+    # Gamma_{e,ca} = 1/2 (d_c g_ea + d_a g_ec - d_e g_ca)
+    low = 0.5 * (dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg)
+    d = len(dg)
+    return low, (np.linalg.inv(g[0]) @ low.reshape(d, -1)).reshape(low.shape)
 
 
 def riemann_fd(metric_fn: Callable[[np.ndarray], np.ndarray],
                point: np.ndarray, step: float) -> np.ndarray:
-    """Lowered curvature tensor r[a,b,c,d] = <R(e_c, e_d) e_b, e_a>.
+    """Lowered curvature tensor r[a,b,c,d] = <R(e_c, e_d) e_b, e_a>,
 
-    Built from finite differences of the Christoffel symbols; second-order
-    accurate in `step`.  Sign convention fixed so that the sectional
-    curvature of a round sphere comes out positive via
-    `sectional_from_riemann`.  `metric_fn` maps a (P, d) stack of points
-    to their (P, d, d) real metrics; it is called once, on the points of
-    the stencil layout (`_stencil_plan`), and its grid of step h holds the
-    Christoffel stencils around p and p +- h e_c.
+        r_abcd = 1/2 (g_ad,bc + g_bc,ad - g_ac,bd - g_bd,ac)
+                 - Gamma_{e,ca} Gamma^e_{db} + Gamma_{e,da} Gamma^e_{cb},
+
+    second-order accurate in `step`; a round sphere's sectional curvature
+    comes out positive via `sectional_from_riemann`.  `metric_fn` maps a
+    (P, d) stack of points to their (P, d, d) real metrics; it is called
+    once, on the stencil layout, and read on its grid of step h: p,
+    p +- h e_a and p +- h e_a +- h e_b (a != b).
     """
     rows, index = _stencil(point, step)
     g = metric_fn(rows)[index[0]]
-    gamma = _christoffel(g, step)
-    gamma0 = gamma[0]
-    # dgamma[c] is the derivative of Gamma in direction c
-    dgamma = (gamma[1::2] - gamma[2::2]) / (2.0 * step)
-    # R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
-    #           + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}
-    rup = (
-        np.einsum('cadb->abcd', dgamma)
-        - np.einsum('dacb->abcd', dgamma)
-        + np.einsum('ace,edb->abcd', gamma0, gamma0)
-        - np.einsum('ade,ecb->abcd', gamma0, gamma0)
-    )
-    return np.einsum('ae,ebcd->abcd', g[0, 0], rup)
+    low, up = _christoffel_at(g[0], step)
+    d = len(low)
+    # m[c, a, d, b] = Gamma_{e,ca} Gamma^e_{db}
+    m = (low.reshape(d, -1).T @ up.reshape(d, -1)).reshape((d,) * 4)
+    # s[a, b, c, d] = g_ad,bc; u = s - (c <-> d)
+    s = _real_hessian(g, step).transpose(2, 0, 1, 3)
+    u = s - s.transpose(0, 1, 3, 2)
+    return (0.5 * (u + u.transpose(1, 0, 3, 2))
+            + m.transpose(1, 3, 2, 0) - m.transpose(1, 3, 0, 2))
 
 
 def riem4(rlow: np.ndarray, x: np.ndarray, y: np.ndarray,

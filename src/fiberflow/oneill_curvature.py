@@ -12,7 +12,7 @@ routines from `chart_geometry` act as the independent cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .chart_geometry import (
     ChartError,
     ChartMetricBlocks,
     ChartSampler,
-    _christoffel,
+    _christoffel_at,
     _real_hessian,
     _stencil,
     complex_structure,
@@ -48,7 +48,8 @@ class FramePoint:
     """Chart point with assembled real metric and adapted orthonormal frames.
 
     `vertical` has shape (2, d) and spans the fiber tangent; `horizontal`
-    has shape (2n, d).  Rows are orthonormal for `g_real`.  `sampler` is
+    has shape (2n, d): Gram-Schmidt in the order (fiber, base) for `g_real`,
+    from one Cholesky factor (`_adapted_frames`).  `sampler` is
     kept so curvature oracles can stencil around the point; `blocks` and
     `g_real` are row 0 of its batch (see `frame_point`), read-only.  The
     fundamental tensor on the horizontal frame, which
@@ -81,18 +82,26 @@ class FramePoint:
         return a
 
 
-def _gram_schmidt(g: np.ndarray, seeds: list[np.ndarray],
-                  against: list[np.ndarray]) -> np.ndarray:
-    out: list[np.ndarray] = []
-    for v in seeds:
-        w = np.array(v, dtype=float)
-        for u in against + out:
-            w = w - (u @ g @ w) * u
-        nrm = float(w @ g @ w)
-        if nrm <= 1e-24:
-            raise DegeneratePlane("frame seed collapsed under projection")
-        out.append(w / np.sqrt(nrm))
-    return np.array(out)
+@cache
+def _frame_order(d: int) -> np.ndarray:
+    """Real chart coordinates in frame order, fiber then base; read-only."""
+    order = np.roll(np.arange(d), 2)
+    order.flags.writeable = False
+    return order
+
+
+def _adapted_frames(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertical (2, d) and horizontal (d - 2, d) frames of a real metric g:
+    Gram-Schmidt on the coordinate vectors in frame order, the rows of L^-1
+    for g = L L^T in that order; `DegeneratePlane` unless g > 0."""
+    order = _frame_order(len(g))
+    try:
+        chol = np.linalg.cholesky(g[order[:, None], order])
+    except np.linalg.LinAlgError as exc:
+        raise DegeneratePlane("metric not positive definite") from exc
+    frames = np.empty_like(g)
+    frames[:, order] = np.linalg.inv(chol)
+    return frames[:2], frames[2:]
 
 
 def frame_point(sampler: ChartSampler, point: np.ndarray) -> FramePoint:
@@ -113,18 +122,12 @@ def frame_point(sampler: ChartSampler, point: np.ndarray) -> FramePoint:
         rows = point[None]
         batch = sampler.evaluate_batch(rows)
     blocks = batch.row(0)
-    n = blocks.n
-    d = 2 * n + 2
     g = sampler.metric_fn()(rows)[0]
-    ginv = np.linalg.inv(g)
-    j = complex_structure(n + 1)
-    eye = np.eye(d)
-    vertical = _gram_schmidt(g, [eye[2 * n], eye[2 * n + 1]], [])
-    horizontal = _gram_schmidt(g, [eye[a] for a in range(2 * n)],
-                               list(vertical))
-    return FramePoint(blocks=blocks, point=point, g_real=g, g_real_inv=ginv,
-                      j=j, vertical=vertical, horizontal=horizontal,
-                      sampler=sampler)
+    vertical, horizontal = _adapted_frames(g)
+    return FramePoint(blocks=blocks, point=point, g_real=g,
+                      g_real_inv=np.linalg.inv(g),
+                      j=complex_structure(blocks.n + 1), vertical=vertical,
+                      horizontal=horizontal, sampler=sampler)
 
 
 def inner(fp: FramePoint, x: np.ndarray, y: np.ndarray) -> float:
@@ -282,14 +285,14 @@ def vertical_sectional(blocks: ChartMetricBlocks) -> float:
 def _hessian_ln_f(fp: FramePoint, step: float) -> np.ndarray:
     """Covariant Hessian matrix of ln f at the frame point via metric-only
     stencils.  One sampler call on the stencil layout feeds both the ln f
-    stencil and the Christoffel stencil, the grid of step `step`."""
+    stencil and the Christoffel symbols at p, the grid of step `step`."""
     rows, index = _stencil(fp.point, step)
     lnf = np.log(fp.sampler.evaluate_batch(rows).f)[index[0]]
     grad1 = (lnf[0, 1::2] - lnf[0, 2::2]) / (2.0 * step)
-    # the grid's first row, p and its single shifts, is the stencil that
-    # `_christoffel` reads at p
-    gamma = _christoffel(fp.sampler.metric_fn()(rows)[index[0, 0]], step)
-    return _real_hessian(lnf, step) - np.einsum('cab,c->ab', gamma, grad1)
+    # `_christoffel_at` reads the grid's first row, p and its single
+    # shifts; up.T @ grad1 is Gamma^c_{ab} d_c ln f
+    up = _christoffel_at(fp.sampler.metric_fn()(rows)[index[0, 0]], step)[1]
+    return _real_hessian(lnf, step) - up.T @ grad1
 
 
 def vertical_horizontal_curvature(fp: FramePoint,
@@ -322,12 +325,12 @@ def mixed_curvature_residuals(fp: FramePoint, step: float = DEFAULT_FD_STEP,
     """
     if rlow is None:
         rlow = riemann_fd(fp.sampler.metric_fn(), fp.point, step)
-    # riem4(rlow, x, y, z, w) contracts rlow's slots with (w, z, x, y)
-    hor, ver = fp.horizontal, fp.vertical
-    # hhv[u, z, x, y] = riem4(x, y, z, u), slots a, b, c, d in turn
-    hhv = np.tensordot(ver, rlow, axes=(1, 0))
-    for _ in range(3):
-        hhv = np.tensordot(hhv, hor, axes=(1, 1))
-    # vvh[x, z] = riem4(v0, v1, z, x)
-    vvh = hor @ (rlow @ ver[1] @ ver[0]) @ ver.T
-    return float(np.max(np.abs(hhv))), float(np.max(np.abs(vvh)))
+    d = fp.dim
+    frame = np.concatenate((fp.vertical, fp.horizontal))
+    rot = rlow
+    for _ in range(4):  # contract the leading slot with E; it moves last
+        rot = rot.reshape(d, -1).T @ frame.T
+    # rot[i, j, k, l] = riem4(E_k, E_l, E_j, E_i), E = [vertical; horizontal]
+    rot = rot.reshape((d,) * 4)
+    return (float(np.max(np.abs(rot[:2, 2:, 2:, 2:]))),
+            float(np.max(np.abs(rot[2:, :2, 0, 1]))))

@@ -112,6 +112,9 @@ def test_no_contraction_path_is_searched_per_call(monkeypatch):
     with pytest.raises(AssertionError):
         np.einsum("ij,jk->ik", a, a, optimize=True)
     fp = twisted_frame(3, 8)
+    oc.frame_point(fp.sampler, fp.point)
+    cg.riemann_fd(fp.sampler.metric_fn(), fp.point, cg.DEFAULT_FD_STEP)
+    cg.fd_ricci_oracle(fp.sampler, fp.point, richardson=True)
     oc.mixed_curvature_residuals(fp)
     oc.vertical_horizontal_curvature(fp)
     oc.a_norm_sq(fp)

@@ -25,17 +25,45 @@ def twisted_frame(n=1, seed=0):
 # frames
 
 
+def _reference_gram_schmidt(g, seeds):
+    """Classical Gram-Schmidt of the rows of `seeds` for the metric g,
+    one vector at a time."""
+    out = []
+    for v in seeds:
+        w = np.array(v, dtype=float)
+        for u in out:
+            w = w - (u @ g @ w) * u
+        out.append(w / np.sqrt(w @ g @ w))
+    return np.array(out)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_frames_orthonormal_and_adapted(n):
-    fp = twisted_frame(n=n, seed=3)
-    frames = np.vstack([fp.vertical, fp.horizontal])
-    gram = frames @ fp.g_real @ frames.T
-    assert np.max(np.abs(gram - np.eye(2 * n + 2))) <= 1e-10
-    # vertical plane is J-invariant, and so is its orthogonal complement
-    for u in fp.vertical:
-        for x in fp.horizontal:
-            assert abs(oc.inner(fp, fp.j @ u, x)) <= 1e-10
-            assert abs(oc.inner(fp, fp.j @ x, u)) <= 1e-10
+    """At seeded points the frames are Gram-Schmidt on the fiber and then
+    the base coordinate vectors, to 1e-13, and g-orthonormal to 1e-13;
+    the vertical plane and its orthogonal complement are J-invariant."""
+    samp = twisted_sampler(n=n)
+    eye = np.eye(2 * n + 2)
+    for point in samp.random_points(np.random.default_rng(70 + n), 5):
+        fp = oc.frame_point(samp, point)
+        want = _reference_gram_schmidt(fp.g_real,
+                                       np.vstack([eye[2 * n:], eye[:2 * n]]))
+        frames = np.vstack([fp.vertical, fp.horizontal])
+        assert np.max(np.abs(frames - want)) <= 1e-13
+        gram = frames @ fp.g_real @ frames.T
+        assert np.max(np.abs(gram - np.eye(2 * n + 2))) <= 1e-13
+        for u in fp.vertical:
+            for x in fp.horizontal:
+                assert abs(oc.inner(fp, fp.j @ u, x)) <= 1e-10
+                assert abs(oc.inner(fp, fp.j @ x, u)) <= 1e-10
+
+
+@pytest.mark.parametrize("g", [np.diag([1.0, 1.0, -1.0, 1.0]),
+                               np.diag([1.0, 0.0, 1.0, 1.0])],
+                         ids=["indefinite", "singular"])
+def test_frames_refuse_a_metric_that_is_not_positive_definite(g):
+    with pytest.raises(oc.DegeneratePlane):
+        oc._adapted_frames(g)
 
 
 def test_gradient_is_vertical():
@@ -342,14 +370,11 @@ def test_stencil_oracles_refuse_the_domain_edge(oracle, reach, coord, side):
 
 def _frame_alone(sampler, point):
     """The blocks, real metric, its inverse and the frames at `point`
-    evaluated on its own, by `evaluate` and `real_metric`."""
+    evaluated on its own, by `evaluate` and `real_metric`; the frames come
+    from the one frame routine, `_adapted_frames`."""
     blocks = sampler.evaluate(point)
     g = cg.real_metric(blocks)
-    n = blocks.n
-    eye = np.eye(2 * n + 2)
-    vertical = oc._gram_schmidt(g, [eye[2 * n], eye[2 * n + 1]], [])
-    horizontal = oc._gram_schmidt(g, list(eye[:2 * n]), list(vertical))
-    return blocks, g, np.linalg.inv(g), vertical, horizontal
+    return (blocks, g, np.linalg.inv(g), *oc._adapted_frames(g))
 
 
 def _frame_bits(blocks, *arrays):
