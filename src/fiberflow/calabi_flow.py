@@ -107,7 +107,9 @@ class HirzebruchParams:
 
     f ranges over (k*a0, k*b0); R_h is the base scalar constant in the
     normalization where the Fubini-Study base has R_h = n(n+1).  `shape`
-    names the initial profile in `PROFILE_SHAPES`.
+    names the initial profile in `PROFILE_SHAPES`.  The heat residual is
+    O(k h^2); the default grid, 1 + ceil(511 sqrt(k)) nodes, fixed when
+    the record is made, keeps k h^2 at its k = 1 value for every k.
     """
 
     scenario: ClassVar[str] = "hirzebruch"
@@ -117,7 +119,7 @@ class HirzebruchParams:
     k: int = 1
     R_h: float | None = None
     L: float = 20.0
-    grid_points: int = 512
+    grid_points: int | None = None
     shape: str = "tanh"
 
     @property
@@ -130,6 +132,9 @@ class HirzebruchParams:
             raise BadProfile("need 0 < a0 < b0")
         if self.k < 1 or self.n < 1:
             raise BadProfile("k and n must be positive integers")
+        if self.grid_points is None:
+            object.__setattr__(self, "grid_points",
+                               1 + math.ceil(511 * math.sqrt(self.k)))
         if self.L <= 0.0 or self.grid_points < 64:
             raise BadProfile("grid too small")
         if self.shape not in PROFILE_SHAPES:
@@ -384,10 +389,9 @@ def _dgtsv():
     return get_lapack_funcs("gtsv", dtype=np.float64)
 
 
-def solve_banded(gtsv, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve the tridiagonal system held in `ab`, in the (1, 1) storage of
-    `scipy.linalg.solve_banded`, for `b` with the LAPACK routine `gtsv`
-    (`_dgtsv()` for every `FlowProblem`).
+    `scipy.linalg.solve_banded`, for `b` with LAPACK's `gtsv` (`_dgtsv()`).
 
     The bands and `b` are overwritten and the solution is returned in the
     storage of `b`.  scipy's `solve_banded((1, 1), ab, b)` calls the same
@@ -397,9 +401,9 @@ def solve_banded(gtsv, ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     matrix, ValueError for an illegal argument."""
     if not (np.isfinite(ab).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    _, _, _, x, info = gtsv(ab[2, :-1], ab[1], ab[0, 1:], b,
-                            overwrite_dl=1, overwrite_d=1, overwrite_du=1,
-                            overwrite_b=1)
+    _, _, _, x, info = _dgtsv()(ab[2, :-1], ab[1], ab[0, 1:], b,
+                                overwrite_dl=1, overwrite_d=1,
+                                overwrite_du=1, overwrite_b=1)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
@@ -530,8 +534,6 @@ class FlowProblem(_TRBDF2):
         self.rate_upper_disc = -params.k * r_disc - self.sink
         self._two_h = 2.0 * h
         self._h_sq = h ** 2
-        # the LAPACK extension alone, not the ~0.3 s scipy.linalg import
-        self._gtsv = _dgtsv()
         # The Newton matrix, refilled by `_newton_matrix` for every update
         # because `solve_banded` overwrites it.  ab[0, 0] and ab[2, -1] lie
         # outside the matrix, where gtsv never writes, and stay zero.
@@ -642,8 +644,7 @@ class FlowProblem(_TRBDF2):
         """x with (I - coeff D J T) x = resid at the u of nodal f, solved as
         the banded f-space system (I - coeff J) z = T resid, then x = D z;
         x is the problem's buffer."""
-        z = solve_banded(self._gtsv,
-                         self._newton_matrix(coeff, f, (self._s1, self._ns1,
+        z = solve_banded(self._newton_matrix(coeff, f, (self._s1, self._ns1,
                                                         self._s2)),
                          _reconstruct(resid[0], resid[1:], self._rhs))
         return _to_increments(z, self._dx)

@@ -63,10 +63,11 @@ class BaseMetric:
     axis.
     """
 
-    n: int
     h: np.ndarray
     ricci: np.ndarray
     scalar: float
+
+    n = property(lambda self: self.h.shape[-1])
 
 
 def _fs_factor(z: np.ndarray) -> np.ndarray:
@@ -85,14 +86,14 @@ def fubini_study_base(z: np.ndarray) -> BaseMetric:
     n = z.shape[-1]
     a = _fs_factor(z)[..., None, None]
     h = a * np.eye(n) - (a * a) * (z.conj()[..., :, None] * z[..., None, :])
-    return BaseMetric(n=n, h=h, ricci=(n + 1.0) * h, scalar=float(n * (n + 1)))
+    return BaseMetric(h=h, ricci=(n + 1.0) * h, scalar=float(n * (n + 1)))
 
 
 def flat_base(n: int) -> BaseMetric:
     """Flat base: identity h, zero curvature."""
     eye = np.eye(n, dtype=complex)
     zero = np.zeros((n, n), dtype=complex)
-    return BaseMetric(n=n, h=eye, ricci=zero, scalar=0.0)
+    return BaseMetric(h=eye, ricci=zero, scalar=0.0)
 
 
 def perturbed_fs_base(z: np.ndarray) -> BaseMetric:
@@ -117,7 +118,7 @@ def perturbed_fs_base(z: np.ndarray) -> BaseMetric:
     p0[0::2] = z.real
     p0[1::2] = z.imag
     ric = -hermitian_hessian_fd(logdet, p0, DEFAULT_FD_STEP)
-    return BaseMetric(n=n, h=h_at(z), ricci=ric, scalar=float(n * (n + 1)))
+    return BaseMetric(h=h_at(z), ricci=ric, scalar=float(n * (n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -346,17 +347,15 @@ class ChartSampler:
     `evaluate_batch` calls only on points inside the box.  The sampler
     keeps its last batch, so the frame point and the stencil oracles at
     one point share one `blocks_fn` call; with the batch it keeps the
-    Hermitian metric stack and its real form, each assembled the first
-    time `log_det_fn` or `metric_fn` reads it, read-only, and dropped
-    with the batch.  A sampler made by `dataclasses.replace` starts with
-    no batch.
+    Hermitian metric stack and its real form, which `log_det_fn` and
+    `metric_fn` read, all read-only and assembled with the blocks.  A
+    sampler made by `dataclasses.replace` starts with no batch.
     """
 
-    n: int
     blocks_fn: Callable[[np.ndarray], ChartMetricBlocks]
     domain: np.ndarray
     # [(shape, bytes) of the last batch's points, its read-only blocks,
-    #  [its Hermitian metric stack, their real form], None until read]
+    #  its Hermitian metric stack, their real form]
     _last: list = field(default_factory=list, init=False, compare=False,
                         repr=False)
 
@@ -378,38 +377,30 @@ class ChartSampler:
                 and (p <= self.domain[:, 1]).all()):
             raise DomainEdge("point outside the sampler domain")
         blocks = self.blocks_fn(p)
-        for value in (blocks.base.h, blocks.base.ricci,
+        herm = assemble_block_metric(blocks, check=False)
+        real = real_metric_from_hermitian(herm)
+        for value in (blocks.base.h, blocks.base.ricci, herm, real,
                       *(getattr(blocks, fld.name) for fld in fields(blocks))):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-        self._last[:] = (key, blocks, [None, None])
+        self._last[:] = (key, blocks, herm, real)
         return blocks
 
     def evaluate(self, point: np.ndarray) -> ChartMetricBlocks:
         return self.evaluate_batch(np.asarray(point, dtype=float)[None]).row(0)
 
-    def _metric_stack(self, points: np.ndarray, real: bool) -> np.ndarray:
-        """The Hermitian metric stack (P, n+1, n+1) of the blocks at
-        `points`, or with `real` its real form (P, d, d): the batch's own,
-        assembled the first time it is read."""
-        blocks = self.evaluate_batch(points)
-        stacks = self._last[2]
-        if stacks[0] is None:
-            stacks[0] = assemble_block_metric(blocks, check=False)
-            stacks[0].flags.writeable = False
-        if real and stacks[1] is None:
-            stacks[1] = real_metric_from_hermitian(stacks[0])
-            stacks[1].flags.writeable = False
-        return stacks[1] if real else stacks[0]
+    def _stacks(self, points: np.ndarray) -> list:
+        """The Hermitian metric stack and its real form at `points`."""
+        self.evaluate_batch(points)
+        return self._last[2:]
 
     def metric_fn(self) -> Callable[[np.ndarray], np.ndarray]:
         """Real metrics (P, d, d) at a (P, d) stack of points, read-only."""
-        return lambda points: self._metric_stack(points, real=True)
+        return lambda points: self._stacks(points)[1]
 
     def log_det_fn(self) -> Callable[[np.ndarray], np.ndarray]:
         """ln det of the Hermitian metrics (P,) at a (P, d) stack of points."""
-        return lambda points: np.linalg.slogdet(
-            self._metric_stack(points, real=False))[1]
+        return lambda points: np.linalg.slogdet(self._stacks(points)[0])[1]
 
     def random_points(self, rng: np.random.Generator, count: int,
                       margin: float | None = None) -> np.ndarray:
@@ -452,7 +443,7 @@ def product_sampler(base_size: float = 3.0, fiber_size: float = 1.0,
             dg_dxi=-2.0 * fiber_size * np.conj(xi) / w ** 3,
             d2g=-2.0 * fiber_size * (1.0 - 2.0 * r2) / w ** 4)
 
-    return ChartSampler(n=n, blocks_fn=blocks,
+    return ChartSampler(blocks_fn=blocks,
                         domain=_box(n, 0.5, (-0.9, 0.9), (-0.9, 0.9)))
 
 
@@ -495,7 +486,7 @@ def calabi_sampler(profile: Callable[[np.ndarray], tuple[np.ndarray, ...]],
             dsbar_dxi=np.zeros(phi_d.shape, dtype=complex),
             dg_dxi=(v1 - v) * efac / xi, d2g=(v2 - 2.0 * v1 + v) * efac / r2)
 
-    return ChartSampler(n=n, blocks_fn=blocks, domain=_box(n, *_CALABI_BOX))
+    return ChartSampler(blocks_fn=blocks, domain=_box(n, *_CALABI_BOX))
 
 
 # ---------------------------------------------------------------------------

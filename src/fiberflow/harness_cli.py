@@ -28,7 +28,7 @@ import re
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -287,11 +287,6 @@ def parse_config(text: str) -> RunConfig:
     except ConfigError as exc:
         raise ValidationError("flow", str(exc)) from exc
     if scenario == "hirzebruch":
-        if "grid_points" not in param_kv:
-            # the heat residual is O(k h^2): scale the default grid so that
-            # k h^2 stays at its k = 1 value and one heat_tol fits every k
-            params = replace(params, grid_points=1 + math.ceil(
-                (HirzebruchParams.grid_points - 1) * math.sqrt(params.k)))
         # the profile diagnostics are implemented over surface bases only
         if params.n != 1:
             raise ValidationError("n", "the hirzebruch scenario needs n = 1")

@@ -93,7 +93,9 @@ def _frame_order(d: int) -> np.ndarray:
 def _adapted_frames(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vertical (2, d) and horizontal (d - 2, d) frames of a real metric g:
     Gram-Schmidt on the coordinate vectors in frame order, the rows of L^-1
-    for g = L L^T in that order; `DegeneratePlane` unless g > 0."""
+    for g = L L^T in that order; `DegeneratePlane` unless g is finite, > 0."""
+    if not np.isfinite(g).all():
+        raise DegeneratePlane("metric not finite")
     order = _frame_order(len(g))
     try:
         chol = np.linalg.cholesky(g[order[:, None], order])

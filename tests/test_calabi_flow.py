@@ -40,6 +40,7 @@ from fiberflow.calabi_flow import (
     stop_cause,
 )
 from fiberflow.chart_geometry import (
+    DEFAULT_FD_STEP,
     ChartError,
     _stencil,
     calabi_sampler,
@@ -723,7 +724,7 @@ def test_solve_banded_matches_scipy_bit_for_bit(n):
     assert abs(ab[1, 0]) < abs(ab[2, 0])
     want = scipy_solve_banded((1, 1), ab, b)
     rhs = b.copy()
-    got = calabi_flow.solve_banded(_gtsv(), ab.copy(), rhs)
+    got = calabi_flow.solve_banded(ab.copy(), rhs)
     assert np.shares_memory(got, rhs)  # solved in the storage of b
     assert np.array_equal(got, want)
 
@@ -735,7 +736,7 @@ def test_solve_banded_rejects_non_finite_input(where, bad):
     row = {"upper": ab[0], "diagonal": ab[1], "lower": ab[2], "rhs": b}
     row[where][10] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
-        calabi_flow.solve_banded(_gtsv(), ab, b)
+        calabi_flow.solve_banded(ab, b)
 
 
 def test_solve_banded_singular_matrix_raises_linalg_error():
@@ -746,7 +747,7 @@ def test_solve_banded_singular_matrix_raises_linalg_error():
     with pytest.raises(np.linalg.LinAlgError):
         scipy_solve_banded((1, 1), ab, b)
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        calabi_flow.solve_banded(_gtsv(), ab, b)
+        calabi_flow.solve_banded(ab, b)
 
 
 def test_newton_solves_are_counted_through_module_solve_banded(monkeypatch):
@@ -781,20 +782,16 @@ def _bundled_run_digests(out: Path) -> dict[str, str]:
 def test_direct_dgtsv_solves_the_bundled_newton_systems_like_scipy(
         monkeypatch, fresh_dgtsv):
     systems = []
-    real_init = FlowProblem.__init__
+    gtsv = calabi_flow._dgtsv()
 
-    def recording_init(self, *args, **kwargs):
-        real_init(self, *args, **kwargs)
-        gtsv = self._gtsv
+    def recording(dl, d, du, b, **flags):
+        systems.append([x.copy() for x in (dl, d, du, b)])
+        return gtsv(dl, d, du, b, **flags)
 
-        def recording(dl, d, du, b, **flags):
-            systems.append([x.copy() for x in (dl, d, du, b)])
-            return gtsv(dl, d, du, b, **flags)
-        self._gtsv = recording
-
-    monkeypatch.setattr(FlowProblem, "__init__", recording_init)
+    monkeypatch.setattr(calabi_flow, "_dgtsv", lambda: recording)
     config = load_config(CONFIGS / "hirzebruch.cfg")
     run_flow(config.params, config.settings)
+    monkeypatch.undo()  # the real, cached `_dgtsv` for `fresh_dgtsv`
     assert len(systems) == 223
     direct, lapack = calabi_flow._dgtsv(), _gtsv()
     assert direct is lapack
@@ -1320,8 +1317,9 @@ SCALING_POWERS = {
 SCALING_RTOL = 1e3 * NEWTON_TOL
 SCALING_ATOL = 1e-12
 # heat_residual divides that Newton noise by dt: it moved by up to
-# 1.5e-6 absolute against values up to 1.5e-3 (tanh, k = 3), far beyond
-# the relative tolerance and 100x below the 1e-3 monitor gate.
+# 3.2e-6 absolute against values up to 5.1e-4 (tanh, k = 3, on its
+# 887-node default grid), far beyond the relative tolerance and 300x
+# below the 1e-3 monitor gate.
 SCALING_HEAT_ATOL = 1e-5
 SCALING_CASES = [HirzebruchParams(shape="tanh", k=1),
                  HirzebruchParams(shape="skew", k=2),
@@ -1363,3 +1361,64 @@ def test_flow_is_invariant_under_parabolic_scaling(params, lam):
         [run.T_predicted, run.T_observed],
         [lam * base.T_predicted, lam * base.T_observed], rtol=SCALING_RTOL,
         atol=0.0)
+
+
+# The same scaling at state level: a state with f, df, lower and upper
+# scaled by lam has the chart metric of `sampler_from_state` scaled by lam,
+# so the lowered curvature scales by lam, sectional curvatures by 1/lam,
+# and the Ricci form not at all.  A power of two scales every rounding
+# step of the local profile and of the metric exactly.  At lam = 3 the
+# profile rounds differently and the stencils amplify that: measured at
+# the 20 points of each case below, 3.4e-10 of max |r| for `riemann_fd`
+# and 3.0e-12 of max |Ric| for `ricci_blocks`.  The Richardson log-det
+# oracle differences ln det(lam g) = ln det g + (n + 1) ln lam, whose
+# constant cancels only to rounding: 3.9e-9 of max |Ric| at worst.
+STATE_SCALING_RTOL = {"riemann_fd": 1e-8, "ricci_blocks": 1e-10,
+                      "fd_ricci_oracle": 1e-8}
+
+
+def _rel_dev(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_state_chart_scales_with_the_profile(n, k):
+    params = HirzebruchParams(n=n, k=k)
+    state = init_hirzebruch_profile(params)
+    samp = sampler_from_state(state, params)
+    h = DEFAULT_FD_STEP
+    eye = np.eye(2 * n + 2)
+    planes = [(eye[0], eye[1]), (eye[-2], eye[-1]), (eye[0], eye[-1]),
+              (eye[0] + eye[-2], eye[1] - 0.5 * eye[-1])]
+    points = samp.random_points(np.random.default_rng(10 * n + k), 20)
+    want = []
+    for p in points:
+        rlow = riemann_fd(samp.metric_fn(), p, h)
+        g = samp.metric_fn()(p[None])[0]
+        want.append((rlow, g, ricci_blocks(samp.evaluate(p)).assemble(),
+                     fd_ricci_oracle(samp, p, h, richardson=True).assemble()))
+    for lam in (2.0, 4.0, 0.5, 3.0):
+        scaled = sampler_from_state(
+            replace(state, f=lam * state.f, df=lam * state.df,
+                    lower=lam * state.lower, upper=lam * state.upper),
+            params)
+        for p, (rlow, g, ric, oracle) in zip(points, want):
+            got = riemann_fd(scaled.metric_fn(), p, h)
+            got_ric = ricci_blocks(scaled.evaluate(p)).assemble()
+            got_oracle = fd_ricci_oracle(scaled, p, h,
+                                         richardson=True).assemble()
+            assert (_rel_dev(got_oracle, oracle)
+                    <= STATE_SCALING_RTOL["fd_ricci_oracle"])
+            if lam == 3.0:
+                assert (_rel_dev(got, lam * rlow)
+                        <= STATE_SCALING_RTOL["riemann_fd"])
+                assert _rel_dev(got_ric, ric) <= STATE_SCALING_RTOL[
+                    "ricci_blocks"]
+                continue
+            assert got.tobytes() == (lam * rlow).tobytes()
+            assert got_ric.tobytes() == ric.tobytes()
+            g_scaled = scaled.metric_fn()(p[None])[0]
+            for x, y in planes:
+                assert (sectional_from_riemann(got, g_scaled, x, y)
+                        == sectional_from_riemann(rlow, g, x, y) / lam)

@@ -431,7 +431,7 @@ def _blocks_bits(blocks):
 def _metric_stacks(samp, points):
     """The Hermitian and the real metric stack that `samp` keeps with the
     batch at `points`, each checked read-only."""
-    stacks = (samp._metric_stack(points, real=False), samp.metric_fn()(points))
+    stacks = (samp._stacks(points)[0], samp.metric_fn()(points))
     for stack in stacks:
         assert not stack.flags.writeable
         with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from fiberflow.harness_cli import (
     DIAG_CSV_SCHEMA,
     FLOW_CSV_SCHEMA,
     FLOW_KEYS,
+    HEAT_RESIDUAL_TOL,
     PARAM_KEYS,
     RUN_KEYS,
     AnalysisConfig,
@@ -1035,6 +1036,24 @@ def test_default_grid_keeps_k_h2_of_k1(k, grid):
     assert parse_config(_hz(f"k = {k}")).params.grid_points == grid
     explicit = parse_config(_hz(f"k = {k}\ngrid_points = 300"))
     assert explicit.params.grid_points == 300
+
+
+@pytest.mark.parametrize("shape", ["tanh", "skew"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_library_default_grid_is_the_config_default(k, shape):
+    """A library run of the default params is the run of a config that
+    sets the same keys and no grid_points, bit for bit; on that grid the
+    tanh runs at k = 2 and 3 pass the default heat_tol."""
+    config = parse_config(_hz(f"k = {k}") + f"\n[flow]\nshape = {shape}\n")
+    library = run_flow(HirzebruchParams(k=k, shape=shape), RunSettings())
+    cli = run_flow(config.params, config.settings)
+    assert library.params == config.params
+    assert list(library.diagnostics) == list(cli.diagnostics)
+    for name, column in cli.diagnostics.items():
+        assert library.diagnostics[name].tobytes() == column.tobytes(), name
+    if shape == "tanh" and k > 1:
+        resid = library.diagnostics["heat_residual"]
+        assert np.nanmax(resid) <= HEAT_RESIDUAL_TOL
 
 
 # (config text, expected exit code); the grid_points = 128 runs are under-

@@ -66,6 +66,17 @@ def test_frames_refuse_a_metric_that_is_not_positive_definite(g):
         oc._adapted_frames(g)
 
 
+@pytest.mark.parametrize("g", [np.full((4, 4), np.nan),
+                               np.diag([1.0, np.nan, 1.0, 1.0]),
+                               np.diag([1.0, np.inf, 1.0, 1.0])],
+                         ids=["all-nan", "nan-entry", "inf-entry"])
+def test_frames_refuse_a_metric_that_is_not_finite(g):
+    """Cholesky passes a NaN through without raising, and an infinite
+    diagonal entry gives a zero frame vector: neither may give frames."""
+    with pytest.raises(oc.DegeneratePlane, match="not finite"):
+        oc._adapted_frames(g)
+
+
 def test_gradient_is_vertical():
     fp = twisted_frame(seed=5)
     v = oc.grad_f(fp)
@@ -134,13 +145,13 @@ def test_a_norm_hand_value():
     flat = cg.flat_base(1)
     zero = np.zeros((1, 1), complex)
     blocks = cg.ChartMetricBlocks(
-        base=cg.BaseMetric(n=1, h=flat.h[None], ricci=flat.ricci[None],
+        base=cg.BaseMetric(h=flat.h[None], ricci=flat.ricci[None],
                            scalar=flat.scalar),
         f=np.ones(1), s=zero, g_fiber=np.ones(1),
         df_dxi=np.full(1, np.sqrt(0.045), complex), d2f=np.zeros(1),
         df_dz=zero, dsbar_dz=np.zeros((1, 1, 1), complex), dsbar_dxi=zero,
         dg_dxi=np.zeros(1, complex), d2g=np.zeros(1))
-    samp = cg.ChartSampler(n=1, blocks_fn=lambda points: blocks,
+    samp = cg.ChartSampler(blocks_fn=lambda points: blocks,
                            domain=np.array([[-1.0, 1.0]] * 4))
     fp = oc.frame_point(samp, np.zeros(4))
     assert oc.grad_ln_f_norm_sq(fp) == pytest.approx(0.09, rel=1e-12)
