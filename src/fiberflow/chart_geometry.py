@@ -75,16 +75,18 @@ def _fs_factor(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.sum(z.real ** 2 + z.imag ** 2, axis=-1))
 
 
-def fubini_study_base(z: np.ndarray) -> BaseMetric:
+def fubini_study_base(z: np.ndarray, a: np.ndarray | None = None
+                      ) -> BaseMetric:
     """Fubini-Study data at chart points z (..., n), normalized so
-    Ric(h) = (n+1) h; h and ricci carry the leading axes of z.
+    Ric(h) = (n+1) h; h and ricci carry the leading axes of z.  `a` is
+    `_fs_factor(z)` when the caller has it already.
 
     Potential ln(1 + |z|^2); for n = 1 this is the round sphere with Gauss
     curvature 2 and total area 2*pi.
     """
     z = np.asarray(z, dtype=complex)
     n = z.shape[-1]
-    a = _fs_factor(z)[..., None, None]
+    a = (_fs_factor(z) if a is None else a)[..., None, None]
     h = a * np.eye(n) - (a * a) * (z.conj()[..., :, None] * z[..., None, :])
     return BaseMetric(h=h, ricci=(n + 1.0) * h, scalar=float(n * (n + 1)))
 
@@ -136,7 +138,9 @@ class ChartMetricBlocks:
     holomorphic fiber derivative of f, `df_dz` the holomorphic base
     derivatives, `d2f` the mixed fiber second derivative d_xi d_xibar f.
     `dsbar_dz[i, j] = d_{z_i} conj(s_j)` feeds the Kahler-compatibility
-    check and `dsbar_dxi[j] = d_xi conj(s_j)` the totally-geodesic check.
+    check and `dsbar_dxi[j] = d_xi conj(s_j)` the totally-geodesic check,
+    whose residual a point's blocks compute once (`_geodesy_residual`):
+    blocks are values, and a kept batch's arrays are read-only.
     """
 
     base: BaseMetric
@@ -164,8 +168,18 @@ class ChartMetricBlocks:
             value = value[i]
             return value.item() if value.ndim == 0 else value
 
-        return ChartMetricBlocks(**{fld.name: take(getattr(self, fld.name))
-                                    for fld in fields(self)})
+        return ChartMetricBlocks(**{name: take(getattr(self, name))
+                                    for name in _BLOCK_FIELDS})
+
+    @functools.cached_property
+    def _geodesy_residual(self) -> float:
+        """`check_totally_geodesic` of these blocks, computed once."""
+        try:
+            # h^{i jbar} w_j contracts with the conjugate-transposed inverse
+            contr = np.linalg.solve(self.base.h.conj(), self.dsbar_dxi)
+        except np.linalg.LinAlgError as exc:
+            raise SingularBase("base metric numerically singular") from exc
+        return float(np.max(np.abs((self.g_fiber / self.f) * contr)))
 
     def horizontal_homothety_residual(self) -> float:
         """Max |X_i(f)| over horizontal lifts X_i = d_i - s_i d_xi.
@@ -176,6 +190,9 @@ class ChartMetricBlocks:
         """
         res = self.df_dz - self.s * self.df_dxi
         return float(np.max(np.abs(res)))
+
+
+_BLOCK_FIELDS = tuple(fld.name for fld in fields(ChartMetricBlocks))
 
 
 def assemble_block_metric(blocks: ChartMetricBlocks, check: bool = True) -> np.ndarray:
@@ -205,12 +222,7 @@ def check_totally_geodesic(blocks: ChartMetricBlocks) -> float:
     """Max norm of the fiber Christoffel block
     Gamma^i_{xi xi} = (1/f) h^{i jbar} g_fiber d_xi conj(s_j), which
     vanishes exactly when the fibers are totally geodesic."""
-    try:
-        # h^{i jbar} w_j contracts with the conjugate-transposed inverse
-        contr = np.linalg.solve(blocks.base.h.conj(), blocks.dsbar_dxi)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBase("base metric numerically singular") from exc
-    return float(np.max(np.abs((blocks.g_fiber / blocks.f) * contr)))
+    return blocks._geodesy_residual
 
 
 def check_kahler_compatibility(blocks: ChartMetricBlocks) -> float:
@@ -380,7 +392,7 @@ class ChartSampler:
         herm = assemble_block_metric(blocks, check=False)
         real = real_metric_from_hermitian(herm)
         for value in (blocks.base.h, blocks.base.ricci, herm, real,
-                      *(getattr(blocks, fld.name) for fld in fields(blocks))):
+                      *(getattr(blocks, name) for name in _BLOCK_FIELDS)):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
         self._last[:] = (key, blocks, herm, real)
@@ -467,8 +479,8 @@ def calabi_sampler(profile: Callable[[np.ndarray], tuple[np.ndarray, ...]],
 
     def blocks(points: np.ndarray) -> ChartMetricBlocks:
         z, xi = point_to_complex(points)
-        base = fubini_study_base(z)
         a = _fs_factor(z)
+        base = fubini_study_base(z, a)
         phi = np.log(1.0 / a)
         phi_d = z.conj() * a[:, None]
         r2 = np.abs(xi) ** 2
@@ -540,26 +552,20 @@ def _stencil(point: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
     return p + step * shift, index
 
 
-@functools.cache
-def _triangle_plan(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns of an m x m strict upper triangle; diagonal; read-only."""
-    plan = (*np.triu_indices(m, 1), np.arange(m))
-    for arr in plan:
-        arr.flags.writeable = False
-    return plan
-
-
 def _real_hessian(values: np.ndarray, step) -> np.ndarray:
     """Real Hessian (d, d, ...) by central differences, from values
     (2d + 1, 2d + 1, ...) on a `_stencil` grid of that step: trailing value
-    axes are carried along, and `step` broadcasts against them."""
+    axes are carried along, and `step` broadcasts against them.  The
+    result is symmetric bit for bit: the mixed quotient is added to its
+    transpose (x + y = y + x), and the diagonal is the three-point
+    formula."""
     h2 = step ** 2
     out = (values[1::2, 1::2] - values[1::2, 2::2]
-           - values[2::2, 1::2] + values[2::2, 2::2]) / (4.0 * h2)
-    upper, lower, diag = _triangle_plan(len(out))
-    out[lower, upper] = out[upper, lower]
-    out[diag, diag] = (values[0, 1::2] - 2.0 * values[0, 0]
-                       + values[0, 2::2]) / h2
+           - values[2::2, 1::2] + values[2::2, 2::2]) / (8.0 * h2)
+    out += out.swapaxes(0, 1)
+    # the diagonal, a writeable strided view of out
+    np.einsum("ii...->i...", out)[...] = (
+        values[0, 1::2] - 2.0 * values[0, 0] + values[0, 2::2]) / h2
     return out
 
 
@@ -604,16 +610,14 @@ def fd_ricci_oracle(sampler: ChartSampler, point: np.ndarray,
 # --- real-geometry oracles (Christoffel, Riemann) --------------------------
 
 
-def _christoffel_at(g: np.ndarray, step: float) -> tuple[np.ndarray, ...]:
-    """Christoffel symbols Gamma_{e,ca} and Gamma^e_{ca} (d, d, d) at p by
+def _christoffel_at(g: np.ndarray, step: float) -> np.ndarray:
+    """Christoffel symbols of the first kind Gamma_{e,ca} (d, d, d) at p by
     central differences, from metric values g (2d + 1, d, d) at p, p + step
     e_0, p - step e_0, p + step e_1, ..., a `_stencil` grid's first row."""
     # dg[c, a, b] = d_c g_ab
     dg = (g[1::2] - g[2::2]) / (2.0 * step)
     # Gamma_{e,ca} = 1/2 (d_c g_ea + d_a g_ec - d_e g_ca)
-    low = 0.5 * (dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg)
-    d = len(dg)
-    return low, (np.linalg.inv(g[0]) @ low.reshape(d, -1)).reshape(low.shape)
+    return 0.5 * (dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg)
 
 
 def riemann_fd(metric_fn: Callable[[np.ndarray], np.ndarray],
@@ -631,8 +635,10 @@ def riemann_fd(metric_fn: Callable[[np.ndarray], np.ndarray],
     """
     rows, index = _stencil(point, step)
     g = metric_fn(rows)[index[0]]
-    low, up = _christoffel_at(g[0], step)
+    low = _christoffel_at(g[0], step)
     d = len(low)
+    # Gamma^e_{ca}
+    up = (np.linalg.inv(g[0, 0]) @ low.reshape(d, -1)).reshape(low.shape)
     # m[c, a, d, b] = Gamma_{e,ca} Gamma^e_{db}
     m = (low.reshape(d, -1).T @ up.reshape(d, -1)).reshape((d,) * 4)
     # s[a, b, c, d] = g_ad,bc; u = s - (c <-> d)

@@ -315,6 +315,14 @@ def parse_config(text: str) -> RunConfig:
                            f"predicted collapse time {t_pred!r} less "
                            f"stop_margin; the analysis needs at least "
                            f"{MIN_SAMPLES}, in [flow]")
+    # a fixed step too small to move t at the stop time t_end would leave
+    # the run short of t_end for ever (the step rule stops only there)
+    t_end = t_pred - settings.stop_margin
+    if settings.dt_fixed is not None and t_end + settings.dt_fixed == t_end:
+        raise ValidationError(
+            "dt_fixed", f"{settings.dt_fixed!r} does not advance t at the "
+                        f"stop time {t_end!r} (the predicted collapse time "
+                        f"less stop_margin), in [flow]")
 
     ana_kv.setdefault("checks", DEFAULT_CHECKS[scenario])
     analysis = AnalysisConfig(**ana_kv)

@@ -51,10 +51,11 @@ class FramePoint:
     has shape (2n, d): Gram-Schmidt in the order (fiber, base) for `g_real`,
     from one Cholesky factor (`_adapted_frames`).  `sampler` is
     kept so curvature oracles can stencil around the point; `blocks` and
-    `g_real` are row 0 of its batch (see `frame_point`), read-only.  The
-    fundamental tensor on the horizontal frame, which
-    `vertical_horizontal_curvature` and `a_norm_sq` both read, is built
-    once per frame point.
+    `g_real` are row 0 of its batch (see `frame_point`), read-only, and
+    `g_real_inv` is F^T F for the frame matrix F = [vertical; horizontal]
+    (F g F^T = I).  The gradient of ln f and the fundamental tensor on
+    the horizontal frame, which the curvature oracles and the norms read,
+    are built once per frame point.
     """
 
     blocks: ChartMetricBlocks
@@ -75,6 +76,13 @@ class FramePoint:
         return 2 * self.blocks.n + 2
 
     @cached_property
+    def _grad_ln_f(self) -> np.ndarray:
+        """`grad_ln_f`, read-only."""
+        v = grad_f(self) / self.blocks.f
+        v.flags.writeable = False
+        return v
+
+    @cached_property
     def _a_horizontal(self) -> np.ndarray:
         """`_a_stack` on (horizontal, horizontal), (2n, 2n, d), read-only."""
         a = _a_stack(self, self.horizontal, self.horizontal)
@@ -90,10 +98,11 @@ def _frame_order(d: int) -> np.ndarray:
     return order
 
 
-def _adapted_frames(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vertical (2, d) and horizontal (d - 2, d) frames of a real metric g:
-    Gram-Schmidt on the coordinate vectors in frame order, the rows of L^-1
-    for g = L L^T in that order; `DegeneratePlane` unless g is finite, > 0."""
+def _adapted_frames(g: np.ndarray) -> np.ndarray:
+    """The frame matrix (d, d) of a real metric g, its vertical rows
+    first, then its horizontal ones: Gram-Schmidt on the coordinate vectors
+    in frame order, the rows of L^-1 for g = L L^T in that order; so
+    F g F^T = I.  `DegeneratePlane` unless g is finite and > 0."""
     if not np.isfinite(g).all():
         raise DegeneratePlane("metric not finite")
     order = _frame_order(len(g))
@@ -103,7 +112,7 @@ def _adapted_frames(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DegeneratePlane("metric not positive definite") from exc
     frames = np.empty_like(g)
     frames[:, order] = np.linalg.inv(chol)
-    return frames[:2], frames[2:]
+    return frames
 
 
 def frame_point(sampler: ChartSampler, point: np.ndarray) -> FramePoint:
@@ -125,11 +134,11 @@ def frame_point(sampler: ChartSampler, point: np.ndarray) -> FramePoint:
         batch = sampler.evaluate_batch(rows)
     blocks = batch.row(0)
     g = sampler.metric_fn()(rows)[0]
-    vertical, horizontal = _adapted_frames(g)
+    frames = _adapted_frames(g)
     return FramePoint(blocks=blocks, point=point, g_real=g,
-                      g_real_inv=np.linalg.inv(g),
-                      j=complex_structure(blocks.n + 1), vertical=vertical,
-                      horizontal=horizontal, sampler=sampler)
+                      g_real_inv=frames.T @ frames,
+                      j=complex_structure(blocks.n + 1), vertical=frames[:2],
+                      horizontal=frames[2:], sampler=sampler)
 
 
 def inner(fp: FramePoint, x: np.ndarray, y: np.ndarray) -> float:
@@ -164,7 +173,8 @@ def grad_f(fp: FramePoint) -> np.ndarray:
 
 
 def grad_ln_f(fp: FramePoint) -> np.ndarray:
-    return grad_f(fp) / fp.blocks.f
+    """Real gradient of ln f, read-only, built once per frame point."""
+    return fp._grad_ln_f
 
 
 def grad_f_norm_sq(fp: FramePoint) -> float:
@@ -186,7 +196,8 @@ def _a_stack(fp: FramePoint, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """A(x_i, y_j), shape (k, m, d), on the horizontal rows of `xs` (k, d)
     and `ys` (m, d), from G = xs g ys^T and Omega = (xs J^T) g ys^T."""
     _require_horizontal(fp, xs)
-    _require_horizontal(fp, ys)
+    if ys is not xs:
+        _require_horizontal(fp, ys)
     v = grad_ln_f(fp)
     gy = fp.g_real @ ys.T
     gram = xs @ gy
@@ -292,9 +303,9 @@ def _hessian_ln_f(fp: FramePoint, step: float) -> np.ndarray:
     lnf = np.log(fp.sampler.evaluate_batch(rows).f)[index[0]]
     grad1 = (lnf[0, 1::2] - lnf[0, 2::2]) / (2.0 * step)
     # `_christoffel_at` reads the grid's first row, p and its single
-    # shifts; up.T @ grad1 is Gamma^c_{ab} d_c ln f
-    up = _christoffel_at(fp.sampler.metric_fn()(rows)[index[0, 0]], step)[1]
-    return _real_hessian(lnf, step) - up.T @ grad1
+    # shifts; low.T @ (g^-1 d ln f) is Gamma^c_{ab} d_c ln f
+    low = _christoffel_at(fp.sampler.metric_fn()(rows)[index[0, 0]], step)
+    return _real_hessian(lnf, step) - low.T @ (fp.g_real_inv @ grad1)
 
 
 def vertical_horizontal_curvature(fp: FramePoint,

@@ -328,15 +328,32 @@ def test_riemann_fd_has_the_symmetries_of_a_curvature_tensor(n):
     """At seeded twisted-chart points r_abcd is antisymmetric in (a, b)
     and in (c, d), and symmetric under (a, b) <-> (c, d), to 1e-9 of its
     largest entry: finite differences of the Christoffel symbols at
-    p +- h e_c broke the pair symmetry by about 5e-7."""
+    p +- h e_c broke the pair symmetry by about 5e-7.  The stencil
+    Hessian `_real_hessian` that it and the other oracles read is
+    symmetric bit for bit, with trailing value axes (the metric, the two
+    steps of the log-det grids) or none, and its diagonal carries the bits
+    of the three-point formula."""
     samp = twisted_sampler(width=1.5, n=n)
+    h = cg.DEFAULT_FD_STEP
     for p in samp.random_points(np.random.default_rng(80 + n), 5):
-        rlow = cg.riemann_fd(samp.metric_fn(), p, cg.DEFAULT_FD_STEP)
+        rlow = cg.riemann_fd(samp.metric_fn(), p, h)
         scale = np.max(np.abs(rlow))
         for defect in (rlow + rlow.transpose(1, 0, 2, 3),
                        rlow + rlow.transpose(0, 1, 3, 2),
                        rlow - rlow.transpose(2, 3, 0, 1)):
             assert np.max(np.abs(defect)) <= 1e-9 * scale
+        rows, index = cg._stencil(p, h)
+        log_det = samp.log_det_fn()(rows)
+        steps = np.array([h, h / 2.0])
+        for values, step in ((samp.metric_fn()(rows)[index[0]], h),
+                             (log_det[index[0]], h),
+                             (np.moveaxis(log_det[index], 0, -1), steps)):
+            hess = cg._real_hessian(values, step)
+            assert hess.tobytes() == hess.swapaxes(0, 1).copy().tobytes()
+            diag = np.stack([hess[a, a] for a in range(len(hess))])
+            three_point = (values[0, 1::2] - 2.0 * values[0, 0]
+                           + values[0, 2::2]) / step ** 2
+            assert diag.tobytes() == three_point.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1407,6 +1407,11 @@ def test_bad_flow_value_is_reported_under_flow(tmp_path, capsys, line):
      "stop_margin"),
     ("product", ("[flow]\n", "[flow]\ndt_max = 1.0\ntime_frac = 1.0\n"),
      "stop_margin"),
+    # a fixed step that moves t from 0 but not at the stop time
+    # T_predicted - stop_margin: the run never ended, and the heat
+    # residual's time weights divided by zero
+    ("hirzebruch", ("[flow]\n", "[flow]\ndt_fixed = 1e-300\n"), "dt_fixed"),
+    ("product", ("[flow]\n", "[flow]\ndt_fixed = 1e-300\n"), "dt_fixed"),
 ])
 def test_values_that_fail_only_after_a_run_are_rejected_at_parse(
         tmp_path, capsys, scenario, edit, key):
@@ -1420,6 +1425,13 @@ def test_values_that_fail_only_after_a_run_are_rejected_at_parse(
     assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cfg", [HZ_CFG, PRODUCT_CFG])
+def test_a_fixed_step_that_advances_t_at_the_stop_time_parses(cfg):
+    """The other side of the `dt_fixed = 1e-300` refusal above."""
+    text = cfg.replace("[flow]\n", "[flow]\ndt_fixed = 1e-3\n")
+    assert parse_config(text).settings.dt_fixed == 1e-3
 
 
 @pytest.mark.parametrize("stop_margin,states", [

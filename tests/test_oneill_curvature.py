@@ -251,9 +251,9 @@ def test_oracle_evaluations_per_call(n, monkeypatch):
     calls, assemblies = [], []
     real_base, real_assemble = cg.fubini_study_base, cg.assemble_block_metric
 
-    def counted(z):
+    def counted(z, *args):
         calls.append(len(z))
-        return real_base(z)
+        return real_base(z, *args)
 
     def assembled(blocks, check=True):
         assemblies.append(len(blocks.f))
@@ -279,6 +279,51 @@ def test_oracle_evaluations_per_call(n, monkeypatch):
     rows = [4 * d * d + 2 * d + 1]
     assert calls == assemblies == rows == [{1: 73, 2: 157, 3: 273}[n]]
     assert len(np.unique(seen[0], axis=0)) == len(seen[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_each_chart_point_quantity_is_computed_once(n, monkeypatch):
+    """One oracle op, in the call order of the `oracles` benchmark
+    workload, computes each quantity at its point once: the Fubini-Study
+    factor 1/(1 + |z|^2) once per `blocks_fn` call, two d x d inverses
+    (the frames' Cholesky factor and `riemann_fd`'s Christoffel symbols of
+    the second kind; g^-1 is F^T F of the frames), one horizontality check
+    for the A stack on (horizontal, horizontal), and one totally-geodesic
+    residual (one `np.linalg.solve`) for the point's blocks, which
+    `ricci_blocks` and `check_totally_geodesic` both read."""
+    counts = {"blocks_fn": 0, "_fs_factor": 0, "inv": 0, "solve": 0,
+              "_require_horizontal": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    plain = twisted_sampler(n=n)
+    samp = replace(plain, blocks_fn=counting("blocks_fn", plain.blocks_fn))
+    point = plain.random_points(np.random.default_rng(70 + n), 1)[0]
+    monkeypatch.setattr(cg, "_fs_factor", counting("_fs_factor",
+                                                   cg._fs_factor))
+    monkeypatch.setattr(oc, "_require_horizontal",
+                        counting("_require_horizontal",
+                                 oc._require_horizontal))
+    for name in ("inv", "solve"):
+        monkeypatch.setattr(np.linalg, name,
+                            counting(name, getattr(np.linalg, name)))
+    h = cg.DEFAULT_FD_STEP
+    fp = oc.frame_point(samp, point)
+    cg.ricci_blocks(fp.blocks)
+    cg.fd_ricci_oracle(samp, point, richardson=True)
+    rlow = cg.riemann_fd(samp.metric_fn(), point, h)
+    oc.mixed_curvature_residuals(fp, step=h, rlow=rlow)
+    oc.vertical_horizontal_curvature(fp, step=h)
+    oc.a_norm_sq(fp)
+    oc.grad_ln_f_norm_sq(fp)
+    cg.check_kahler_compatibility(fp.blocks)
+    cg.check_totally_geodesic(fp.blocks)
+    assert counts == {"blocks_fn": 1, "_fs_factor": 1, "inv": 2, "solve": 1,
+                      "_require_horizontal": 1}
 
 
 # every stencil oracle at a frame point, at the default step
@@ -382,10 +427,12 @@ def test_stencil_oracles_refuse_the_domain_edge(oracle, reach, coord, side):
 def _frame_alone(sampler, point):
     """The blocks, real metric, its inverse and the frames at `point`
     evaluated on its own, by `evaluate` and `real_metric`; the frames come
-    from the one frame routine, `_adapted_frames`."""
+    from the one frame routine, `_adapted_frames`, and the inverse is
+    F^T F of their matrix F."""
     blocks = sampler.evaluate(point)
     g = cg.real_metric(blocks)
-    return (blocks, g, np.linalg.inv(g), *oc._adapted_frames(g))
+    frames = oc._adapted_frames(g)
+    return blocks, g, frames.T @ frames, frames[:2], frames[2:]
 
 
 def _frame_bits(blocks, *arrays):
@@ -403,7 +450,8 @@ def test_frame_point_is_its_stencil_centre(n):
     `g_real`, `g_real_inv` and frames carry the bits of the point
     evaluated alone.  So do they at a point half a step from the box in
     any coordinate, whose stencil the sampler refuses: that point is
-    evaluated alone, in one call of one row."""
+    evaluated alone, in one call of one row.  `g_real_inv`, taken from the
+    frames, inverts `g_real` to 1e-13."""
     plain = twisted_sampler(n=n)
     rows = []
 
@@ -427,6 +475,8 @@ def test_frame_point_is_its_stencil_centre(n):
         assert (_frame_bits(fp.blocks, fp.g_real, fp.g_real_inv, fp.vertical,
                             fp.horizontal)
                 == _frame_bits(*_frame_alone(fresh, point)))
+        assert np.max(np.abs(fp.g_real @ fp.g_real_inv
+                             - np.eye(d))) <= 1e-13
 
 
 @pytest.mark.parametrize("width", [3, 5])
