@@ -419,8 +419,9 @@ class _TRBDF2:
     A problem subclasses it with the size of u and gives three methods.
     `_eval(u)` returns (phi(u), aux): phi(u) a fresh array, aux what
     `_correction` needs at u, which may lean on the problem's buffers
-    until the next `_eval`.  `_correction(coeff, aux, resid)` returns x
-    with (I - coeff dphi/du) x = resid; the core may halve it in place.
+    until the next `_eval`.  `_correction(coeff, neg_coeff, aux, resid)`,
+    given coeff and -coeff as 0-d float64 arrays, returns x with
+    (I - coeff dphi/du) x = resid; the core may halve it in place.
     `_valid(u)` says whether phi is defined at u; every iterate is valid.
     The work buffers are allocated once, so one problem must not step
     from several threads at once."""
@@ -450,6 +451,9 @@ class _TRBDF2:
             raise StepRejected("no valid starting iterate")
         scale = 1.0 + float(np.add.reduce(np.abs(rhs_const, out=self._abs)))
         resid = self._resid
+        # 0-d float64 operands: a ufunc takes them faster than Python
+        # floats, with the same values and loop, so the same bits
+        coeff, neg_coeff = np.array(coeff), np.array(-coeff)
         for _ in range(NEWTON_MAX_ITER):
             phi, aux = self._eval(u)
             np.multiply(coeff, phi, out=resid)  # u - coeff phi - rhs_const
@@ -458,7 +462,7 @@ class _TRBDF2:
             err = float(np.add.reduce(np.abs(resid, out=self._abs)))
             if err <= NEWTON_TOL * scale:
                 return u, phi, aux
-            x = self._correction(coeff, aux, resid)
+            x = self._correction(coeff, neg_coeff, aux, resid)
             for _ in range(6):
                 candidate = u - x
                 if self._valid(candidate):
@@ -519,8 +523,7 @@ class FlowProblem(_TRBDF2):
         self.params = params
         self.rho = np.linspace(-params.L, params.L, nodes)
         self.drho = float(self.rho[1] - self.rho[0])
-        rh = params.base_scalar
-        self.sink = rh / params.n
+        sink = params.base_scalar / params.n
         # Endpoint rows advance at the speed of the *discrete* exponential
         # tail: for f - endpoint ~ q^j the stencil ratio s2f/s1f is the
         # constant below, not exactly 1.  Pinning the continuum rate k
@@ -530,19 +533,24 @@ class FlowProblem(_TRBDF2):
         # continuum one at the scheme's order.
         h = self.drho
         r_disc = 2.0 * (np.cosh(h) - 1.0) / (h * np.sinh(h))
-        self.rate_lower_disc = params.k * r_disc - self.sink
-        self.rate_upper_disc = -params.k * r_disc - self.sink
-        self._two_h = 2.0 * h
-        self._h_sq = h ** 2
+        self.rate_lower_disc = params.k * r_disc - sink
+        self.rate_upper_disc = -params.k * r_disc - sink
+        # The kernel's scalar operands as 0-d float64 arrays, which a ufunc
+        # takes faster than Python scalars, with the same values and loop.
+        (self._two_h, self._h_sq, self._sink, self._k, self._n, self._one,
+         self._minus_two) = (np.array(float(c)) for c in (
+             2.0 * h, h ** 2, sink, params.k, params.n, 1.0, -2.0))
         # The Newton matrix, refilled by `_newton_matrix` for every update
         # because `solve_banded` overwrites it.  ab[0, 0] and ab[2, -1] lie
         # outside the matrix, where gtsv never writes, and stay zero.
         self._ab = np.zeros((3, nodes))
         # Work buffers: the interior stencils s1, n s1 and s2, two
         # temporaries, the banded right-hand side (solved in place) and
-        # the update.
+        # the update.  At n = 1, n s1 is s1 itself.
         self._s1, self._ns1, self._s2, self._tmp1, self._tmp2 = np.empty(
             (5, nodes - 2))
+        if params.n == 1:
+            self._ns1 = self._s1
         self._rhs = np.empty(nodes)
         self._dx = np.empty(nodes)
 
@@ -572,14 +580,19 @@ class FlowProblem(_TRBDF2):
         s1 /= self._two_h
         s2 = np.subtract(inc[1:], inc[:-1], out=self._s2)
         s2 /= self._h_sq
-        ns1 = np.multiply(self.params.n, s1, out=self._ns1)
+        # x * 1 == x for every float64 x, so no step multiplies by n or k
+        # when it is 1
+        ns1 = self._ns1
+        if ns1 is not s1:
+            np.multiply(self._n, s1, out=ns1)
         rates = np.empty(f.size)
         rates[0] = self.rate_lower_disc
         # k (s2/s1 + n s1/f) - sink, one operation at a time in place
         mid = np.divide(s2, s1, out=rates[1:-1])
         mid += np.divide(ns1, f[1:-1], out=self._tmp1)
-        mid *= self.params.k
-        mid -= self.sink
+        if self.params.k != 1:
+            mid *= self._k
+        mid -= self._sink
         rates[-1] = self.rate_upper_disc
         return rates, (s1, ns1, s2)
 
@@ -590,20 +603,23 @@ class FlowProblem(_TRBDF2):
         f = _reconstruct(u[0], u[1:])
         return _to_increments(self._rates(f, u[1:])[0]), f
 
-    def _newton_matrix(self, coeff: float, f: np.ndarray,
+    def _newton_matrix(self, coeff: float | np.ndarray,
+                       neg_coeff: float | np.ndarray, f: np.ndarray,
                        stencils: tuple[np.ndarray, ...]) -> np.ndarray:
         """I - coeff * J in `solve_banded` (1, 1) storage, written into the
         problem's band buffer, where J is the tridiagonal d(rates)/d(nodal
         f); its boundary rows are zero (the endpoint rates are constants).
+        coeff and neg_coeff = -coeff are floats or 0-d float64 arrays.
 
         Each band is built in place in the order of its formula, and
         products are exact to reorder, so the bands equal those of the
-        expressions in the comments bit for bit."""
-        k = self.params.k
+        expressions in the comments bit for bit; the factor k is skipped
+        when it is 1."""
+        scale_k = self.params.k != 1
         s1, ns1, s2 = stencils
         fi = f[1:-1]
         ab = self._ab
-        curv = np.divide(1.0, s1, out=self._tmp1)  # 1/s1, then (1/s1)/h^2
+        curv = np.divide(self._one, s1, out=self._tmp1)  # 1/s1, (1/s1)/h^2
         adv = np.square(curv, out=self._tmp2)      # s2 (1/s1)^2 / (2h)
         adv *= s2
         adv /= self._two_h
@@ -611,41 +627,45 @@ class FlowProblem(_TRBDF2):
         # n / (2h f), held in the diagonal's storage until the off-diagonal
         # bands are built
         geo = np.multiply(self._two_h, fi, out=ab[1, 1:-1])
-        np.divide(self.params.n, geo, out=geo)
+        np.divide(self._n, geo, out=geo)
         # the signed zeros are what -coeff times a zero boundary row of J
         # gives
-        ab[0, 1] = ab[2, -2] = -coeff * 0.0
+        ab[0, 1] = ab[2, -2] = float(neg_coeff) * 0.0
         ab[1, 0] = ab[1, -1] = 1.0
         up = np.subtract(curv, adv, out=ab[0, 2:])  # -coeff k (curv-adv+geo)
         up += geo
-        up *= k
-        up *= -coeff
+        if scale_k:
+            up *= self._k
+        up *= neg_coeff
         low = np.add(curv, adv, out=ab[2, :-2])     # -coeff k (curv+adv-geo)
         low -= geo
-        low *= k
-        low *= -coeff
+        if scale_k:
+            low *= self._k
+        low *= neg_coeff
         # 1 - coeff k (-2 curv - n s1/f^2).  -2.0 * curv equals
         # (-2.0 / s1) / h^2 bit for bit: scaling by a power of two commutes
         # with rounding.
         diag = np.square(fi, out=geo)
         np.divide(ns1, diag, out=diag)
-        np.subtract(np.multiply(-2.0, curv, out=adv), diag, out=diag)
-        diag *= k
+        np.subtract(np.multiply(self._minus_two, curv, out=adv), diag,
+                    out=diag)
+        if scale_k:
+            diag *= self._k
         diag *= coeff
-        np.subtract(1.0, diag, out=diag)
+        np.subtract(self._one, diag, out=diag)
         return ab
 
     def _valid(self, u: np.ndarray) -> bool:
         return bool(np.minimum.reduce(u) > 0.0
                     and np.maximum.reduce(u) < np.inf)
 
-    def _correction(self, coeff: float, f: np.ndarray,
-                    resid: np.ndarray) -> np.ndarray:
+    def _correction(self, coeff: np.ndarray, neg_coeff: np.ndarray,
+                    f: np.ndarray, resid: np.ndarray) -> np.ndarray:
         """x with (I - coeff D J T) x = resid at the u of nodal f, solved as
         the banded f-space system (I - coeff J) z = T resid, then x = D z;
         x is the problem's buffer."""
-        z = solve_banded(self._newton_matrix(coeff, f, (self._s1, self._ns1,
-                                                        self._s2)),
+        z = solve_banded(self._newton_matrix(coeff, neg_coeff, f,
+                                             (self._s1, self._ns1, self._s2)),
                          _reconstruct(resid[0], resid[1:], self._rhs))
         return _to_increments(z, self._dx)
 
@@ -758,6 +778,18 @@ def _d2(arr: np.ndarray, d: float) -> np.ndarray:
     return out
 
 
+def _horizontal_rows(f: np.ndarray, v: np.ndarray, params: HirzebruchParams
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """(grad_ln_sq, kappa_h) = (2 k^2 v / f^2, R_h / f - grad_ln_sq) at
+    every node of rows of nodal f and v, each built in place in the order
+    of its formula."""
+    grad_ln_sq = np.multiply(2.0 * params.k ** 2, v)
+    grad_ln_sq /= np.square(f)
+    kappa_h = np.divide(params.base_scalar, f)
+    kappa_h -= grad_ln_sq
+    return grad_ln_sq, kappa_h
+
+
 def _curvature_rows(f: np.ndarray, v: np.ndarray, v_max: np.ndarray,
                     d: float, params: HirzebruchParams
                     ) -> dict[str, np.ndarray]:
@@ -767,7 +799,12 @@ def _curvature_rows(f: np.ndarray, v: np.ndarray, v_max: np.ndarray,
     hess_rr and hess_tt of vhc_r and vhc_t are raw stencil values at every
     node, which a caller reads on the support only: fiber curvature
     divides stencils of ln v by v, which amplifies noise where v
-    underflows.  rm is zero outside the support."""
+    underflows.  rm is zero outside the support.
+
+    The rows may be a window of columns: a stencil value depends on its
+    neighbours only, so every node but the window's two ends takes the
+    value it has in the whole row, and so do the ends where the window
+    ends with the grid."""
     if params.n != 1:
         raise FlowError("profile diagnostics implemented over surface bases")
     k = params.k
@@ -775,17 +812,15 @@ def _curvature_rows(f: np.ndarray, v: np.ndarray, v_max: np.ndarray,
     # Each array is built in place in the order of the formula in its
     # comment; sums and products commute exactly, and so does negation
     # with division, so the values are those of the formulas bit for bit.
+    # x * 1 == x for every float64 x, so no step multiplies by k = 1.
     lnv = np.where(v > 0.0, v, 1.0)             # ln v where v > 0, else 0
     np.log(lnv, out=lnv)
     lv1 = _d1(lnv, d)
-    grad_ln_sq = np.multiply(2.0 * k ** 2, v)   # 2 k^2 v / f^2
-    grad_ln_sq /= np.square(f)
-    kappa_h = np.divide(params.base_scalar, f)  # R_h / f - grad_ln_sq
-    kappa_h -= grad_ln_sq
-    lf1 = np.multiply(k, v)                     # k v / f
-    lf1 /= f
+    grad_ln_sq, kappa_h = _horizontal_rows(f, v, params)
+    lf1 = v / f if k == 1 else k * v / f        # k v / f
     lf2 = _d1(v, d)                             # k v_rho / f - lf1^2
-    lf2 *= k
+    if k != 1:
+        lf2 *= k
     lf2 /= f
     lf2 -= np.square(lf1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -857,10 +892,18 @@ def diagnostics_series(states: Sequence[FlowState], params: HirzebruchParams
     """The curvature columns of the diagnostics table (`t` to `max_v` of
     `DIAG_COLUMNS`) of the states: per state, the curvature sups over the
     supported nodes v >= threshold * max v.  The columns are filled one
-    block of states at a time."""
+    block of states at a time.
+
+    The stencils of a block run on its support window only: the columns
+    from one node before the first node that any of its states supports
+    to one node after the last, clipped to the grid.  Each supported node
+    then takes the values of the whole-row stencils (`_curvature_rows`);
+    the sups that range over every node, of grad_ln_sq and |kappa_h|, are
+    taken over whole rows."""
     k = params.k
     d = states[0].rho[1] - states[0].rho[0]
-    rows = _block_rows(states[0].f.size)
+    nodes = states[0].f.size
+    rows = _block_rows(nodes)
     out = {name: np.empty(len(states)) for name in _CURVATURE_COLUMNS}
     # A block's arrays are dropped only when the next block's replace
     # them, so the allocator reuses their space.  Freed all at once, the
@@ -872,34 +915,48 @@ def diagnostics_series(states: Sequence[FlowState], params: HirzebruchParams
         block = states[lo:lo + rows]
         v = _v_rows(np.stack([s.df for s in block]), d, k)
         v_max = np.maximum.reduce(v, axis=1)
-        p = _curvature_rows(np.stack([s.f for s in block]), v, v_max, d,
-                            params)
+        f = np.stack([s.f for s in block])
+        grad_ln_sq, kappa_h = _horizontal_rows(f, v, params)
+        grad_max = np.maximum.reduce(grad_ln_sq, axis=1)
+        horiz_sup = np.maximum.reduce(np.abs(kappa_h, out=kappa_h), axis=1)
+        del grad_ln_sq, kappa_h
+        # the node of max v lies in the support: k_v there needs no mask
+        # (and it lies in the window even in a row whose v_max is NaN)
+        center = np.argmax(v, axis=1)
+        union = np.logical_or.reduce(
+            v >= SUPPORT_THRESHOLD * v_max[:, None], axis=0)
+        union[center] = True
+        cols = np.flatnonzero(union)
+        a, b = max(int(cols[0]) - 1, 0), min(int(cols[-1]) + 2, nodes)
+        if b - a < 3:  # one supported node at an end: `_d1` needs three
+            a, b = 0, nodes
+        p = _curvature_rows(f[:, a:b], v[:, a:b], v_max, d, params)
         supp = p["supp"]
         vhc_r, vhc_t = _vhc(p["hess_rr"], p["hess_tt"], p["grad_ln_sq"])
         mixed_r = np.maximum.reduce(
             np.where(supp, np.abs(vhc_r, out=vhc_r), -np.inf), axis=1)
         mixed_t = np.maximum.reduce(
             np.where(supp, np.abs(vhc_t, out=vhc_t), -np.inf), axis=1)
-        grad_max = np.maximum.reduce(p["grad_ln_sq"], axis=1)
         width = np.array([s.upper - s.lower for s in block], dtype=float)
         area = 2.0 * np.pi * width / k
-        # the node of max v lies in the support: k_v there needs no mask
-        center = np.argmax(v, axis=1)
-        roundness = (p["k_v"][np.arange(len(block)), center] * area
+        roundness = (p["k_v"][np.arange(len(block)), center - a] * area
                      / (4.0 * np.pi))
+        rm_sup = np.maximum.reduce(p["rm"], axis=1)
         at = slice(lo, lo + len(block))
         out["t"][at] = [s.t for s in block]
-        out["node"][at] = np.argmax(p["rm"], axis=1)
+        # rm is zero off the support, so its first maximum lies in the
+        # window; where rm is zero throughout it is node 0
+        out["node"][at] = np.where(rm_sup == 0.0, 0,
+                                   a + np.argmax(p["rm"], axis=1))
         out["k_v_max"][at] = np.maximum.reduce(
             np.where(supp, p["k_v"], -np.inf), axis=1)
         # max(c g) = c max(g) for c > 0: rounding is monotone
         out["a_sq_sup"][at] = (2.0 * params.n) * grad_max
         out["grad_ln_sq_sup"][at] = grad_max
-        out["horiz_sup"][at] = np.maximum.reduce(np.abs(p["kappa_h"]),
-                                                 axis=1)
+        out["horiz_sup"][at] = horiz_sup
         # the larger of the two, mixed_r on ties (Python's max)
         out["mixed_sup"][at] = np.where(mixed_t > mixed_r, mixed_t, mixed_r)
-        out["rm_sup"][at] = np.maximum.reduce(p["rm"], axis=1)
+        out["rm_sup"][at] = rm_sup
         out["fiber_area"][at] = area
         out["roundness"][at] = roundness
         out["width"][at] = width
@@ -962,8 +1019,13 @@ def heat_residual_series(states: Sequence[FlowState],
               + wp[w] * f[2:, 2:-2])
         f1 = _d1_4th(now, d)
         f2 = _d2_4th(now, d)
+        # k (f2 / f1 + n f1 / f) - sink with no factor of 1: x * 1 == x
+        # for every float64 x
         with np.errstate(divide="ignore", invalid="ignore"):
-            rhs = k * (f2 / f1 + n * f1 / now[:, 2:-2]) - sink
+            rhs = f2 / f1 + (f1 if n == 1 else n * f1) / now[:, 2:-2]
+            if k != 1:
+                rhs *= k
+            rhs -= sink
         out[lo:hi] = np.fmax.reduce(np.abs(ft - rhs), axis=1)
     return out
 

@@ -393,6 +393,9 @@ def _read_text(path: Path) -> str:
         return path.read_text()
     except OSError as exc:
         raise RunDirError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise RunDirError(f"{path}: not text ({exc.reason} at byte "
+                          f"{exc.start})") from exc
 
 
 def _read_csv(path: Path, schema: str,

@@ -493,7 +493,7 @@ def test_newton_jacobian_matches_central_differences(k, n):
 
     coeff = 0.25
     _, stencils = problem._rates(f, np.diff(f))
-    ab = problem._newton_matrix(coeff, f, stencils)
+    ab = problem._newton_matrix(coeff, -coeff, f, stencils)
     newton = (np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1))
     jac = (np.eye(f.size) - newton) / coeff
 
@@ -593,7 +593,7 @@ class _HeatProblem(calabi_flow._TRBDF2):
     def _eval(self, u):
         return self.a @ u, None
 
-    def _correction(self, coeff, aux, resid):
+    def _correction(self, coeff, neg_coeff, aux, resid):
         return np.linalg.solve(np.eye(resid.size) - coeff * self.a, resid)
 
     def _valid(self, u):
@@ -653,6 +653,144 @@ def test_step_flow_serves_any_problem_on_the_core():
     assert _same_bits(stepped, _HeatProblem().step_once(u, q, dt / 2))
 
 
+# -- the kernel's fast paths against the plain formulas ---------------------
+#
+# The kernel skips every product by k or n that is 1 and takes its scalar
+# operands as 0-d float64 arrays.  The functions below are the formulas it
+# evaluates, written out with every factor and Python scalars; on the
+# iterates of real steps they must give the kernel's bits.
+
+FAST_PATH_PARAMS = [HirzebruchParams(k=k, n=n, a0=2.0, b0=3.0,
+                                     grid_points=128)
+                    for k in (1, 2, 3) for n in (1, 2)]
+
+
+def _drho(params):
+    rho = np.linspace(-params.L, params.L, params.grid_points)
+    return float(rho[1] - rho[0])
+
+
+def _plain_rates(params, f, inc):
+    """(rates, (s1, n s1, s2)) by the plain formulas."""
+    h = _drho(params)
+    k, n = params.k, params.n
+    sink = params.base_scalar / n
+    s1 = (inc[1:] + inc[:-1]) / (2.0 * h)
+    s2 = (inc[1:] - inc[:-1]) / h ** 2
+    ns1 = n * s1
+    r_disc = 2.0 * (np.cosh(h) - 1.0) / (h * np.sinh(h))
+    rates = np.empty(f.size)
+    rates[0] = k * r_disc - sink
+    rates[1:-1] = k * (s2 / s1 + ns1 / f[1:-1]) - sink
+    rates[-1] = -k * r_disc - sink
+    return rates, (s1, ns1, s2)
+
+
+def _plain_newton_matrix(params, coeff, f, stencils):
+    """I - coeff J in (1, 1) banded storage by the plain formulas."""
+    h = _drho(params)
+    k, n = params.k, params.n
+    s1, ns1, s2 = stencils
+    fi = f[1:-1]
+    curv = 1.0 / s1
+    adv = np.square(curv) * s2 / (2.0 * h)
+    curv = curv / h ** 2
+    geo = n / (2.0 * h * fi)
+    ab = np.zeros((3, f.size))
+    ab[0, 1] = ab[2, -2] = -coeff * 0.0
+    ab[1, 0] = ab[1, -1] = 1.0
+    ab[0, 2:] = (curv - adv + geo) * k * -coeff
+    ab[2, :-2] = (curv + adv - geo) * k * -coeff
+    ab[1, 1:-1] = 1.0 - (-2.0 * curv - ns1 / np.square(fi)) * k * coeff
+    return ab
+
+
+def _newton_calls(params, steps=3, dt=0.01):
+    """[u, coeff, neg_coeff] of every Newton iterate of `steps` TR-BDF2
+    steps from the initial profile that needed a correction (the last of
+    each solve needs none: [u] only)."""
+    problem = FlowProblem(params)
+    calls = []
+    evaluate, correct = problem._eval, problem._correction
+
+    def spy_eval(u):
+        calls.append([u.copy()])
+        return evaluate(u)
+
+    def spy_correction(coeff, neg_coeff, f, resid):
+        calls[-1] += [coeff, neg_coeff]
+        return correct(coeff, neg_coeff, f, resid)
+
+    problem._eval, problem._correction = spy_eval, spy_correction
+    t, u = 0.0, problem._pack(init_hirzebruch_profile(params))
+    p = problem._phi(u)
+    for _ in range(steps):
+        t, u, p, _ = step_flow(problem, t, u, p, dt)
+    return calls
+
+
+@pytest.mark.parametrize("params", FAST_PATH_PARAMS,
+                         ids=lambda p: f"k{p.k}-n{p.n}")
+def test_newton_kernel_fast_paths_equal_the_plain_formulas(params):
+    problem = FlowProblem(params)
+    calls = _newton_calls(params)
+    corrected = [c for c in calls if len(c) == 3]
+    assert len(corrected) >= 6
+    for u, *coeffs in calls:
+        f = calabi_flow._reconstruct(u[0], u[1:])
+        rates, stencils = problem._rates(f, u[1:])
+        want_rates, want_stencils = _plain_rates(params, f, u[1:])
+        assert rates.tobytes() == want_rates.tobytes()
+        for got, want in zip(stencils, want_stencils, strict=True):
+            assert got.tobytes() == want.tobytes()
+        if coeffs:
+            coeff, neg_coeff = coeffs
+            # the core hands the coefficients over as 0-d float64 arrays
+            assert coeff.shape == neg_coeff.shape == ()
+            assert float(neg_coeff) == -float(coeff)
+            ab = problem._newton_matrix(coeff, neg_coeff, f, stencils)
+            want = _plain_newton_matrix(params, float(coeff), f, stencils)
+            assert ab.tobytes() == want.tobytes()
+
+
+def _plain_heat_residual_series(states, params):
+    """`heat_residual_series` by its plain formula, one block of states."""
+    k, n = params.k, params.n
+    sink = params.base_scalar / n
+    m = len(states)
+    out = np.full(m, np.nan)
+    rho = states[0].rho
+    d = rho[1] - rho[0]
+    central = np.flatnonzero(np.abs(rho) <= params.L / 2.0)
+    a, b = int(central[0]) - 2, int(central[-1]) + 3
+    t = np.array([s.t for s in states])
+    dm, dp = t[1:-1] - t[:-2], t[2:] - t[1:-1]
+    wm = (-dp / (dm * (dm + dp)))[:, None]
+    w0 = ((dp - dm) / (dm * dp))[:, None]
+    wp = (dm / (dp * (dm + dp)))[:, None]
+    f = np.stack([s.f[a:b] for s in states])
+    now = f[1:-1]
+    ft = wm * f[:-2, 2:-2] + w0 * now[:, 2:-2] + wp * f[2:, 2:-2]
+    f1 = (now[:, :-4] - 8.0 * now[:, 1:-3] + 8.0 * now[:, 3:-1]
+          - now[:, 4:]) / (12.0 * d)
+    f2 = (-now[:, :-4] + 16.0 * now[:, 1:-3] - 30.0 * now[:, 2:-2]
+          + 16.0 * now[:, 3:-1] - now[:, 4:]) / (12.0 * d ** 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhs = k * (f2 / f1 + n * f1 / now[:, 2:-2]) - sink
+    out[1:-1] = np.fmax.reduce(np.abs(ft - rhs), axis=1)
+    return out
+
+
+@pytest.mark.parametrize("params", FAST_PATH_PARAMS,
+                         ids=lambda p: f"k{p.k}-n{p.n}")
+def test_heat_residual_fast_paths_equal_the_plain_formula(params):
+    states = list(itertools.islice(recorded_states(params), 12))
+    assert len(states) == 12
+    got = calabi_flow.heat_residual_series(states, params)
+    assert got.tobytes() == _plain_heat_residual_series(
+        states, params).tobytes()
+
+
 def test_kept_results_survive_later_calls_on_the_same_problem():
     # The Newton kernel works in buffers allocated once per FlowProblem;
     # no array a caller keeps may be one of them.
@@ -665,7 +803,7 @@ def test_kept_results_survive_later_calls_on_the_same_problem():
     held.update((f"stencil {i}", s) for i, s in enumerate(stencils))
     copies = {name: arr.copy() for name, arr in held.items()}
     # the Jacobian temporaries and bands are not the stencils they read
-    problem._newton_matrix(0.01, start.f, stencils)
+    problem._newton_matrix(0.01, -0.01, start.f, stencils)
     assert all(np.array_equal(held[name], copies[name]) for name in held)
     # the stencils are the kernel's buffers, valid until its next call
     del held["stencil 0"], held["stencil 1"], held["stencil 2"]

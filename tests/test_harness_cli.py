@@ -517,6 +517,8 @@ def _damage(path, how):
         path.write_bytes(b"".join(data.splitlines(keepends=True)[:2]))
     elif how == "array":  # valid JSON, but not an object
         path.write_text("[]\n")
+    elif how == "non-utf8":  # a byte that no UTF-8 text holds
+        path.write_bytes(data + b"\xff")
     elif how in _FIELD_DAMAGE:
         rows, column, value = _FIELD_DAMAGE[how]
         lines = data.decode().splitlines()
@@ -562,6 +564,11 @@ _FIELD_DAMAGE = {"node-inf": (slice(-1, None), "node", "inf"),
     ("manifest.json", "array"),
     ("report.json", "truncated"),
     ("rescaled_0.csv", "missing"),
+    ("manifest.json", "non-utf8"),
+    ("diagnostics.csv", "non-utf8"),
+    ("flow.csv", "non-utf8"),
+    ("report.json", "non-utf8"),
+    ("rescaled_0.csv", "non-utf8"),
 ])
 def test_check_damaged_run_dir_exits_3_naming_the_file(hz_dir, tmp_path,
                                                         capsys, name, how):

@@ -18,6 +18,7 @@ import pytest
 from fiberflow import calabi_flow
 from fiberflow.calabi_flow import (
     DIAG_COLUMNS,
+    FlowState,
     HirzebruchParams,
     RunSettings,
     build_monitors,
@@ -210,7 +211,7 @@ def case(request):
             list(recorded_states(params, RunSettings())))
 
 
-@pytest.mark.parametrize("thr", [1e-3, 0.05])
+@pytest.mark.parametrize("thr", [1e-3, 0.05, 1e-12])
 def test_block_diagnostics_and_monitors_match_per_state(case, thr,
                                                         monkeypatch):
     monkeypatch.setattr(calabi_flow, "SUPPORT_THRESHOLD", thr)
@@ -283,7 +284,7 @@ def test_streamed_run_matches_per_state(name, monkeypatch):
     _assert_run_matches_per_state(params, settings, run, states)
 
 
-@pytest.mark.parametrize("thr", [1e-3, 0.05])
+@pytest.mark.parametrize("thr", [1e-3, 0.05, 1e-12])
 def test_one_row_functions_match_per_state(case, thr, monkeypatch):
     monkeypatch.setattr(calabi_flow, "SUPPORT_THRESHOLD", thr)
     params, _, states = case
@@ -299,3 +300,24 @@ def test_one_row_functions_match_per_state(case, thr, monkeypatch):
             else:
                 assert (got.dtype == arr.dtype
                         and got.tobytes() == arr.tobytes()), name
+
+
+@pytest.mark.parametrize("end", ["first", "last"])
+def test_support_of_one_end_node_matches_per_state(end, monkeypatch):
+    # v peaks at one end node of this increasing profile, and the
+    # threshold supports that node alone, so the support window widened
+    # by one node and clipped to the grid would hold two columns
+    thr = 0.9
+    monkeypatch.setattr(calabi_flow, "SUPPORT_THRESHOLD", thr)
+    params = HirzebruchParams(grid_points=64)
+    df = 0.7 ** np.arange(63.0)
+    if end == "last":
+        df = df[::-1].copy()
+    f = np.concatenate(([1.0], 1.0 + np.cumsum(df)))
+    st = FlowState(t=0.0, rho=np.linspace(-params.L, params.L, 64), f=f,
+                   lower=float(f[0]), upper=float(f[-1]), df=df)
+    v = st.v_profile(params.k)
+    assert np.flatnonzero(v >= thr * v.max()).tolist() == (
+        [0] if end == "first" else [63])
+    _assert_table_matches(diagnostics_series([st, st], params),
+                          [_ref_diagnostics(st, params, thr)] * 2)
